@@ -38,7 +38,8 @@ class LinearSpace:
 
 # Points are the nonzero vectors of GF(2)^3 in lexicographic order, so point
 # i stands for the binary vector of i + 1 and a triple is a line exactly when
-# the vectors sum to zero.  This matches the bundled PSL(2,7) generators.
+# the vectors sum to zero.  This matches the point labels of the bundled
+# line2_fano_complement group, PSL(2,7).
 _FANO_LINES = tuple(sorted(
     (a, b, c)
     for a in range(7) for b in range(a + 1, 7) for c in range(b + 1, 7)

@@ -11,9 +11,13 @@ def fixture_group(name: str) -> PermutationGroup:
     return load_group(DATA / "fixtures" / f"{name}.json")
 
 
+def catalog_group(name: str) -> PermutationGroup:
+    return load_group(DATA / "catalog" / name / "group.json")
+
+
 @pytest.fixture(scope="session")
 def psl2_7() -> PermutationGroup:
-    return fixture_group("psl2_7")
+    return catalog_group("line2_fano_complement")
 
 
 @pytest.fixture(scope="session")

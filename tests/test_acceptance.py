@@ -5,7 +5,7 @@ import random
 import time
 from itertools import combinations
 
-from conftest import DATA, fixture_group
+from conftest import DATA, catalog_group, fixture_group
 from ftdesigns.arith import PrimePower, ppart, prime_powers
 from ftdesigns.cli import main as cli_main
 from ftdesigns.constructions import catalog, derived_design, pg_line_space
@@ -181,12 +181,16 @@ def test_criterion_5_oracle_equivalence():
             count = sum(1 for blk in blocksets if a in blk and b in blk)
             assert count == params.lam, (name, a, b)
 
-    # orbit-stabilizer identity on every fixture; exhaustive enumeration
-    # for the small ones
-    fixtures = ["psl2_4", "psl2_5", "psl2_7", "psl2_8", "psl2_9", "psl2_11",
-                "psu3_3", "psu3_5", "hs"]
-    for name in fixtures:
-        group = fixture_group(name)
+    # orbit-stabilizer identity on every fixture and on the catalog groups
+    # of line1, line2, line5 and line10; exhaustive enumeration for the small
+    # ones
+    groups = [fixture_group(name) for name in
+              ("psl2_4", "psl2_8", "psl2_9", "psu3_3", "psu3_5")]
+    groups += [catalog_group(name) for name in
+               ("line1_psl25", "line2_fano_complement", "line5_psl211",
+                "line10_hs")]
+    for group in groups:
+        name = group.name
         stab = group.stabilizer(0)
         assert len(group.orbit(0)) * stab.order() == group.order(), name
         if group.order() <= 10**4:

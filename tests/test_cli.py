@@ -60,6 +60,49 @@ def test_verify_hs(capsys, tmp_path):
     assert out.strip() == "(176,1100,50,8,2) flag-transitive point-primitive"
 
 
+BAD_INPUT = {
+    "group-list": ["verify", "--group", "{group_list}", "--design", "{design}"],
+    "design-v-text": ["verify", "--group", "{group}",
+                      "--design", "{design_v_text}"],
+    "design-block-text": ["verify", "--group", "{group}",
+                          "--design", "{design_block_text}"],
+    "design-v-float": ["verify", "--group", "{group}",
+                       "--design", "{design_v_float}"],
+    "design-v-huge": ["verify", "--group", "{group}",
+                      "--design", "{design_v_huge}"],
+    "design-block-float": ["verify", "--group", "{group}",
+                           "--design", "{design_block_float}"],
+    "design-no-blocks": ["verify", "--group", "{group}",
+                         "--design", "{design_no_blocks}"],
+    "out-missing-dir": ["construct", "--name", "line1_psl25",
+                        "--out", "{missing}/x.json"],
+    "pg-lines-7": ["construct", "--name", "pg_lines:7"],
+    "derived-pg-7": ["construct", "--name", "derived_pg:7"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_exit_2(capsys, tmp_path, argv):
+    docs = {
+        "group_list": [[1, 2, 3, 0]],
+        "group": {"name": "c4", "degree": 4, "generators": [[1, 2, 3, 0]]},
+        "design": {"name": "d", "v": 4, "blocks": [[0, 1], [2, 3]]},
+        "design_v_text": {"name": "d", "v": "4", "blocks": [[0, 1]]},
+        "design_block_text": {"name": "d", "v": 4, "blocks": [[0, "a"]]},
+        "design_v_float": {"name": "d", "v": 4.0, "blocks": [[0, 1]]},
+        "design_v_huge": {"name": "d", "v": 10**30, "blocks": [[0, 1]]},
+        "design_block_float": {"name": "d", "v": 4, "blocks": [[0, 1.5]]},
+        "design_no_blocks": {"name": "d", "v": 4, "blocks": []},
+    }
+    paths = {"missing": str(tmp_path / "missing")}
+    for stem, doc in docs.items():
+        paths[stem] = str(tmp_path / f"{stem}.json")
+        (tmp_path / f"{stem}.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_construct_unknown_name(capsys):
     code, _, err = run(capsys, "construct", "--name", "nope")
     assert code == 2

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import DATA, fixture_group
+from conftest import DATA
 from ftdesigns.constructions import catalog, fano_complement, orbit_design
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignError, IncidenceStructure,
@@ -104,7 +104,7 @@ def test_flag_transitivity_line6():
 
 def test_point_primitivity(psl2_7):
     assert is_point_primitive(psl2_7, fano_complement())
-    assert fixture_group("psl2_7").subdegrees(0) == [1, 6]
+    assert psl2_7.subdegrees(0) == [1, 6]
 
     d8 = build_group(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
     square_pairs = orbit_design(d8, {0, 1})

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import DATA, fixture_group
+from conftest import DATA, catalog_group, fixture_group
 from ftdesigns.perm import (Permutation, build_group, canonical_json,
                             group_from_json, group_to_json, load_group)
 
@@ -49,7 +49,7 @@ def test_order_examples(psu3_3):
 
 
 def test_hs_order_and_orbit_stabilizer():
-    hs = fixture_group("hs")
+    hs = catalog_group("line10_hs")
     assert hs.order() == 44352000
     stab = hs.stabilizer(0)
     assert 176 * stab.order() == 44352000
@@ -129,8 +129,8 @@ def test_generators_reconstructible_from_chain():
 
 
 def test_chain_orbit_product_is_order():
-    for name in ("psl2_5", "psl2_9", "psl2_11"):
-        group = fixture_group(name)
+    for group in (catalog_group("line1_psl25"), fixture_group("psl2_9"),
+                  catalog_group("line5_psl211")):
         product = 1
         for level in group.levels:
             product *= len(level.transversal)
@@ -144,15 +144,18 @@ def test_deterministic_construction(psl2_7):
 
 
 def test_fixture_orders_asserted_at_load():
-    expected = {"psl2_4": 60, "psl2_5": 60, "psl2_7": 168, "psl2_8": 504,
-                "psl2_9": 360, "psl2_11": 660, "psu3_3": 6048,
-                "psu3_5": 126000, "hs": 44352000}
+    expected = {"psl2_4": 60, "psl2_8": 504, "psl2_9": 360, "psu3_3": 6048,
+                "psu3_5": 126000}
     for name, order in expected.items():
         assert fixture_group(name).order() == order
+    expected = {"line1_psl25": 60, "line2_fano_complement": 168,
+                "line5_psl211": 660, "line10_hs": 44352000}
+    for name, order in expected.items():
+        assert catalog_group(name).order() == order
 
 
 def test_group_json_roundtrip_is_byte_stable():
-    path = DATA / "fixtures" / "psl2_7.json"
+    path = DATA / "catalog" / "line2_fano_complement" / "group.json"
     text = path.read_text(encoding="utf-8")
     group = group_from_json(text)
     doc = json.loads(text)

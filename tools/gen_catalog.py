@@ -12,9 +12,13 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tools/gen_catalog.py [--only line6_psl28,...]
 
-The searches are deterministic (seeded RNG); regeneration may still pick a
-different-but-equivalent base block if the search order changes, which is
-fine because the tests certify the data rather than trusting it.
+Each entry draws from its own RNG, seeded from the entry's name, so a run
+with --only writes the same bytes for an entry as a full run.  Every group is
+stored as a generating set of at most two elements, found at write time,
+after the block search.  The output directory is the package's data
+directory, or FTDESIGNS_DATA when that is set:
+
+    FTDESIGNS_DATA=/tmp/data PYTHONPATH=src python3 tools/gen_catalog.py
 """
 
 from __future__ import annotations
@@ -28,14 +32,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from ftdesigns.constructions import data_dir
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (IncidenceStructure, is_flag_transitive,
                                  is_point_primitive, structure_to_json,
                                  verify_2design)
 from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
                             canonical_json, group_to_json)
-
-DATA = Path(__file__).resolve().parent.parent / "src" / "ftdesigns" / "data"
 
 
 # -- small finite fields ------------------------------------------------------
@@ -499,13 +502,30 @@ def unitary_group(gf: GF, q: int, with_field_aut: bool,
 
 # -- output helpers --------------------------------------------------------------
 
+def two_generators(group: PermutationGroup, rng) -> PermutationGroup:
+    """The group on at most two generators: its own set when that is small
+    enough, else the first pair of random elements that generates a subgroup
+    of the same order, which is then the whole group."""
+    if len(group.generators) <= 2:
+        return group
+    for _ in range(100):
+        pair = [group.random_element(rng), group.random_element(rng)]
+        small = build_group(group.degree, pair)
+        if small.order() == group.order():
+            return small
+    raise RuntimeError(f"no generating pair found for {group.name}")
+
+
+def write_group(path: Path, name: str, group: PermutationGroup, rng) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(group_to_json(two_generators(group, rng), name=name,
+                                  expected_order=group.order()))
+
+
 def write_entry(name: str, group: PermutationGroup, expected: Parameters,
-                socle: str, aut: str, base_block=None, blocks=None):
-    entry = DATA / "catalog" / name
-    entry.mkdir(parents=True, exist_ok=True)
-    (entry / "group.json").write_text(
-        group_to_json(group, name=f"{name}_group",
-                      expected_order=group.order()))
+                socle: str, aut: str, rng, base_block=None, blocks=None):
+    entry = data_dir() / "catalog" / name
+    write_group(entry / "group.json", f"{name}_group", group, rng)
     (entry / "expected.json").write_text(canonical_json({
         "name": name,
         "v": expected.v, "b": expected.b, "r": expected.r,
@@ -521,11 +541,8 @@ def write_entry(name: str, group: PermutationGroup, expected: Parameters,
     print(f"  wrote {name}: order {group.order()}, params {expected}")
 
 
-def write_fixture(name: str, group: PermutationGroup):
-    fixtures = DATA / "fixtures"
-    fixtures.mkdir(parents=True, exist_ok=True)
-    (fixtures / f"{name}.json").write_text(
-        group_to_json(group, name=name, expected_order=group.order()))
+def write_fixture(name: str, group: PermutationGroup, rng):
+    write_group(data_dir() / "fixtures" / f"{name}.json", name, group, rng)
     print(f"  fixture {name}: degree {group.degree}, order {group.order()}")
 
 
@@ -539,18 +556,18 @@ def certified(group, design, expected: Parameters) -> IncidenceStructure:
 
 # -- the ten catalog lines --------------------------------------------------------
 
-def gen_line1():
+def gen_line1(rng):
     group = build_group(6, psl2_gens(GF5), name="psl2_5")
     assert group.order() == 60
     expected = Parameters(6, 10, 5, 3, 2)
     block, design = search_block_exhaustive(group, expected)
     certified(group, design, expected)
     write_entry("line1_psl25", group, expected,
-                "PSL(2,5) ~ PSL(2,4) ~ Alt(5)", "PSL(2,5)", base_block=block)
-    write_fixture("psl2_5", group)
+                "PSL(2,5) ~ PSL(2,4) ~ Alt(5)", "PSL(2,5)", rng,
+                base_block=block)
 
 
-def gen_line2():
+def gen_line2(rng):
     gf2 = GF(2, 1)
     points = pg2_points(gf2)
     index = {pt: i for i, pt in enumerate(points)}
@@ -569,11 +586,10 @@ def gen_line2():
     design = IncidenceStructure.from_blocks(7, blocks)
     certified(group, design, expected)
     write_entry("line2_fano_complement", group, expected,
-                "PSL(2,7) ~ PSL(3,2)", "PSL(2,7)", blocks=design)
-    write_fixture("psl2_7", group)
+                "PSL(2,7) ~ PSL(3,2)", "PSL(2,7)", rng, blocks=design)
 
 
-def gen_line3():
+def gen_line3(rng):
     # Sym(5) ~ PSL(2,4):2 acting on the 10 unordered pairs from 5 letters
     pairs = list(itertools.combinations(range(5), 2))
     index = {p: i for i, p in enumerate(pairs)}
@@ -593,10 +609,10 @@ def gen_line3():
     design = try_block(group, base, expected)
     assert design is not None
     write_entry("line3_psl24", group, expected,
-                "PSL(2,4) ~ Alt(5)", "PSL(2,4):2", base_block=base)
+                "PSL(2,4) ~ Alt(5)", "PSL(2,4):2", rng, base_block=base)
 
 
-def gen_line4():
+def gen_line4(rng):
     gens = psl2_gens(GF9)
     psl29 = build_group(10, gens, name="psl2_9")
     assert psl29.order() == 360
@@ -605,11 +621,11 @@ def gen_line4():
     expected = Parameters(10, 15, 6, 4, 2)
     block, design = search_block_exhaustive(group, expected)
     write_entry("line4_psl29", group, expected,
-                "PSL(2,9) ~ Alt(6)", "PSL(2,9):2", base_block=block)
-    write_fixture("psl2_9", psl29)
+                "PSL(2,9) ~ Alt(6)", "PSL(2,9):2", rng, base_block=block)
+    write_fixture("psl2_9", psl29, rng)
 
 
-def gen_line5():
+def gen_line5(rng):
     # the (11, 5, 2) biplane: translates of the quadratic residues mod 11
     residues = sorted({(x * x) % 11 for x in range(1, 11)})
     blocks = [sorted((r + i) % 11 for r in residues) for i in range(11)]
@@ -625,8 +641,7 @@ def gen_line5():
     expected = Parameters(11, 11, 5, 5, 2)
     certified(group, design, expected)
     write_entry("line5_psl211", group, expected,
-                "PSL(2,11)", "PSL(2,11)", blocks=design)
-    write_fixture("psl2_11", group)
+                "PSL(2,11)", "PSL(2,11)", rng, blocks=design)
 
 
 def build_pgammal2_8():
@@ -672,18 +687,18 @@ def gen_line6(rng):
     expected = Parameters(28, 36, 9, 7, 2)
     block, design = search_block_cycles(group, expected, rng)
     write_entry("line6_psl28", group, expected,
-                "PSL(2,8)", "PSL(2,8):3", base_block=block)
-    write_fixture("psl2_8", psl)
+                "PSL(2,8)", "PSL(2,8):3", rng, base_block=block)
+    write_fixture("psl2_8", psl, rng)
 
 
-def gen_line7():
+def gen_line7(rng):
     psu = unitary_group(GF9, 3, False, 6048, "psu3_3")
     group = unitary_group(GF9, 3, True, 12096, "psu3_3_ext")
     expected = Parameters(28, 252, 27, 3, 2)
     block, design = search_block_exhaustive(group, expected)
     write_entry("line7_psu33", group, expected,
-                "PSU(3,3)", "PSU(3,3):2", base_block=block)
-    write_fixture("psu3_3", psu)
+                "PSU(3,3)", "PSU(3,3):2", rng, base_block=block)
+    write_fixture("psu3_3", psu, rng)
 
 
 def gen_line8(rng):
@@ -704,7 +719,7 @@ def gen_line8(rng):
     except RuntimeError:
         block, design = search_block_pair_method(group, expected)
     write_entry("line8_psl28", group, expected,
-                "PSL(2,8)", "PSL(2,8):3", base_block=block)
+                "PSL(2,8)", "PSL(2,8):3", rng, base_block=block)
 
 
 def gen_line9(rng):
@@ -716,8 +731,8 @@ def gen_line9(rng):
     except RuntimeError:
         block, design = search_block_pair_method(group, expected)
     write_entry("line9_psu35", group, expected,
-                "PSU(3,5)", "PSU(3,5):2", base_block=block)
-    write_fixture("psu3_5", psu)
+                "PSU(3,5)", "PSU(3,5):2", rng, base_block=block)
+    write_fixture("psu3_5", psu, rng)
 
 
 def _perm_order(g: Permutation) -> int:
@@ -893,28 +908,27 @@ def gen_line10(rng):
         block, design = search_block_cycles(group, expected, rng, tries=800)
     except RuntimeError:
         block, design = search_block_pair_method(group, expected)
-    write_entry("line10_hs", group, expected, "HS", "HS", base_block=block)
-    write_fixture("hs", group)
+    write_entry("line10_hs", group, expected, "HS", "HS", rng, base_block=block)
 
 
-def gen_fixture_psl2_4():
+def gen_fixture_psl2_4(rng):
     group = build_group(5, psl2_gens(GF4), name="psl2_4")
     assert group.order() == 60
-    write_fixture("psl2_4", group)
+    write_fixture("psl2_4", group, rng)
 
 
 GENERATORS = {
-    "line1_psl25": lambda rng: gen_line1(),
-    "line2_fano_complement": lambda rng: gen_line2(),
-    "line3_psl24": lambda rng: gen_line3(),
-    "line4_psl29": lambda rng: gen_line4(),
-    "line5_psl211": lambda rng: gen_line5(),
+    "line1_psl25": gen_line1,
+    "line2_fano_complement": gen_line2,
+    "line3_psl24": gen_line3,
+    "line4_psl29": gen_line4,
+    "line5_psl211": gen_line5,
     "line6_psl28": gen_line6,
-    "line7_psu33": lambda rng: gen_line7(),
+    "line7_psu33": gen_line7,
     "line8_psl28": gen_line8,
     "line9_psu35": gen_line9,
     "line10_hs": gen_line10,
-    "fixture_psl2_4": lambda rng: gen_fixture_psl2_4(),
+    "fixture_psl2_4": gen_fixture_psl2_4,
 }
 
 
@@ -923,11 +937,10 @@ def main():
     parser.add_argument("--only", help="comma-separated entry names")
     args = parser.parse_args()
     names = args.only.split(",") if args.only else list(GENERATORS)
-    rng = random.Random(20240601)
     for name in names:
         start = time.time()
         print(f"[{name}]")
-        GENERATORS[name](rng)
+        GENERATORS[name](random.Random(name))
         print(f"  done in {time.time() - start:.1f}s")
 
 
