@@ -113,19 +113,23 @@ def ppart(n: int, p: int) -> int:
 def cyclotomic(n: int, q: int) -> int:
     """Exact value of the n-th cyclotomic polynomial at the integer q.
 
-    Computed from q^n - 1 = prod over d | n of cyclotomic(d, q) by recursive
-    exact division, so no polynomial coefficients are ever needed.
+    Computed from q^d - 1 = prod over e | d of cyclotomic(e, q) by exact
+    division, for each divisor d of n in ascending order, so every value is
+    found once and no polynomial coefficients are ever needed.
     """
     if n < 1:
         raise ValueError(f"cyclotomic index {n} must be positive")
     if q < 2:
         raise ValueError(f"cyclotomic argument {q} must be at least 2")
-    value = q ** n - 1
-    for d in divisors(n)[:-1]:
-        phi_d = cyclotomic(d, q)
-        assert value % phi_d == 0
-        value //= phi_d
-    return value
+    phi: dict[int, int] = {}
+    for d in divisors(n):
+        value = q ** d - 1
+        for e, phi_e in phi.items():
+            if d % e == 0:
+                assert value % phi_e == 0
+                value //= phi_e
+        phi[d] = value
+    return phi[n]
 
 
 def divisors(n: int) -> list[int]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .design import Parameters
 from .incidence import IncidenceStructure, verify_2design
-from .perm import PermutationGroup, load_group
+from .perm import PermutationGroup, load_group, orbit
 
 
 @dataclass(frozen=True)
@@ -127,19 +127,10 @@ def orbit_design(group: PermutationGroup, base_block) -> IncidenceStructure:
             f"base block size {len(block)} must be in 2..{group.degree - 1}")
     if any(not 0 <= p < group.degree for p in block):
         raise ValueError("base block is not a subset of the point set")
-    seen = {block}
-    frontier = [block]
-    while frontier:
-        new = []
-        for blk in frontier:
-            for g in group.generators:
-                image = frozenset(g(p) for p in blk)
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
+    blocks = orbit(block, group.generators,
+                   lambda blk, g: frozenset(g(p) for p in blk))
     return IncidenceStructure.from_blocks(
-        group.degree, [sorted(blk) for blk in seen])
+        group.degree, [sorted(blk) for blk in blocks])
 
 
 # -- bundled catalog ---------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .design import Parameters
-from .perm import PermutationGroup, canonical_json
+from .perm import PermutationGroup, canonical_json, orbit
 
 
 class DesignError(ValueError):
@@ -48,6 +48,8 @@ class IncidenceStructure:
                 raise ValueError(f"block {block} repeats a point")
             if len(pts) < 2:
                 raise ValueError(f"block {block} has fewer than 2 points")
+            if not all(isinstance(p, int) for p in pts):
+                raise ValueError(f"block {block} has a non-integer point")
             if pts and (pts[0] < 0 or pts[-1] >= v):
                 raise ValueError(f"block {block} not a subset of 0..{v - 1}")
             normalized.append(pts)
@@ -92,12 +94,14 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
                 "non-uniform k", i,
                 f"block {i} has size {len(block)}, expected {k}")
 
-    replication = [0] * v
-    for block in blocks:
-        for point in block:
-            replication[point] += 1
+    # Counting only the points of the blocks keeps the work at b * k for any
+    # v.  Scanning 0..v-1 then stops within b * k + 1 steps: at the first
+    # point in no block when r > 0, and at the first point in a block, which
+    # the scan starts from, when r == 0.
+    replication = Counter(point for block in blocks for point in block)
     r = replication[0]
-    for point, count in enumerate(replication):
+    for point in range(0 if r else min(replication, default=v), v):
+        count = replication[point]
         if count != r:
             raise DesignError(
                 "non-uniform r", point,
@@ -107,17 +111,21 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
     for block in blocks:
         for pair in combinations(block, 2):
             pair_counts[pair] += 1
-    all_pairs = list(combinations(range(v), 2))
-    lam = pair_counts[all_pairs[0]]
-    for pair in all_pairs:
+    # The pairs are scanned lazily, up to the first count that differs from
+    # that of (0, 1).  When it is positive every pair passed lies in a block,
+    # so there are at most b * k * (k - 1) / 2 of them; when it is 0, point 0
+    # (which lies in a block, as r > 0 here) meets a partner within v - 1
+    # pairs, and v <= b * k.
+    lam = pair_counts[0, 1]
+    for pair in combinations(range(v), 2):
         if pair_counts[pair] != lam:
             raise DesignError(
                 "non-constant lambda", pair,
                 f"pair {pair} lies in {pair_counts[pair]} blocks, "
-                f"pair {all_pairs[0]} in {lam}")
+                f"pair (0, 1) in {lam}")
     params = Parameters(v, len(blocks), r, k, lam)
     assert r * (k - 1) == lam * (v - 1) and v * r == len(blocks) * k
-    return DesignCertificate(params, len(all_pairs))
+    return DesignCertificate(params, v * (v - 1) // 2)
 
 
 def is_automorphism_group(group: PermutationGroup,
@@ -154,17 +162,12 @@ def is_flag_transitive(group: PermutationGroup,
     for g in group.generators:
         gen_block_maps.append(
             [index[tuple(sorted(g(p) for p in block))] for block in distinct])
-    seen = {flags[0]}
-    frontier = [flags[0]]
-    while frontier:
-        new = []
-        for point, bi in frontier:
-            for g, bmap in zip(group.generators, gen_block_maps):
-                flag = (g(point), bmap[bi])
-                if flag not in seen:
-                    seen.add(flag)
-                    new.append(flag)
-        frontier = new
+
+    def image(flag, gen):
+        g, bmap = gen
+        return g(flag[0]), bmap[flag[1]]
+
+    seen = orbit(flags[0], list(zip(group.generators, gen_block_maps)), image)
     return len(seen) == len(flags)
 
 

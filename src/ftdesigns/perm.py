@@ -22,9 +22,33 @@ __all__ = [
     "Permutation",
     "PermutationGroup",
     "build_group",
+    "orbit",
     "load_group",
     "group_to_json",
 ]
+
+
+def orbit(seed, generators, act, limit: int | None = None) -> set:
+    """The closure of {seed} under x -> act(x, g) for g in generators.
+
+    Breadth first: each round applies every generator to the objects the
+    previous round found.  With limit set, raises ValueError as soon as more
+    than limit objects are found.
+    """
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    if limit is not None and len(seen) > limit:
+                        raise ValueError(f"orbit exceeds {limit} elements")
+        frontier = new
+    return seen
 
 
 class Permutation:
@@ -236,18 +260,7 @@ class PermutationGroup:
     def orbit(self, point: int) -> set[int]:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in self.generators:
-                    y = g(x)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return seen
+        return orbit(point, self.generators, lambda x, g: g.images[x])
 
     def orbits(self) -> list[set[int]]:
         remaining = set(range(self.degree))
@@ -327,20 +340,8 @@ class PermutationGroup:
 
     def elements(self, limit: int | None = None) -> set[Permutation]:
         """Exhaustive element set by generator closure; guard with limit."""
-        els = {self._identity}
-        frontier = [self._identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in self.generators:
-                    y = x * g
-                    if y not in els:
-                        els.add(y)
-                        new.append(y)
-                        if limit is not None and len(els) > limit:
-                            raise ValueError(f"group exceeds {limit} elements")
-            frontier = new
-        return els
+        return orbit(self._identity, self.generators, Permutation.__mul__,
+                     limit)
 
     def __repr__(self) -> str:
         label = self.name or "PermutationGroup"

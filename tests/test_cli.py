@@ -68,8 +68,6 @@ BAD_INPUT = {
                           "--design", "{design_block_text}"],
     "design-v-float": ["verify", "--group", "{group}",
                        "--design", "{design_v_float}"],
-    "design-v-huge": ["verify", "--group", "{group}",
-                      "--design", "{design_v_huge}"],
     "design-block-float": ["verify", "--group", "{group}",
                            "--design", "{design_block_float}"],
     "design-no-blocks": ["verify", "--group", "{group}",
@@ -90,7 +88,6 @@ def test_bad_input_exit_2(capsys, tmp_path, argv):
         "design_v_text": {"name": "d", "v": "4", "blocks": [[0, 1]]},
         "design_block_text": {"name": "d", "v": 4, "blocks": [[0, "a"]]},
         "design_v_float": {"name": "d", "v": 4.0, "blocks": [[0, 1]]},
-        "design_v_huge": {"name": "d", "v": 10**30, "blocks": [[0, 1]]},
         "design_block_float": {"name": "d", "v": 4, "blocks": [[0, 1.5]]},
         "design_no_blocks": {"name": "d", "v": 4, "blocks": []},
     }
@@ -101,6 +98,23 @@ def test_bad_input_exit_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("block, witness",
+                         [([0, 1], 2), ([10**29, 10**29 + 1], 10**29)],
+                         ids=["design-v-huge", "point-0-in-no-block"])
+def test_verify_huge_v_not_a_design(capsys, tmp_path, block, witness):
+    # Points in no block make r non-uniform; verify answers without
+    # counting all v points.
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps(
+        {"name": "c4", "degree": 4, "generators": [[1, 2, 3, 0]]}))
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps({"name": "d", "v": 10**30, "blocks": [block]}))
+    code, out, err = run(capsys, "verify", "--group", str(group),
+                         "--design", str(design))
+    assert (code, err) == (1, "")
+    assert out == f"not a 2-design: non-uniform r (witness {witness})\n"
 
 
 def test_construct_unknown_name(capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -59,6 +60,24 @@ def test_verify_failure_witnesses():
         verify_2design(IncidenceStructure.from_blocks(
             4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     assert info.value.kind == "non-constant lambda"
+
+
+def test_verify_memory_follows_the_blocks_not_v_squared():
+    # 300 disjoint pairs on 600 points: r = 1 is uniform and lambda first
+    # differs at pair (0, 2).  A list of all 179,700 point pairs would take
+    # over 10 MB.
+    design = IncidenceStructure.from_blocks(
+        600, [(2 * i, 2 * i + 1) for i in range(300)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DesignError) as info:
+            verify_2design(design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.kind, info.value.witness) == (
+        "non-constant lambda", (0, 2))
+    assert peak < 1_000_000
 
 
 def test_repeated_blocks_counted_with_multiplicity():

@@ -41,6 +41,12 @@ def test_psl2_7_order_by_exhaustive_enumeration(psl2_7):
     assert len(psl2_7.elements()) == 168
 
 
+def test_elements_limit(psl2_7):
+    with pytest.raises(ValueError):
+        psl2_7.elements(limit=167)
+    assert len(psl2_7.elements(limit=168)) == 168
+
+
 def test_order_examples(psu3_3):
     assert psu3_3.order() == 6048
     stab = psu3_3.stabilizer(0)

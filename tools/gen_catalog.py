@@ -3,10 +3,10 @@
 
 Every group is constructed from first principles (finite-field actions,
 conjugation actions, coset/orbit actions, and structure-automorphism
-searches) and every base block is found by bounded search.  Nothing is
-copied from external tables: each artifact is certified with the package's
-own verification battery before it is written, so a bug here fails loudly
-rather than producing bad data.
+searches) and every base block is found by an exhaustive or a seeded random
+search.  Nothing is copied from external tables: each artifact is certified
+with the package's own verification battery before it is written, so a bug
+here fails loudly rather than producing bad data.
 
 Run from the repository root:
 
@@ -38,7 +38,7 @@ from ftdesigns.incidence import (IncidenceStructure, is_flag_transitive,
                                  is_point_primitive, structure_to_json,
                                  verify_2design)
 from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
-                            canonical_json, group_to_json)
+                            canonical_json, group_to_json, orbit)
 
 
 # -- small finite fields ------------------------------------------------------
@@ -311,29 +311,20 @@ def structure_automorphism(structure: IncidenceStructure,
 
 # -- block orbit search ---------------------------------------------------------
 
-def bounded_set_orbit(gens, seed: frozenset, limit: int):
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        new = []
-        for blk in frontier:
-            for g in gens:
-                img = frozenset(g(p) for p in blk)
-                if img not in seen:
-                    if len(seen) >= limit:
-                        return None
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-    return seen
+def set_image(points: frozenset, g: Permutation) -> frozenset:
+    return frozenset(g(p) for p in points)
 
 
 def try_block(group: PermutationGroup, block, expected: Parameters):
-    orbit = bounded_set_orbit(group.generators, frozenset(block), expected.b)
-    if orbit is None or len(orbit) != expected.b:
+    try:
+        blocks = orbit(frozenset(block), group.generators, set_image,
+                       limit=expected.b)
+    except ValueError:
+        return None
+    if len(blocks) != expected.b:
         return None
     design = IncidenceStructure.from_blocks(
-        group.degree, [sorted(blk) for blk in orbit])
+        group.degree, [sorted(blk) for blk in blocks])
     try:
         cert = verify_2design(design)
     except Exception:
@@ -353,51 +344,6 @@ def search_block_exhaustive(group, expected: Parameters):
         if design is not None:
             return block, design
     raise RuntimeError("exhaustive block search failed")
-
-
-def search_block_pair_method(group, expected: Parameters, max_orbit_combos=200000):
-    """Deterministic search: any block through the point pair (0, beta) is
-    setwise invariant under an index <= lambda subgroup of the pointwise pair
-    stabilizer S, hence invariant under the subgroup generated by squares and
-    commutators of S.  Unions of that subgroup's small orbits give a complete
-    candidate list."""
-    k = expected.k
-    stab0 = group.stabilizer(0)
-    for beta in range(1, group.degree):
-        pair_stab = stab0.stabilizer(beta)
-        if pair_stab.order() == 1:
-            continue
-        try:
-            els = pair_stab.elements(limit=6000)
-        except ValueError:
-            continue
-        tgens = [x * x for x in els]
-        tgens += [g * h * g.inverse() * h.inverse()
-                  for g in pair_stab.generators for h in pair_stab.generators]
-        core = build_group(group.degree, [g for g in tgens if not g.is_identity()])
-        orbits = [tuple(sorted(o)) for o in core.orbits()]
-        small = [o for o in orbits if len(o) <= k - 2 and 0 not in o and beta not in o]
-        small.sort()
-        need = k - 2
-        results = []
-
-        def extend(start, remaining, chosen):
-            if remaining == 0:
-                results.append([p for orb in chosen for p in orb])
-                return
-            if len(results) > max_orbit_combos:
-                return
-            for i in range(start, len(small)):
-                if len(small[i]) <= remaining:
-                    extend(i + 1, remaining - len(small[i]), chosen + [small[i]])
-
-        extend(0, need, [])
-        for rest in results:
-            block = [0, beta] + rest
-            design = try_block(group, block, expected)
-            if design is not None:
-                return tuple(sorted(block)), design
-    raise RuntimeError("pair-method block search failed")
 
 
 def search_block_cycles(group, expected: Parameters, rng, tries=4000):
@@ -714,10 +660,7 @@ def gen_line8(rng):
                         name="psl2_8_ext_on_36")
     assert group.order() == 1512
     expected = Parameters(36, 84, 14, 6, 2)
-    try:
-        block, design = search_block_cycles(group, expected, rng, tries=2000)
-    except RuntimeError:
-        block, design = search_block_pair_method(group, expected)
+    block, design = search_block_cycles(group, expected, rng, tries=2000)
     write_entry("line8_psl28", group, expected,
                 "PSL(2,8)", "PSL(2,8):3", rng, base_block=block)
 
@@ -726,10 +669,7 @@ def gen_line9(rng):
     psu = unitary_group(GF25, 5, False, 126000, "psu3_5")
     group = unitary_group(GF25, 5, True, 252000, "psu3_5_ext")
     expected = Parameters(126, 1050, 50, 6, 2)
-    try:
-        block, design = search_block_cycles(group, expected, rng, tries=2000)
-    except RuntimeError:
-        block, design = search_block_pair_method(group, expected)
+    block, design = search_block_cycles(group, expected, rng, tries=2000)
     write_entry("line9_psu35", group, expected,
                 "PSU(3,5)", "PSU(3,5):2", rng, base_block=block)
     write_fixture("psu3_5", psu, rng)
@@ -769,7 +709,7 @@ def build_witt22():
     oval = {index[(1, t, GF4.mul(t, t))] for t in range(4)}
     oval |= {index[(0, 0, 1)], index[(0, 1, 0)]}
     assert len(oval) == 6
-    oval_orbit = bounded_set_orbit(psl.generators, frozenset(oval), 200)
+    oval_orbit = orbit(frozenset(oval), psl.generators, set_image)
     assert len(oval_orbit) == 56, len(oval_orbit)
 
     hexads = [tuple(sorted(line | {21})) for line in lines]
@@ -874,29 +814,16 @@ def gen_line10(rng):
         comp = frozenset(range(100)) - fset
         return frozenset((fset, comp))
 
-    seed = split_of(frozenset(side))
-    splits = {seed}
-    frontier = [seed]
-    while frontier:
-        new = []
-        for sp in frontier:
-            half = next(iter(sp))
-            for g in hs.generators:
-                img = split_of(frozenset(g(x) for x in half))
-                if img not in splits:
-                    splits.add(img)
-                    new.append(img)
-        frontier = new
+    def split_image(sp, g: Permutation):
+        return split_of(set_image(next(iter(sp)), g))
+
+    splits = orbit(split_of(frozenset(side)), hs.generators, split_image)
     assert len(splits) == 176, len(splits)
     ordered = sorted(splits, key=lambda sp: sorted(sorted(h) for h in sp))
     index = {sp: i for i, sp in enumerate(ordered)}
 
     def action(g: Permutation) -> Permutation:
-        images = []
-        for sp in ordered:
-            half = next(iter(sp))
-            images.append(index[split_of(frozenset(g(x) for x in half))])
-        return Permutation(images)
+        return Permutation([index[split_image(sp, g)] for sp in ordered])
 
     group = build_group(176, [action(g) for g in hs.generators], name="hs")
     assert group.order() == 44352000, group.order()
@@ -904,10 +831,7 @@ def gen_line10(rng):
     print("  HS on 176 splits, order", group.order())
 
     expected = Parameters(176, 1100, 50, 8, 2)
-    try:
-        block, design = search_block_cycles(group, expected, rng, tries=800)
-    except RuntimeError:
-        block, design = search_block_pair_method(group, expected)
+    block, design = search_block_cycles(group, expected, rng, tries=800)
     write_entry("line10_hs", group, expected, "HS", "HS", rng, base_block=block)
 
 
