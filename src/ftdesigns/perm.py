@@ -8,15 +8,26 @@ transversal for the orbit of beta_i under them.  The chain is built with the
 fixed order, new base points are the smallest moved point, and transversals
 only ever extend, so identical input always produces the identical chain.
 
+Each level also keeps the inverse of every coset representative, computed
+once when the representative is added, so sifting and Schreier generators
+never invert a permutation.  Composition is a single operator.itemgetter
+call over the image tuples.
+
 The product of the basic orbit lengths is the exact group order, and sifting
 gives an exact membership test.  Degrees here stay modest (a few hundred
 points), so no effort is spent on shallow Schreier trees or randomization.
+
+Primitivity follows Atkinson (Math. Comp. 29, 1975): the smallest block
+containing the base point alpha and a point beta is carried by G_alpha to
+the one for any point of beta's G_alpha-orbit, so one union-find run per
+orbit of the base-point stabilizer (a suborbit) decides primitivity.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from operator import itemgetter
 
 __all__ = [
     "Permutation",
@@ -89,9 +100,12 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        q = other.images
         p = Permutation.__new__(Permutation)
-        p.images = tuple(q[i] for i in self.images)
+        if len(self.images) > 1:
+            p.images = itemgetter(*self.images)(other.images)
+        else:
+            # itemgetter(i) returns a bare item, and itemgetter() raises
+            p.images = tuple(other.images[i] for i in self.images)
         return p
 
     def inverse(self) -> "Permutation":
@@ -103,7 +117,7 @@ class Permutation:
         return p
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its minimum."""
@@ -137,10 +151,19 @@ class Permutation:
 
 @dataclass
 class _Level:
+    """One level of the chain: transversal[gamma] maps beta to gamma, and
+    inverses[gamma] is its inverse."""
+
     beta: int
+    identity: InitVar[Permutation]
     gens: list = field(default_factory=list)
     transversal: dict = field(default_factory=dict)
+    inverses: dict = field(default_factory=dict)
     verified: set = field(default_factory=set)
+
+    def __post_init__(self, identity: Permutation) -> None:
+        self.transversal[self.beta] = identity
+        self.inverses[self.beta] = identity
 
     def extend_transversal(self) -> None:
         """Grow the orbit of beta under the current generators.
@@ -156,7 +179,9 @@ class _Level:
                 for g in self.gens:
                     delta = g(gamma)
                     if delta not in self.transversal:
-                        self.transversal[delta] = u * g
+                        rep = u * g
+                        self.transversal[delta] = rep
+                        self.inverses[delta] = rep.inverse()
                         new.append(delta)
             frontier = sorted(new)
 
@@ -183,9 +208,7 @@ class PermutationGroup:
         self._identity = Permutation.identity(degree)
         self.levels: list[_Level] = []
         for beta in base_hint:
-            level = _Level(beta)
-            level.transversal[beta] = self._identity
-            self.levels.append(level)
+            self.levels.append(_Level(beta, self._identity))
         for g in self.generators:
             self._insert(g)
         self._close()
@@ -203,9 +226,7 @@ class PermutationGroup:
                 break
         if depth is None:
             beta = min(i for i, j in enumerate(g.images) if i != j)
-            level = _Level(beta)
-            level.transversal[beta] = self._identity
-            self.levels.append(level)
+            self.levels.append(_Level(beta, self._identity))
             depth = len(self.levels) - 1
         for i in range(depth + 1):
             self.levels[i].gens.append(g)
@@ -226,8 +247,7 @@ class PermutationGroup:
                             continue
                         level.verified.add((gamma, gi))
                         g = level.gens[gi]
-                        u_target = level.transversal[g(gamma)]
-                        schreier = u * g * u_target.inverse()
+                        schreier = u * g * level.inverses[g(gamma)]
                         residue = self._sift(schreier, start=i + 1)
                         if not residue.is_identity():
                             self._insert(residue)
@@ -235,10 +255,10 @@ class PermutationGroup:
 
     def _sift(self, perm: Permutation, start: int = 0) -> Permutation:
         for level in self.levels[start:]:
-            u = level.transversal.get(perm(level.beta))
-            if u is None:
+            u_inverse = level.inverses.get(perm(level.beta))
+            if u_inverse is None:
                 return perm
-            perm = perm * u.inverse()
+            perm = perm * u_inverse
         return perm
 
     # -- queries -------------------------------------------------------------
@@ -297,10 +317,18 @@ class PermutationGroup:
             raise ValueError("primitivity requires degree >= 2")
         if not self.is_transitive():
             raise ValueError("primitivity requires a transitive group")
-        for beta in range(1, self.degree):
-            block = self._minimal_block(0, beta)
+        alpha = self.levels[0].beta
+        alpha_stab = self.levels[1].gens if len(self.levels) > 1 else []
+        remaining = set(range(self.degree)) - {alpha}
+        while remaining:
+            beta = min(remaining)
+            block = self._minimal_block(alpha, beta)
             if len(block) < self.degree:
-                return False, frozenset(block)
+                # the transversal element carrying alpha to 0 moves the
+                # block onto one that contains point 0
+                to_0 = self.levels[0].transversal[0]
+                return False, frozenset(map(to_0, block))
+            remaining -= orbit(beta, alpha_stab, lambda x, g: g.images[x])
         return True, None
 
     def is_primitive(self) -> bool:

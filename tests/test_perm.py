@@ -182,3 +182,177 @@ def test_random_element_uniform_membership(psu3_3):
     rng = random.Random(13)
     for _ in range(20):
         assert psu3_3.contains(psu3_3.random_element(rng))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_composition_at_small_degrees(degree):
+    e = Permutation.identity(degree)
+    assert (e * e).images == tuple(range(degree))
+    assert e.inverse() == e
+    assert e.is_identity() and (e * e).is_identity()
+    if degree == 2:
+        t = Permutation([1, 0])
+        assert not t.is_identity()
+        assert t * e == t == e * t and t.inverse() == t
+        assert (t * t).images == (0, 1)
+
+
+def test_degree_one_and_two_groups():
+    assert build_group(1, []).elements() == {Permutation.identity(1)}
+    swap = build_group(2, [[1, 0]])
+    assert swap.order() == 2
+    assert swap.elements() == {Permutation.identity(2), Permutation([1, 0])}
+    assert swap.primitivity() == (True, None)
+    assert swap.stabilizer(1).order() == 1
+    assert swap.subdegrees(1) == [1, 1]
+
+
+# (base, transversal size per level, strong generators per level)
+CATALOG_CHAINS = {
+    "line1_psl25": ((1, 0, 2), [6, 5, 2], [3, 2, 1]),
+    "line2_fano_complement": ((0, 1, 3), [7, 6, 4], [6, 4, 2]),
+    "line3_psl24": ((0, 1, 2), [10, 6, 2], [4, 3, 1]),
+    "line4_psl29": ((0, 1, 2, 4), [10, 9, 4, 2], [6, 4, 3, 1]),
+    "line5_psl211": ((0, 1, 2), [11, 10, 6], [5, 3, 2]),
+    "line6_psl28": ((0, 1, 4), [28, 27, 2], [6, 4, 1]),
+    "line7_psu33": ((0, 1, 4, 2), [28, 27, 8, 2], [7, 5, 3, 1]),
+    "line8_psl28": ((0, 1, 2), [36, 14, 3], [5, 3, 1]),
+    "line9_psu35": ((0, 1, 2, 6), [126, 125, 4, 4], [7, 5, 3, 2]),
+    "line10_hs": ((0, 1, 3, 2, 4, 6), [176, 175, 12, 5, 12, 2],
+                  [10, 8, 6, 4, 3, 1]),
+}
+
+
+def test_catalog_chains_are_pinned():
+    """The Schreier-Sims chain of each catalog group, as first recorded:
+    a faster chain construction must not pick another base or transversal."""
+    chains = {}
+    for name in CATALOG_CHAINS:
+        group = catalog_group(name)
+        chains[name] = (group.base(),
+                        [len(level.transversal) for level in group.levels],
+                        [len(level.gens) for level in group.levels])
+    assert chains == CATALOG_CHAINS
+
+
+def reference_is_primitive(group):
+    """The scan over beta = 1..n-1 from point 0, with each smallest block
+    containing {0, beta} grown from the group's elements: a block must
+    contain every image of itself that it meets."""
+    elements = group.elements()
+    for beta in range(1, group.degree):
+        block = {0, beta}
+        while True:
+            grown = set(block)
+            for element in elements:
+                image = {element(x) for x in block}
+                if image & block:
+                    grown |= image
+            if grown == block:
+                break
+            block = grown
+        if len(block) < group.degree:
+            return False
+    return True
+
+
+def random_wreath_element(rng, size, count):
+    """A random element of S_size wr S_count on size * count points, blocks
+    {b * size, ..., b * size + size - 1}."""
+    outer = list(range(count))
+    rng.shuffle(outer)
+    images = []
+    for b in range(count):
+        inner = list(range(size))
+        rng.shuffle(inner)
+        images.extend(outer[b] * size + i for i in inner)
+    return images
+
+
+def relabelled(rng, degree, generators):
+    relabel = list(range(degree))
+    rng.shuffle(relabel)
+    inverse = [0] * degree
+    for i, j in enumerate(relabel):
+        inverse[j] = i
+    return build_group(degree, [[relabel[g[inverse[x]]] for x in range(degree)]
+                                for g in generators])
+
+
+def oracle_groups():
+    rng = random.Random(31)
+    groups = [sym4(), dihedral8(), catalog_group("line1_psl25"),
+              build_group(6, [[1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+                              [0, 1, 4, 5, 2, 3]])]    # S2 wr S3
+    for n in (4, 6, 8, 9):
+        groups.append(build_group(n, [[(x + 1) % n for x in range(n)]]))
+    for _ in range(40):
+        n = rng.randrange(2, 7)
+        gens = [rng.sample(range(n), n) for _ in range(rng.randrange(1, 3))]
+        groups.append(build_group(n, gens))
+    for size, count in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2)):
+        for _ in range(8):
+            gens = [random_wreath_element(rng, size, count)
+                    for _ in range(rng.randrange(1, 3))]
+            groups.append(relabelled(rng, size * count, gens))
+    # the same groups with a first generator that fixes 0, so the first base
+    # point, where the suborbits are taken, is not 0
+    for group in list(groups):
+        fixing_0 = sorted(element.images for element in group.elements()
+                          if element(0) == 0 and not element.is_identity())
+        if fixing_0:
+            groups.append(build_group(group.degree, [rng.choice(fixing_0)] + [
+                g.images for g in group.generators]))
+    return groups
+
+
+def test_primitivity_matches_reference_scan():
+    assert catalog_group("line1_psl25").base()[0] == 1
+    verdicts = []
+    for group in oracle_groups():
+        if not group.is_transitive() or group.degree < 2:
+            continue
+        primitive, block = group.primitivity()
+        assert primitive == reference_is_primitive(group)
+        if not primitive:
+            assert 0 in block and 1 < len(block) < group.degree
+            for element in group.elements():
+                image = {element(x) for x in block}
+                assert image == block or not image & block
+        verdicts.append(primitive)
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 10
+
+
+def test_stabilizer_matches_brute_force():
+    for group in oracle_groups():
+        elements = group.elements()
+        for point in range(group.degree):
+            fixing = {element for element in elements
+                      if element(point) == point}
+            assert group.stabilizer(point).elements() == fixing
+
+
+def test_against_sympy_on_random_catalog_subgroups():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(2003)
+    names = [name for name in CATALOG_CHAINS
+             if name not in ("line9_psu35", "line10_hs")]
+    for name in names:
+        group = catalog_group(name)
+        point = rng.randrange(group.degree)
+        stab = group.stabilizer(point)
+        for gens in ([group.random_element(rng)],
+                     [group.random_element(rng) for _ in range(2)],
+                     [stab.random_element(rng) for _ in range(2)]):
+            ours = build_group(group.degree, [g.images for g in gens])
+            theirs = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g.images)) for g in gens])
+            assert ours.order() == theirs.order()
+            assert (sorted(map(sorted, ours.orbits()))
+                    == sorted(map(sorted, theirs.orbits())))
+            if ours.is_transitive():
+                assert ours.is_primitive() == theirs.is_primitive(
+                    randomized=False)
+            other = rng.randrange(group.degree)
+            assert (ours.stabilizer(other).order()
+                    == theirs.stabilizer(other).order())
