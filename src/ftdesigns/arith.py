@@ -84,7 +84,11 @@ class PrimePower:
 
 
 def prime_powers(lo: int, hi: int) -> list[PrimePower]:
-    """All prime powers q with lo <= q <= hi, ascending."""
+    """All prime powers q with lo <= q <= hi, ascending.  Refuses an hi that
+    classify cannot factor, rather than skip a q it cannot classify."""
+    if hi > _DIVISOR_LIMIT:
+        raise ValueError(f"{hi} exceeds the supported factorization range "
+                         f"(at most {_DIVISOR_LIMIT})")
     out = []
     for q in range(max(lo, 2), hi + 1):
         try:

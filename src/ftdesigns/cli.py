@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eliminate", help="run a case-elimination sweep")
     p.add_argument("--family", required=True,
-                   choices=["suzuki", "ree", "g2", "e6", "parabolic"])
+                   choices=list(elimination.FAMILIES))
     p.add_argument("--q-min", type=int, default=2)
     p.add_argument("--q-max", type=int, default=64)
     p.add_argument("--json", action="store_true")

@@ -1,6 +1,7 @@
-"""Builders for concrete designs: the Fano complement, projective line
-spaces over GF(3), point-deleted line designs, block orbits under a group,
-and the bundled catalog of verified flag-transitive examples.
+"""Builders for concrete designs: projective points over GF(q), the Fano
+complement, projective line spaces over GF(3), point-deleted line designs,
+block orbits under a group, and the bundled catalog of verified
+flag-transitive examples.
 
 Catalog entries live as data files (group generators, a base block or an
 explicit block list, and the expected parameters).  Nothing is trusted:
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from .design import Parameters
@@ -36,10 +38,10 @@ class LinearSpace:
         return cls(structure, cert.params)
 
 
-# Points are the nonzero vectors of GF(2)^3 in lexicographic order, so point
-# i stands for the binary vector of i + 1 and a triple is a line exactly when
-# the vectors sum to zero.  This matches the point labels of the bundled
-# line2_fano_complement group, PSL(2,7).
+# Points are pg_points(2, 3), the nonzero vectors of GF(2)^3 in lexicographic
+# order, so point i stands for the binary vector of i + 1 and a triple is a
+# line exactly when the vectors sum to zero.  This matches the point labels of
+# the bundled line2_fano_complement group, PSL(2,7).
 _FANO_LINES = tuple(sorted(
     (a, b, c)
     for a in range(7) for b in range(a + 1, 7) for c in range(b + 1, 7)
@@ -58,46 +60,29 @@ def fano_complement() -> IncidenceStructure:
     return IncidenceStructure.from_blocks(7, blocks, name="fano_complement")
 
 
-def _pg_points(n: int) -> list[tuple[int, ...]]:
-    """Projective points of PG(n-1, 3): vectors over GF(3) normalized so the
-    first nonzero coordinate is 1, in lexicographic order."""
-    points = []
-    for code in range(3**n):
-        vec = []
-        x = code
-        for _ in range(n):
-            vec.append(x % 3)
-            x //= 3
-        vec.reverse()
-        leading = next((c for c in vec if c != 0), 0)
-        if leading == 1:
-            points.append(tuple(vec))
-    return sorted(points)
+def pg_points(q: int, n: int) -> list[tuple[int, ...]]:
+    """Projective points of PG(n-1, q): the vectors over 0..q-1 whose first
+    nonzero coordinate is 1, in lexicographic order."""
+    return [(0,) * lead + (1,) + rest
+            for lead in reversed(range(n))
+            for rest in product(range(q), repeat=n - 1 - lead)]
 
 
-def pg_line_space(n: int, field_size: int = 3) -> LinearSpace:
+def pg_line_space(n: int) -> LinearSpace:
     """Points and lines of PG(n-1, 3) as a 2-((3^n - 1)/2, 4, 1) design."""
-    if field_size != 3:
-        raise ValueError("only the field with 3 elements is supported")
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    points = _pg_points(n)
-    index = {pt: i for i, pt in enumerate(points)}
-
-    def normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
-        leading = next(c for c in vec if c != 0)
-        if leading == 2:
-            vec = tuple((2 * c) % 3 for c in vec)
-        return vec
-
+    points = pg_points(3, n)
+    # both nonzero multiples of each point, so no sum needs normalizing
+    index = {tuple(s * c % 3 for c in pt): i
+             for i, pt in enumerate(points) for s in (1, 2)}
     lines = set()
     for i, u in enumerate(points):
-        for w in points[i + 1:]:
-            su = tuple((a + b) % 3 for a, b in zip(u, w))
-            s2 = tuple((a + 2 * b) % 3 for a, b in zip(u, w))
-            line = frozenset((index[u], index[w],
-                              index[normalize(su)], index[normalize(s2)]))
-            lines.add(line)
+        for j, w in enumerate(points[i + 1:], i + 1):
+            line = {i, j}
+            line.update(index[tuple((a + s * b) % 3 for a, b in zip(u, w))]
+                        for s in (1, 2))
+            lines.add(frozenset(line))
     structure = IncidenceStructure.from_blocks(
         len(points), [sorted(line) for line in sorted(lines, key=sorted)],
         name=f"pg_{n - 1}_3_lines")

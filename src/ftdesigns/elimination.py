@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .arith import PrimePower, cyclotomic, divisors, ppart, prime_powers
-from .design import Parameters, admissibility_violations, enumerate_candidates
+from .design import (Parameters, admissibility_violations, embeds_symmetric,
+                     enumerate_candidates)
 
 EVEN_R_HYPOTHESIS = (
     "r is assumed even: flag-transitive actions with gcd(r, lambda) = 1 "
@@ -147,11 +148,15 @@ class CaseReport:
 
 # -- Suzuki groups: socle 2B2(q), parabolic stabilizer -----------------------
 
+def _suzuki_q(q: PrimePower) -> bool:
+    return q.p == 2 and q.a % 2 == 1 and q.a >= 3
+
+
 def eliminate_suzuki(q: PrimePower) -> CaseReport:
     """v = q^2 + 1 with q = 2^a, a odd >= 3.  Every branch r = 2^c dies:
     the parabolic overgroup of a block stabilizer has index q^2 + 1, which
     forces the odd k = 2^(2a+1-c) + 1 to divide 2^c."""
-    if q.p != 2 or q.a % 2 == 0 or q.a < 3:
+    if not _suzuki_q(q):
         raise ValueError(f"need q = 2^a with a odd >= 3, got {q}")
     a = q.a
     v = q.q**2 + 1
@@ -183,12 +188,16 @@ def eliminate_suzuki(q: PrimePower) -> CaseReport:
 
 # -- Ree groups: socle 2G2(q), parabolic stabilizer --------------------------
 
+def _ree_q(q: PrimePower) -> bool:
+    return q.p == 3 and q.a % 2 == 1 and q.a >= 3
+
+
 def eliminate_ree(q: PrimePower) -> CaseReport:
     """v = q^3 + 1 with q = 3^a, a odd >= 3.  r = 2*3^c and k = 3^t + 1 with
     t = 3a - c; divisibility and orbit-length constraints pin t to a-1 or a.
     The t = a-1 branch dies on b-integrality; t = a survives arithmetic with
     (v, b, r, k) = (q^3+1, 2q^2(q^2-q+1), 2q^2, q+1) and is flagged."""
-    if q.p != 3 or q.a % 2 == 0 or q.a < 3:
+    if not _ree_q(q):
         raise ValueError(f"need q = 3^a with a odd >= 3, got {q}")
     a = q.a
     qq = q.q
@@ -244,6 +253,10 @@ def eliminate_ree(q: PrimePower) -> CaseReport:
 
 # -- G2(q) with stabilizer normalizing a subgroup of type A2^eps -------------
 
+def _g2_q(q: PrimePower) -> bool:
+    return q.q >= 3
+
+
 def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     """v = q^3(q^3 + eps)/2 and r*m*gcd(2, q-1) = 2(q^3 - eps) for some
     m >= 1.  Walks every divisor m, applying in order: the lambda*v < r^2
@@ -252,7 +265,7 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     embedding criterion r = k + lambda, and full admissibility."""
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
-    if q.q < 3:
+    if not _g2_q(q):
         raise ValueError(f"need q >= 3, got {q}")
     qq = q.q
     eps = epsilon
@@ -310,11 +323,12 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
                 f"b = vr/k = {v}*{r}/{k} is not an integer"))
             continue
         params = Parameters(v, v * r // k, r, k, 2)
-        if r == k + 2:
+        symmetric = embeds_symmetric(params)
+        if symmetric is not None:
             facts.append(Fact(
                 f"branch {label}: r = k + lambda, extends to a symmetric "
                 "design with parameters (v+k+2, k+2, 2)",
-                (v + k + 2, k + 2, 2), True))
+                symmetric, True))
             branches.append(Branch(
                 label, "flagged", "arithmetic survivor with r = k + lambda",
                 reference=SYMMETRIC_EMBED_REFERENCE, params=params))
@@ -534,33 +548,27 @@ def table3_scan(v: int, r_modulus: int, lam: int = 2) -> CaseReport:
 
 # -- sweeps -------------------------------------------------------------------
 
+# Each swept family: the prime powers q it covers, and its case reports at
+# such a q, in epsilon/case order.  The CLI lists the families in this order.
+FAMILIES = {
+    "suzuki": (_suzuki_q, lambda q: [eliminate_suzuki(q)]),
+    "ree": (_ree_q, lambda q: [eliminate_ree(q)]),
+    "g2": (_g2_q, lambda q: [eliminate_g2(q, eps) for eps in (1, -1)]),
+    "e6": (lambda q: True,
+           lambda q: [eliminate_e6(q, case) for case in ("p1", "p3")]),
+    "parabolic": (lambda q: True,
+                  lambda q: [eliminate_parabolic_generic(row, q)
+                             for row in PARABOLIC_ROWS if row.valid_q(q)]),
+}
+
+
 def sweep(family: str, q_min: int, q_max: int) -> list[CaseReport]:
     """All case reports for a family over valid prime powers in [q_min, q_max],
     in deterministic (family, q, epsilon/case) order."""
-    reports = []
-    if family == "suzuki":
-        for q in prime_powers(q_min, q_max):
-            if q.p == 2 and q.a % 2 == 1 and q.a >= 3:
-                reports.append(eliminate_suzuki(q))
-    elif family == "ree":
-        for q in prime_powers(q_min, q_max):
-            if q.p == 3 and q.a % 2 == 1 and q.a >= 3:
-                reports.append(eliminate_ree(q))
-    elif family == "g2":
-        for q in prime_powers(max(q_min, 3), q_max):
-            for eps in (1, -1):
-                reports.append(eliminate_g2(q, eps))
-    elif family == "e6":
-        for q in prime_powers(q_min, q_max):
-            for case in ("p1", "p3"):
-                reports.append(eliminate_e6(q, case))
-    elif family == "parabolic":
-        for q in prime_powers(q_min, q_max):
-            for row in PARABOLIC_ROWS:
-                if row.valid_q(q):
-                    reports.append(eliminate_parabolic_generic(row, q))
-    else:
-        raise ValueError(
-            f"unknown family {family!r} (expected suzuki, ree, g2, e6 "
-            "or parabolic)")
-    return reports
+    if family not in FAMILIES:
+        *names, last = FAMILIES
+        raise ValueError(f"unknown family {family!r} "
+                         f"(expected {', '.join(names)} or {last})")
+    valid_q, cases = FAMILIES[family]
+    return [report for q in prime_powers(q_min, q_max) if valid_q(q)
+            for report in cases(q)]

@@ -112,3 +112,11 @@ def test_prime_power_classify():
 def test_prime_powers_range():
     qs = [pp.q for pp in prime_powers(2, 32)]
     assert qs == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+def test_prime_powers_refuses_q_beyond_factorization_range():
+    assert prime_powers(10**18, 10**18) == []
+    # The window holds the primes 10**18 + 3, + 9, + 31 and + 79, which
+    # classify cannot factor; they must not be dropped silently.
+    with pytest.raises(ValueError, match="factorization range"):
+        prime_powers(10**18 + 1, 10**18 + 100)

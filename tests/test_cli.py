@@ -76,6 +76,9 @@ BAD_INPUT = {
                         "--out", "{missing}/x.json"],
     "pg-lines-7": ["construct", "--name", "pg_lines:7"],
     "derived-pg-7": ["construct", "--name", "derived_pg:7"],
+    "eliminate-q-above-range": ["eliminate", "--family", "e6",
+                                "--q-min", "1000000000000000001",
+                                "--q-max", "1000000000000000100"],
 }
 
 

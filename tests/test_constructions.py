@@ -4,7 +4,7 @@ import pytest
 
 from ftdesigns.constructions import (catalog, catalog_names, derived_design,
                                      fano_complement, fano_plane,
-                                     orbit_design, pg_line_space)
+                                     orbit_design, pg_line_space, pg_points)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import verify_2design
 from ftdesigns.perm import build_group
@@ -30,6 +30,23 @@ def test_fano_complement():
     assert lines == sorted(fano_plane().structure.blocks)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_pg_points(q):
+    for n in range(1, 5):
+        points = pg_points(q, n)
+        assert len(points) == (q**n - 1) // (q - 1)
+        assert all(len(pt) == n and set(pt) <= set(range(q)) for pt in points)
+        assert all(next(c for c in pt if c) == 1 for pt in points)
+        assert points == sorted(set(points))
+
+
+def test_pg_points_fano_labels():
+    # point i of PG(2, 2) is the binary vector of i + 1, the labelling that
+    # the Fano lines and the line2_fano_complement group rely on
+    assert [int("".join(map(str, pt)), 2) for pt in pg_points(2, 3)] == \
+        list(range(1, 8))
+
+
 def test_pg_line_space_counts():
     space = pg_line_space(3)
     assert space.params == Parameters(13, 13, 4, 4, 1)
@@ -42,8 +59,6 @@ def test_pg_line_space_counts():
 def test_pg_line_space_rejects():
     with pytest.raises(ValueError):
         pg_line_space(2)
-    with pytest.raises(ValueError):
-        pg_line_space(3, field_size=4)
 
 
 def test_derived_design_pg23():

@@ -8,6 +8,11 @@ search.  Nothing is copied from external tables: each artifact is certified
 with the package's own verification battery before it is written, so a bug
 here fails loudly rather than producing bad data.
 
+Projective points are labelled as in constructions.pg_points: point i of
+PG(n-1, q) is the i-th vector, in lexicographic order, whose first nonzero
+coordinate is 1, with the field elements encoded as in GF below.  Matrices
+act on row vectors from the right.
+
 Run from the repository root:
 
     PYTHONPATH=src python3 tools/gen_catalog.py [--only line6_psl28,...]
@@ -32,11 +37,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ftdesigns.constructions import data_dir
+from ftdesigns.constructions import data_dir, fano_complement, pg_points
 from ftdesigns.design import Parameters
-from ftdesigns.incidence import (IncidenceStructure, is_flag_transitive,
-                                 is_point_primitive, structure_to_json,
-                                 verify_2design)
+from ftdesigns.incidence import (DesignError, IncidenceStructure,
+                                 is_flag_transitive, is_point_primitive,
+                                 structure_to_json, verify_2design)
 from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
                             canonical_json, group_to_json, orbit)
 
@@ -111,7 +116,7 @@ class GF:
         return out
 
     def generator(self) -> int:
-        for g in range(2, self.size):
+        for g in range(1, self.size):
             seen = {1}
             x = g
             while x not in seen:
@@ -131,92 +136,52 @@ GF25 = GF(5, 2, (2, 0))    # x^2 = 2
 
 # -- projective actions --------------------------------------------------------
 
-def line_points(gf: GF) -> list[tuple[int, int]]:
-    return [(1, 0)] + [(x, 1) for x in range(gf.size)]
-
-
-def _norm2(gf: GF, x: int, y: int) -> tuple[int, int]:
-    if y != 0:
-        return (gf.mul(x, gf.inv(y)), 1)
-    return (1, 0)
-
-
-def moebius_perm(gf: GF, mat) -> Permutation:
-    (a, b), (c, d) = mat
-    points = line_points(gf)
-    index = {pt: i for i, pt in enumerate(points)}
-    images = []
-    for x, y in points:
-        nx = gf.add(gf.mul(a, x), gf.mul(b, y))
-        ny = gf.add(gf.mul(c, x), gf.mul(d, y))
-        images.append(index[_norm2(gf, nx, ny)])
-    return Permutation(images)
-
-
-def line_frobenius(gf: GF) -> Permutation:
-    points = line_points(gf)
-    index = {pt: i for i, pt in enumerate(points)}
-    p = gf.p
-    return Permutation([index[_norm2(gf, gf.pow(x, p), gf.pow(y, p))]
-                        for x, y in points])
-
-
-def psl2_gens(gf: GF) -> list[Permutation]:
-    # transvection entries must span the field over its prime subfield
-    if gf.k == 1:
-        basis = [1]
-    else:
-        g = gf.generator()
-        basis = [gf.pow(g, i) for i in range(gf.k)]
-    gens = [moebius_perm(gf, ((1, x), (0, 1))) for x in basis]
-    gens += [moebius_perm(gf, ((1, 0), (x, 1))) for x in basis]
-    return gens
-
-
-def pg2_points(gf: GF) -> list[tuple[int, int, int]]:
-    pts = []
-    for vec in itertools.product(range(gf.size), repeat=3):
-        if vec == (0, 0, 0):
-            continue
-        lead = next(c for c in vec if c != 0)
-        if lead == 1:
-            pts.append(vec)
-    return sorted(pts)
-
-
-def _norm3(gf: GF, vec) -> tuple[int, int, int]:
-    lead = next(c for c in vec if c != 0)
-    s = gf.inv(lead)
+def _norm(gf: GF, vec) -> tuple[int, ...]:
+    """The label of the point spanned by a nonzero vector: the vector scaled
+    so that its first nonzero coordinate is 1."""
+    s = gf.inv(next(c for c in vec if c != 0))
     return tuple(gf.mul(s, c) for c in vec)
 
 
-def matrix3_perm(gf: GF, mat, points, index) -> Permutation:
-    images = []
-    for vec in points:
-        out = [0, 0, 0]
-        for i in range(3):
-            for j in range(3):
-                out[j] = gf.add(out[j], gf.mul(vec[i], mat[i][j]))
-        images.append(index[_norm3(gf, out)])
-    return Permutation(images)
+def _point_perm(gf: GF, points, image) -> Permutation:
+    """The permutation of the labelled points induced by a map on vectors."""
+    index = {pt: i for i, pt in enumerate(points)}
+    return Permutation([index[_norm(gf, image(vec))] for vec in points])
 
 
-def sl3_transvection_mats(gf: GF):
-    if gf.k == 1:
-        basis = [1]
-    else:
-        g = gf.generator()
-        basis = [gf.pow(g, i) for i in range(gf.k)]
+def matrix_perm(gf: GF, mat, points) -> Permutation:
+    """The action of a matrix on row vectors, vec -> vec * mat."""
+    def image(vec):
+        out = [0] * len(mat[0])
+        for x, row in zip(vec, mat):
+            for j, m in enumerate(row):
+                out[j] = gf.add(out[j], gf.mul(x, m))
+        return out
+    return _point_perm(gf, points, image)
+
+
+def frobenius_perm(gf: GF, points) -> Permutation:
+    """The field automorphism x -> x^p applied to every coordinate."""
+    return _point_perm(gf, points, lambda vec: [gf.pow(c, gf.p) for c in vec])
+
+
+def transvection_mats(gf: GF, n: int) -> list[list[list[int]]]:
+    """The transvections I + x*E_ij (i != j) for x in a basis of GF(q) over
+    its prime field; they generate SL(n, q)."""
+    g = gf.generator()
+    basis = [gf.pow(g, i) for i in range(gf.k)]
     mats = []
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            for x in basis:
-                mat = [[1 if a == b else 0 for b in range(3)] for a in range(3)]
-                mat[i][j] = x
-                mats.append(mat)
+    for i, j in itertools.permutations(range(n), 2):
+        for x in basis:
+            mat = [[int(a == b) for b in range(n)] for a in range(n)]
+            mat[i][j] = x
+            mats.append(mat)
     return mats
+
+
+def psl2_gens(gf: GF) -> list[Permutation]:
+    points = pg_points(gf.size, 2)
+    return [matrix_perm(gf, m, points) for m in transvection_mats(gf, 2)]
 
 
 # -- colored-graph automorphism search (CSP with forward checking) ------------
@@ -315,6 +280,18 @@ def set_image(points: frozenset, g: Permutation) -> frozenset:
     return frozenset(g(p) for p in points)
 
 
+def certifies(group: PermutationGroup, design: IncidenceStructure,
+              expected: Parameters) -> bool:
+    """Whether design is a 2-design with the expected parameters on which
+    group acts flag-transitively and point-primitively."""
+    try:
+        params = verify_2design(design).params
+    except DesignError:
+        return False
+    return (params == expected and is_flag_transitive(group, design)
+            and is_point_primitive(group, design))
+
+
 def try_block(group: PermutationGroup, block, expected: Parameters):
     try:
         blocks = orbit(frozenset(block), group.generators, set_image,
@@ -325,17 +302,7 @@ def try_block(group: PermutationGroup, block, expected: Parameters):
         return None
     design = IncidenceStructure.from_blocks(
         group.degree, [sorted(blk) for blk in blocks])
-    try:
-        cert = verify_2design(design)
-    except Exception:
-        return None
-    if cert.params != expected:
-        return None
-    if not is_flag_transitive(group, design):
-        return None
-    if not is_point_primitive(group, design):
-        return None
-    return design
+    return design if certifies(group, design, expected) else None
 
 
 def search_block_exhaustive(group, expected: Parameters):
@@ -368,6 +335,20 @@ def search_block_cycles(group, expected: Parameters, rng, tries=4000):
             if design is not None:
                 return tuple(sorted(block)), design
     raise RuntimeError("cycle-heuristic block search failed")
+
+
+# -- the action on unordered pairs ----------------------------------------------
+
+def pair_action(n: int):
+    """The index of each unordered pair from 0..n-1, in lexicographic order,
+    and the map from a permutation of 0..n-1 to its action on the pairs."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+
+    def on_pairs(g: Permutation) -> Permutation:
+        return Permutation([index[tuple(sorted((g(a), g(b))))]
+                            for a, b in pairs])
+    return index, on_pairs
 
 
 # -- parity / even subgroup -----------------------------------------------------
@@ -406,7 +387,7 @@ def unitary_data(gf: GF, q: int):
         return gf.pow(x, q)
 
     points = []
-    for vec in pg2_points(gf):
+    for vec in pg_points(gf.size, 3):
         x0, x1, x2 = vec
         val = gf.add(gf.add(gf.mul(x0, cj(x2)), gf.mul(x1, cj(x1))),
                      gf.mul(x2, cj(x0)))
@@ -435,12 +416,9 @@ def unitary_data(gf: GF, q: int):
 def unitary_group(gf: GF, q: int, with_field_aut: bool,
                   expected_order: int, name: str) -> PermutationGroup:
     points, mats = unitary_data(gf, q)
-    index = {pt: i for i, pt in enumerate(points)}
-    gens = [matrix3_perm(gf, m, points, index) for m in mats]
+    gens = [matrix_perm(gf, m, points) for m in mats]
     if with_field_aut:
-        frob = Permutation([index[_norm3(gf, tuple(gf.pow(c, gf.p) for c in vec))]
-                            for vec in points])
-        gens.append(frob)
+        gens.append(frobenius_perm(gf, points))
     group = build_group(len(points), gens, name=name)
     assert group.order() == expected_order, (name, group.order())
     return group
@@ -492,14 +470,6 @@ def write_fixture(name: str, group: PermutationGroup, rng):
     print(f"  fixture {name}: degree {group.degree}, order {group.order()}")
 
 
-def certified(group, design, expected: Parameters) -> IncidenceStructure:
-    cert = verify_2design(design)
-    assert cert.params == expected, (cert.params, expected)
-    assert is_flag_transitive(group, design)
-    assert is_point_primitive(group, design)
-    return design
-
-
 # -- the ten catalog lines --------------------------------------------------------
 
 def gen_line1(rng):
@@ -507,7 +477,6 @@ def gen_line1(rng):
     assert group.order() == 60
     expected = Parameters(6, 10, 5, 3, 2)
     block, design = search_block_exhaustive(group, expected)
-    certified(group, design, expected)
     write_entry("line1_psl25", group, expected,
                 "PSL(2,5) ~ PSL(2,4) ~ Alt(5)", "PSL(2,5)", rng,
                 base_block=block)
@@ -515,38 +484,23 @@ def gen_line1(rng):
 
 def gen_line2(rng):
     gf2 = GF(2, 1)
-    points = pg2_points(gf2)
-    index = {pt: i for i, pt in enumerate(points)}
-    gens = [matrix3_perm(gf2, m, points, index)
-            for m in sl3_transvection_mats(gf2)]
+    points = pg_points(2, 3)
+    gens = [matrix_perm(gf2, m, points) for m in transvection_mats(gf2, 3)]
     group = build_group(7, gens, name="psl2_7")
     assert group.order() == 168
     expected = Parameters(7, 7, 4, 4, 2)
-    # the complement of the plane's line set, rebuilt here from PG(2,2)
-    lines = set()
-    for i, u in enumerate(points):
-        for w in points[i + 1:]:
-            s = tuple(gf2.add(a, b) for a, b in zip(u, w))
-            lines.add(frozenset((index[u], index[w], index[s])))
-    blocks = [sorted(set(range(7)) - line) for line in lines]
-    design = IncidenceStructure.from_blocks(7, blocks)
-    certified(group, design, expected)
+    design = fano_complement()
+    assert certifies(group, design, expected)
     write_entry("line2_fano_complement", group, expected,
                 "PSL(2,7) ~ PSL(3,2)", "PSL(2,7)", rng, blocks=design)
 
 
 def gen_line3(rng):
     # Sym(5) ~ PSL(2,4):2 acting on the 10 unordered pairs from 5 letters
-    pairs = list(itertools.combinations(range(5), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-
-    def pair_perm(images5):
-        return Permutation([index[tuple(sorted((images5[a], images5[b])))]
-                            for a, b in pairs])
-
-    five_cycle = [1, 2, 3, 4, 0]
-    swap = [1, 0, 2, 3, 4]
-    group = build_group(10, [pair_perm(five_cycle), pair_perm(swap)],
+    index, on_pairs = pair_action(5)
+    five_cycle = Permutation([1, 2, 3, 4, 0])
+    swap = Permutation([1, 0, 2, 3, 4])
+    group = build_group(10, [on_pairs(five_cycle), on_pairs(swap)],
                         name="psl2_4_ext")
     assert group.order() == 120
     expected = Parameters(10, 15, 6, 4, 2)
@@ -562,7 +516,8 @@ def gen_line4(rng):
     gens = psl2_gens(GF9)
     psl29 = build_group(10, gens, name="psl2_9")
     assert psl29.order() == 360
-    group = build_group(10, gens + [line_frobenius(GF9)], name="psl2_9_ext")
+    group = build_group(10, gens + [frobenius_perm(GF9, pg_points(9, 2))],
+                        name="psl2_9_ext")
     assert group.order() == 720
     expected = Parameters(10, 15, 6, 4, 2)
     block, design = search_block_exhaustive(group, expected)
@@ -585,7 +540,7 @@ def gen_line5(rng):
     group = build_group(11, [add1, mul3, mover], name="psl2_11")
     assert group.order() == 660, group.order()
     expected = Parameters(11, 11, 5, 5, 2)
-    certified(group, design, expected)
+    assert certifies(group, design, expected)
     write_entry("line5_psl211", group, expected,
                 "PSL(2,11)", "PSL(2,11)", rng, blocks=design)
 
@@ -594,7 +549,8 @@ def build_pgammal2_8():
     gens = psl2_gens(GF8)
     psl = build_group(9, gens, name="psl2_8")
     assert psl.order() == 504
-    full = build_group(9, gens + [line_frobenius(GF8)], name="psl2_8_ext")
+    full = build_group(9, gens + [frobenius_perm(GF8, pg_points(8, 2))],
+                       name="psl2_8_ext")
     assert full.order() == 1512
     return psl, full
 
@@ -603,18 +559,11 @@ def gen_line6(rng):
     psl, full = build_pgammal2_8()
     # degree-28 action: conjugation on the Sylow 3-subgroups (cyclic of
     # order 9) of PSL(2,8)
-    elements = psl.elements()
-    order9 = [g for g in elements
-              if not g.is_identity() and _perm_order(g) == 9]
-    sylows = set()
-    for g in order9:
-        sub = []
-        x = g
-        cur = Permutation.identity(9)
-        for _ in range(9):
-            sub.append(cur.images)
-            cur = cur * g
-        sylows.add(frozenset(sub))
+    identity = Permutation.identity(9)
+    cyclic = [orbit(identity, [g], Permutation.__mul__)
+              for g in psl.elements()]
+    sylows = {frozenset(x.images for x in sub)
+              for sub in cyclic if len(sub) == 9}
     sylows = sorted(sylows, key=lambda s: sorted(s))
     assert len(sylows) == 28, len(sylows)
     index = {s: i for i, s in enumerate(sylows)}
@@ -649,14 +598,8 @@ def gen_line7(rng):
 
 def gen_line8(rng):
     _, full = build_pgammal2_8()
-    pairs = list(itertools.combinations(range(9), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-
-    def pair_perm(g: Permutation) -> Permutation:
-        return Permutation([index[tuple(sorted((g(a), g(b))))]
-                            for a, b in pairs])
-
-    group = build_group(36, [pair_perm(g) for g in full.generators],
+    _, on_pairs = pair_action(9)
+    group = build_group(36, [on_pairs(g) for g in full.generators],
                         name="psl2_8_ext_on_36")
     assert group.order() == 1512
     expected = Parameters(36, 84, 14, 6, 2)
@@ -675,34 +618,20 @@ def gen_line9(rng):
     write_fixture("psu3_5", psu, rng)
 
 
-def _perm_order(g: Permutation) -> int:
-    import math
-    order = 1
-    for c in g.cycles():
-        order = math.lcm(order, len(c))
-    return order
-
-
 # -- line 10: the Higman-Sims group on 176 points ----------------------------------
 
 def build_witt22():
     """S(3,6,22): points of PG(2,4) plus one extra point; hexads are the
     extended lines and one PSL(3,4)-orbit of hyperovals."""
-    points = pg2_points(GF4)
+    points = pg_points(4, 3)
     index = {pt: i for i, pt in enumerate(points)}
-    psl_gens = [matrix3_perm(GF4, m, points, index)
-                for m in sl3_transvection_mats(GF4)]
+    psl_gens = [matrix_perm(GF4, m, points) for m in transvection_mats(GF4, 3)]
     psl = build_group(21, psl_gens, name="psl3_4")
     assert psl.order() == 20160, psl.order()
 
-    lines = set()
-    for i, u in enumerate(points):
-        for w in points[i + 1:]:
-            line = {index[u], index[w]}
-            for s in range(1, GF4.size):
-                vec = tuple(GF4.add(a, GF4.mul(s, b)) for a, b in zip(u, w))
-                line.add(index[_norm3(GF4, vec)])
-            lines.add(frozenset(line))
+    # the line x0 = 0 holds the first q + 1 = 5 points; PSL(3,4) is
+    # transitive on lines
+    lines = orbit(frozenset(range(5)), psl.generators, set_image)
     assert len(lines) == 21
 
     # hyperoval: conic {(1, t, t^2)} plus (0,0,1) and the nucleus (0,1,0)
@@ -722,10 +651,8 @@ def build_witt22():
             triple_count[tri] = triple_count.get(tri, 0) + 1
     assert len(triple_count) == 1540 and set(triple_count.values()) == {1}
 
-    frob21 = Permutation([index[_norm3(GF4, tuple(GF4.mul(c, c) for c in vec))]
-                          for vec in points])
     stab_gens22 = [Permutation(list(g.images) + [21])
-                   for g in psl_gens + [frob21]]
+                   for g in psl_gens + [frobenius_perm(GF4, points)]]
     return witt, stab_gens22
 
 
