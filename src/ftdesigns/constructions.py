@@ -76,16 +76,16 @@ def pg_line_space(n: int) -> LinearSpace:
     # both nonzero multiples of each point, so no sum needs normalizing
     index = {tuple(s * c % 3 for c in pt): i
              for i, pt in enumerate(points) for s in (1, 2)}
-    lines = set()
+    # each line is emitted once, from its two smallest points i < j
+    lines = []
     for i, u in enumerate(points):
         for j, w in enumerate(points[i + 1:], i + 1):
-            line = {i, j}
-            line.update(index[tuple((a + s * b) % 3 for a, b in zip(u, w))]
-                        for s in (1, 2))
-            lines.add(frozenset(line))
+            rest = [index[tuple((a + s * b) % 3 for a, b in zip(u, w))]
+                    for s in (1, 2)]
+            if j < min(rest):
+                lines.append((i, j, *rest))
     structure = IncidenceStructure.from_blocks(
-        len(points), [sorted(line) for line in sorted(lines, key=sorted)],
-        name=f"pg_{n - 1}_3_lines")
+        len(points), lines, name=f"pg_{n - 1}_3_lines")
     return LinearSpace.certify(structure)
 
 

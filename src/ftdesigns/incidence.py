@@ -5,6 +5,8 @@ block size, uniform replication, and constant pair multiplicity over all
 C(v,2) point pairs.  The remaining checks test a supplied permutation group
 against a structure: block-multiset preservation, transitivity on flags, and
 primitivity on points.  Nothing here searches for groups; it only verifies.
+G is flag-transitive iff it is transitive on the points in blocks and the
+stabilizer G_alpha of one of them is transitive on the blocks through alpha.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ class IncidenceStructure:
     def b(self) -> int:
         return len(self.blocks)
 
-    def block_multiset(self) -> Counter:
-        return Counter(self.blocks)
-
     def flag_count(self) -> int:
         return sum(len(block) for block in self.blocks)
 
@@ -107,10 +106,8 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
                 "non-uniform r", point,
                 f"point {point} lies in {count} blocks, point 0 in {r}")
 
-    pair_counts: Counter = Counter()
-    for block in blocks:
-        for pair in combinations(block, 2):
-            pair_counts[pair] += 1
+    pair_counts = Counter(pair for block in blocks
+                          for pair in combinations(block, 2))
     # The pairs are scanned lazily, up to the first count that differs from
     # that of (0, 1).  When it is positive every pair passed lies in a block,
     # so there are at most b * k * (k - 1) / 2 of them; when it is 0, point 0
@@ -128,19 +125,19 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
     return DesignCertificate(params, v * (v - 1) // 2)
 
 
+def _block_image(block: tuple[int, ...], g) -> tuple[int, ...]:
+    return tuple(sorted(map(g.images.__getitem__, block)))
+
+
 def is_automorphism_group(group: PermutationGroup,
                           structure: IncidenceStructure) -> bool:
     """Whether every generator maps the block multiset to itself."""
     if group.degree != structure.v:
         raise ValueError(
             f"group degree {group.degree} != point count {structure.v}")
-    reference = structure.block_multiset()
-    for g in group.generators:
-        imaged = Counter(tuple(sorted(g(p) for p in block))
-                         for block in structure.blocks)
-        if imaged != reference:
-            return False
-    return True
+    reference = Counter(structure.blocks)
+    return all(Counter(_block_image(block, g) for block in structure.blocks)
+               == reference for g in group.generators)
 
 
 def is_flag_transitive(group: PermutationGroup,
@@ -149,26 +146,24 @@ def is_flag_transitive(group: PermutationGroup,
     pairs).
 
     Flags are taken over distinct blocks; repeated blocks are a single flag
-    class per point since automorphisms cannot tell copies apart.
+    class per point since automorphisms cannot tell copies apart.  Tested
+    as: transitive on the points in blocks, and G_alpha transitive on the
+    blocks through alpha, the first base point if it lies in a block (so
+    G_alpha is read off the chain), else the least point in a block.
     """
     if not is_automorphism_group(group, structure):
         raise ValueError("group does not act on the structure")
-    distinct = sorted(structure.block_multiset())
-    index = {block: i for i, block in enumerate(distinct)}
-    flags = [(p, bi) for bi, block in enumerate(distinct) for p in block]
-    if not flags:
+    covered = {p for block in structure.blocks for p in block}
+    if not covered:
         return False
-    gen_block_maps = []
-    for g in group.generators:
-        gen_block_maps.append(
-            [index[tuple(sorted(g(p) for p in block))] for block in distinct])
-
-    def image(flag, gen):
-        g, bmap = gen
-        return g(flag[0]), bmap[flag[1]]
-
-    seen = orbit(flags[0], list(zip(group.generators, gen_block_maps)), image)
-    return len(seen) == len(flags)
+    base = group.base()
+    alpha = base[0] if base and base[0] in covered else min(covered)
+    if group.orbit(alpha) != covered:
+        return False
+    through = {block for block in structure.blocks if alpha in block}
+    reached = orbit(min(through), group.stabilizer_generators(alpha),
+                    _block_image)
+    return len(reached) == len(through)
 
 
 def is_point_primitive(group: PermutationGroup,

@@ -17,15 +17,18 @@ The product of the basic orbit lengths is the exact group order, and sifting
 gives an exact membership test.  Degrees here stay modest (a few hundred
 points), so no effort is spent on shallow Schreier trees or randomization.
 
-Primitivity follows Atkinson (Math. Comp. 29, 1975): the smallest block
-containing the base point alpha and a point beta is carried by G_alpha to
-the one for any point of beta's G_alpha-orbit, so one union-find run per
-orbit of the base-point stabilizer (a suborbit) decides primitivity.
+One accessor, stabilizer_generators, reads G_alpha, the stabilizer of the
+first base point alpha, off the chain (level 1), and one walk, suborbits,
+lists its orbits; primitivity, subdegrees and incidence's flag-transitivity
+test share the two.  One union-find run per suborbit decides primitivity
+(Atkinson, Math. Comp. 29, 1975): G_alpha carries the smallest block
+containing alpha and beta to the one for any point of beta's suborbit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
 
@@ -60,6 +63,15 @@ def orbit(seed, generators, act, limit: int | None = None) -> set:
                         raise ValueError(f"orbit exceeds {limit} elements")
         frontier = new
     return seen
+
+
+def _orbits(degree: int, generators) -> list[set[int]]:
+    """Orbits on 0..degree-1, in ascending order of their least point."""
+    out: list[set[int]] = []
+    for point in range(degree):
+        if not any(point in orb for orb in out):
+            out.append(orbit(point, generators, lambda x, g: g.images[x]))
+    return out
 
 
 class Permutation:
@@ -215,15 +227,12 @@ class PermutationGroup:
 
     # -- chain construction -------------------------------------------------
 
-    def _insert(self, g: Permutation) -> bool:
+    def _insert(self, g: Permutation) -> None:
         """Register g as a strong generator at every level it stabilizes into."""
         if g.is_identity():
-            return False
-        depth = None
-        for i, level in enumerate(self.levels):
-            if g(level.beta) != level.beta:
-                depth = i
-                break
+            return
+        depth = next((i for i, level in enumerate(self.levels)
+                      if g(level.beta) != level.beta), None)
         if depth is None:
             beta = min(i for i, j in enumerate(g.images) if i != j)
             self.levels.append(_Level(beta, self._identity))
@@ -231,7 +240,6 @@ class PermutationGroup:
         for i in range(depth + 1):
             self.levels[i].gens.append(g)
             self.levels[i].extend_transversal()
-        return True
 
     def _close(self) -> None:
         """Sift Schreier generators until every level passes."""
@@ -264,15 +272,10 @@ class PermutationGroup:
     # -- queries -------------------------------------------------------------
 
     def order(self) -> int:
-        n = 1
-        for level in self.levels:
-            n *= len(level.transversal)
-        return n
+        return math.prod(len(level.transversal) for level in self.levels)
 
     def contains(self, perm: Permutation) -> bool:
-        if perm.degree != self.degree:
-            return False
-        return self._sift(perm).is_identity()
+        return perm.degree == self.degree and self._sift(perm).is_identity()
 
     def base(self) -> tuple[int, ...]:
         return tuple(level.beta for level in self.levels)
@@ -283,32 +286,36 @@ class PermutationGroup:
         return orbit(point, self.generators, lambda x, g: g.images[x])
 
     def orbits(self) -> list[set[int]]:
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            orb = self.orbit(min(remaining))
-            out.append(orb)
-            remaining -= orb
-        return out
+        return _orbits(self.degree, self.generators)
 
     def is_transitive(self) -> bool:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
-    def stabilizer(self, point: int) -> "PermutationGroup":
-        """Full point stabilizer, as an independent group."""
+    def stabilizer_generators(self, point: int) -> list[Permutation]:
+        """Generators of the stabilizer of point: the chain's level 1 at the
+        first base point, else those of a chain whose base starts at point."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        anchored = self if (self.levels and self.levels[0].beta == point) else \
-            PermutationGroup(self.degree, self.generators, base_hint=(point,))
-        stab_gens = [g for g in anchored.levels[0].gens if g(point) == point]
-        return PermutationGroup(self.degree, stab_gens)
+        if self.levels and self.levels[0].beta == point:
+            return list(self.levels[1].gens) if len(self.levels) > 1 else []
+        anchored = PermutationGroup(self.degree, self.generators,
+                                    base_hint=(point,))
+        return [g for g in anchored.levels[0].gens if g(point) == point]
+
+    def stabilizer(self, point: int) -> "PermutationGroup":
+        """Full point stabilizer, as an independent group."""
+        return PermutationGroup(self.degree, self.stabilizer_generators(point))
+
+    def suborbits(self, point: int) -> list[set[int]]:
+        """Orbits of the stabilizer of point on all points, in ascending
+        order of their least point."""
+        return _orbits(self.degree, self.stabilizer_generators(point))
 
     def subdegrees(self, point: int = 0) -> list[int]:
         """Sorted orbit lengths of the point stabilizer on all points."""
         if not self.is_transitive():
             raise ValueError("subdegrees require a transitive group")
-        stab = self.stabilizer(point)
-        return sorted(len(orb) for orb in stab.orbits())
+        return sorted(map(len, self.suborbits(point)))
 
     def primitivity(self) -> tuple[bool, frozenset | None]:
         """(True, None) for a primitive action, else (False, block) where
@@ -318,17 +325,15 @@ class PermutationGroup:
         if not self.is_transitive():
             raise ValueError("primitivity requires a transitive group")
         alpha = self.levels[0].beta
-        alpha_stab = self.levels[1].gens if len(self.levels) > 1 else []
-        remaining = set(range(self.degree)) - {alpha}
-        while remaining:
-            beta = min(remaining)
-            block = self._minimal_block(alpha, beta)
+        for suborbit in self.suborbits(alpha):
+            if alpha in suborbit:
+                continue
+            block = self._minimal_block(alpha, min(suborbit))
             if len(block) < self.degree:
                 # the transversal element carrying alpha to 0 moves the
                 # block onto one that contains point 0
                 to_0 = self.levels[0].transversal[0]
                 return False, frozenset(map(to_0, block))
-            remaining -= orbit(beta, alpha_stab, lambda x, g: g.images[x])
         return True, None
 
     def is_primitive(self) -> bool:

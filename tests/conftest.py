@@ -15,6 +15,15 @@ def catalog_group(name: str) -> PermutationGroup:
     return load_group(DATA / "catalog" / name / "group.json")
 
 
+@pytest.fixture
+def forbid_new_chains(monkeypatch):
+    """A call that makes building any PermutationGroup from then on fail."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second chain was built")
+
+    return lambda: monkeypatch.setattr(PermutationGroup, "__init__", refuse)
+
+
 @pytest.fixture(scope="session")
 def psl2_7() -> PermutationGroup:
     return catalog_group("line2_fano_complement")

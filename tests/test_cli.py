@@ -1,4 +1,5 @@
 import json
+import shutil
 from itertools import combinations
 
 import pytest
@@ -79,11 +80,33 @@ BAD_INPUT = {
     "eliminate-q-above-range": ["eliminate", "--family", "e6",
                                 "--q-min", "1000000000000000001",
                                 "--q-max", "1000000000000000100"],
+    # a leading NAME=value sets an environment variable, as in a shell
+    "construct-no-expected": ["FTDESIGNS_DATA={no_expected}", "construct",
+                              "--name", "line1_psl25"],
+    "catalog-list-no-expected": ["FTDESIGNS_DATA={no_expected}",
+                                 "catalog-list"],
+    "construct-block-text": ["FTDESIGNS_DATA={block_text}", "construct",
+                             "--name", "line1_psl25"],
+    "catalog-list-block-text": ["FTDESIGNS_DATA={block_text}",
+                                "catalog-list"],
 }
 
 
+def corrupted_catalog(root, entry, base_block=None, drop=None):
+    """A data directory holding one copy of a bundled catalog entry, with its
+    base block replaced or one of its files deleted."""
+    entry_dir = root / "catalog" / entry
+    shutil.copytree(DATA / "catalog" / entry, entry_dir)
+    if base_block is not None:
+        (entry_dir / "base_block.json").write_text(
+            json.dumps({"block": base_block}))
+    if drop is not None:
+        (entry_dir / drop).unlink()
+    return str(root)
+
+
 @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-def test_bad_input_exit_2(capsys, tmp_path, argv):
+def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     docs = {
         "group_list": [[1, 2, 3, 0]],
         "group": {"name": "c4", "degree": 4, "generators": [[1, 2, 3, 0]]},
@@ -94,13 +117,38 @@ def test_bad_input_exit_2(capsys, tmp_path, argv):
         "design_block_float": {"name": "d", "v": 4, "blocks": [[0, 1.5]]},
         "design_no_blocks": {"name": "d", "v": 4, "blocks": []},
     }
-    paths = {"missing": str(tmp_path / "missing")}
+    paths = {
+        "missing": str(tmp_path / "missing"),
+        "no_expected": corrupted_catalog(tmp_path / "no_expected",
+                                         "line1_psl25", drop="expected.json"),
+        "block_text": corrupted_catalog(tmp_path / "block_text",
+                                        "line1_psl25", base_block=[0, "a"]),
+    }
     for stem, doc in docs.items():
         paths[stem] = str(tmp_path / f"{stem}.json")
         (tmp_path / f"{stem}.json").write_text(json.dumps(doc))
-    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    argv = [arg.format(**paths) for arg in argv]
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_construct_out_of_a_block_orbit_that_is_no_design(capsys, monkeypatch,
+                                                         tmp_path):
+    # the orbit of [0, 1] under the group of line8_psl28 covers some pairs
+    # once and others never; construct --out says so as verify does
+    monkeypatch.setenv("FTDESIGNS_DATA", corrupted_catalog(
+        tmp_path / "data", "line8_psl28", base_block=[0, 1]))
+    design = tmp_path / "design.json"
+    code, out, err = run(capsys, "construct", "--name", "line8_psl28",
+                         "--out", str(design))
+    assert (code, err) == (1, "")
+    assert out == "not a 2-design: non-constant lambda (witness (0, 15))\n"
+    group = tmp_path / "data" / "catalog" / "line8_psl28" / "group.json"
+    assert run(capsys, "verify", "--group", str(group),
+               "--design", str(design)) == (1, out, "")
 
 
 @pytest.mark.parametrize("block, witness",

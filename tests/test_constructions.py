@@ -56,6 +56,24 @@ def test_pg_line_space_counts():
     assert all(len(line) == 4 for line in space.structure.blocks)
 
 
+def test_pg_line_space_lines_are_the_spans_of_point_pairs():
+    for n in (3, 4, 5):
+        points = pg_points(3, n)
+        index = {pt: i for i, pt in enumerate(points)}
+
+        def normalized(vec):
+            lead = next(c for c in vec if c)
+            return tuple(c * lead % 3 for c in vec)   # 1 and 2 are self-inverse
+
+        spans = {frozenset(index[normalized(tuple((a + s * b) % 3
+                                                  for a, b in zip(u, w)))]
+                           for s in (0, 1, 2)) | {index[w]}
+                 for u, w in combinations(points, 2)}
+        lines = pg_line_space(n).structure.blocks
+        assert len(lines) == len(spans)
+        assert set(map(frozenset, lines)) == spans
+
+
 def test_pg_line_space_rejects():
     with pytest.raises(ValueError):
         pg_line_space(2)

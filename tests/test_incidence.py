@@ -1,17 +1,20 @@
 import json
+import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from conftest import DATA
-from ftdesigns.constructions import catalog, fano_complement, orbit_design
+from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
+                                     orbit_design)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignError, IncidenceStructure,
                                  is_automorphism_group, is_flag_transitive,
                                  is_point_primitive, structure_from_json,
                                  structure_to_json, verify_2design)
-from ftdesigns.perm import build_group
+from ftdesigns.perm import build_group, orbit
 
 
 def pair_count_oracle(structure):
@@ -155,3 +158,86 @@ def test_structure_validation():
         IncidenceStructure.from_blocks(4, [(2,)])
     with pytest.raises(ValueError):
         IncidenceStructure.from_blocks(4, [(1, 1, 2)])
+
+
+def reference_is_flag_transitive(group, structure):
+    """The walk over every flag (point, distinct block) under the
+    generators, each generator acting on blocks through a block map."""
+    if not is_automorphism_group(group, structure):
+        raise ValueError("group does not act on the structure")
+    distinct = sorted(set(structure.blocks))
+    index = {block: i for i, block in enumerate(distinct)}
+    flags = [(p, bi) for bi, block in enumerate(distinct) for p in block]
+    if not flags:
+        return False
+    block_maps = [[index[tuple(sorted(g(p) for p in block))]
+                   for block in distinct] for g in group.generators]
+    seen = {flags[0]}
+    frontier = [flags[0]]
+    while frontier:
+        point, bi = frontier.pop()
+        for g, block_map in zip(group.generators, block_maps):
+            image = (g(point), block_map[bi])
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return len(seen) == len(flags)
+
+
+def random_invariant_structure(rng):
+    """A seeded random group of degree 2-8 and a union of orbits of random
+    blocks.  The blocks lie in a union of point orbits, so some points may
+    lie in no block; sometimes that leaves out the first base point.  A
+    block orbit is sometimes taken twice."""
+    n = rng.randrange(2, 9)
+    gens = [rng.sample(range(n), n) for _ in range(rng.choice((0, 1, 2, 2)))]
+    group = build_group(n, gens)
+    point_orbits = group.orbits()
+    base = group.base()
+    if base and rng.random() < 0.3:
+        kept = [orb for orb in point_orbits if base[0] not in orb]
+    else:
+        kept = [orb for orb in point_orbits if rng.random() < 0.6]
+    support = sorted(x for orb in kept for x in orb)
+    if len(support) < 2:
+        support = list(range(n))
+    blocks = []
+    for _ in range(rng.randrange(1, 3)):
+        size = rng.randrange(2, len(support) + 1)
+        block = tuple(sorted(rng.sample(support, size)))
+        orb = orbit(block, group.generators,
+                    lambda blk, g: tuple(sorted(g(p) for p in blk)))
+        blocks += sorted(orb) * rng.choice((1, 1, 2))
+    return group, IncidenceStructure.from_blocks(n, blocks)
+
+
+def test_flag_transitivity_matches_reference_walk():
+    rng = random.Random(61)
+    seen = Counter()
+    for _ in range(1500):
+        group, structure = random_invariant_structure(rng)
+        verdict = is_flag_transitive(group, structure)
+        assert verdict == reference_is_flag_transitive(group, structure)
+        base = group.base()
+        covered = {p for block in structure.blocks for p in block}
+        seen["flag-transitive"] += verdict
+        seen["not flag-transitive"] += not verdict
+        seen["trivial group"] += not base
+        seen["intransitive"] += not group.is_transitive()
+        seen["repeated blocks"] += len(set(structure.blocks)) < structure.b
+        seen["point in no block"] += len(covered) < structure.v
+        seen["fallback alpha, flag-transitive"] += (
+            verdict and bool(base) and base[0] not in covered)
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
+
+
+def test_flag_transitivity_matches_reference_walk_on_catalog(
+        forbid_new_chains):
+    entries = [catalog(name) for name in catalog_names()]
+    for entry in entries:
+        assert reference_is_flag_transitive(entry.group, entry.design)
+    # every catalog group is transitive, so alpha is the first base point
+    # and its stabilizer is read off the group's own chain
+    forbid_new_chains()
+    for entry in entries:
+        assert is_flag_transitive(entry.group, entry.design), entry.name

@@ -235,6 +235,40 @@ def test_catalog_chains_are_pinned():
     assert chains == CATALOG_CHAINS
 
 
+def test_base_point_stabilizer_is_read_off_the_chain(forbid_new_chains):
+    """At the first base point the stabilizer generators are the chain's own,
+    so subdegrees, suborbits and primitivity build no second chain."""
+    answers = {}
+    for name in CATALOG_CHAINS:
+        group = catalog_group(name)
+        alpha = group.base()[0]
+        gens = group.stabilizer_generators(alpha)
+        assert gens == [g for g in group.levels[0].gens if g(alpha) == alpha]
+        stab = group.stabilizer(alpha)
+        assert stab.order() * len(group.orbit(alpha)) == group.order()
+        suborbits = sorted(stab.orbits(), key=min)
+        answers[name] = (group, alpha, suborbits, group.primitivity())
+
+    forbid_new_chains()
+    for name, (group, alpha, suborbits, primitivity) in answers.items():
+        assert group.suborbits(alpha) == suborbits, name
+        assert group.subdegrees(alpha) == sorted(map(len, suborbits)), name
+        assert group.primitivity() == primitivity, name
+
+
+def test_suborbits_partition_in_ascending_order():
+    for group in oracle_groups():
+        for point in range(group.degree):
+            suborbits = group.suborbits(point)
+            assert [min(orb) for orb in suborbits] == sorted(
+                min(orb) for orb in suborbits)
+            assert sorted(x for orb in suborbits for x in orb) == list(
+                range(group.degree))
+            assert {point} in suborbits
+            assert sorted(map(sorted, suborbits)) == sorted(
+                map(sorted, group.stabilizer(point).orbits()))
+
+
 def reference_is_primitive(group):
     """The scan over beta = 1..n-1 from point 0, with each smallest block
     containing {0, beta} grown from the group's elements: a block must
