@@ -22,9 +22,10 @@ import sys
 
 from . import constructions, elimination
 from .design import enumerate_candidates
-from .incidence import (DesignError, is_automorphism_group,
-                        is_flag_transitive, is_point_primitive,
-                        load_structure, structure_to_json, verify_2design)
+from .incidence import (DesignCertificate, DesignError,
+                        is_automorphism_group, is_flag_transitive,
+                        is_point_primitive, load_structure,
+                        structure_to_json, verify_2design)
 from .perm import load_group
 
 EXIT_OK = 0
@@ -41,17 +42,17 @@ DATA_ERRORS = (OSError, KeyError, ValueError, TypeError)
 PG_MAX_N = 6
 
 
-def _certify(design, source: str):
-    """verify_2design's certificate, or the exit code once the reason there
-    is none has been printed."""
+def _certify(design, source: str) -> tuple[DesignCertificate | None, int]:
+    """(verify_2design's certificate, EXIT_OK), or (None, exit code) once the
+    reason there is none has been printed."""
     try:
-        return verify_2design(design)
+        return verify_2design(design), EXIT_OK
     except DesignError as exc:
         print(f"not a 2-design: {exc.kind} (witness {exc.witness})")
-        return EXIT_FAIL
+        return None, EXIT_FAIL
     except (ValueError, TypeError, OverflowError) as exc:
         print(f"error: {source}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return None, EXIT_INPUT
 
 
 def _cmd_verify(args) -> int:
@@ -66,9 +67,9 @@ def _cmd_verify(args) -> int:
         print(f"error: design file {args.design}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    cert = _certify(design, f"design file {args.design}")
-    if isinstance(cert, int):
-        return cert
+    cert, code = _certify(design, f"design file {args.design}")
+    if cert is None:
+        return code
     try:
         if not is_automorphism_group(group, design):
             print(f"{cert.params} group does not preserve the block multiset")
@@ -118,9 +119,9 @@ def _cmd_construct(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        cert = _certify(design, name)
-        if isinstance(cert, int):
-            return cert
+        cert, code = _certify(design, name)
+        if cert is None:
+            return code
         print(f"wrote {name} {cert.params} to {args.out}")
     else:
         sys.stdout.write(text)

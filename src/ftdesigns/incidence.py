@@ -106,8 +106,10 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
                 "non-uniform r", point,
                 f"point {point} lies in {count} blocks, point 0 in {r}")
 
-    pair_counts = Counter(pair for block in blocks
-                          for pair in combinations(block, 2))
+    pair_counts: Counter = Counter()
+    for block in blocks:
+        for pair in combinations(block, 2):
+            pair_counts[pair] += 1
     # The pairs are scanned lazily, up to the first count that differs from
     # that of (0, 1).  When it is positive every pair passed lies in a block,
     # so there are at most b * k * (k - 1) / 2 of them; when it is 0, point 0
@@ -136,8 +138,11 @@ def is_automorphism_group(group: PermutationGroup,
         raise ValueError(
             f"group degree {group.degree} != point count {structure.v}")
     reference = Counter(structure.blocks)
-    return all(Counter(_block_image(block, g) for block in structure.blocks)
-               == reference for g in group.generators)
+    for g in group.generators:
+        imaged = Counter(_block_image(block, g) for block in structure.blocks)
+        if imaged != reference:
+            return False
+    return True
 
 
 def is_flag_transitive(group: PermutationGroup,

@@ -18,17 +18,17 @@ gives an exact membership test.  Degrees here stay modest (a few hundred
 points), so no effort is spent on shallow Schreier trees or randomization.
 
 One accessor, stabilizer_generators, reads G_alpha, the stabilizer of the
-first base point alpha, off the chain (level 1), and one walk, suborbits,
-lists its orbits; primitivity, subdegrees and incidence's flag-transitivity
-test share the two.  One union-find run per suborbit decides primitivity
-(Atkinson, Math. Comp. 29, 1975): G_alpha carries the smallest block
-containing alpha and beta to the one for any point of beta's suborbit.
+first base point alpha, off the chain (the strong generators fixing alpha),
+and one walk, suborbits, lists its orbits; primitivity, subdegrees and
+incidence's flag-transitivity test share the two.  One union-find run per
+suborbit decides primitivity (Atkinson, Math. Comp. 29, 1975): G_alpha
+carries the smallest block containing alpha and beta to the one for any
+point of beta's suborbit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
 
@@ -227,12 +227,15 @@ class PermutationGroup:
 
     # -- chain construction -------------------------------------------------
 
-    def _insert(self, g: Permutation) -> None:
+    def _insert(self, g: Permutation) -> bool:
         """Register g as a strong generator at every level it stabilizes into."""
         if g.is_identity():
-            return
-        depth = next((i for i, level in enumerate(self.levels)
-                      if g(level.beta) != level.beta), None)
+            return False
+        depth = None
+        for i, level in enumerate(self.levels):
+            if g(level.beta) != level.beta:
+                depth = i
+                break
         if depth is None:
             beta = min(i for i, j in enumerate(g.images) if i != j)
             self.levels.append(_Level(beta, self._identity))
@@ -240,6 +243,7 @@ class PermutationGroup:
         for i in range(depth + 1):
             self.levels[i].gens.append(g)
             self.levels[i].extend_transversal()
+        return True
 
     def _close(self) -> None:
         """Sift Schreier generators until every level passes."""
@@ -272,10 +276,15 @@ class PermutationGroup:
     # -- queries -------------------------------------------------------------
 
     def order(self) -> int:
-        return math.prod(len(level.transversal) for level in self.levels)
+        n = 1
+        for level in self.levels:
+            n *= len(level.transversal)
+        return n
 
     def contains(self, perm: Permutation) -> bool:
-        return perm.degree == self.degree and self._sift(perm).is_identity()
+        if perm.degree != self.degree:
+            return False
+        return self._sift(perm).is_identity()
 
     def base(self) -> tuple[int, ...]:
         return tuple(level.beta for level in self.levels)
@@ -292,14 +301,13 @@ class PermutationGroup:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
     def stabilizer_generators(self, point: int) -> list[Permutation]:
-        """Generators of the stabilizer of point: the chain's level 1 at the
-        first base point, else those of a chain whose base starts at point."""
+        """Generators of the stabilizer of point: the strong generators that
+        fix it, read off this chain when point is its first base point, else
+        off a chain whose base starts at point."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        if self.levels and self.levels[0].beta == point:
-            return list(self.levels[1].gens) if len(self.levels) > 1 else []
-        anchored = PermutationGroup(self.degree, self.generators,
-                                    base_hint=(point,))
+        anchored = self if (self.levels and self.levels[0].beta == point) else \
+            PermutationGroup(self.degree, self.generators, base_hint=(point,))
         return [g for g in anchored.levels[0].gens if g(point) == point]
 
     def stabilizer(self, point: int) -> "PermutationGroup":
