@@ -8,28 +8,96 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 _DIVISOR_LIMIT = 10**18
+_TRIAL_LIMIT = 1000
+# The first 13 primes as Miller-Rabin bases, each paired with psi_k: the
+# least strong pseudoprime to every base up to it (OEIS A014233: Jaeschke
+# 1993, Jiang and Deng 2014, Sorenson and Webster 2015).  An n below psi_k
+# that passes the first k bases is prime.
+_MR_BASES = ((2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751),
+             (11, 2152302898747), (13, 3474749660383),
+             (17, 341550071728321), (19, 341550071728321),
+             (23, 3825123056546413051), (29, 3825123056546413051),
+             (31, 3825123056546413051), (37, 318665857834031151167461),
+             (41, 3317044064679887385961981))
+_RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here are small."""
+    """Deterministic Miller-Rabin with the first 13 prime bases, in order,
+    stopping once n is below the least strong pseudoprime to the bases so
+    far.
+
+    Exact for every n < 3317044064679887385961981 (about 3.3e24), which
+    covers the whole factorization range.  Raises ValueError for a larger
+    n that passes all 13 bases.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for p, _ in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a, psi in _MR_BASES:
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise ValueError(f"{n} exceeds the range of the primality test")
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, by Brent's variant of Pollard
+    rho (Brent 1980): x -> x^2 + c from x = 2, with the differences
+    multiplied in batches before each gcd, trying c = 1, 2, ... until one
+    gives a factor other than n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: step through it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: exponent} by trial division."""
+    """Prime factorization {p: exponent} with the primes ascending, exact
+    for 1 <= n <= 10**18.
+
+    Trial division by 2, 3 and 6k +- 1 below _TRIAL_LIMIT, so every n below
+    _TRIAL_LIMIT**2 is factored by division alone.  A cofactor left over is
+    split by Brent-Pollard rho until each piece passes the Miller-Rabin
+    test of is_prime.
+    """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     if n > _DIVISOR_LIMIT:
@@ -40,15 +108,26 @@ def factorize(n: int) -> dict[int, int]:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     d = 5
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_LIMIT:
         for p in (d, d + 2):
             while n % p == 0:
                 factors[p] = factors.get(p, 0) + 1
                 n //= p
         d += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+    if n < d * d:
+        # no prime below d divides n, so n is 1 or a prime
+        if n > 1:
+            factors[n] = 1
+        return factors
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            f = _rho(m)
+            pending += (f, m // f)
+    return dict(sorted(factors.items()))
 
 
 @dataclass(frozen=True)

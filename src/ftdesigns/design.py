@@ -122,6 +122,8 @@ def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
     admissibility constraint holds.  The empty list is a meaningful result:
     it proves no design with these constraints exists.
     """
+    if lam < 1:
+        raise ValueError(f"need lambda >= 1, got {lam}")
     if v < 4:
         raise ValueError(f"need v >= 4, got {v}")
     if r_divides < 1:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from ftdesigns.arith import (PrimePower, cyclotomic, divisors, factorize,
-                             is_prime, ppart, prime_powers)
+from ftdesigns import arith
+from ftdesigns.arith import (_TRIAL_LIMIT, PrimePower, cyclotomic, divisors,
+                             factorize, is_prime, ppart, prime_powers)
 
 
 def trial_division(n):
@@ -120,3 +121,123 @@ def test_prime_powers_refuses_q_beyond_factorization_range():
     # classify cannot factor; they must not be dropped silently.
     with pytest.raises(ValueError, match="factorization range"):
         prime_powers(10**18 + 1, 10**18 + 100)
+
+
+# 1009, 1013 and 1019 are the smallest primes above the trial-division
+# bound, so their powers and products are left to Miller-Rabin and rho.
+PINNED = {
+    561: {3: 1, 11: 1, 17: 1},  # Carmichael numbers
+    41041: {7: 1, 11: 1, 13: 1, 41: 1},
+    3215031751: {151: 1, 751: 1, 28351: 1},  # strong pseudoprime to 2, 3, 5, 7
+    1009**2: {1009: 2},
+    1009**3: {1009: 3},
+    1013**2 * 1019: {1013: 2, 1019: 1},
+    1019**5: {1019: 5},
+    2**7 * 1009**2 * 1019: {2: 7, 1009: 2, 1019: 1},
+    999999929 * 999999937: {999999929: 1, 999999937: 1},
+    10**18: {2: 18, 5: 18},
+    10**18 - 11: {10**18 - 11: 1},
+}
+
+
+def test_trial_division_alone_below_trial_limit_squared(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"{n} left the trial-division path")
+
+    monkeypatch.setattr(arith, "is_prime", refuse)
+    monkeypatch.setattr(arith, "_rho", refuse)
+    rng = random.Random(4)
+    top = _TRIAL_LIMIT**2 - 1
+    for n in [top, 997**2, 991 * 997] + rng.sample(range(1, top), 300):
+        assert factorize(n) == trial_division(n)
+
+
+def test_pinned_values_above_the_trial_limit_reach_rho(monkeypatch):
+    split = []
+    rho = arith._rho
+    monkeypatch.setattr(arith, "_rho", lambda n: split.append(n) or rho(n))
+    for p in (1009, 1013, 1019):
+        split.clear()
+        assert factorize(p**2) == {p: 2}
+        assert split == [p**2]
+
+
+@pytest.mark.parametrize("n", PINNED)
+def test_factorize_pinned(n):
+    factors = factorize(n)
+    assert factors == PINNED[n]
+    assert list(factors) == sorted(factors)
+    assert is_prime(n) == (PINNED[n] == {n: 1})
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1
+                                  for i in range(1, s))
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    # Each psi in the table is a composite that passes every base up to its
+    # own, so is_prime must go on to the next base to reject it.
+    for k, (_, psi) in enumerate(arith._MR_BASES[:-1]):
+        assert all(strong_probable_prime(psi, a)
+                   for a, _ in arith._MR_BASES[:k + 1])
+        assert not is_prime(psi)
+    # 3825123056546413051 = 149491 * 747451 * 34233211, above 10**18
+    assert is_prime(149491) and is_prime(747451) and is_prime(34233211)
+    with pytest.raises(ValueError, match="factorization range"):
+        factorize(3825123056546413051)
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    psi13 = arith._MR_BASES[-1][1]
+    assert all(strong_probable_prime(psi13, a) for a, _ in arith._MR_BASES)
+    assert not is_prime(psi13 + 1)  # even
+    with pytest.raises(ValueError, match="primality test"):
+        is_prime(psi13)
+
+
+def test_arith_matches_sympy_on_pinned_values():
+    sympy = pytest.importorskip("sympy")
+    for n in PINNED:
+        assert factorize(n) == sympy.factorint(n)
+        assert is_prime(n) == sympy.isprime(n)
+    for n in range(1, 3000):
+        assert is_prime(n) == sympy.isprime(n)
+    for _, psi in arith._MR_BASES:
+        assert not sympy.isprime(psi)
+
+
+def test_arith_matches_sympy_on_random_values():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.one_of(st.integers(1, 10**6),
+                                st.integers(1, 10**12),
+                                st.integers(1, 10**18)))
+    def check(n):
+        factors = factorize(n)
+        assert factors == sympy.factorint(n)
+        assert list(factors) == sorted(factors)
+        assert is_prime(n) == sympy.isprime(n)
+
+    check()
+
+
+def test_divisors_match_sympy_on_random_values():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.one_of(st.integers(1, 10**6),
+                                st.integers(1, 10**18)))
+    def check(n):
+        assert divisors(n) == sympy.divisors(n)
+
+    check()

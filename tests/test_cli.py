@@ -1,6 +1,10 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,8 @@ BAD_INPUT = {
                         "--out", "{missing}/x.json"],
     "pg-lines-7": ["construct", "--name", "pg_lines:7"],
     "derived-pg-7": ["construct", "--name", "derived_pg:7"],
+    "feasible-lambda-0": ["feasible", "--v", "10", "--lambda", "0"],
+    "feasible-above-range": ["feasible", "--v", "1000000000000000000"],
     "eliminate-q-above-range": ["eliminate", "--family", "e6",
                                 "--q-min", "1000000000000000001",
                                 "--q-max", "1000000000000000100"],
@@ -209,6 +215,21 @@ def test_eliminate_json_output(capsys):
     docs = json.loads(out)
     assert len(docs) == 4
     assert {d["verdict"] for d in docs} == {"eliminated"}
+
+
+def test_eliminate_near_the_top_of_the_factorization_range():
+    # Every q here is near 10**18; trial division up to sqrt(q) would not
+    # finish, so run it in its own process under a time limit.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "ftdesigns.cli", "eliminate", "--family", "e6",
+         "--q-min", "999999999999999000", "--q-max", "1000000000000000000"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1].startswith("summary: ")
+    assert done.stdout.splitlines()[-1].endswith(" 0 candidates")
 
 
 def test_eliminate_unknown_family(capsys):

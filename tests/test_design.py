@@ -86,6 +86,13 @@ def test_enumerate_candidates_suzuki_q8():
     assert [p.astuple() for p in found] == brute_force_candidates(65, 2, 128)
 
 
+def test_enumerate_candidates_names_a_bad_lambda():
+    # lambda is checked before the modulus lambda*(v-1) that it decides
+    for lam in (0, -1):
+        with pytest.raises(ValueError, match="need lambda >= 1"):
+            enumerate_candidates(10, lam, lam * 9)
+
+
 def test_enumerate_candidates_filters_trivial_tuples():
     # the complete pairs design (4,6,3,2,1) solves the counting identities
     # but has k = 2, so the nontriviality bound 2 < k < v-1 rejects it
