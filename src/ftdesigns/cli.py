@@ -17,7 +17,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import constructions, elimination
@@ -135,8 +134,7 @@ def _cmd_eliminate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
-        print(json.dumps([r.to_dict() for r in reports], indent=2,
-                         sort_keys=True))
+        elimination.write_json(reports, sys.stdout)
     else:
         for report in reports:
             print(report.to_text())

@@ -17,8 +17,11 @@ recomputed where it is used, so a report can be audited line by line.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from math import gcd
+from typing import TextIO
 
 from .arith import PrimePower, cyclotomic, divisors, ppart, prime_powers
 from .design import (Parameters, admissibility_violations, embeds_symmetric,
@@ -146,6 +149,81 @@ class CaseReport:
         return "\n".join(lines)
 
 
+# -- JSON rendering -----------------------------------------------------------
+#
+# Facts and branches are nearly all of the objects in a JSON report list, so
+# each has a fixed template rather than a trip through json's pure-Python
+# indenting encoder, which took most of the time of `eliminate --json`.  A
+# template sits at its depth in the list: a report at depth 1, a fact or
+# branch at depth 3, its values or params at depth 5.  Keys come in sorted
+# order, ints by repr, bools as true/false and strings through
+# encode_basestring_ascii, as json.dumps(..., indent=2, sort_keys=True)
+# writes them.  The templates are plain string concatenation: a quote or
+# backslash inside the braces of an f-string needs Python 3.12 (PEP 701),
+# and the package supports 3.10.
+
+def _int_list(values) -> str:
+    if not values:
+        return "[]"
+    return ("[\n          " + ",\n          ".join(map(repr, values))
+            + "\n        ]")
+
+
+def _fact_json(fact: Fact) -> str:
+    return ('      {\n        "ok": ' + ("true" if fact.ok else "false")
+            + ',\n        "statement": '
+            + encode_basestring_ascii(fact.statement)
+            + ',\n        "values": ' + _int_list(fact.values)
+            + "\n      }")
+
+
+def _branch_json(branch: Branch) -> str:
+    text = '      {\n        "label": ' + encode_basestring_ascii(branch.label)
+    if branch.params is not None:
+        text += ',\n        "params": ' + _int_list(branch.params.astuple())
+    text += ',\n        "reason": ' + encode_basestring_ascii(branch.reason)
+    if branch.reference is not None:
+        text += (',\n        "reference": '
+                 + encode_basestring_ascii(branch.reference))
+    return (text + ',\n        "verdict": '
+            + encode_basestring_ascii(branch.verdict) + "\n      }")
+
+
+def _report_list(items: list[str]) -> str:
+    """The value of a list-valued key of a report, from its items rendered
+    at depth 3."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n    ]"
+
+
+def _report_json(report: CaseReport) -> str:
+    descriptor = json.dumps(report.descriptor.to_dict(), indent=2,
+                            sort_keys=True).replace("\n", "\n    ")
+    hypotheses = ["      " + encode_basestring_ascii(hyp)
+                  for hyp in report.hypotheses]
+    return ('  {\n    "branches": '
+            + _report_list(list(map(_branch_json, report.branches)))
+            + ',\n    "descriptor": ' + descriptor
+            + ',\n    "facts": '
+            + _report_list(list(map(_fact_json, report.facts)))
+            + ',\n    "hypotheses": ' + _report_list(hypotheses)
+            + ',\n    "verdict": ' + encode_basestring_ascii(report.verdict)
+            + "\n  }")
+
+
+def write_json(reports: list[CaseReport], out: TextIO) -> None:
+    """Write the reports to `out` as one indented JSON list and a newline,
+    byte for byte what `print(json.dumps([r.to_dict() for r in reports],
+    indent=2, sort_keys=True))` writes, one report at a time."""
+    sep = "[\n"
+    for report in reports:
+        out.write(sep)
+        out.write(_report_json(report))
+        sep = ",\n"
+    out.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
 # -- Suzuki groups: socle 2B2(q), parabolic stabilizer -----------------------
 
 def _suzuki_q(q: PrimePower) -> bool:
@@ -270,9 +348,15 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     qq = q.q
     eps = epsilon
     g = gcd(2, qq - 1)
-    v = qq**3 * (qq**3 + eps) // 2
-    modulus = 2 * (qq**3 - eps)
+    q3 = qq**3
+    v = q3 * (q3 + eps) // 2
+    modulus = 2 * (q3 - eps)
     twice_v1 = 2 * (v - 1)
+    # lambda*v < r^2 reads lhs_unit * m^2 < rhs; both sides without m are
+    # fixed for the case
+    lhs_unit = q3 * (q3 + eps) * g * g
+    rhs = 4 * (q3 - eps) ** 2
+    too_large = f"lambda*v = {2 * v} >= r^2 = "
     facts = [
         Fact("v = q^3(q^3 + eps)/2", (v,), True),
         Fact("r*m*gcd(2, q-1) = 2(q^3 - eps) for a positive integer m",
@@ -282,8 +366,7 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     for m in divisors(modulus // g):
         label = f"m={m}"
         r = modulus // (m * g)
-        lhs = qq**3 * (qq**3 + eps) * m * m * g * g
-        rhs = 4 * (qq**3 - eps) ** 2
+        lhs = lhs_unit * m * m
         inequality_ok = lhs < rhs
         facts.append(Fact(
             f"branch {label}: lambda*v < r^2 requires "
@@ -291,8 +374,7 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
             (lhs, rhs), inequality_ok))
         if m >= 2 and not inequality_ok:
             branches.append(Branch(
-                label, "eliminated",
-                f"lambda*v = {2 * v} >= r^2 = {r * r}"))
+                label, "eliminated", too_large + str(r * r)))
             continue
         if twice_v1 % r != 0:
             branches.append(Branch(
@@ -312,7 +394,7 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
             continue
         if eps == 1 and qq % 2 == 0 and m == 1:
             # b = (2q^9 - 2q^3)/(q^3 + 4) is integral iff q^3 + 4 divides 120
-            divisor = qq**3 + 4
+            divisor = q3 + 4
             facts.append(Fact(
                 f"branch {label}: b integral requires q^3 + 4 | 120",
                 (divisor, 120 % divisor), 120 % divisor == 0))

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import DATA
 from ftdesigns.cli import main
+from ftdesigns.elimination import FAMILIES, sweep
 from ftdesigns.incidence import IncidenceStructure, structure_to_json
 from ftdesigns.perm import canonical_json
 
@@ -86,6 +87,13 @@ BAD_INPUT = {
     "eliminate-q-above-range": ["eliminate", "--family", "e6",
                                 "--q-min", "1000000000000000001",
                                 "--q-max", "1000000000000000100"],
+    # 2(q^3 - eps)/gcd(2, q-1) passes the factorization range above q = 10**6
+    "eliminate-g2-above-divisor-range": ["eliminate", "--family", "g2",
+                                         "--q-min", "1000001",
+                                         "--q-max", "1000100"],
+    "eliminate-g2-above-divisor-range-json": ["eliminate", "--family", "g2",
+                                              "--q-min", "1000001",
+                                              "--q-max", "1000100", "--json"],
     # a leading NAME=value sets an environment variable, as in a shell
     "construct-no-expected": ["FTDESIGNS_DATA={no_expected}", "construct",
                               "--name", "line1_psl25"],
@@ -215,6 +223,22 @@ def test_eliminate_json_output(capsys):
     docs = json.loads(out)
     assert len(docs) == 4
     assert {d["verdict"] for d in docs} == {"eliminated"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eliminate_json_is_json_dumps_of_the_sweep(capsys, family):
+    code, out, err = run(capsys, "eliminate", "--family", family,
+                         "--q-min", "2", "--q-max", "300", "--json")
+    assert (code, err) == (0, "")
+    reports = sweep(family, 2, 300)
+    assert out == json.dumps([r.to_dict() for r in reports], indent=2,
+                             sort_keys=True) + "\n"
+
+
+def test_eliminate_json_empty_window(capsys):
+    # 9 = 3^2 is no Suzuki q
+    assert run(capsys, "eliminate", "--family", "suzuki",
+               "--q-min", "9", "--q-max", "9", "--json") == (0, "[]\n", "")
 
 
 def test_eliminate_near_the_top_of_the_factorization_range():

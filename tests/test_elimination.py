@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -7,11 +8,15 @@ from ftdesigns.arith import PrimePower, ppart, prime_powers
 from ftdesigns.design import Parameters, admissibility_violations, \
     enumerate_candidates
 from ftdesigns.elimination import (PARABOLIC_ROW_INDEX, PARABOLIC_ROWS,
+                                   REE_UNITAL_REFERENCE, Branch,
+                                   CaseDescriptor, CaseReport, Fact,
                                    ParabolicRow, TableDataError,
+                                   _branch_json, _fact_json,
                                    eliminate_e6, eliminate_g2,
                                    eliminate_nonparabolic_bound,
                                    eliminate_parabolic_generic, eliminate_ree,
-                                   eliminate_suzuki, sweep, table3_scan)
+                                   eliminate_suzuki, sweep, table3_scan,
+                                   write_json)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -276,3 +281,55 @@ def test_golden_ree_27_json():
 def test_golden_suzuki_8_text():
     expected = (GOLDEN / "suzuki_8.txt").read_text()
     assert eliminate_suzuki(PrimePower(2, 3)).to_text() + "\n" == expected
+
+
+def dumped_at_depth(doc, depth: int) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) as it reads `depth` levels
+    into an indented document."""
+    pad = "  " * depth
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return pad + text.replace("\n", "\n" + pad)
+
+
+# a report list holds reports at depth 1 and their facts and branches at 3
+BRANCHES = {
+    "bare": Branch("m=1", "eliminated", "k = 31 exceeds r = 26"),
+    "params": Branch("m=1", "candidate", "arithmetic survivor",
+                     params=Parameters(2016, 8190, 130, 32, 2)),
+    "reference": Branch("t=a", "flagged", "survivor",
+                        reference=REE_UNITAL_REFERENCE),
+    "both": Branch("t=a", "flagged", "arithmetic survivor",
+                   reference=REE_UNITAL_REFERENCE,
+                   params=Parameters(19684, 1024974, 1458, 28, 2)),
+}
+
+
+@pytest.mark.parametrize("branch", BRANCHES.values(), ids=BRANCHES.keys())
+def test_branch_json_is_json_dumps(branch):
+    assert _branch_json(branch) == dumped_at_depth(branch.to_dict(), 3)
+
+
+FACTS = {
+    "values": Fact("v = q^2 + 1", (65, -3, 10**40), True),
+    "no-values": Fact("admissible tuples", (), False),
+    "escapes": Fact('a "quote", a \\ backslash, q \u2264 2^\u03b1 and '
+                    '\U0001d53d\tq', (0,), True),
+}
+
+
+@pytest.mark.parametrize("fact", FACTS.values(), ids=FACTS.keys())
+def test_fact_json_is_json_dumps(fact):
+    assert _fact_json(fact) == dumped_at_depth(fact.to_dict(), 3)
+
+
+@pytest.mark.parametrize("reports", [
+    [CaseReport(CaseDescriptor("empty"), (), (), ())],
+    [eliminate_ree(PrimePower(3, 3)), table3_scan(65, 128),
+     eliminate_parabolic_generic("e6_p16", PrimePower(3, 1)),
+     eliminate_g2(PrimePower(2, 2), -1)],
+], ids=["empty-report", "mixed"])
+def test_write_json_is_json_dumps(reports):
+    out = io.StringIO()
+    write_json(reports, out)
+    assert out.getvalue() == json.dumps(
+        [r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
