@@ -8,7 +8,7 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 _DIVISOR_LIMIT = 10**18
 _TRIAL_LIMIT = 1000
@@ -22,6 +22,7 @@ _MR_BASES = ((2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751),
              (23, 3825123056546413051), (29, 3825123056546413051),
              (31, 3825123056546413051), (37, 318665857834031151167461),
              (41, 3317044064679887385961981))
+_SMALL_PRIMES = tuple(p for p, _ in _MR_BASES)
 _RHO_BATCH = 128
 
 
@@ -36,9 +37,14 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p, _ in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """is_prime for an n that no prime below 43 divides."""
     if n < 43 * 43:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
@@ -150,30 +156,69 @@ class PrimePower:
     @classmethod
     def classify(cls, q: int) -> "PrimePower":
         """Write q as p^a, or raise if q is not a prime power >= 2."""
-        if q < 2:
+        pa = _prime_power(q)
+        if pa is None:
             raise ValueError(f"{q} is not a prime power")
-        factors = factorize(q)
-        if len(factors) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        ((p, a),) = factors.items()
-        return cls(p, a)
+        return cls(*pa)
 
     def __str__(self) -> str:
         return f"{self.q}" if self.a == 1 else f"{self.p}^{self.a}"
 
 
+def _iroot(n: int, a: int) -> int:
+    """The integer a-th root floor(n^(1/a)) of n >= 1, by integer Newton
+    iteration from 2^ceil(bits/a), which lies above the root."""
+    if a == 2:
+        return isqrt(n)
+    x = 1 << -(-n.bit_length() // a)
+    while True:
+        y = ((a - 1) * x + n // x ** (a - 1)) // a
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_power(q: int) -> tuple[int, int] | None:
+    """(p, a) with q = p^a, p prime and a >= 1, or None, without factoring:
+    division by the primes below 43, then is_prime(q), then the exact
+    integer a-th roots of q for a >= 2, largest a first.
+
+    If q = p^a, then p is the exact root with the largest a, so the first
+    exact root found decides: q is a prime power iff that root is prime.
+    """
+    if q < 2:
+        return None
+    for p in _SMALL_PRIMES:
+        if q % p == 0:
+            a = 0
+            while q % p == 0:
+                q //= p
+                a += 1
+            return (p, a) if q == 1 else None
+    if _miller_rabin(q):
+        return (q, 1)
+    # every prime factor of q is at least 43, so q = p^a needs 43^a <= q
+    top = 1
+    while 43 ** (top + 1) <= q:
+        top += 1
+    for a in range(top, 1, -1):
+        p = _iroot(q, a)
+        if p**a == q:
+            return (p, a) if is_prime(p) else None
+    return None
+
+
 def prime_powers(lo: int, hi: int) -> list[PrimePower]:
-    """All prime powers q with lo <= q <= hi, ascending.  Refuses an hi that
-    classify cannot factor, rather than skip a q it cannot classify."""
+    """All prime powers q with lo <= q <= hi, ascending.  Refuses an hi
+    above _DIVISOR_LIMIT, the range the case reports are factored in."""
     if hi > _DIVISOR_LIMIT:
         raise ValueError(f"{hi} exceeds the supported factorization range "
                          f"(at most {_DIVISOR_LIMIT})")
     out = []
     for q in range(max(lo, 2), hi + 1):
-        try:
-            out.append(PrimePower.classify(q))
-        except ValueError:
-            continue
+        pa = _prime_power(q)
+        if pa is not None:
+            out.append(PrimePower(*pa))
     return out
 
 
@@ -205,7 +250,10 @@ def cyclotomic(n: int, q: int) -> int:
     if q < 2:
         raise ValueError(f"cyclotomic argument {q} must be at least 2")
     phi: dict[int, int] = {}
-    for d in divisors(n):
+    # n is an exponent of q, so listing its divisors by division is cheap
+    for d in range(1, n + 1):
+        if n % d:
+            continue
         value = q ** d - 1
         for e, phi_e in phi.items():
             if d % e == 0:

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .arith import PrimePower, cyclotomic, divisors, ppart, prime_powers
 from .design import (Parameters, admissibility_violations, embeds_symmetric,
@@ -44,8 +44,11 @@ class TableDataError(ValueError):
     """A bundled tabulated value disagrees with direct computation."""
 
 
-@dataclass(frozen=True)
-class Fact:
+# Fact and Branch are named tuples, not frozen dataclasses: a sweep builds
+# hundreds of thousands of them, and a tuple is several times cheaper to
+# build and lighter on the cyclic garbage collector.
+
+class Fact(NamedTuple):
     statement: str
     values: tuple[int, ...]
     ok: bool
@@ -55,8 +58,7 @@ class Fact:
                 "ok": self.ok}
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     label: str
     verdict: str  # "eliminated" | "flagged" | "candidate"
     reason: str
@@ -153,9 +155,10 @@ class CaseReport:
 #
 # Facts and branches are nearly all of the objects in a JSON report list, so
 # each has a fixed template rather than a trip through json's pure-Python
-# indenting encoder, which took most of the time of `eliminate --json`.  A
-# template sits at its depth in the list: a report at depth 1, a fact or
-# branch at depth 3, its values or params at depth 5.  Keys come in sorted
+# indenting encoder, which took most of the time of `eliminate --json`; so
+# has the descriptor, all but its free-form `extra`.  A template sits at its
+# depth in the list: a report at depth 1, its descriptor at depth 2, a fact
+# or branch at depth 3, its values or params at depth 5.  Keys come in sorted
 # order, ints by repr, bools as true/false and strings through
 # encode_basestring_ascii, as json.dumps(..., indent=2, sort_keys=True)
 # writes them.  The templates are plain string concatenation: a quote or
@@ -197,14 +200,30 @@ def _report_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n    ]"
 
 
+def _descriptor_json(desc: CaseDescriptor) -> str:
+    """The descriptor at depth 2.  Only the free-form `extra` goes through
+    json.dumps, indented to its depth 3."""
+    text = "{"
+    q = desc.q
+    if q is not None:
+        text += '\n      "a": ' + repr(q.a) + ","
+    if desc.epsilon is not None:
+        text += '\n      "epsilon": ' + repr(desc.epsilon) + ","
+    if desc.extra:
+        extra = json.dumps(dict(desc.extra), indent=2, sort_keys=True)
+        text += '\n      "extra": ' + extra.replace("\n", "\n      ") + ","
+    text += '\n      "family": ' + encode_basestring_ascii(desc.family)
+    if q is not None:
+        text += ',\n      "p": ' + repr(q.p) + ',\n      "q": ' + repr(q.q)
+    return text + "\n    }"
+
+
 def _report_json(report: CaseReport) -> str:
-    descriptor = json.dumps(report.descriptor.to_dict(), indent=2,
-                            sort_keys=True).replace("\n", "\n    ")
     hypotheses = ["      " + encode_basestring_ascii(hyp)
                   for hyp in report.hypotheses]
     return ('  {\n    "branches": '
             + _report_list(list(map(_branch_json, report.branches)))
-            + ',\n    "descriptor": ' + descriptor
+            + ',\n    "descriptor": ' + _descriptor_json(report.descriptor)
             + ',\n    "facts": '
             + _report_list(list(map(_fact_json, report.facts)))
             + ',\n    "hypotheses": ' + _report_list(hypotheses)

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 
@@ -63,6 +64,13 @@ def test_cyclotomic_product_identity():
             assert product == q**n - 1
 
 
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 61):
+        for q in range(2, 31):
+            assert cyclotomic(n, q) == sympy.cyclotomic_poly(n, q)
+
+
 def test_cyclotomic_rejects_bad_input():
     with pytest.raises(ValueError):
         cyclotomic(0, 3)
@@ -113,6 +121,99 @@ def test_prime_power_classify():
 def test_prime_powers_range():
     qs = [pp.q for pp in prime_powers(2, 32)]
     assert qs == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+def prime_power_by_trial_division(q):
+    # independent oracle: q is a prime power iff dividing out its least
+    # prime factor, found by trial division, leaves 1
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    a = 0
+    while q % p == 0:
+        q //= p
+        a += 1
+    return (p, a) if q == 1 else None
+
+
+def test_prime_powers_match_trial_division():
+    top = 2 * 10**5
+    expected = {}
+    for q in range(2, top + 1):
+        pa = prime_power_by_trial_division(q)
+        if pa is not None:
+            expected[q] = pa
+    assert [(pp.q, pp.p, pp.a) for pp in prime_powers(2, top)] == \
+        [(q, p, a) for q, (p, a) in expected.items()]
+    for q in range(-2, top + 1):
+        if q in expected:
+            assert PrimePower.classify(q) == PrimePower(*expected[q])
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                PrimePower.classify(q)
+
+
+# Powers of primes above 41, which reach the root search because only the
+# primes up to 41 are divided out; the largest powers of 2 and 3 below
+# 10**18; and numbers with two prime factors, some of them perfect powers.
+PINNED_PRIME_POWERS = {
+    43**2: (43, 2),
+    10007**4: (10007, 4),
+    999983**3: (999983, 3),
+    1000003**2: (1000003, 2),
+    43**11: (43, 11),
+    2**59: (2, 59),
+    3**37: (3, 37),
+    6**10: None,
+    10**18: None,
+    (43 * 47)**2: None,
+    43**2 * 47**3: None,
+}
+
+
+@pytest.mark.parametrize("q", PINNED_PRIME_POWERS)
+def test_classify_pinned(q):
+    want = PINNED_PRIME_POWERS[q]
+    assert prime_power_by_trial_division(q) == want
+    if want is None:
+        with pytest.raises(ValueError, match="not a prime power"):
+            PrimePower.classify(q)
+        assert prime_powers(q, q) == []
+    else:
+        assert PrimePower.classify(q) == PrimePower(*want)
+        assert prime_powers(q, q) == [PrimePower(*want)]
+
+
+def test_prime_powers_near_the_top_match_factorize():
+    # the window's prime powers as the factorization path used to find them
+    lo = 10**18 - 1000
+    old = [q for q in range(lo, 10**18 + 1) if len(factorize(q)) == 1]
+    assert len(old) == 31
+    assert [pp.q for pp in prime_powers(lo, 10**18)] == old
+
+
+def test_prime_powers_match_sympy_on_random_values():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    powers = st.integers(2, 59).flatmap(
+        lambda e: st.integers(2, sympy.integer_nthroot(10**18, e)[0]).map(
+            lambda b: b**e))
+
+    def oracle(q):
+        if sympy.isprime(q):
+            return (q, 1)
+        power = sympy.perfect_power(q)
+        if power and sympy.isprime(power[0]):
+            return power
+        return None
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.one_of(st.integers(2, 10**18), powers))
+    def check(q):
+        want = oracle(q)
+        assert prime_powers(q, q) == ([] if want is None
+                                      else [PrimePower(*want)])
+
+    check()
 
 
 def test_prime_powers_refuses_q_beyond_factorization_range():

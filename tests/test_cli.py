@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -254,6 +255,45 @@ def test_eliminate_near_the_top_of_the_factorization_range():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1].startswith("summary: ")
     assert done.stdout.splitlines()[-1].endswith(" 0 candidates")
+
+
+# sha256 of the stdout of `eliminate --family F --q-min 2 --q-max 1024`,
+# as text and with --json, computed on commit dd02eba, before Fact and
+# Branch became named tuples, prime_powers stopped factoring and descriptors
+# got a JSON template.  A change to any of them must leave these bytes alone.
+ELIMINATE_SHA256 = {
+    ("suzuki", False):
+        "ac39190e700f8b918d498394ee9ce166585c5144d2a8abb34a942eca97308eaa",
+    ("suzuki", True):
+        "5e51ada4ad72bf71ab84ec19308ec66c1df0c3a224c4bb2d71edac2eb4ecaccc",
+    ("ree", False):
+        "6bd3e4b594bfb6f0b03fdf01f04d25a8087eedf77141960dbfb5d6f8cd3c44d6",
+    ("ree", True):
+        "6a0dd9cdf95369a6c7b9f91597bb3a1a6b45270e6b9d579028a79cb9addb1a7b",
+    ("g2", False):
+        "27fda20c8cacab278218ef7e722eeb2e4d4cee90124c1aaac23c6779b06c2afb",
+    ("g2", True):
+        "f10bdfe90478d8bc9ae431cf8d3581d9f7dd1eede5a3529a7398fb548608a9b3",
+    ("e6", False):
+        "b786da68889880430d357f209cb412f6a9f632d2b81ddc3357e03d0479c17fcd",
+    ("e6", True):
+        "c96419cd3636ae926c18e652b61a8c37a44ca611ed63fc84f37ee86760ab0f90",
+    ("parabolic", False):
+        "7299479e870082f5eb2a99f27660e2d8b5cd3c926e9434f3c4e3201dafe9ddb0",
+    ("parabolic", True):
+        "fb6e2a8fd95ff43fa3fed51de64d6227bfe55f6ec85db76bfdd244c8025f25b9",
+}
+
+
+@pytest.mark.parametrize("family, as_json", ELIMINATE_SHA256,
+                         ids=[f"{f}-{'json' if j else 'text'}"
+                              for f, j in ELIMINATE_SHA256])
+def test_eliminate_output_is_pinned(capsys, family, as_json):
+    argv = ["eliminate", "--family", family, "--q-min", "2", "--q-max", "1024"]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ELIMINATE_SHA256[family, as_json]
 
 
 def test_eliminate_unknown_family(capsys):

@@ -11,7 +11,8 @@ from ftdesigns.elimination import (PARABOLIC_ROW_INDEX, PARABOLIC_ROWS,
                                    REE_UNITAL_REFERENCE, Branch,
                                    CaseDescriptor, CaseReport, Fact,
                                    ParabolicRow, TableDataError,
-                                   _branch_json, _fact_json,
+                                   _branch_json, _descriptor_json,
+                                   _fact_json,
                                    eliminate_e6, eliminate_g2,
                                    eliminate_nonparabolic_bound,
                                    eliminate_parabolic_generic, eliminate_ree,
@@ -320,6 +321,25 @@ FACTS = {
 @pytest.mark.parametrize("fact", FACTS.values(), ids=FACTS.keys())
 def test_fact_json_is_json_dumps(fact):
     assert _fact_json(fact) == dumped_at_depth(fact.to_dict(), 3)
+
+
+# a report's descriptor sits at depth 2, its extra at depth 3
+DESCRIPTORS = {
+    "suzuki": eliminate_suzuki(PrimePower(2, 3)).descriptor,
+    "g2": eliminate_g2(PrimePower(3, 1), -1).descriptor,
+    "parabolic": eliminate_parabolic_generic(
+        "e6_p16", PrimePower(3, 1)).descriptor,
+    "table3_scan": table3_scan(65, 128).descriptor,
+    "escapes": CaseDescriptor(
+        "odd", PrimePower(5, 2), 1,
+        extra={"note": 'a "quote" and q \u2264 2^\u03b1',
+               "nested": {"b": [1, -2], "a": None}}),
+}
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS.values(), ids=DESCRIPTORS.keys())
+def test_descriptor_json_is_json_dumps(desc):
+    assert "    " + _descriptor_json(desc) == dumped_at_depth(desc.to_dict(), 2)
 
 
 @pytest.mark.parametrize("reports", [
