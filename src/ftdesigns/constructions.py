@@ -3,10 +3,11 @@ complement, projective line spaces over GF(3), point-deleted line designs,
 block orbits under a group, and the bundled catalog of verified
 flag-transitive examples.
 
-Catalog entries live as data files (group generators, a base block or an
-explicit block list, and the expected parameters).  Nothing is trusted:
-loading a catalog entry rebuilds the design and the caller is expected to
-re-certify it, so a corrupted data file fails loudly.
+Each catalog entry lives as three data files: group generators, the
+expected parameters, and one base block, whose orbit under the group is the
+design.  Nothing is trusted: loading a catalog entry rebuilds the design and
+the caller is expected to re-certify it, so a corrupted data file fails
+loudly.
 """
 
 from __future__ import annotations
@@ -145,30 +146,23 @@ def catalog_names() -> list[str]:
 
 
 def catalog(name: str) -> CatalogEntry:
-    """Load a bundled example: its group, its design, and the expected
-    parameter row.  The design is rebuilt from the base block when one is
-    bundled, otherwise read directly from the block list."""
-    entry_dir = data_dir() / "catalog" / name
-    if not entry_dir.is_dir():
-        known = ", ".join(catalog_names()) or "none found"
+    """Load a bundled example, one of catalog_names(): its group, its
+    design (the orbit of the base block under the group), and the expected
+    parameter row."""
+    names = catalog_names()
+    if name not in names:
+        known = ", ".join(names) or "none found"
         raise KeyError(f"unknown catalog entry {name!r} (available: {known})")
+    entry_dir = data_dir() / "catalog" / name
     group = load_group(entry_dir / "group.json")
     with open(entry_dir / "expected.json", encoding="utf-8") as fh:
         expected_doc = json.load(fh)
     expected = Parameters(expected_doc["v"], expected_doc["b"],
                           expected_doc["r"], expected_doc["k"],
                           expected_doc["lambda"])
-    base_path = entry_dir / "base_block.json"
-    if base_path.exists():
-        with open(base_path, encoding="utf-8") as fh:
-            base_doc = json.load(fh)
-        design = orbit_design(group, base_doc["block"])
-        design = IncidenceStructure(design.v, design.blocks, name=name)
-    else:
-        with open(entry_dir / "blocks.json", encoding="utf-8") as fh:
-            blocks_doc = json.load(fh)
-        design = IncidenceStructure.from_blocks(
-            blocks_doc["v"], blocks_doc["blocks"], name=name)
-    return CatalogEntry(name, group, design, expected,
-                        expected_doc.get("socle", ""),
-                        expected_doc.get("automorphism_group", ""))
+    with open(entry_dir / "base_block.json", encoding="utf-8") as fh:
+        base_doc = json.load(fh)
+    design = orbit_design(group, base_doc["block"])
+    design = IncidenceStructure(design.v, design.blocks, name=name)
+    return CatalogEntry(name, group, design, expected, expected_doc["socle"],
+                        expected_doc["automorphism_group"])

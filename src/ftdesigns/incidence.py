@@ -50,7 +50,8 @@ class IncidenceStructure:
                 raise ValueError(f"block {block} repeats a point")
             if len(pts) < 2:
                 raise ValueError(f"block {block} has fewer than 2 points")
-            if not all(isinstance(p, int) for p in pts):
+            # a bool is an int equal to 0 or 1, but it names no point
+            if not all(type(p) is int for p in pts):
                 raise ValueError(f"block {block} has a non-integer point")
             if pts and (pts[0] < 0 or pts[-1] >= v):
                 raise ValueError(f"block {block} not a subset of 0..{v - 1}")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 __all__ = [
@@ -84,7 +85,9 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        # a bool is an int equal to 0 or 1, but it names no point
+        if (any(type(x) is not int for x in images)
+                or sorted(images) != list(range(len(images)))):
             raise ValueError("image array is not a bijection on 0..n-1")
         self.images = images
 
@@ -217,13 +220,18 @@ class PermutationGroup:
                     f"generator degree {g.degree} != group degree {degree}")
             gens.append(g)
         self.generators = tuple(gens)
-        self._identity = Permutation.identity(degree)
         self.levels: list[_Level] = []
         for beta in base_hint:
             self.levels.append(_Level(beta, self._identity))
         for g in self.generators:
             self._insert(g)
         self._close()
+
+    @cached_property
+    def _identity(self) -> Permutation:
+        """Built on first use, so a group with no chain level holds no
+        tuple of degree points."""
+        return Permutation.identity(self.degree)
 
     # -- chain construction -------------------------------------------------
 
@@ -413,7 +421,10 @@ def group_to_json(group: PermutationGroup, name: str | None = None,
 
 def group_from_json(text: str) -> PermutationGroup:
     doc = json.loads(text)
-    group = PermutationGroup(doc["degree"], doc["generators"],
+    degree = doc["degree"]
+    if type(degree) is not int or degree < 0:
+        raise ValueError(f"degree {degree!r} is not a non-negative integer")
+    group = PermutationGroup(degree, doc["generators"],
                              name=doc.get("name"))
     expected = doc.get("expected_order")
     if expected is not None and group.order() != expected:

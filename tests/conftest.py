@@ -5,6 +5,7 @@ import pytest
 from ftdesigns.perm import PermutationGroup, load_group
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "ftdesigns" / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fixture_group(name: str) -> PermutationGroup:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA
+from conftest import DATA, GOLDEN
 from ftdesigns.cli import main
+from ftdesigns.constructions import fano_complement
 from ftdesigns.elimination import FAMILIES, sweep
 from ftdesigns.incidence import IncidenceStructure, structure_to_json
 from ftdesigns.perm import canonical_json
@@ -79,6 +80,19 @@ BAD_INPUT = {
                            "--design", "{design_block_float}"],
     "design-no-blocks": ["verify", "--group", "{group}",
                          "--design", "{design_no_blocks}"],
+    # the Fano complement with its block [0, 1, 3, 6] written as
+    # [false, true, 3, 6]; True == 1, but a bool names no point
+    "design-block-bool": ["verify", "--group", "{line2_group}",
+                          "--design", "{design_block_bool}"],
+    # Sym(4) with (0 1) written as [true, false, 2, 3]
+    "group-image-bool": ["verify", "--group", "{group_image_bool}",
+                         "--design", "{design_pairs4}"],
+    # a group with no generators on 10**30 points holds no tuple of them,
+    # and the 2-(4,2,1) design is sound, so the refusal is the group's
+    "group-degree-huge": ["verify", "--group", "{group_degree_huge}",
+                          "--design", "{design_pairs4}"],
+    "group-degree-float": ["verify", "--group", "{group_degree_float}",
+                           "--design", "{design_pairs4}"],
     "out-missing-dir": ["construct", "--name", "line1_psl25",
                         "--out", "{missing}/x.json"],
     "pg-lines-7": ["construct", "--name", "pg_lines:7"],
@@ -95,6 +109,10 @@ BAD_INPUT = {
     "eliminate-g2-above-divisor-range-json": ["eliminate", "--family", "g2",
                                               "--q-min", "1000001",
                                               "--q-max", "1000100", "--json"],
+    # catalog names are the entry directories, never a path through them
+    "construct-name-path": ["construct", "--name",
+                            "line1_psl25/../line2_fano_complement"],
+    "construct-name-parent": ["construct", "--name", ".."],
     # a leading NAME=value sets an environment variable, as in a shell
     "construct-no-expected": ["FTDESIGNS_DATA={no_expected}", "construct",
                               "--name", "line1_psl25"],
@@ -131,9 +149,21 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
         "design_v_float": {"name": "d", "v": 4.0, "blocks": [[0, 1]]},
         "design_block_float": {"name": "d", "v": 4, "blocks": [[0, 1.5]]},
         "design_no_blocks": {"name": "d", "v": 4, "blocks": []},
+        "design_pairs4": {"name": "pairs4", "v": 4,
+                          "blocks": [list(p) for p in combinations(range(4), 2)]},
+        "design_block_bool": {"name": "line2_fano_complement", "v": 7,
+                              "blocks": [[False, True, 3, 6]] + [
+                                  list(b) for b in fano_complement().blocks[1:]]},
+        "group_image_bool": {"name": "s4", "degree": 4,
+                             "generators": [[1, 2, 3, 0], [True, False, 2, 3]]},
+        "group_degree_huge": {"name": "g", "degree": 10**30, "generators": []},
+        "group_degree_float": {"name": "s4", "degree": 4.0,
+                               "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]},
     }
     paths = {
         "missing": str(tmp_path / "missing"),
+        "line2_group": str(DATA / "catalog" / "line2_fano_complement"
+                           / "group.json"),
         "no_expected": corrupted_catalog(tmp_path / "no_expected",
                                          "line1_psl25", drop="expected.json"),
         "block_text": corrupted_catalog(tmp_path / "block_text",
@@ -148,6 +178,17 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def test_catalog_entry_without_socle_exit_2(capsys, monkeypatch, tmp_path):
+    root = corrupted_catalog(tmp_path, "line1_psl25")
+    path = tmp_path / "catalog" / "line1_psl25" / "expected.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["socle"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setenv("FTDESIGNS_DATA", root)
+    assert run(capsys, "catalog-list") == (
+        2, "", "error: catalog entry line1_psl25: 'socle'\n")
 
 
 def test_construct_out_of_a_block_orbit_that_is_no_design(capsys, monkeypatch,
@@ -186,6 +227,62 @@ def test_verify_huge_v_not_a_design(capsys, tmp_path, block, witness):
 def test_construct_unknown_name(capsys):
     code, _, err = run(capsys, "construct", "--name", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["line2_fano_complement", "line5_psl211"])
+def test_construct_writes_the_golden_block_list(capsys, name):
+    # the golden files are these two entries' block lists, from when the
+    # catalog stored them whole instead of as a base block
+    golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert run(capsys, "construct", "--name", name) == (0, golden, "")
+
+
+# sha256 of the stdout of `construct --name N`, computed on commit f4ac490,
+# before line2_fano_complement and line5_psl211 were stored as base blocks
+# instead of block lists.  No change to the catalog may move these bytes.
+CONSTRUCT_SHA256 = {
+    "line1_psl25":
+        "0c27a6959ed385b8137e9e709d969437456fec6e0f34230cfdd4e5f64733524c",
+    "line2_fano_complement":
+        "31848eff1b6a5824a6e68b7f2e5c182d386b85c9094b2d7c99bc7b6c711d976d",
+    "line3_psl24":
+        "4ba5947a92d1d8e1168847b81047a4d1adfc790d02a93883720c4b444c26bfb4",
+    "line4_psl29":
+        "5164bce9d9711ac1a8479db9388357420b712a07fe06402cff87891e6b5b01f1",
+    "line5_psl211":
+        "51d3f4434f7c024e67949e77628c361c2918aab534d5a702a565ab132a0d51f5",
+    "line6_psl28":
+        "8c501a4a7bee81a652573739c0ef053ff46ab6e1055e77269cb59392be0bfd4c",
+    "line7_psu33":
+        "42a150de651d049bcd0f5ae7118d7e4e343066495977eb045c135792868afa90",
+    "line8_psl28":
+        "775ea9b0b278237748bd40583c12ca4fe9d670192b35c3214d5b6b2a05176c4b",
+    "line9_psu35":
+        "ff82f6b69ea2e815b4a6b3e64274c26d8a620cec679045f8952f3c660f567f1f",
+    "line10_hs":
+        "74945a431cee1e642c9808dafb93d3dbb1946ea4454fa674ca35079cdfce8ebb",
+    "fano_complement":
+        "ee7d65236fca4fc32cb39a3a553103a292539276495e9bd7d5aba0d9555fc0f2",
+    "pg_lines:3":
+        "296762f81006b625707a55c76373c14f034ad83b5c7617b2dd439499f60dde59",
+    "pg_lines:4":
+        "2e5f8a9aecfd06c691b6d9712f6889b1fc005039d1002a7ac85013b8f2759164",
+    "pg_lines:5":
+        "e2d08b95d7665854fb41d855a85484df9638117b58b78c5da37277653daddead",
+    "derived_pg:3":
+        "d12c177879427eebc0465420d5e4a32433667d40fccf381c0041d5caf40bf173",
+    "derived_pg:4":
+        "6fd912ef72dfbe209c5b53acc7820149bd82db2b315d12bfc0985e893d2fcd0d",
+    "derived_pg:5":
+        "32d0d26fc8129b484fd31f846d4e067c6fc8ba2756e19e570f07fd0dadf9ae07",
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCT_SHA256)
+def test_construct_output_is_pinned(capsys, name):
+    code, out, err = run(capsys, "construct", "--name", name)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_SHA256[name]
 
 
 def test_construct_to_stdout_roundtrips(capsys):

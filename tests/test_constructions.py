@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import DATA
 from ftdesigns.constructions import (catalog, catalog_names, derived_design,
                                      fano_complement, fano_plane,
                                      orbit_design, pg_line_space, pg_points)
@@ -148,6 +149,19 @@ def test_catalog_names_complete():
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog("line11_m24")
+
+
+@pytest.mark.parametrize("name", ["line1_psl25/../line2_fano_complement",
+                                  "..", ".", "line1_psl25/"])
+def test_catalog_names_no_path(name):
+    with pytest.raises(KeyError, match="unknown catalog entry"):
+        catalog(name)
+
+
+def test_each_catalog_entry_is_a_group_a_row_and_a_base_block():
+    for name in catalog_names():
+        files = sorted(p.name for p in (DATA / "catalog" / name).iterdir())
+        assert files == ["base_block.json", "expected.json", "group.json"]
 
 
 def test_catalog_loads_groups_with_orders():

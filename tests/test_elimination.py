@@ -1,9 +1,9 @@
 import io
 import json
-from pathlib import Path
 
 import pytest
 
+from conftest import GOLDEN
 from ftdesigns.arith import PrimePower, ppart, prime_powers
 from ftdesigns.design import Parameters, admissibility_violations, \
     enumerate_candidates
@@ -18,8 +18,6 @@ from ftdesigns.elimination import (PARABOLIC_ROW_INDEX, PARABOLIC_ROWS,
                                    eliminate_parabolic_generic, eliminate_ree,
                                    eliminate_suzuki, sweep, table3_scan,
                                    write_json)
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_suzuki_q8():

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import DATA
+from conftest import GOLDEN
 from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
                                      orbit_design)
 from ftdesigns.design import Parameters
@@ -145,7 +145,7 @@ def test_flag_count_identity():
 
 
 def test_structure_json_roundtrip_is_byte_stable():
-    path = DATA / "catalog" / "line2_fano_complement" / "blocks.json"
+    path = GOLDEN / "line2_fano_complement.json"
     text = path.read_text(encoding="utf-8")
     design = structure_from_json(text)
     assert structure_to_json(design, name=json.loads(text)["name"]) == text

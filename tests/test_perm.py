@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -176,6 +177,39 @@ def test_group_json_order_mismatch_rejected(tmp_path):
     path.write_text(canonical_json(doc))
     with pytest.raises(ValueError):
         load_group(path)
+
+
+@pytest.mark.parametrize("degree", [4.0, True, -1, "4"],
+                         ids=["float", "bool", "negative", "text"])
+def test_group_json_degree_is_a_non_negative_integer(degree):
+    with pytest.raises(ValueError):
+        group_from_json(json.dumps(
+            {"name": "g", "degree": degree, "generators": []}))
+
+
+def test_permutation_images_are_no_bools():
+    # True == 1 and False == 0, so [True, False] would pass as (0 1)
+    with pytest.raises(ValueError):
+        Permutation([True, False])
+    with pytest.raises(ValueError):
+        build_group(4, [[1, 2, 3, 0], [True, False, 2, 3]])
+
+
+def test_load_group_memory_follows_the_file(tmp_path):
+    # A 50-byte file names 3 * 10**6 points.  With no generators the chain
+    # has no level, so no identity of that degree is built; building it
+    # eagerly peaked at about 120 MB.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "g", "degree": 3 * 10**6,
+                                "generators": []}))
+    tracemalloc.start()
+    try:
+        group = load_group(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (group.degree, group.order()) == (3 * 10**6, 1)
+    assert peak < 1_000_000
 
 
 def test_random_element_uniform_membership(psu3_3):

@@ -3,10 +3,13 @@
 
 Every group is constructed from first principles (finite-field actions,
 conjugation actions, coset/orbit actions, and structure-automorphism
-searches) and every base block is found by an exhaustive or a seeded random
-search.  Nothing is copied from external tables: each artifact is certified
-with the package's own verification battery before it is written, so a bug
-here fails loudly rather than producing bad data.
+searches).  Every design is stored as one base block: its orbit under the
+group is the whole design.  The block is taken from a direct construction
+(the least block of the Fano complement and of the biplane, whose orbits are
+asserted to reproduce them) or found by an exhaustive or a seeded random
+search.  Nothing is copied from external tables: each artifact
+is certified with the package's own verification battery before it is
+written, so a bug here fails loudly rather than producing bad data.
 
 Projective points are labelled as in constructions.pg_points: point i of
 PG(n-1, q) is the i-th vector, in lexicographic order, whose first nonzero
@@ -41,7 +44,7 @@ from ftdesigns.constructions import data_dir, fano_complement, pg_points
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignError, IncidenceStructure,
                                  is_flag_transitive, is_point_primitive,
-                                 structure_to_json, verify_2design)
+                                 verify_2design)
 from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
                             canonical_json, group_to_json, orbit)
 
@@ -447,21 +450,16 @@ def write_group(path: Path, name: str, group: PermutationGroup, rng) -> None:
 
 
 def write_entry(name: str, group: PermutationGroup, expected: Parameters,
-                socle: str, aut: str, rng, base_block=None, blocks=None):
+                socle: str, aut: str, rng, base_block):
     entry = data_dir() / "catalog" / name
     write_group(entry / "group.json", f"{name}_group", group, rng)
     (entry / "expected.json").write_text(canonical_json({
-        "name": name,
         "v": expected.v, "b": expected.b, "r": expected.r,
         "k": expected.k, "lambda": expected.lam,
         "socle": socle, "automorphism_group": aut,
     }))
-    if base_block is not None:
-        (entry / "base_block.json").write_text(
-            canonical_json({"block": sorted(base_block)}))
-    if blocks is not None:
-        (entry / "blocks.json").write_text(
-            structure_to_json(blocks, name=name))
+    (entry / "base_block.json").write_text(
+        canonical_json({"block": sorted(base_block)}))
     print(f"  wrote {name}: order {group.order()}, params {expected}")
 
 
@@ -490,9 +488,11 @@ def gen_line2(rng):
     assert group.order() == 168
     expected = Parameters(7, 7, 4, 4, 2)
     design = fano_complement()
-    assert certifies(group, design, expected)
+    found = try_block(group, design.blocks[0], expected)
+    assert found is not None and found.blocks == design.blocks
     write_entry("line2_fano_complement", group, expected,
-                "PSL(2,7) ~ PSL(3,2)", "PSL(2,7)", rng, blocks=design)
+                "PSL(2,7) ~ PSL(3,2)", "PSL(2,7)", rng,
+                base_block=design.blocks[0])
 
 
 def gen_line3(rng):
@@ -540,9 +540,10 @@ def gen_line5(rng):
     group = build_group(11, [add1, mul3, mover], name="psl2_11")
     assert group.order() == 660, group.order()
     expected = Parameters(11, 11, 5, 5, 2)
-    assert certifies(group, design, expected)
+    found = try_block(group, design.blocks[0], expected)
+    assert found is not None and found.blocks == design.blocks
     write_entry("line5_psl211", group, expected,
-                "PSL(2,11)", "PSL(2,11)", rng, blocks=design)
+                "PSL(2,11)", "PSL(2,11)", rng, base_block=design.blocks[0])
 
 
 def build_pgammal2_8():
