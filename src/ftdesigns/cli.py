@@ -98,6 +98,7 @@ def _pg_line_space(name: str) -> constructions.LinearSpace:
 
 def _cmd_construct(args) -> int:
     name = args.name
+    expected = None  # a catalog entry's parameter row
     try:
         if name == "fano_complement":
             design = constructions.fano_complement()
@@ -106,7 +107,8 @@ def _cmd_construct(args) -> int:
         elif name.startswith("derived_pg:"):
             design = constructions.derived_design(_pg_line_space(name))
         else:
-            design = constructions.catalog(name).design
+            entry = constructions.catalog(name)
+            design, expected = entry.design, entry.expected
     except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -121,6 +123,11 @@ def _cmd_construct(args) -> int:
         cert, code = _certify(design, name)
         if cert is None:
             return code
+        if expected is not None and cert.params != expected:
+            print(f"error: {name}: certified parameters {cert.params} "
+                  f"differ from the row {expected} in expected.json",
+                  file=sys.stderr)
+            return EXIT_INPUT
         print(f"wrote {name} {cert.params} to {args.out}")
     else:
         sys.stdout.write(text)

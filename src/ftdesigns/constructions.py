@@ -131,6 +131,10 @@ class CatalogEntry:
     automorphism_group: str
 
 
+# the parameter row of an entry's expected.json, in Parameters order
+_ROW_KEYS = ("v", "b", "r", "k", "lambda")
+
+
 def data_dir() -> Path:
     override = os.environ.get("FTDESIGNS_DATA")
     if override:
@@ -157,9 +161,13 @@ def catalog(name: str) -> CatalogEntry:
     group = load_group(entry_dir / "group.json")
     with open(entry_dir / "expected.json", encoding="utf-8") as fh:
         expected_doc = json.load(fh)
-    expected = Parameters(expected_doc["v"], expected_doc["b"],
-                          expected_doc["r"], expected_doc["k"],
-                          expected_doc["lambda"])
+    row = [expected_doc[key] for key in _ROW_KEYS]
+    for key, value in zip(_ROW_KEYS, row):
+        # a bool is an int equal to 0 or 1, but it counts nothing
+        if type(value) is not int:
+            raise ValueError(f"expected.json: {key} = {value!r} is not an "
+                             "integer")
+    expected = Parameters(*row)
     with open(entry_dir / "base_block.json", encoding="utf-8") as fh:
         base_doc = json.load(fh)
     design = orbit_design(group, base_doc["block"])

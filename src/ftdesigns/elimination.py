@@ -18,6 +18,7 @@ recomputed where it is used, so a report can be audited line by line.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -75,6 +76,116 @@ class Branch(NamedTuple):
         return doc
 
 
+# the lambda*v < r^2 fact of g2's branch m, with %d for m
+_G2_INEQUALITY = ("branch m=%d: lambda*v < r^2 requires "
+                  "q^3(q^3+eps)*(m*gcd)^2 < 4(q^3-eps)^2")
+
+
+class LambdaTail(NamedTuple):
+    """The divisors m of a g2 case past the first m >= 2 with lambda*v >=
+    r^2, where r = modulus/(m*g).  lambda*v < r^2 reads lhs_unit*m^2 < rhs,
+    and the left side grows with m, so every one of them fails it: each m
+    stands for one FAIL fact and one eliminated branch, built only when a
+    reader asks for it and rendered in bulk from one template per case."""
+
+    ms: tuple[int, ...]
+    lhs_unit: int
+    rhs: int
+    too_large: str  # the reason's prefix, free of %; r^2 follows
+    modulus: int
+    g: int
+
+    def fact(self, m: int) -> Fact:
+        return Fact(_G2_INEQUALITY % m, (self.lhs_unit * m * m, self.rhs),
+                    False)
+
+    def branch(self, m: int) -> Branch:
+        r = self.modulus // (m * self.g)
+        return Branch(f"m={m}", "eliminated", self.too_large + str(r * r))
+
+    # Each renderer fills one %-template per m: m, then the one integer of
+    # the record that varies with m.
+
+    def _facts(self, template: str, sep: str) -> str:
+        lhs_unit = self.lhs_unit
+        return sep.join([template % (m, lhs_unit * m * m) for m in self.ms])
+
+    def _branches(self, template: str, sep: str) -> str:
+        modulus, g = self.modulus, self.g
+        return sep.join([template % (m, (modulus // (m * g)) ** 2)
+                         for m in self.ms])
+
+    def fact_text(self) -> str:
+        return self._facts("  [FAIL] " + _G2_INEQUALITY + "   [%d, "
+                           + str(self.rhs) + "]", "\n")
+
+    def branch_text(self) -> str:
+        return self._branches("  branch m=%d: eliminated -- "
+                              + self.too_large + "%d", "\n")
+
+    def fact_json(self) -> str:
+        return self._facts(
+            '      {\n        "ok": false,\n        "statement": '
+            + encode_basestring_ascii(_G2_INEQUALITY)
+            + ',\n        "values": [\n          %d,\n          '
+            + repr(self.rhs) + "\n        ]\n      }", ",\n")
+
+    def branch_json(self) -> str:
+        return self._branches(
+            '      {\n        "label": "m=%d",\n        "reason": '
+            + encode_basestring_ascii(self.too_large + "%d")
+            + ',\n        "verdict": "eliminated"\n      }', ",\n")
+
+
+class TailedRecords(Sequence):
+    """A g2 report's facts or branches: a head tuple, then one record per
+    divisor of its `LambdaTail`, built on access.  Read-only; it has the
+    length, order, indexing and equality of the expanded tuple.  A report's
+    facts and branches are both TailedRecords over one tail, or neither is.
+
+    Renderers test for it with `type(...) is TailedRecords`: Sequence makes
+    isinstance an ABC check, about ten times slower, and every report of
+    every family goes through these tests."""
+
+    __slots__ = ("head", "tail", "_record")
+
+    def __init__(self, head: tuple, tail: LambdaTail, record) -> None:
+        self.head = head
+        self.tail = tail
+        self._record = record  # tail.fact or tail.branch
+
+    def __len__(self) -> int:
+        return len(self.head) + len(self.tail.ms)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("record index out of range")
+        split = len(self.head)
+        if index < split:
+            return self.head[index]
+        return self._record(self.tail.ms[index - split])
+
+    def __iter__(self):
+        yield from self.head
+        yield from map(self._record, self.tail.ms)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, TailedRecords)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"TailedRecords({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class CaseDescriptor:
     family: str
@@ -99,12 +210,15 @@ class CaseDescriptor:
 class CaseReport:
     descriptor: CaseDescriptor
     hypotheses: tuple[str, ...]
-    facts: tuple[Fact, ...]
-    branches: tuple[Branch, ...]
+    facts: Sequence[Fact]
+    branches: Sequence[Branch]
 
     @property
     def verdict(self) -> str:
-        kinds = {branch.verdict for branch in self.branches}
+        branches = self.branches
+        if type(branches) is TailedRecords:
+            branches = branches.head  # a tail holds only eliminated branches
+        kinds = {branch.verdict for branch in branches}
         if "candidate" in kinds:
             return "candidate"
         if "flagged" in kinds:
@@ -137,16 +251,23 @@ class CaseReport:
         lines = [f"case {head}"]
         for hyp in self.hypotheses:
             lines.append(f"  hypothesis: {hyp}")
-        for fact in self.facts:
+        facts, branches, tail = self.facts, self.branches, None
+        if type(facts) is TailedRecords:
+            facts, branches, tail = facts.head, branches.head, facts.tail
+        for fact in facts:
             mark = "ok " if fact.ok else "FAIL"
             vals = ", ".join(str(x) for x in fact.values)
             lines.append(f"  [{mark}] {fact.statement}   [{vals}]")
-        for branch in self.branches:
+        if tail is not None:
+            lines.append(tail.fact_text())
+        for branch in branches:
             lines.append(f"  branch {branch.label}: {branch.verdict} -- {branch.reason}")
             if branch.params is not None:
                 lines.append(f"    parameters {branch.params}")
             if branch.reference is not None:
                 lines.append(f"    closed by: {branch.reference}")
+        if tail is not None:
+            lines.append(tail.branch_text())
         lines.append(f"  verdict: {self.verdict}")
         return "\n".join(lines)
 
@@ -219,13 +340,19 @@ def _descriptor_json(desc: CaseDescriptor) -> str:
 
 
 def _report_json(report: CaseReport) -> str:
+    facts, branches, tail = report.facts, report.branches, None
+    if type(facts) is TailedRecords:
+        facts, branches, tail = facts.head, branches.head, facts.tail
+    fact_items = list(map(_fact_json, facts))
+    branch_items = list(map(_branch_json, branches))
+    if tail is not None:
+        fact_items.append(tail.fact_json())
+        branch_items.append(tail.branch_json())
     hypotheses = ["      " + encode_basestring_ascii(hyp)
                   for hyp in report.hypotheses]
-    return ('  {\n    "branches": '
-            + _report_list(list(map(_branch_json, report.branches)))
+    return ('  {\n    "branches": ' + _report_list(branch_items)
             + ',\n    "descriptor": ' + _descriptor_json(report.descriptor)
-            + ',\n    "facts": '
-            + _report_list(list(map(_fact_json, report.facts)))
+            + ',\n    "facts": ' + _report_list(fact_items)
             + ',\n    "hypotheses": ' + _report_list(hypotheses)
             + ',\n    "verdict": ' + encode_basestring_ascii(report.verdict)
             + "\n  }")
@@ -359,7 +486,10 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     m >= 1.  Walks every divisor m, applying in order: the lambda*v < r^2
     inequality (decisive for m >= 2), nontriviality, k <= r, b-integrality
     (the q^3 + 4 | 120 kill for even q, eps = +, m = 1), the symmetric
-    embedding criterion r = k + lambda, and full admissibility."""
+    embedding criterion r = k + lambda, and full admissibility.  The
+    inequality's left side grows with m, so from the first m >= 2 that fails
+    it every divisor does: that tail is kept as one `LambdaTail`, and the
+    report's facts and branches expand it on access."""
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     if not _g2_q(q):
@@ -382,19 +512,19 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
              (modulus, g), True),
     ]
     branches = []
-    for m in divisors(modulus // g):
-        label = f"m={m}"
-        r = modulus // (m * g)
+    ms = divisors(modulus // g)
+    tail = None
+    for i, m in enumerate(ms):
         lhs = lhs_unit * m * m
         inequality_ok = lhs < rhs
-        facts.append(Fact(
-            f"branch {label}: lambda*v < r^2 requires "
-            "q^3(q^3+eps)*(m*gcd)^2 < 4(q^3-eps)^2",
-            (lhs, rhs), inequality_ok))
         if m >= 2 and not inequality_ok:
-            branches.append(Branch(
-                label, "eliminated", too_large + str(r * r)))
-            continue
+            # lhs grows with m, so this m and every later one fail too
+            tail = LambdaTail(tuple(ms[i:]), lhs_unit, rhs, too_large,
+                              modulus, g)
+            break
+        label = f"m={m}"
+        r = modulus // (m * g)
+        facts.append(Fact(_G2_INEQUALITY % m, (lhs, rhs), inequality_ok))
         if twice_v1 % r != 0:
             branches.append(Branch(
                 label, "eliminated",
@@ -445,9 +575,13 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
         else:
             branches.append(Branch(
                 label, "candidate", "arithmetic survivor", params=params))
+    facts, branches = tuple(facts), tuple(branches)
+    if tail is not None:
+        facts = TailedRecords(facts, tail, tail.fact)
+        branches = TailedRecords(branches, tail, tail.branch)
     return CaseReport(
         CaseDescriptor("g2_a2eps", q, epsilon), (EVEN_R_HYPOTHESIS,),
-        tuple(facts), tuple(branches))
+        facts, branches)
 
 
 # -- E6(q) with maximal parabolic stabilizers P1 and P3 ----------------------

@@ -122,17 +122,31 @@ BAD_INPUT = {
                              "--name", "line1_psl25"],
     "catalog-list-block-text": ["FTDESIGNS_DATA={block_text}",
                                 "catalog-list"],
+    # True == 1 and "10" reads as ten, but neither is a JSON integer
+    "catalog-list-row-v-bool": ["FTDESIGNS_DATA={row_v_bool}",
+                                "catalog-list"],
+    "construct-row-b-text": ["FTDESIGNS_DATA={row_b_text}", "construct",
+                             "--name", "line1_psl25"],
+    # the design certifies as (6,10,5,3,2), and the row says b = 11
+    "construct-out-row-off-by-one": ["FTDESIGNS_DATA={row_off_by_one}",
+                                     "construct", "--name", "line1_psl25",
+                                     "--out", "{out}"],
 }
 
 
-def corrupted_catalog(root, entry, base_block=None, drop=None):
+def corrupted_catalog(root, entry, base_block=None, drop=None, row=None):
     """A data directory holding one copy of a bundled catalog entry, with its
-    base block replaced or one of its files deleted."""
+    base block replaced, keys of its expected.json overwritten by `row`, or
+    one of its files deleted."""
     entry_dir = root / "catalog" / entry
     shutil.copytree(DATA / "catalog" / entry, entry_dir)
     if base_block is not None:
         (entry_dir / "base_block.json").write_text(
             json.dumps({"block": base_block}))
+    if row is not None:
+        path = entry_dir / "expected.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**doc, **row}), encoding="utf-8")
     if drop is not None:
         (entry_dir / drop).unlink()
     return str(root)
@@ -168,6 +182,13 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
                                          "line1_psl25", drop="expected.json"),
         "block_text": corrupted_catalog(tmp_path / "block_text",
                                         "line1_psl25", base_block=[0, "a"]),
+        "row_v_bool": corrupted_catalog(tmp_path / "row_v_bool",
+                                        "line1_psl25", row={"v": True}),
+        "row_b_text": corrupted_catalog(tmp_path / "row_b_text",
+                                        "line1_psl25", row={"b": "10"}),
+        "row_off_by_one": corrupted_catalog(tmp_path / "row_off_by_one",
+                                            "line1_psl25", row={"b": 11}),
+        "out": str(tmp_path / "out.json"),
     }
     for stem, doc in docs.items():
         paths[stem] = str(tmp_path / f"{stem}.json")
@@ -177,7 +198,7 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
         monkeypatch.setenv(*argv.pop(0).split("=", 1))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_catalog_entry_without_socle_exit_2(capsys, monkeypatch, tmp_path):
@@ -391,6 +412,26 @@ def test_eliminate_output_is_pinned(capsys, family, as_json):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         ELIMINATE_SHA256[family, as_json]
+
+
+# sha256 of the stdout of `eliminate --family g2 --q-min 2 --q-max 4096`,
+# text and --json, the benchmark's window, computed on commit dd02eba.
+# Beside ELIMINATE_SHA256, these pin the lambda*v >= r^2 tail of every g2
+# case up to q = 4096.
+ELIMINATE_G2_4096_SHA256 = {
+    False: "37dcfc58b9b66c51d0f7c64e62cc106a48c46607ce3f6f89f2c31b81151901b5",
+    True: "abf0fd6b0fcf1e051f5de3c3c78c308e03cdc3db365fa2f11513f00967c5ba30",
+}
+
+
+@pytest.mark.parametrize("as_json", ELIMINATE_G2_4096_SHA256,
+                         ids=["text", "json"])
+def test_eliminate_g2_benchmark_window_is_pinned(capsys, as_json):
+    argv = ["eliminate", "--family", "g2", "--q-min", "2", "--q-max", "4096"]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ELIMINATE_G2_4096_SHA256[as_json]
 
 
 def test_eliminate_unknown_family(capsys):

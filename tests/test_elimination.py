@@ -1,19 +1,22 @@
 import io
 import json
+from math import gcd
 
 import pytest
 
 from conftest import GOLDEN
-from ftdesigns.arith import PrimePower, ppart, prime_powers
+from ftdesigns.arith import PrimePower, divisors, ppart, prime_powers
 from ftdesigns.design import Parameters, admissibility_violations, \
-    enumerate_candidates
-from ftdesigns.elimination import (PARABOLIC_ROW_INDEX, PARABOLIC_ROWS,
-                                   REE_UNITAL_REFERENCE, Branch,
+    embeds_symmetric, enumerate_candidates
+from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROW_INDEX,
+                                   PARABOLIC_ROWS, REE_UNITAL_REFERENCE,
+                                   SU3_STABILIZER_REFERENCE,
+                                   SYMMETRIC_EMBED_REFERENCE, Branch,
                                    CaseDescriptor, CaseReport, Fact,
                                    ParabolicRow, TableDataError,
-                                   _branch_json, _descriptor_json,
-                                   _fact_json,
-                                   eliminate_e6, eliminate_g2,
+                                   TailedRecords, _branch_json,
+                                   _descriptor_json, _fact_json,
+                                   _report_json, eliminate_e6, eliminate_g2,
                                    eliminate_nonparabolic_bound,
                                    eliminate_parabolic_generic, eliminate_ree,
                                    eliminate_suzuki, sweep, table3_scan,
@@ -95,6 +98,147 @@ def test_g2_q4_minus_flagged_branches():
     sym = next(b for b in report.branches
                if b.reference and "symmetric" in b.reference)
     assert sym.params == Parameters(2016, 2080, 65, 63, 2)
+
+
+def reference_g2(q: PrimePower, eps: int) -> tuple[tuple, tuple]:
+    """The facts and branches of a g2 case, one record per divisor m, as
+    eliminate_g2 built them before it kept its lambda*v >= r^2 tail as one
+    record."""
+    qq = q.q
+    g = gcd(2, qq - 1)
+    q3 = qq**3
+    v = q3 * (q3 + eps) // 2
+    modulus = 2 * (q3 - eps)
+    twice_v1 = 2 * (v - 1)
+    lhs_unit = q3 * (q3 + eps) * g * g
+    rhs = 4 * (q3 - eps) ** 2
+    facts = [
+        Fact("v = q^3(q^3 + eps)/2", (v,), True),
+        Fact("r*m*gcd(2, q-1) = 2(q^3 - eps) for a positive integer m",
+             (modulus, g), True),
+    ]
+    branches = []
+    for m in divisors(modulus // g):
+        label = f"m={m}"
+        r = modulus // (m * g)
+        lhs = lhs_unit * m * m
+        facts.append(Fact(
+            f"branch {label}: lambda*v < r^2 requires "
+            "q^3(q^3+eps)*(m*gcd)^2 < 4(q^3-eps)^2", (lhs, rhs), lhs < rhs))
+        if m >= 2 and lhs >= rhs:
+            branches.append(Branch(
+                label, "eliminated", f"lambda*v = {2 * v} >= r^2 = {r * r}"))
+            continue
+        if twice_v1 % r != 0:
+            branches.append(Branch(
+                label, "eliminated",
+                f"k - 1 = 2(v-1)/r = {twice_v1}/{r} is not an integer"))
+            continue
+        k = 1 + twice_v1 // r
+        if not 2 < k < v - 1:
+            branches.append(Branch(
+                label, "eliminated", f"k = {k} is a trivial block size"))
+            continue
+        if k > r:
+            facts.append(Fact(
+                f"branch {label}: k <= r requires {k} <= {r}", (k, r), False))
+            branches.append(Branch(
+                label, "eliminated", f"k = {k} exceeds r = {r}"))
+            continue
+        if eps == 1 and qq % 2 == 0 and m == 1:
+            divisor = q3 + 4
+            facts.append(Fact(
+                f"branch {label}: b integral requires q^3 + 4 | 120",
+                (divisor, 120 % divisor), 120 % divisor == 0))
+        if (v * r) % k != 0:
+            branches.append(Branch(
+                label, "eliminated",
+                f"b = vr/k = {v}*{r}/{k} is not an integer"))
+            continue
+        params = Parameters(v, v * r // k, r, k, 2)
+        symmetric = embeds_symmetric(params)
+        if symmetric is not None:
+            facts.append(Fact(
+                f"branch {label}: r = k + lambda, extends to a symmetric "
+                "design with parameters (v+k+2, k+2, 2)", symmetric, True))
+            branches.append(Branch(
+                label, "flagged", "arithmetic survivor with r = k + lambda",
+                reference=SYMMETRIC_EMBED_REFERENCE, params=params))
+            continue
+        violations = admissibility_violations(params)
+        if violations:
+            branches.append(Branch(
+                label, "eliminated", "; ".join(violations), params=params))
+        elif m == 1 and eps == -1 and qq % 2 == 0:
+            branches.append(Branch(
+                label, "flagged", "arithmetic survivor",
+                reference=SU3_STABILIZER_REFERENCE, params=params))
+        else:
+            branches.append(Branch(
+                label, "candidate", "arithmetic survivor", params=params))
+    return tuple(facts), tuple(branches)
+
+
+def test_g2_tail_expands_to_the_per_divisor_records():
+    for q in prime_powers(3, 4096):
+        for eps in (1, -1):
+            report = eliminate_g2(q, eps)
+            facts, branches = reference_g2(q, eps)
+            tuple_report = CaseReport(report.descriptor, report.hypotheses,
+                                      facts, branches)
+            where = (q.q, eps)
+            assert list(report.facts) == list(facts), where
+            assert list(report.branches) == list(branches), where
+            assert (len(report.facts), len(report.branches)) == \
+                (len(facts), len(branches)), where
+            assert report.verdict == tuple_report.verdict, where
+            assert report.flagged() == tuple_report.flagged(), where
+            assert report.candidates() == tuple_report.candidates(), where
+            # the tail is a suffix of both: the records held one by one are
+            # the reference's first ones, and the rest are lambda*v >= r^2
+            # kills from the first m >= 2 on
+            assert isinstance(report.facts, TailedRecords), where
+            head = report.branches.head
+            tail = report.branches.tail
+            assert report.facts.tail is tail
+            assert branches[:len(head)] == head, where
+            assert facts[:len(report.facts.head)] == report.facts.head, where
+            assert len(facts) - len(report.facts.head) == len(tail.ms), where
+            assert tail.ms[0] >= 2 and all(
+                b.reason.startswith("lambda*v = ")
+                for b in branches[len(head):]), where
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 64, 243, 1024, 4096])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_g2_report_reads_and_renders_as_its_tuples(q, eps):
+    q = PrimePower.classify(q)
+    report = eliminate_g2(q, eps)
+    facts, branches = reference_g2(q, eps)
+    tuple_report = CaseReport(report.descriptor, report.hypotheses,
+                              facts, branches)
+    assert report == tuple_report
+    for got, want in ((report.facts, facts), (report.branches, branches)):
+        assert got == want and hash(got) == hash(want)
+        assert [got[i] for i in range(-len(want), len(want))] == \
+            list(want + want)
+        assert got[1:-1:3] == want[1:-1:3] and got[::-1] == want[::-1]
+        assert got.index(want[-1]) == len(want) - 1 and want[-1] in got
+        for index in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                got[index]
+    assert report.to_text() == tuple_report.to_text()
+    assert report.to_dict() == tuple_report.to_dict()
+    assert _report_json(report) == _report_json(tuple_report)
+
+
+def test_g2_window_totals():
+    # the benchmark's g2 window; bench/tracing.py counts these lengths
+    reports = sweep("g2", 2, 4096)
+    assert len(reports) == 1206
+    assert sum(len(r.branches) for r in reports) == 113406
+    assert sum(len(r.facts) for r in reports) == 117024
+    assert all(r.hypotheses == (EVEN_R_HYPOTHESIS,) for r in reports)
 
 
 def test_g2_rejects_bad_input():
