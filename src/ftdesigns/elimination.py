@@ -193,6 +193,9 @@ class CaseDescriptor:
     epsilon: int | None = None
     extra: dict = field(default_factory=dict)
 
+    # extra is a dict, so no descriptor can be hashed; say so in the type
+    __hash__ = None  # type: ignore[assignment]
+
     def to_dict(self) -> dict:
         doc: dict = {"family": self.family}
         if self.q is not None:
@@ -212,6 +215,9 @@ class CaseReport:
     hypotheses: tuple[str, ...]
     facts: Sequence[Fact]
     branches: Sequence[Branch]
+
+    # its descriptor cannot be hashed (see CaseDescriptor)
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def verdict(self) -> str:

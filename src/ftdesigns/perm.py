@@ -8,14 +8,25 @@ transversal for the orbit of beta_i under them.  The chain is built with the
 fixed order, new base points are the smallest moved point, and transversals
 only ever extend, so identical input always produces the identical chain.
 
-Each level also keeps the inverse of every coset representative, computed
-once when the representative is added, so sifting and Schreier generators
-never invert a permutation.  Composition is a single operator.itemgetter
-call over the image tuples.
+Inside the chain an element is a code, whose kind is chosen once per group
+from its degree.  Up to degree 256 a code is a bytes object of length 256,
+the images padded with fixed points: composing two codes is one
+bytes.translate call, with the right factor as the translation table, and
+inverting one is one bytes.maketrans call.  256 is the width of a byte; a
+larger degree has points that no byte can name, so there a code is the image
+tuple, composed by operator.itemgetter.  Only the chain's transversals, their
+inverses, the strong generators' codes and sifting see codes; everything
+outside the chain deals in Permutation objects.
+
+Each level keeps the inverse of every coset representative, computed once
+when the representative is added, so sifting and Schreier generators never
+invert.  When the transversal grows along a generator, u_delta = u_gamma * g
+for delta = g(gamma), the Schreier generator u_gamma * g * u_delta^-1 of that
+tree edge is the identity (Seress, Permutation Group Algorithms, 2003,
+Sec. 4.2), so the edge is marked verified and never sifted.
 
 The product of the basic orbit lengths is the exact group order, and sifting
-gives an exact membership test.  Degrees here stay modest (a few hundred
-points), so no effort is spent on shallow Schreier trees or randomization.
+gives an exact membership test.
 
 One accessor, stabilizer_generators, reads G_alpha, the stabilizer of the
 first base point alpha, off the chain (the strong generators fixing alpha),
@@ -29,7 +40,6 @@ point of beta's suborbit.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -66,12 +76,19 @@ def orbit(seed, generators, act, limit: int | None = None) -> set:
     return seen
 
 
+def _image(x: int, g: "Permutation") -> int:
+    return g.images[x]
+
+
 def _orbits(degree: int, generators) -> list[set[int]]:
     """Orbits on 0..degree-1, in ascending order of their least point."""
     out: list[set[int]] = []
+    seen: set[int] = set()
     for point in range(degree):
-        if not any(point in orb for orb in out):
-            out.append(orbit(point, generators, lambda x, g: g.images[x]))
+        if point not in seen:
+            orb = orbit(point, generators, _image)
+            seen |= orb
+            out.append(orb)
     return out
 
 
@@ -93,9 +110,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        p = cls.__new__(cls)
-        p.images = tuple(range(n))
-        return p
+        return _unchecked(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -115,21 +130,16 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        p = Permutation.__new__(Permutation)
+        if len(self.images) != len(other.images):
+            raise ValueError(f"cannot compose degree {len(self.images)} "
+                             f"with degree {len(other.images)}")
         if len(self.images) > 1:
-            p.images = itemgetter(*self.images)(other.images)
-        else:
-            # itemgetter(i) returns a bare item, and itemgetter() raises
-            p.images = tuple(other.images[i] for i in self.images)
-        return p
+            return _unchecked(itemgetter(*self.images)(other.images))
+        # itemgetter(i) returns a bare item, and itemgetter() raises
+        return _unchecked(tuple(other.images[i] for i in self.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        p = Permutation.__new__(Permutation)
-        p.images = tuple(inv)
-        return p
+        return _unchecked(_tuple_inverse(self.images))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -164,41 +174,51 @@ class Permutation:
         return "Permutation(%s)" % "".join(str(c) for c in cycles)
 
 
-@dataclass
+def _unchecked(images: tuple[int, ...]) -> Permutation:
+    """The Permutation with these images, which are known to be a bijection."""
+    p = Permutation.__new__(Permutation)
+    p.images = images
+    return p
+
+
+# Chain codes (see the module docstring).  A byte code is its own
+# translation table, so bytes.translate(a, b) is the code of a * b.
+_BYTE_ONE = bytes(range(256))
+
+
+def _byte_inverse(code: bytes) -> bytes:
+    return bytes.maketrans(code, _BYTE_ONE)
+
+
+def _tuple_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    # only degrees above 256 use tuple codes, so itemgetter gets >= 2 items
+    return itemgetter(*a)(b)
+
+
+def _tuple_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+    inverse = [0] * len(a)
+    for i, j in enumerate(a):
+        inverse[j] = i
+    return tuple(inverse)
+
+
 class _Level:
-    """One level of the chain: transversal[gamma] maps beta to gamma, and
-    inverses[gamma] is its inverse."""
+    """One level of the chain.  gens are its strong generators and codes
+    their codes; transversal[gamma] is the code of an element carrying beta
+    to gamma and inverses[gamma] the code of its inverse.  While the chain
+    is built, verified holds the pairs (gamma, index into gens) whose
+    Schreier generator has been sifted or is known to be the identity."""
 
-    beta: int
-    identity: InitVar[Permutation]
-    gens: list = field(default_factory=list)
-    transversal: dict = field(default_factory=dict)
-    inverses: dict = field(default_factory=dict)
-    verified: set = field(default_factory=set)
+    __slots__ = ("beta", "gens", "codes", "transversal", "inverses",
+                 "verified")
 
-    def __post_init__(self, identity: Permutation) -> None:
-        self.transversal[self.beta] = identity
-        self.inverses[self.beta] = identity
-
-    def extend_transversal(self) -> None:
-        """Grow the orbit of beta under the current generators.
-
-        Existing coset representatives are never replaced, so earlier
-        Schreier verification stays valid when generators are added.
-        """
-        frontier = sorted(self.transversal)
-        while frontier:
-            new = []
-            for gamma in frontier:
-                u = self.transversal[gamma]
-                for g in self.gens:
-                    delta = g(gamma)
-                    if delta not in self.transversal:
-                        rep = u * g
-                        self.transversal[delta] = rep
-                        self.inverses[delta] = rep.inverse()
-                        new.append(delta)
-            frontier = sorted(new)
+    def __init__(self, beta: int, one) -> None:
+        self.beta = beta
+        self.gens: list[Permutation] = []
+        self.codes: list = []
+        self.transversal = {beta: one}
+        self.inverses = {beta: one}
+        self.verified: set[tuple[int, int]] = set()
 
 
 class PermutationGroup:
@@ -220,38 +240,79 @@ class PermutationGroup:
                     f"generator degree {g.degree} != group degree {degree}")
             gens.append(g)
         self.generators = tuple(gens)
+        self._bytes = degree <= len(_BYTE_ONE)
+        self._mul = bytes.translate if self._bytes else _tuple_product
+        self._invert = _byte_inverse if self._bytes else _tuple_inverse
         self.levels: list[_Level] = []
         for beta in base_hint:
-            self.levels.append(_Level(beta, self._identity))
+            self.levels.append(_Level(beta, self._one))
         for g in self.generators:
-            self._insert(g)
+            self._insert(self._code(g.images))
         self._close()
+        for level in self.levels:
+            level.verified.clear()  # only the construction reads it
 
     @cached_property
-    def _identity(self) -> Permutation:
-        """Built on first use, so a group with no chain level holds no
-        tuple of degree points."""
-        return Permutation.identity(self.degree)
+    def _one(self):
+        """The identity's code.  Built on first use, so a group with no
+        chain level holds no tuple of degree points."""
+        return _BYTE_ONE if self._bytes else tuple(range(self.degree))
+
+    def _code(self, images: tuple[int, ...]):
+        if self._bytes:
+            return bytes(images) + _BYTE_ONE[len(images):]
+        return images
+
+    def _element(self, code) -> Permutation:
+        return _unchecked(tuple(code[:self.degree]))
 
     # -- chain construction -------------------------------------------------
 
-    def _insert(self, g: Permutation) -> bool:
-        """Register g as a strong generator at every level it stabilizes into."""
-        if g.is_identity():
-            return False
-        depth = None
-        for i, level in enumerate(self.levels):
-            if g(level.beta) != level.beta:
-                depth = i
+    def _insert(self, code) -> None:
+        """Register the element with this code as a strong generator at
+        every level it stabilizes into."""
+        if code == self._one:
+            return
+        for depth, level in enumerate(self.levels):
+            if code[level.beta] != level.beta:
                 break
-        if depth is None:
-            beta = min(i for i, j in enumerate(g.images) if i != j)
-            self.levels.append(_Level(beta, self._identity))
+        else:
+            beta = next(i for i, j in enumerate(code) if i != j)
+            self.levels.append(_Level(beta, self._one))
             depth = len(self.levels) - 1
-        for i in range(depth + 1):
-            self.levels[i].gens.append(g)
-            self.levels[i].extend_transversal()
-        return True
+        g = self._element(code)
+        for level in self.levels[:depth + 1]:
+            level.gens.append(g)
+            self._extend(level, code)
+
+    def _extend(self, level: _Level, code) -> None:
+        """Add code to level's strong generators and grow the orbit of beta.
+
+        Existing coset representatives are never replaced, so earlier
+        Schreier verification stays valid.  The orbit was closed under the
+        older generators, so the first round applies only the new one.
+        """
+        mul, invert = self._mul, self._invert
+        transversal, inverses = level.transversal, level.inverses
+        codes, verified = level.codes, level.verified
+        applied = [(len(codes), code)]
+        codes.append(code)
+        frontier = sorted(transversal)
+        while frontier:
+            new = []
+            for gamma in frontier:
+                u = transversal[gamma]
+                for gi, g in applied:
+                    delta = g[gamma]
+                    if delta not in transversal:
+                        rep = mul(u, g)
+                        transversal[delta] = rep
+                        inverses[delta] = invert(rep)
+                        # u_gamma * g * u_delta^-1 is the identity
+                        verified.add((gamma, gi))
+                        new.append(delta)
+            frontier = sorted(new)
+            applied = list(enumerate(codes))
 
     def _close(self) -> None:
         """Sift Schreier generators until every level passes."""
@@ -260,26 +321,32 @@ class PermutationGroup:
             changed = False
             for i in range(len(self.levels) - 1, -1, -1):
                 level = self.levels[i]
-                for gamma in sorted(level.transversal):
-                    u = level.transversal[gamma]
-                    for gi in range(len(level.gens)):
-                        if (gamma, gi) in level.verified:
+                one, mul = self._one, self._mul
+                transversal, inverses = level.transversal, level.inverses
+                codes, verified = level.codes, level.verified
+                for gamma in sorted(transversal):
+                    u = transversal[gamma]
+                    for gi in range(len(codes)):
+                        if (gamma, gi) in verified:
                             continue
-                        level.verified.add((gamma, gi))
-                        g = level.gens[gi]
-                        schreier = u * g * level.inverses[g(gamma)]
-                        residue = self._sift(schreier, start=i + 1)
-                        if not residue.is_identity():
+                        verified.add((gamma, gi))
+                        g = codes[gi]
+                        residue = self._sift(
+                            mul(mul(u, g), inverses[g[gamma]]), i + 1)
+                        if residue != one:
                             self._insert(residue)
                             changed = True
 
-    def _sift(self, perm: Permutation, start: int = 0) -> Permutation:
+    def _sift(self, code, start: int = 0):
+        """What is left of code after dividing out levels start.. of the
+        chain: the identity's code iff the element lies in their group."""
+        mul = self._mul
         for level in self.levels[start:]:
-            u_inverse = level.inverses.get(perm(level.beta))
+            u_inverse = level.inverses.get(code[level.beta])
             if u_inverse is None:
-                return perm
-            perm = perm * u_inverse
-        return perm
+                return code
+            code = mul(code, u_inverse)
+        return code
 
     # -- queries -------------------------------------------------------------
 
@@ -292,7 +359,7 @@ class PermutationGroup:
     def contains(self, perm: Permutation) -> bool:
         if perm.degree != self.degree:
             return False
-        return self._sift(perm).is_identity()
+        return self._sift(self._code(perm.images)) == self._one
 
     def base(self) -> tuple[int, ...]:
         return tuple(level.beta for level in self.levels)
@@ -300,7 +367,7 @@ class PermutationGroup:
     def orbit(self, point: int) -> set[int]:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        return orbit(point, self.generators, lambda x, g: g.images[x])
+        return orbit(point, self.generators, _image)
 
     def orbits(self) -> list[set[int]]:
         return _orbits(self.degree, self.generators)
@@ -349,7 +416,7 @@ class PermutationGroup:
                 # the transversal element carrying alpha to 0 moves the
                 # block onto one that contains point 0
                 to_0 = self.levels[0].transversal[0]
-                return False, frozenset(map(to_0, block))
+                return False, frozenset(to_0[x] for x in block)
         return True, None
 
     def is_primitive(self) -> bool:
@@ -381,16 +448,16 @@ class PermutationGroup:
 
     def random_element(self, rng) -> Permutation:
         """Uniform random element, via random transversal representatives."""
-        elem = self._identity
+        code = self._one
         for level in reversed(self.levels):
             gamma = rng.choice(sorted(level.transversal))
-            elem = elem * level.transversal[gamma]
-        return elem
+            code = self._mul(code, level.transversal[gamma])
+        return self._element(code)
 
     def elements(self, limit: int | None = None) -> set[Permutation]:
         """Exhaustive element set by generator closure; guard with limit."""
-        return orbit(self._identity, self.generators, Permutation.__mul__,
-                     limit)
+        return orbit(Permutation.identity(self.degree), self.generators,
+                     Permutation.__mul__, limit)
 
     def __repr__(self) -> str:
         label = self.name or "PermutationGroup"

@@ -1,5 +1,6 @@
 import io
 import json
+from collections.abc import Hashable
 from math import gcd
 
 import pytest
@@ -495,3 +496,13 @@ def test_write_json_is_json_dumps(reports):
     write_json(reports, out)
     assert out.getvalue() == json.dumps(
         [r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+
+
+def test_descriptors_and_reports_are_not_hashable():
+    # a descriptor holds a dict, so hashing one always raised TypeError
+    report = eliminate_g2(PrimePower(3, 1), -1)
+    for obj in (report, report.descriptor, CaseDescriptor("empty")):
+        assert not isinstance(obj, Hashable)
+        with pytest.raises(TypeError):
+            hash(obj)
+    assert report == eliminate_g2(PrimePower(3, 1), -1)

@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 
 from conftest import DATA, catalog_group, fixture_group
-from ftdesigns.perm import (Permutation, build_group, canonical_json,
-                            group_from_json, group_to_json, load_group)
+from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
+                            canonical_json, group_from_json, group_to_json,
+                            load_group, orbit)
 
 
 def sym4():
@@ -30,6 +31,11 @@ def test_permutation_composition():
     assert (p * q)(0) == q(p(0))
     assert (p * p.inverse()).is_identity()
     assert Permutation.from_cycles(4, [(0, 1, 2, 3)]).images == (1, 2, 3, 0)
+    # operands of different degrees have no product
+    with pytest.raises(ValueError):
+        Permutation([1, 2, 0]) * Permutation([4, 3, 2, 1, 0])
+    with pytest.raises(ValueError):
+        Permutation([4, 3, 2, 1, 0]) * Permutation([1, 2, 0])
 
 
 def test_build_group_examples():
@@ -71,6 +77,41 @@ def test_orbit():
     assert part.orbit(2) == {2}
     with pytest.raises(ValueError):
         g.orbit(9)
+
+
+def reference_orbits(degree, generators):
+    """The loop _orbits had, quadratic in the number of orbits: each point
+    is looked up in every orbit found so far."""
+    out = []
+    for point in range(degree):
+        if not any(point in orb for orb in out):
+            out.append(orbit(point, generators, lambda x, g: g.images[x]))
+    return out
+
+
+def test_orbits_match_the_reference_loop():
+    rng = random.Random(7)
+    cases = [(0, []), (1, []), (9, []), (5, [[0, 1, 2, 3, 4]])]
+    for _ in range(60):
+        n = rng.randrange(1, 30)
+        # generators that each permute the points of one random part, so
+        # most groups are intransitive
+        points = rng.sample(range(n), n)
+        cuts = sorted(rng.sample(range(1, n + 1), rng.randrange(1, n + 1)))
+        parts = [points[a:b] for a, b in zip([0] + cuts, cuts)]
+        gens = []
+        for _ in range(rng.randrange(0, 4)):
+            part = rng.choice(parts)
+            images = list(range(n))
+            for x, y in zip(part, rng.sample(part, len(part))):
+                images[x] = y
+            gens.append(images)
+        cases.append((n, gens))
+    for n, gens in cases:
+        group = build_group(n, gens)
+        assert group.orbits() == reference_orbits(n, group.generators)
+    # 20,000 orbits: the reference loop takes seconds here
+    assert PermutationGroup(20000, []).orbits() == [{x} for x in range(20000)]
 
 
 def test_stabilizer(psl2_7):
@@ -269,6 +310,30 @@ def test_catalog_chains_are_pinned():
     assert chains == CATALOG_CHAINS
 
 
+def padded(images, degree):
+    """The image tuple with fixed points added up to degree."""
+    return tuple(images) + tuple(range(len(images), degree))
+
+
+@pytest.mark.parametrize("degree", [256, 257], ids=["bytes", "tuples"])
+def test_padded_catalog_chains_are_pinned(degree):
+    """Fixed points added up to degree 256 (byte codes) or 257 (tuple codes)
+    change no catalog chain, nor a stabilizer taken at a non-base point."""
+    for name, pinned in CATALOG_CHAINS.items():
+        group = catalog_group(name)
+        big = build_group(degree, [padded(g.images, degree)
+                                   for g in group.generators])
+        assert type(big.levels[0].codes[0]) is (bytes if degree == 256
+                                                 else tuple)
+        assert (big.base(), [len(level.transversal) for level in big.levels],
+                [len(level.gens) for level in big.levels]) == pinned, name
+        point = group.degree - 1
+        assert point not in group.base()
+        assert [g.images for g in big.stabilizer_generators(point)] == [
+            padded(g.images, degree)
+            for g in group.stabilizer_generators(point)], name
+
+
 def test_base_point_stabilizer_is_read_off_the_chain(forbid_new_chains):
     """At the first base point the stabilizer generators are the chain's own,
     so subdegrees, suborbits and primitivity build no second chain."""
@@ -401,10 +466,15 @@ def test_stabilizer_matches_brute_force():
 
 
 def test_against_sympy_on_random_catalog_subgroups():
+    """Each subgroup also padded with fixed points to degree 256 (byte
+    codes) and 257 (tuple codes), and membership of random words in its
+    generators and of random permutations, most of them outside it."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     rng = random.Random(2003)
+    probe_rng = random.Random(2004)
     names = [name for name in CATALOG_CHAINS
              if name not in ("line9_psu35", "line10_hs")]
+    outside = 0
     for name in names:
         group = catalog_group(name)
         point = rng.randrange(group.degree)
@@ -412,15 +482,31 @@ def test_against_sympy_on_random_catalog_subgroups():
         for gens in ([group.random_element(rng)],
                      [group.random_element(rng) for _ in range(2)],
                      [stab.random_element(rng) for _ in range(2)]):
-            ours = build_group(group.degree, [g.images for g in gens])
-            theirs = combinatorics.PermutationGroup(
-                [combinatorics.Permutation(list(g.images)) for g in gens])
-            assert ours.order() == theirs.order()
-            assert (sorted(map(sorted, ours.orbits()))
-                    == sorted(map(sorted, theirs.orbits())))
-            if ours.is_transitive():
-                assert ours.is_primitive() == theirs.is_primitive(
-                    randomized=False)
             other = rng.randrange(group.degree)
-            assert (ours.stabilizer(other).order()
-                    == theirs.stabilizer(other).order())
+            for degree in (group.degree, 256, 257):
+                images = [padded(g.images, degree) for g in gens]
+                ours = build_group(degree, images)
+                theirs = combinatorics.PermutationGroup(
+                    [combinatorics.Permutation(list(g)) for g in images])
+                assert ours.order() == theirs.order()
+                assert (sorted(map(sorted, ours.orbits()))
+                        == sorted(map(sorted, theirs.orbits())))
+                if ours.is_transitive():
+                    assert ours.is_primitive() == theirs.is_primitive(
+                        randomized=False)
+                assert (ours.stabilizer(other).order()
+                        == theirs.stabilizer(other).order())
+                for _ in range(4):
+                    word = ours.generators[0]
+                    for _ in range(probe_rng.randrange(5)):
+                        word = word * probe_rng.choice(ours.generators)
+                    assert ours.contains(word)
+                    assert theirs.contains(
+                        combinatorics.Permutation(list(word.images)))
+                    perm = padded(probe_rng.sample(range(group.degree),
+                                                   group.degree), degree)
+                    verdict = ours.contains(Permutation(perm))
+                    assert verdict == theirs.contains(
+                        combinatorics.Permutation(list(perm)))
+                    outside += not verdict
+    assert outside >= 100
