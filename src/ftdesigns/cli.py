@@ -35,9 +35,10 @@ EXIT_INPUT = 2
 # bad JSON or a document of the wrong shape
 DATA_ERRORS = (OSError, KeyError, ValueError, TypeError)
 
-# pg_line_space(n) takes about ten times longer for each step of n: 0.34 s
-# at n = 6 and 3.8 s at n = 7 (Python 3.11, best of 3 and of 2 runs), and
-# construct --name derived_pg:6 takes about 0.9 s in all.
+# pg_line_space(n), which certifies its lines, takes about ten times longer
+# for each step of n: 0.34-0.36 s at n = 6 and 3.4-3.9 s at n = 7 (Python
+# 3.11.7 on a 2-core shared host, best of 3 and of 2 runs, in three rounds),
+# and construct --name derived_pg:6 takes 0.7-0.8 s in all.
 PG_MAX_N = 6
 
 

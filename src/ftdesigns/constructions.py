@@ -106,15 +106,21 @@ def derived_design(space: LinearSpace) -> IncidenceStructure:
 
 
 def orbit_design(group: PermutationGroup, base_block) -> IncidenceStructure:
-    """The orbit of a base block under the group, as a simple block set."""
-    block = frozenset(base_block)
+    """The orbit of a base block under the group, as a simple block set.
+
+    A base block that repeats a point is refused, not folded into a set.
+    """
+    points = list(base_block)
+    block = frozenset(points)
+    if len(block) != len(points):
+        raise ValueError(f"base block {points} repeats a point")
     if not 2 <= len(block) < group.degree:
         raise ValueError(
             f"base block size {len(block)} must be in 2..{group.degree - 1}")
     if any(not 0 <= p < group.degree for p in block):
         raise ValueError("base block is not a subset of the point set")
     blocks = orbit(block, group.generators,
-                   lambda blk, g: frozenset(g(p) for p in blk))
+                   lambda blk, g: frozenset(map(g.images.__getitem__, blk)))
     return IncidenceStructure.from_blocks(
         group.degree, [sorted(blk) for blk in blocks])
 

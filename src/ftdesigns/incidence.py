@@ -2,9 +2,12 @@
 
 verify_2design certifies the 2-design property by direct counting: uniform
 block size, uniform replication, and constant pair multiplicity over all
-C(v,2) point pairs.  The remaining checks test a supplied permutation group
-against a structure: block-multiset preservation, transitivity on flags, and
-primitivity on points.  Nothing here searches for groups; it only verifies.
+C(v,2) point pairs.  It indexes the blocks through each point once, then
+counts the pair multiplicities one point row at a time, each row in one
+C-level Counter pass over the blocks through that point.  The remaining
+checks test a supplied permutation group against a structure:
+block-multiset preservation, transitivity on flags, and primitivity on
+points.  Nothing here searches for groups; it only verifies.
 G is flag-transitive iff it is transitive on the points in blocks and the
 stabilizer G_alpha of one of them is transitive on the blocks through alpha.
 """
@@ -12,12 +15,13 @@ stabilizer G_alpha of one of them is transitive on the blocks through alpha.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .design import Parameters
-from .perm import PermutationGroup, canonical_json, orbit
+from .perm import PermutationGroup, orbit
 
 
 class DesignError(ValueError):
@@ -94,35 +98,45 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
                 "non-uniform k", i,
                 f"block {i} has size {len(block)}, expected {k}")
 
-    # Counting only the points of the blocks keeps the work at b * k for any
-    # v.  Scanning 0..v-1 then stops within b * k + 1 steps: at the first
-    # point in no block when r > 0, and at the first point in a block, which
-    # the scan starts from, when r == 0.
-    replication = Counter(point for block in blocks for point in block)
-    r = replication[0]
-    for point in range(0 if r else min(replication, default=v), v):
-        count = replication[point]
+    # Each point's blocks are indexed once, keyed by the points that lie in
+    # a block, so the work is b * k for any v.  Scanning 0..v-1 for r then
+    # stops within b * k + 1 steps: at the first point in no block when
+    # r > 0, and at the first point in a block, which the scan starts from,
+    # when r == 0.
+    through = defaultdict(list)
+    for block in blocks:
+        for point in block:
+            through[point].append(block)
+    r = len(through.get(0, ()))
+    for point in range(0 if r else min(through, default=v), v):
+        count = len(through.get(point, ()))
         if count != r:
             raise DesignError(
                 "non-uniform r", point,
                 f"point {point} lies in {count} blocks, point 0 in {r}")
 
-    pair_counts: Counter = Counter()
-    for block in blocks:
-        for pair in combinations(block, 2):
-            pair_counts[pair] += 1
-    # The pairs are scanned lazily, up to the first count that differs from
-    # that of (0, 1).  When it is positive every pair passed lies in a block,
-    # so there are at most b * k * (k - 1) / 2 of them; when it is 0, point 0
-    # (which lies in a block, as r > 0 here) meets a partner within v - 1
-    # pairs, and v <= b * k.
-    lam = pair_counts[0, 1]
-    for pair in combinations(range(v), 2):
-        if pair_counts[pair] != lam:
-            raise DesignError(
-                "non-constant lambda", pair,
-                f"pair {pair} lies in {pair_counts[pair]} blocks, "
-                f"pair (0, 1) in {lam}")
+    # Row x counts, in one C-level pass over the blocks through x, how many
+    # of them hold each other point y: the multiplicity of the pair {x, y}.
+    # A row passes when all v - 1 partners of x occur, each lam times (no
+    # partner at all when lam == 0).  Every earlier row passed, so a failing
+    # row fails at a partner y > x, and the first such y gives the first
+    # pair in combinations(range(v), 2) order whose count is not that of
+    # (0, 1).  With r > 0 the rows run only once every point lies in a
+    # block, so v <= b * k.
+    for x in range(v):
+        row = Counter(chain.from_iterable(through.get(x, ())))
+        del row[x]  # a Counter ignores a missing key
+        if x == 0:
+            lam = row[1]
+            partners = v - 1 if lam else 0
+        if len(row) == partners and set(row.values()) <= {lam}:
+            continue
+        for y in range(x + 1, v):
+            if row[y] != lam:
+                raise DesignError(
+                    "non-constant lambda", (x, y),
+                    f"pair {(x, y)} lies in {row[y]} blocks, "
+                    f"pair (0, 1) in {lam}")
     params = Parameters(v, len(blocks), r, k, lam)
     assert r * (k - 1) == lam * (v - 1) and v * r == len(blocks) * k
     return DesignCertificate(params, v * (v - 1) // 2)
@@ -181,13 +195,26 @@ def is_point_primitive(group: PermutationGroup,
     return group.primitivity()[0]
 
 
+def _block_json(block) -> str:
+    if not block:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(repr, block)) + "\n    ]"
+
+
 def structure_to_json(structure: IncidenceStructure,
                       name: str | None = None) -> str:
-    return canonical_json({
-        "name": name or structure.name or "design",
-        "v": structure.v,
-        "blocks": [list(block) for block in structure.blocks],
-    })
+    """The design file: byte for byte what canonical_json writes for
+    {"name": ..., "v": ..., "blocks": [...]}, from a fixed template, as
+    json's pure-Python indenting encoder is slow on thousands of blocks.
+    Keys come in sorted order, ints by repr and the name through
+    encode_basestring_ascii."""
+    blocks = structure.blocks
+    blocks_text = ("[\n    " + ",\n    ".join(map(_block_json, blocks))
+                   + "\n  ]") if blocks else "[]"
+    return ('{\n  "blocks": ' + blocks_text
+            + ',\n  "name": '
+            + encode_basestring_ascii(name or structure.name or "design")
+            + ',\n  "v": ' + repr(structure.v) + "\n}\n")
 
 
 def structure_from_json(text: str) -> IncidenceStructure:

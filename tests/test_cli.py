@@ -127,6 +127,11 @@ BAD_INPUT = {
                                 "catalog-list"],
     "construct-row-b-text": ["FTDESIGNS_DATA={row_b_text}", "construct",
                              "--name", "line1_psl25"],
+    # as a set the base block is the valid [0, 1, 3, 6]
+    "construct-out-base-block-repeats": ["FTDESIGNS_DATA={block_repeats}",
+                                         "construct", "--name",
+                                         "line2_fano_complement",
+                                         "--out", "{out}"],
     # the design certifies as (6,10,5,3,2), and the row says b = 11
     "construct-out-row-off-by-one": ["FTDESIGNS_DATA={row_off_by_one}",
                                      "construct", "--name", "line1_psl25",
@@ -182,6 +187,9 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
                                          "line1_psl25", drop="expected.json"),
         "block_text": corrupted_catalog(tmp_path / "block_text",
                                         "line1_psl25", base_block=[0, "a"]),
+        "block_repeats": corrupted_catalog(
+            tmp_path / "block_repeats", "line2_fano_complement",
+            base_block=[0, 1, 3, 6, 6]),
         "row_v_bool": corrupted_catalog(tmp_path / "row_v_bool",
                                         "line1_psl25", row={"v": True}),
         "row_b_text": corrupted_catalog(tmp_path / "row_b_text",

@@ -139,6 +139,14 @@ def test_orbit_design_rejects():
         orbit_design(s4, {0, 9})
 
 
+def test_orbit_design_rejects_a_repeated_point():
+    # as a set, [0, 1, 1] is the valid block {0, 1}; the repeat is corrupt
+    # data and is not folded away
+    s4 = build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
+    with pytest.raises(ValueError, match="repeats a point"):
+        orbit_design(s4, [0, 1, 1])
+
+
 def test_catalog_names_complete():
     assert catalog_names() == [
         "line10_hs", "line1_psl25", "line2_fano_complement", "line3_psl24",

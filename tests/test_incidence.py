@@ -7,14 +7,16 @@ from itertools import combinations
 import pytest
 
 from conftest import GOLDEN
-from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
-                                     orbit_design)
+from ftdesigns.constructions import (catalog, catalog_names, derived_design,
+                                     fano_complement, orbit_design,
+                                     pg_line_space)
 from ftdesigns.design import Parameters
-from ftdesigns.incidence import (DesignError, IncidenceStructure,
+from ftdesigns.incidence import (DesignCertificate, DesignError,
+                                 IncidenceStructure,
                                  is_automorphism_group, is_flag_transitive,
                                  is_point_primitive, structure_from_json,
                                  structure_to_json, verify_2design)
-from ftdesigns.perm import build_group, orbit
+from ftdesigns.perm import build_group, canonical_json, orbit
 
 
 def pair_count_oracle(structure):
@@ -83,6 +85,138 @@ def test_verify_memory_follows_the_blocks_not_v_squared():
     assert peak < 1_000_000
 
 
+def reference_verify_2design(structure):
+    """verify_2design as it was before the row count: one Counter entry per
+    pair occurrence in a block, then a lazy scan over all point pairs."""
+    v, blocks = structure.v, structure.blocks
+    if v < 3:
+        raise ValueError(f"need at least 3 points, got {v}")
+    if not blocks:
+        raise ValueError("need at least one block")
+    k = len(blocks[0])
+    for i, block in enumerate(blocks):
+        if len(block) != k:
+            raise DesignError(
+                "non-uniform k", i,
+                f"block {i} has size {len(block)}, expected {k}")
+    replication = Counter(point for block in blocks for point in block)
+    r = replication[0]
+    for point in range(0 if r else min(replication, default=v), v):
+        count = replication[point]
+        if count != r:
+            raise DesignError(
+                "non-uniform r", point,
+                f"point {point} lies in {count} blocks, point 0 in {r}")
+    pair_counts = Counter()
+    for block in blocks:
+        for pair in combinations(block, 2):
+            pair_counts[pair] += 1
+    lam = pair_counts[0, 1]
+    for pair in combinations(range(v), 2):
+        if pair_counts[pair] != lam:
+            raise DesignError(
+                "non-constant lambda", pair,
+                f"pair {pair} lies in {pair_counts[pair]} blocks, "
+                f"pair (0, 1) in {lam}")
+    return DesignCertificate(Parameters(v, len(blocks), r, k, lam),
+                             v * (v - 1) // 2)
+
+
+def verify_outcome(verify, structure):
+    """The certificate, or what the failure says and where."""
+    try:
+        return verify(structure)
+    except DesignError as exc:
+        return exc.kind, exc.witness, str(exc)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def random_raw_structure(rng):
+    """Sorted blocks of distinct points, put into the dataclass directly, so
+    blocks may be empty or have one point.  Blocks are random subsets, a
+    block orbit under the cyclic shift (uniform r), or all k-subsets of a
+    point set (a 2-design), which may leave points out; then some blocks
+    may be repeated, and one dropped."""
+    v = rng.randrange(1, 10)
+    how = rng.randrange(4)
+    if how == 0:
+        blocks = [rng.sample(range(v), rng.randrange(v + 1))
+                  for _ in range(rng.randrange(6))]
+    elif how == 1:
+        k = rng.randrange(v + 1)
+        blocks = [rng.sample(range(v), k) for _ in range(rng.randrange(1, 9))]
+    elif how == 2:
+        k = rng.randrange(v + 1)
+        blocks = [[(p + s) % v for p in base]
+                  for base in (rng.sample(range(v), k)
+                               for _ in range(rng.randrange(1, 3)))
+                  for s in range(v)]
+    else:
+        support = range(v) if rng.random() < 0.7 else rng.sample(
+            range(v), rng.randrange(v + 1))
+        k = rng.randrange(len(support) + 1)
+        blocks = [list(c) for c in combinations(sorted(support), k)]
+    if blocks and rng.random() < 0.3:
+        blocks += rng.sample(blocks, rng.randrange(1, len(blocks) + 1))
+    if len(blocks) > 1 and rng.random() < 0.2:
+        del blocks[rng.randrange(len(blocks))]
+    return IncidenceStructure(v, tuple(sorted(tuple(sorted(b))
+                                              for b in blocks)))
+
+
+def test_verify_matches_the_pair_counter_on_random_structures():
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(4000):
+        structure = random_raw_structure(rng)
+        got = verify_outcome(verify_2design, structure)
+        assert got == verify_outcome(reference_verify_2design, structure), (
+            structure)
+        sizes = {len(block) for block in structure.blocks}
+        covered = {p for block in structure.blocks for p in block}
+        seen[got[0] if type(got) is tuple else "design"] += 1
+        seen["empty block"] += 0 in sizes
+        seen["1-point block"] += 1 in sizes
+        seen["repeated block"] += (len(set(structure.blocks))
+                                   < len(structure.blocks))
+        seen["point in no block"] += 0 < len(covered) < structure.v
+    assert len(seen) == 9 and min(seen.values()) >= 50, seen
+
+
+def swap_points(structure, rng):
+    """Two blocks A and B trade a point x of A - B for one of B - A, which
+    keeps k and r.  With a second point z in A - B, the pair {x, z} loses
+    the block A, so some pair count moves."""
+    blocks = list(structure.blocks)
+    for _ in range(100):
+        i, j = rng.sample(range(len(blocks)), 2)
+        a, b = set(blocks[i]), set(blocks[j])
+        if len(a - b) > 1:
+            x, y = rng.choice(sorted(a - b)), rng.choice(sorted(b - a))
+            blocks[i] = tuple(sorted(a - {x} | {y}))
+            blocks[j] = tuple(sorted(b - {y} | {x}))
+            return IncidenceStructure(structure.v, tuple(sorted(blocks)))
+    raise AssertionError("no two blocks differ in two points")
+
+
+def test_verify_matches_the_pair_counter_on_known_designs():
+    rng = random.Random(17)
+    designs = [derived_design(pg_line_space(n)) for n in (3, 4, 5)]
+    designs += [catalog(name).design for name in catalog_names()]
+    kinds = Counter()
+    for design in designs:
+        dropped = list(design.blocks)
+        del dropped[rng.randrange(len(dropped))]
+        for structure in (design, IncidenceStructure(design.v, tuple(dropped)),
+                          swap_points(design, rng)):
+            got = verify_outcome(verify_2design, structure)
+            assert got == verify_outcome(reference_verify_2design, structure)
+            kinds[got[0] if type(got) is tuple else "design"] += 1
+    assert kinds == {"design": 13, "non-uniform r": 13,
+                     "non-constant lambda": 13}
+
+
 def test_repeated_blocks_counted_with_multiplicity():
     base = fano_complement()
     doubled = IncidenceStructure.from_blocks(7, list(base.blocks) * 2)
@@ -149,6 +283,36 @@ def test_structure_json_roundtrip_is_byte_stable():
     text = path.read_text(encoding="utf-8")
     design = structure_from_json(text)
     assert structure_to_json(design, name=json.loads(text)["name"]) == text
+
+
+def reference_structure_json(structure, name=None):
+    return canonical_json({
+        "name": name or structure.name or "design",
+        "v": structure.v,
+        "blocks": [list(block) for block in structure.blocks],
+    })
+
+
+def test_structure_json_is_canonical_json():
+    rng = random.Random(29)
+    names = [None, "", "d", 'a "quoted" name', "back\\slash", "tab\there",
+             "caf\u00e9 \u03bb=2", "astral \U0001d53d", "\x00\x1f\x7f"]
+    structures = [IncidenceStructure(5, ()),
+                  IncidenceStructure(4, ((), (0,), (1, 3))),
+                  IncidenceStructure(10**30, ((0, 10**30 - 1),),
+                                     name="huge \\ \"v\""),
+                  IncidenceStructure(7, fano_complement().blocks)]
+    for _ in range(300):
+        v = rng.randrange(1, 40)
+        blocks = [rng.sample(range(v), rng.randrange(v + 1))
+                  for _ in range(rng.randrange(8))]
+        structures.append(IncidenceStructure.from_blocks(
+            v, [b for b in blocks if len(b) > 1], name=rng.choice(names)))
+    for structure in structures:
+        for name in (None, rng.choice(names)):
+            assert structure_to_json(structure, name) == \
+                reference_structure_json(structure, name)
+    assert '"name": "design"' in structure_to_json(IncidenceStructure(5, ()))
 
 
 def test_structure_validation():
