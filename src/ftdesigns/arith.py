@@ -95,11 +95,15 @@ def _rho(n: int) -> int:
             return g
 
 
+# the trial divisors of factorize
+_TRIAL_PRIMES = tuple(filter(is_prime, range(_TRIAL_LIMIT)))
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} with the primes ascending, exact
     for 1 <= n <= 10**18.
 
-    Trial division by 2, 3 and 6k +- 1 below _TRIAL_LIMIT, so every n below
+    Trial division by the primes below _TRIAL_LIMIT, so every n below
     _TRIAL_LIMIT**2 is factored by division alone.  A cofactor left over is
     split by Brent-Pollard rho until each piece passes the Miller-Rabin
     test of is_prime.
@@ -109,19 +113,18 @@ def factorize(n: int) -> dict[int, int]:
     if n > _DIVISOR_LIMIT:
         raise ValueError(f"{n} exceeds the supported factorization range")
     factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n and d < _TRIAL_LIMIT:
-        for p in (d, d + 2):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
             while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
                 n //= p
-        d += 6
-    if n < d * d:
-        # no prime below d divides n, so n is 1 or a prime
+                e += 1
+            factors[p] = e
+    if n < _TRIAL_LIMIT ** 2:
+        # no prime q with q * q <= n divides what is left of n, so it is 1
+        # or a prime
         if n > 1:
             factors[n] = 1
         return factors
@@ -238,35 +241,58 @@ def ppart(n: int, p: int) -> int:
     return part
 
 
-def cyclotomic(n: int, q: int) -> int:
-    """Exact value of the n-th cyclotomic polynomial at the integer q.
+def _cyclotomic_values(ns, q: int) -> dict[int, int]:
+    """{d: cyclotomic(d, q)} for the d in ns, ascending and closed under
+    taking divisors.
 
     Computed from q^d - 1 = prod over e | d of cyclotomic(e, q) by exact
-    division, for each divisor d of n in ascending order, so every value is
-    found once and no polynomial coefficients are ever needed.
+    division: each q^e - 1, once every proper divisor of e has been
+    divided out of it, is cyclotomic(e, q) and is divided out of q^d - 1
+    for each multiple d of e in ns.  So every value is found once and no
+    polynomial coefficients are ever needed.
     """
-    if n < 1:
-        raise ValueError(f"cyclotomic index {n} must be positive")
     if q < 2:
         raise ValueError(f"cyclotomic argument {q} must be at least 2")
-    phi: dict[int, int] = {}
+    phi = {d: q ** d - 1 for d in ns}
+    top = max(phi, default=0)
+    # a dict iterates in insertion order, and yields each value as it is
+    # when reached: ascending e, with its proper divisors divided out
+    for e, phi_e in phi.items():
+        for d in range(2 * e, top + 1, e):
+            if d in phi:
+                assert phi[d] % phi_e == 0
+                phi[d] //= phi_e
+    return phi
+
+
+def cyclotomic(n: int, q: int) -> int:
+    """Exact value of the n-th cyclotomic polynomial at the integer q."""
+    if n < 1:
+        raise ValueError(f"cyclotomic index {n} must be positive")
     # n is an exponent of q, so listing its divisors by division is cheap
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        value = q ** d - 1
-        for e, phi_e in phi.items():
-            if d % e == 0:
-                assert value % phi_e == 0
-                value //= phi_e
-        phi[d] = value
-    return phi[n]
+    return _cyclotomic_values(
+        [d for d in range(1, n + 1) if n % d == 0], q)[n]
+
+
+def cyclotomic_table(n_max: int, q: int) -> dict[int, int]:
+    """{n: cyclotomic(n, q)} for every n in 1..n_max, from one pass of the
+    same recurrence: a caller that needs several values at one q computes
+    each q^d - 1 once."""
+    return _cyclotomic_values(range(1, n_max + 1), q)
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n in ascending order."""
-    factors = factorize(n)
+    """All positive divisors of n in ascending order.
+
+    The divisors found so far times p^i, for i = 1..e, are each the layer
+    before times p, so every divisor is one C-level multiplication; one
+    in-place sort orders them.
+    """
     divs = [1]
-    for p, e in factors.items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+    for p, e in factorize(n).items():
+        layer = divs
+        for _ in range(e):
+            layer = list(map(p.__mul__, layer))
+            divs += layer
+    divs.sort()
+    return divs

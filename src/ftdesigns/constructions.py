@@ -119,10 +119,15 @@ def orbit_design(group: PermutationGroup, base_block) -> IncidenceStructure:
             f"base block size {len(block)} must be in 2..{group.degree - 1}")
     if any(not 0 <= p < group.degree for p in block):
         raise ValueError("base block is not a subset of the point set")
+    # a bool is an int equal to 0 or 1, but it names no point
+    if any(type(p) is not int for p in block):
+        raise ValueError(f"block {sorted(block)} has a non-integer point")
     blocks = orbit(block, group.generators,
                    lambda blk, g: frozenset(map(g.images.__getitem__, blk)))
-    return IncidenceStructure.from_blocks(
-        group.degree, [sorted(blk) for blk in blocks])
+    # every block is the image of the checked base block under a
+    # permutation of the points, so it needs no checks of its own
+    return IncidenceStructure(
+        group.degree, tuple(sorted([tuple(sorted(blk)) for blk in blocks])))
 
 
 # -- bundled catalog ---------------------------------------------------------

@@ -22,9 +22,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import mul
 from typing import NamedTuple, TextIO
 
-from .arith import PrimePower, cyclotomic, divisors, ppart, prime_powers
+# cyclotomic is not called here, but bench/tracing.py wraps this binding
+from .arith import (PrimePower, cyclotomic, cyclotomic_table,  # noqa: F401
+                    divisors, ppart, prime_powers)
 from .design import (Parameters, admissibility_violations, embeds_symmetric,
                      enumerate_candidates)
 
@@ -79,6 +82,24 @@ class Branch(NamedTuple):
 # the lambda*v < r^2 fact of g2's branch m, with %d for m
 _G2_INEQUALITY = ("branch m=%d: lambda*v < r^2 requires "
                   "q^3(q^3+eps)*(m*gcd)^2 < 4(q^3-eps)^2")
+# that statement around m, as text and inside a JSON string
+_G2_BEFORE_M, _G2_AFTER_M = _G2_INEQUALITY.split("%d")
+_G2_JSON_BEFORE_M, _G2_JSON_AFTER_M = encode_basestring_ascii(
+    _G2_INEQUALITY).split("%d")
+
+
+def _interleave(firsts: list[str], seconds, frame: tuple[str, str, str, str]
+                ) -> str:
+    """sep.join(before + a + between + b + after for a, b in zip(firsts,
+    seconds)) for frame = (before, between, after, sep), in one join."""
+    if not firsts:
+        return ""
+    before, between, after, sep = frame
+    parts = [None, between, None, after + sep + before] * len(firsts)
+    parts[0::4] = firsts
+    parts[2::4] = seconds
+    parts[-1] = after
+    return before + "".join(parts)
 
 
 class LambdaTail(NamedTuple):
@@ -86,12 +107,13 @@ class LambdaTail(NamedTuple):
     r^2, where r = modulus/(m*g).  lambda*v < r^2 reads lhs_unit*m^2 < rhs,
     and the left side grows with m, so every one of them fails it: each m
     stands for one FAIL fact and one eliminated branch, built only when a
-    reader asks for it and rendered in bulk from one template per case."""
+    reader asks for it and rendered in bulk, each m and the one integer of
+    its record that varies with m set into the constant text around them."""
 
     ms: tuple[int, ...]
     lhs_unit: int
     rhs: int
-    too_large: str  # the reason's prefix, free of %; r^2 follows
+    too_large: str  # the reason's prefix; r^2 follows
     modulus: int
     g: int
 
@@ -103,38 +125,37 @@ class LambdaTail(NamedTuple):
         r = self.modulus // (m * self.g)
         return Branch(f"m={m}", "eliminated", self.too_large + str(r * r))
 
-    # Each renderer fills one %-template per m: m, then the one integer of
-    # the record that varies with m.
+    def _render(self, fact_frame, branch_frame) -> tuple[str, str]:
+        """The fact and the branch records, each set into its frame (see
+        _interleave), with the decimal digits of every m computed once."""
+        ms = self.ms
+        digits = list(map(str, ms))
+        lhs = map(self.lhs_unit.__mul__, map(mul, ms, ms))
+        rs = list(map((self.modulus // self.g).__floordiv__, ms))
+        return (_interleave(digits, map(str, lhs), fact_frame),
+                _interleave(digits, map(str, map(mul, rs, rs)), branch_frame))
 
-    def _facts(self, template: str, sep: str) -> str:
-        lhs_unit = self.lhs_unit
-        return sep.join([template % (m, lhs_unit * m * m) for m in self.ms])
+    def text(self) -> tuple[str, str]:
+        """The fact lines and the branch lines, as CaseReport.to_text
+        writes them."""
+        return self._render(
+            ("  [FAIL] " + _G2_BEFORE_M, _G2_AFTER_M + "   [",
+             ", " + str(self.rhs) + "]", "\n"),
+            ("  branch m=", ": eliminated -- " + self.too_large, "", "\n"))
 
-    def _branches(self, template: str, sep: str) -> str:
-        modulus, g = self.modulus, self.g
-        return sep.join([template % (m, (modulus // (m * g)) ** 2)
-                         for m in self.ms])
-
-    def fact_text(self) -> str:
-        return self._facts("  [FAIL] " + _G2_INEQUALITY + "   [%d, "
-                           + str(self.rhs) + "]", "\n")
-
-    def branch_text(self) -> str:
-        return self._branches("  branch m=%d: eliminated -- "
-                              + self.too_large + "%d", "\n")
-
-    def fact_json(self) -> str:
-        return self._facts(
-            '      {\n        "ok": false,\n        "statement": '
-            + encode_basestring_ascii(_G2_INEQUALITY)
-            + ',\n        "values": [\n          %d,\n          '
-            + repr(self.rhs) + "\n        ]\n      }", ",\n")
-
-    def branch_json(self) -> str:
-        return self._branches(
-            '      {\n        "label": "m=%d",\n        "reason": '
-            + encode_basestring_ascii(self.too_large + "%d")
-            + ',\n        "verdict": "eliminated"\n      }', ",\n")
+    def json(self) -> tuple[str, str]:
+        """The facts and the branches as list items at depth 3 (see the
+        JSON templates below)."""
+        return self._render(
+            ('      {\n        "ok": false,\n        "statement": '
+             + _G2_JSON_BEFORE_M,
+             _G2_JSON_AFTER_M + ',\n        "values": [\n          ',
+             ",\n          " + repr(self.rhs) + "\n        ]\n      }",
+             ",\n"),
+            ('      {\n        "label": "m=',
+             '",\n        "reason": '
+             + encode_basestring_ascii(self.too_large)[:-1],
+             '",\n        "verdict": "eliminated"\n      }', ",\n"))
 
 
 class TailedRecords(Sequence):
@@ -257,23 +278,25 @@ class CaseReport:
         lines = [f"case {head}"]
         for hyp in self.hypotheses:
             lines.append(f"  hypothesis: {hyp}")
-        facts, branches, tail = self.facts, self.branches, None
+        facts, branches = self.facts, self.branches
+        fact_tail = branch_tail = None
         if type(facts) is TailedRecords:
-            facts, branches, tail = facts.head, branches.head, facts.tail
+            fact_tail, branch_tail = facts.tail.text()
+            facts, branches = facts.head, branches.head
         for fact in facts:
             mark = "ok " if fact.ok else "FAIL"
-            vals = ", ".join(str(x) for x in fact.values)
+            vals = ", ".join(map(str, fact.values))
             lines.append(f"  [{mark}] {fact.statement}   [{vals}]")
-        if tail is not None:
-            lines.append(tail.fact_text())
+        if fact_tail is not None:
+            lines.append(fact_tail)
         for branch in branches:
             lines.append(f"  branch {branch.label}: {branch.verdict} -- {branch.reason}")
             if branch.params is not None:
                 lines.append(f"    parameters {branch.params}")
             if branch.reference is not None:
                 lines.append(f"    closed by: {branch.reference}")
-        if tail is not None:
-            lines.append(tail.branch_text())
+        if branch_tail is not None:
+            lines.append(branch_tail)
         lines.append(f"  verdict: {self.verdict}")
         return "\n".join(lines)
 
@@ -283,9 +306,10 @@ class CaseReport:
 # Facts and branches are nearly all of the objects in a JSON report list, so
 # each has a fixed template rather than a trip through json's pure-Python
 # indenting encoder, which took most of the time of `eliminate --json`; so
-# has the descriptor, all but its free-form `extra`.  A template sits at its
-# depth in the list: a report at depth 1, its descriptor at depth 2, a fact
-# or branch at depth 3, its values or params at depth 5.  Keys come in sorted
+# has the descriptor, and its `extra` when that is a flat dict of strings
+# and ints, as every bundled case's is.  A template sits at its depth in the
+# list: a report at depth 1, its descriptor at depth 2, its extra, a fact or
+# a branch at depth 3, values or params at depth 5.  Keys come in sorted
 # order, ints by repr, bools as true/false and strings through
 # encode_basestring_ascii, as json.dumps(..., indent=2, sort_keys=True)
 # writes them.  The templates are plain string concatenation: a quote or
@@ -319,17 +343,31 @@ def _branch_json(branch: Branch) -> str:
             + encode_basestring_ascii(branch.verdict) + "\n      }")
 
 
-def _report_list(items: list[str]) -> str:
+def _json_list(items: list[str], more: bool = False) -> str:
     """The value of a list-valued key of a report, from its items rendered
-    at depth 3."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n    ]"
+    at depth 3; with more, only its text up to the items that follow."""
+    if more:
+        return "[\n" + "".join([item + ",\n" for item in items])
+    return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
+
+
+def _extra_json(extra: dict) -> str:
+    """A descriptor's `extra` at depth 3.  A dict of str keys and str or
+    int values has a template; any other goes through json.dumps."""
+    items = extra.items()
+    if not all(type(key) is str and type(value) in (str, int)
+               for key, value in items):
+        return json.dumps(dict(extra), indent=2, sort_keys=True).replace(
+            "\n", "\n      ")
+    return "{\n        " + ",\n        ".join([
+        encode_basestring_ascii(key) + ": "
+        + (encode_basestring_ascii(value) if type(value) is str
+           else repr(value))
+        for key, value in sorted(items)]) + "\n      }"
 
 
 def _descriptor_json(desc: CaseDescriptor) -> str:
-    """The descriptor at depth 2.  Only the free-form `extra` goes through
-    json.dumps, indented to its depth 3."""
+    """The descriptor at depth 2."""
     text = "{"
     q = desc.q
     if q is not None:
@@ -337,31 +375,41 @@ def _descriptor_json(desc: CaseDescriptor) -> str:
     if desc.epsilon is not None:
         text += '\n      "epsilon": ' + repr(desc.epsilon) + ","
     if desc.extra:
-        extra = json.dumps(dict(desc.extra), indent=2, sort_keys=True)
-        text += '\n      "extra": ' + extra.replace("\n", "\n      ") + ","
+        text += '\n      "extra": ' + _extra_json(desc.extra) + ","
     text += '\n      "family": ' + encode_basestring_ascii(desc.family)
     if q is not None:
         text += ',\n      "p": ' + repr(q.p) + ',\n      "q": ' + repr(q.q)
     return text + "\n    }"
 
 
-def _report_json(report: CaseReport) -> str:
-    facts, branches, tail = report.facts, report.branches, None
+def _report_pieces(report: CaseReport) -> list[str]:
+    """The report at depth 1, as pieces to be written in order: the whole
+    report, or for a g2 report with a tail, the text around its two
+    bulk-rendered tails and the tails themselves, which are never copied
+    into a larger string."""
+    facts, branches = report.facts, report.branches
+    fact_tail = branch_tail = None
     if type(facts) is TailedRecords:
-        facts, branches, tail = facts.head, branches.head, facts.tail
-    fact_items = list(map(_fact_json, facts))
-    branch_items = list(map(_branch_json, branches))
-    if tail is not None:
-        fact_items.append(tail.fact_json())
-        branch_items.append(tail.branch_json())
-    hypotheses = ["      " + encode_basestring_ascii(hyp)
-                  for hyp in report.hypotheses]
-    return ('  {\n    "branches": ' + _report_list(branch_items)
-            + ',\n    "descriptor": ' + _descriptor_json(report.descriptor)
-            + ',\n    "facts": ' + _report_list(fact_items)
-            + ',\n    "hypotheses": ' + _report_list(hypotheses)
-            + ',\n    "verdict": ' + encode_basestring_ascii(report.verdict)
-            + "\n  }")
+        fact_tail, branch_tail = facts.tail.json()
+        facts, branches = facts.head, branches.head
+    tailed = fact_tail is not None
+    start = ('  {\n    "branches": '
+             + _json_list(list(map(_branch_json, branches)), tailed))
+    middle = (',\n    "descriptor": ' + _descriptor_json(report.descriptor)
+              + ',\n    "facts": '
+              + _json_list(list(map(_fact_json, facts)), tailed))
+    end = (',\n    "hypotheses": '
+           + _json_list(["      " + encode_basestring_ascii(hyp)
+                         for hyp in report.hypotheses])
+           + ',\n    "verdict": ' + encode_basestring_ascii(report.verdict)
+           + "\n  }")
+    if not tailed:
+        return [start + middle + end]
+    return [start, branch_tail, "\n    ]" + middle, fact_tail, "\n    ]" + end]
+
+
+def _report_json(report: CaseReport) -> str:
+    return "".join(_report_pieces(report))
 
 
 def write_json(reports: list[CaseReport], out: TextIO) -> None:
@@ -371,7 +419,8 @@ def write_json(reports: list[CaseReport], out: TextIO) -> None:
     sep = "[\n"
     for report in reports:
         out.write(sep)
-        out.write(_report_json(report))
+        for piece in _report_pieces(report):
+            out.write(piece)
         sep = ",\n"
     out.write("[]\n" if sep == "[\n" else "\n]\n")
 
@@ -671,10 +720,18 @@ class ParabolicRow:
             return False
         return q.a >= self.min_a and q.q >= self.min_q
 
-    def point_count(self, q: PrimePower) -> int:
+    def point_count(self, q: PrimePower,
+                    phi: dict[int, int] | None = None) -> int:
+        """v, the product of the row's cyclotomic values at q, read from
+        phi: a cyclotomic_table at q that reaches every index of the row,
+        which the rows valid at q may share.  Without one, the row makes
+        its own."""
+        if phi is None:
+            phi = cyclotomic_table(max(n for n, _ in self.phi_exponents),
+                                   q.q)
         v = 1
         for n, e in self.phi_exponents:
-            v *= cyclotomic(n, q.q) ** e
+            v *= phi[n] ** e
         return v
 
     def tabulated_ppart(self, q: PrimePower) -> int:
@@ -717,17 +774,24 @@ PARABOLIC_ROWS: tuple[ParabolicRow, ...] = (
 PARABOLIC_ROW_INDEX = {row.key: row for row in PARABOLIC_ROWS}
 
 
-def eliminate_parabolic_generic(row: ParabolicRow | str,
-                                q: PrimePower) -> CaseReport:
+# the largest cyclotomic index of any row, so that one cyclotomic_table per
+# q serves all rows
+_PARABOLIC_N_MAX = max(n for row in PARABOLIC_ROWS
+                       for n, _ in row.phi_exponents)
+
+
+def eliminate_parabolic_generic(row: ParabolicRow | str, q: PrimePower,
+                                phi: dict[int, int] | None = None
+                                ) -> CaseReport:
     """Evaluate v exactly from the cyclotomic product, cross-check the
     tabulated p-part of v - 1 against a direct computation, and test the
-    necessary condition v < 2*(|v-1|_p)^2."""
+    necessary condition v < 2*(|v-1|_p)^2.  phi is as in point_count."""
     if isinstance(row, str):
         row = PARABOLIC_ROW_INDEX[row]
     if not row.valid_q(q):
         raise ValueError(f"q = {q} is outside the validity range of row "
                          f"{row.key} ({row.socle}, {row.stabilizer})")
-    v = row.point_count(q)
+    v = row.point_count(q, phi)
     u_claimed = row.tabulated_ppart(q)
     u_actual = ppart(v - 1, q.p)
     facts = [
@@ -789,6 +853,14 @@ def table3_scan(v: int, r_modulus: int, lam: int = 2) -> CaseReport:
 
 # -- sweeps -------------------------------------------------------------------
 
+def _parabolic_reports(q: PrimePower) -> list[CaseReport]:
+    """The reports of every row valid at q, from one table of cyclotomic
+    values at q."""
+    phi = cyclotomic_table(_PARABOLIC_N_MAX, q.q)
+    return [eliminate_parabolic_generic(row, q, phi)
+            for row in PARABOLIC_ROWS if row.valid_q(q)]
+
+
 # Each swept family: the prime powers q it covers, and its case reports at
 # such a q, in epsilon/case order.  The CLI lists the families in this order.
 FAMILIES = {
@@ -797,9 +869,7 @@ FAMILIES = {
     "g2": (_g2_q, lambda q: [eliminate_g2(q, eps) for eps in (1, -1)]),
     "e6": (lambda q: True,
            lambda q: [eliminate_e6(q, case) for case in ("p1", "p3")]),
-    "parabolic": (lambda q: True,
-                  lambda q: [eliminate_parabolic_generic(row, q)
-                             for row in PARABOLIC_ROWS if row.valid_q(q)]),
+    "parabolic": (lambda q: True, _parabolic_reports),
 }
 
 

@@ -33,6 +33,10 @@ class DesignError(ValueError):
         self.witness = witness
 
 
+class GroupActionError(ValueError):
+    """The group does not map the block multiset of a structure to itself."""
+
+
 @dataclass(frozen=True)
 class IncidenceStructure:
     """Point set {0..v-1} plus a multiset of blocks (sorted point tuples).
@@ -170,9 +174,11 @@ def is_flag_transitive(group: PermutationGroup,
     as: transitive on the points in blocks, and G_alpha transitive on the
     blocks through alpha, the first base point if it lies in a block (so
     G_alpha is read off the chain), else the least point in a block.
+    Raises GroupActionError, a ValueError, if the group does not preserve
+    the block multiset.
     """
     if not is_automorphism_group(group, structure):
-        raise ValueError("group does not act on the structure")
+        raise GroupActionError("group does not act on the structure")
     covered = {p for block in structure.blocks for p in block}
     if not covered:
         return False

@@ -4,8 +4,9 @@ from math import isqrt
 import pytest
 
 from ftdesigns import arith
-from ftdesigns.arith import (_TRIAL_LIMIT, PrimePower, cyclotomic, divisors,
-                             factorize, is_prime, ppart, prime_powers)
+from ftdesigns.arith import (_TRIAL_LIMIT, PrimePower, cyclotomic,
+                             cyclotomic_table, divisors, factorize, is_prime,
+                             ppart, prime_powers)
 
 
 def trial_division(n):
@@ -76,6 +77,22 @@ def test_cyclotomic_rejects_bad_input():
         cyclotomic(0, 3)
     with pytest.raises(ValueError):
         cyclotomic(3, 1)
+    with pytest.raises(ValueError):
+        cyclotomic_table(12, 1)
+
+
+def test_cyclotomic_table_matches_sympy_and_cyclotomic():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(14)
+    qs = [2, 3, 4096] + [rng.randrange(2, 10**6) for _ in range(40)] + [
+        rng.randrange(2, 10**30) for _ in range(10)]
+    for q in qs:
+        table = cyclotomic_table(12, q)
+        assert list(table) == list(range(1, 13)), q
+        for n, value in table.items():
+            assert value == cyclotomic(n, q) == sympy.cyclotomic_poly(n, q), \
+                (n, q)
+    assert cyclotomic_table(0, 5) == {}
 
 
 def test_divisors_examples():
@@ -84,6 +101,14 @@ def test_divisors_examples():
     assert divisors(128) == [1, 2, 4, 8, 16, 32, 64, 128]
     with pytest.raises(ValueError):
         divisors(0)
+
+
+def test_divisors_match_sympy_at_one_prime_powers_and_the_range_top():
+    sympy = pytest.importorskip("sympy")
+    powers = [p**a for p in (2, 3, 5, 7, 997, 1009, 65537, 999983)
+              for a in range(1, 60) if p**a <= 10**18]
+    for n in [1, 10**18] + powers:
+        assert divisors(n) == sympy.divisors(n), n
 
 
 def test_divisors_against_scan():

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, GOLDEN
+from ftdesigns import cli, incidence
 from ftdesigns.cli import main
-from ftdesigns.constructions import fano_complement
+from ftdesigns.constructions import catalog_names, fano_complement
 from ftdesigns.elimination import FAMILIES, sweep
 from ftdesigns.incidence import IncidenceStructure, structure_to_json
 from ftdesigns.perm import canonical_json
@@ -66,6 +67,49 @@ def test_verify_hs(capsys, tmp_path):
                        "--design", str(design))
     assert code == 0
     assert out.strip() == "(176,1100,50,8,2) flag-transitive point-primitive"
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_verify_checks_the_block_multiset_once(capsys, monkeypatch, tmp_path,
+                                               name):
+    design = tmp_path / "design.json"
+    assert run(capsys, "construct", "--name", name,
+               "--out", str(design))[0] == 0
+    calls = []
+    check = incidence.is_automorphism_group
+
+    def counted(group, structure):
+        calls.append(name)
+        return check(group, structure)
+
+    # both bindings: the one verify could call, and the one that
+    # is_flag_transitive calls
+    monkeypatch.setattr(incidence, "is_automorphism_group", counted)
+    monkeypatch.setattr(cli, "is_automorphism_group", counted)
+    code, out, _ = run(capsys, "verify",
+                       "--group", str(DATA / "catalog" / name / "group.json"),
+                       "--design", str(design))
+    assert code == 0
+    assert out.endswith(" flag-transitive point-primitive\n")
+    assert calls == [name]
+
+
+@pytest.mark.parametrize("generators, degree, want", [
+    # (0 2) moves the Fano complement's block [0, 1, 3, 6] off the design
+    ([[2, 1, 0, 3, 4, 5, 6]], 7,
+     (1, "(7,7,4,4,2) group does not preserve the block multiset\n", "")),
+    ([[1, 0, 2, 3, 4]], 5,
+     (2, "", "error: group degree 5 != point count 7\n")),
+])
+def test_verify_refuses_a_group_that_does_not_act(capsys, tmp_path,
+                                                  generators, degree, want):
+    group = tmp_path / "group.json"
+    group.write_text(canonical_json(
+        {"name": "g", "degree": degree, "generators": generators}))
+    design = tmp_path / "design.json"
+    design.write_text(structure_to_json(fano_complement()))
+    assert run(capsys, "verify", "--group", str(group),
+               "--design", str(design)) == want
 
 
 BAD_INPUT = {

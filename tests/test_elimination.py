@@ -6,7 +6,9 @@ from math import gcd
 import pytest
 
 from conftest import GOLDEN
-from ftdesigns.arith import PrimePower, divisors, ppart, prime_powers
+from ftdesigns import elimination
+from ftdesigns.arith import (PrimePower, cyclotomic_table, divisors, ppart,
+                             prime_powers)
 from ftdesigns.design import Parameters, admissibility_violations, \
     embeds_symmetric, enumerate_candidates
 from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROW_INDEX,
@@ -16,7 +18,7 @@ from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROW_INDEX,
                                    CaseDescriptor, CaseReport, Fact,
                                    ParabolicRow, TableDataError,
                                    TailedRecords, _branch_json,
-                                   _descriptor_json, _fact_json,
+                                   _descriptor_json, _extra_json, _fact_json,
                                    _report_json, eliminate_e6, eliminate_g2,
                                    eliminate_nonparabolic_bound,
                                    eliminate_parabolic_generic, eliminate_ree,
@@ -233,6 +235,20 @@ def test_g2_report_reads_and_renders_as_its_tuples(q, eps):
     assert _report_json(report) == _report_json(tuple_report)
 
 
+def test_g2_tail_renders_as_its_records():
+    # every g2 case to q = 4096: the bulk-rendered tail against the records
+    # it expands to, each rendered on its own
+    for q in prime_powers(3, 4096):
+        for eps in (1, -1):
+            report = eliminate_g2(q, eps)
+            tuple_report = CaseReport(report.descriptor, report.hypotheses,
+                                      tuple(report.facts),
+                                      tuple(report.branches))
+            assert report.to_text() == tuple_report.to_text(), (q.q, eps)
+            assert _report_json(report) == _report_json(tuple_report), \
+                (q.q, eps)
+
+
 def test_g2_window_totals():
     # the benchmark's g2 window; bench/tracing.py counts these lengths
     reports = sweep("g2", 2, 4096)
@@ -302,6 +318,25 @@ def test_parabolic_rows_validate_up_to_32():
             report = eliminate_parabolic_generic(row, q)
             assert report.verdict == "eliminated", (row.key, q.q)
         assert hit, row.key
+
+
+def test_parabolic_sweep_shares_one_cyclotomic_table_per_q(monkeypatch):
+    # the sweep reads every row's cyclotomic values from one table per q;
+    # a report built row by row computes its own
+    tables = []
+
+    def table(n_max, q):
+        tables.append(q)
+        return cyclotomic_table(n_max, q)
+
+    monkeypatch.setattr(elimination, "cyclotomic_table", table)
+    reports = iter(sweep("parabolic", 2, 4096))
+    assert tables == [q.q for q in prime_powers(2, 4096)]
+    for q in prime_powers(2, 4096):
+        for row in PARABOLIC_ROWS:
+            if row.valid_q(q):
+                assert next(reports) == eliminate_parabolic_generic(row, q)
+    assert next(reports, None) is None
 
 
 def test_parabolic_data_error_detected():
@@ -483,6 +518,39 @@ DESCRIPTORS = {
 @pytest.mark.parametrize("desc", DESCRIPTORS.values(), ids=DESCRIPTORS.keys())
 def test_descriptor_json_is_json_dumps(desc):
     assert "    " + _descriptor_json(desc) == dumped_at_depth(desc.to_dict(), 2)
+
+
+def test_extra_json_is_json_dumps_on_flat_dicts():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.one_of(st.integers(), st.integers(-10**60, 10**60))
+    # the whole of unicode but surrogates, which json cannot encode either
+    # way; st.text() draws quotes, backslashes and control characters too
+    flat = st.dictionaries(st.text(), st.one_of(st.text(), ints),
+                           min_size=1, max_size=6)
+    # and the values a table3_scan descriptor holds
+    scan = st.fixed_dictionaries({"v": ints, "r_modulus": ints,
+                                  "lambda": ints})
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.one_of(flat, scan))
+    @hypothesis.example({"note": '"q" \\ \x00\x1f\x7f \u2264 \U0001d53d',
+                         "\u03b1\n": -2**100})
+    def check(extra):
+        assert "      " + _extra_json(extra) == dumped_at_depth(extra, 3)
+        desc = CaseDescriptor("x", extra=extra)
+        assert "    " + _descriptor_json(desc) == \
+            dumped_at_depth(desc.to_dict(), 2)
+
+    check()
+
+
+@pytest.mark.parametrize("extra", [
+    {"flag": True}, {"none": None}, {"x": 1.5}, {"list": [1, "a"]},
+    {"nested": {"b": [1, -2], "a": None}}, {1: "int key"}],
+    ids=["bool", "none", "float", "list", "nested", "int-key"])
+def test_extra_json_falls_back_to_json_dumps(extra):
+    assert "      " + _extra_json(extra) == dumped_at_depth(extra, 3)
 
 
 @pytest.mark.parametrize("reports", [
