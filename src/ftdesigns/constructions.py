@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 
 from .design import Parameters
-from .incidence import IncidenceStructure, verify_2design
+from .incidence import IncidenceStructure, _block_images, verify_2design
 from .perm import PermutationGroup, load_group, orbit
 
 
@@ -111,23 +111,20 @@ def orbit_design(group: PermutationGroup, base_block) -> IncidenceStructure:
     A base block that repeats a point is refused, not folded into a set.
     """
     points = list(base_block)
-    block = frozenset(points)
-    if len(block) != len(points):
+    if len(set(points)) != len(points):
         raise ValueError(f"base block {points} repeats a point")
-    if not 2 <= len(block) < group.degree:
+    if not 2 <= len(points) < group.degree:
         raise ValueError(
-            f"base block size {len(block)} must be in 2..{group.degree - 1}")
-    if any(not 0 <= p < group.degree for p in block):
+            f"base block size {len(points)} must be in 2..{group.degree - 1}")
+    if any(not 0 <= p < group.degree for p in points):
         raise ValueError("base block is not a subset of the point set")
     # a bool is an int equal to 0 or 1, but it names no point
-    if any(type(p) is not int for p in block):
-        raise ValueError(f"block {sorted(block)} has a non-integer point")
-    blocks = orbit(block, group.generators,
-                   lambda blk, g: frozenset(map(g.images.__getitem__, blk)))
+    if any(type(p) is not int for p in points):
+        raise ValueError(f"block {sorted(points)} has a non-integer point")
+    blocks = orbit(tuple(sorted(points)), group.generators, _block_images)
     # every block is the image of the checked base block under a
     # permutation of the points, so it needs no checks of its own
-    return IncidenceStructure(
-        group.degree, tuple(sorted([tuple(sorted(blk)) for blk in blocks])))
+    return IncidenceStructure(group.degree, tuple(sorted(blocks)))
 
 
 # -- bundled catalog ---------------------------------------------------------

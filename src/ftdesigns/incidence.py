@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .design import Parameters
 from .perm import PermutationGroup, orbit
@@ -51,19 +52,22 @@ class IncidenceStructure:
 
     @classmethod
     def from_blocks(cls, v: int, blocks, name: str | None = None) -> "IncidenceStructure":
-        normalized = []
-        for block in blocks:
-            pts = tuple(sorted(block))
-            if len(set(pts)) != len(pts):
-                raise ValueError(f"block {block} repeats a point")
-            if len(pts) < 2:
-                raise ValueError(f"block {block} has fewer than 2 points")
+        blocks = list(blocks)
+        try:
+            normalized = list(map(tuple, map(sorted, blocks)))
+            points = chain.from_iterable(normalized)
             # a bool is an int equal to 0 or 1, but it names no point
-            if not all(type(p) is int for p in pts):
-                raise ValueError(f"block {block} has a non-integer point")
-            if pts and (pts[0] < 0 or pts[-1] >= v):
-                raise ValueError(f"block {block} not a subset of 0..{v - 1}")
-            normalized.append(pts)
+            valid = (set(map(type, points)) <= {int}
+                     and min(map(len, normalized), default=2) >= 2
+                     and list(map(len, map(set, normalized)))
+                     == list(map(len, normalized))
+                     and min(map(itemgetter(0), normalized), default=0) >= 0
+                     and max(map(itemgetter(-1), normalized), default=0) < v)
+        except TypeError:
+            valid = False
+        if not valid:
+            # the same checks block by block, to name the first bad block
+            normalized = list(map(_checked_block, blocks, repeat(v)))
         return cls(v, tuple(sorted(normalized)), name)
 
     @property
@@ -72,6 +76,22 @@ class IncidenceStructure:
 
     def flag_count(self) -> int:
         return sum(len(block) for block in self.blocks)
+
+
+def _checked_block(block, v: int) -> tuple[int, ...]:
+    """The block as a sorted point tuple; ValueError if it repeats a point,
+    has fewer than 2 points, or a point that is no integer in 0..v-1."""
+    pts = tuple(sorted(block))
+    if len(set(pts)) != len(pts):
+        raise ValueError(f"block {block} repeats a point")
+    if len(pts) < 2:
+        raise ValueError(f"block {block} has fewer than 2 points")
+    # a bool is an int equal to 0 or 1, but it names no point
+    if not all(type(p) is int for p in pts):
+        raise ValueError(f"block {block} has a non-integer point")
+    if pts and (pts[0] < 0 or pts[-1] >= v):
+        raise ValueError(f"block {block} not a subset of 0..{v - 1}")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -146,8 +166,10 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
     return DesignCertificate(params, v * (v - 1) // 2)
 
 
-def _block_image(block: tuple[int, ...], g) -> tuple[int, ...]:
-    return tuple(sorted(map(g.images.__getitem__, block)))
+def _block_images(blocks, g):
+    """The images under g of the blocks, each a sorted point tuple."""
+    return map(tuple, map(sorted, map(map, repeat(g.images.__getitem__),
+                                      blocks)))
 
 
 def is_automorphism_group(group: PermutationGroup,
@@ -158,8 +180,7 @@ def is_automorphism_group(group: PermutationGroup,
             f"group degree {group.degree} != point count {structure.v}")
     reference = Counter(structure.blocks)
     for g in group.generators:
-        imaged = Counter(_block_image(block, g) for block in structure.blocks)
-        if imaged != reference:
+        if Counter(_block_images(structure.blocks, g)) != reference:
             return False
     return True
 
@@ -188,7 +209,7 @@ def is_flag_transitive(group: PermutationGroup,
         return False
     through = {block for block in structure.blocks if alpha in block}
     reached = orbit(min(through), group.stabilizer_generators(alpha),
-                    _block_image)
+                    _block_images)
     return len(reached) == len(through)
 
 
@@ -225,7 +246,10 @@ def structure_to_json(structure: IncidenceStructure,
 
 def structure_from_json(text: str) -> IncidenceStructure:
     doc = json.loads(text)
-    return IncidenceStructure.from_blocks(doc["v"], doc["blocks"],
+    v = doc["v"]
+    if type(v) is not int or v < 0:
+        raise ValueError(f"v {v!r} is not a non-negative integer")
+    return IncidenceStructure.from_blocks(v, doc["blocks"],
                                           name=doc.get("name"))
 
 

@@ -28,6 +28,22 @@ Sec. 4.2), so the edge is marked verified and never sifted.
 The product of the basic orbit lengths is the exact group order, and sifting
 gives an exact membership test.
 
+A group file states its order, and group_from_json passes that claim, when
+it is an int, to the chain builder, which uses it only to pick when to do
+less checking.  While the order equals the claim, level 0 sifts only the
+Schreier generators of the input generators, its first codes; every other
+level keeps all its strong generators.  This is sound whatever the file
+says.  The input generators generate G, so by Schreier's lemma their
+Schreier generators over the orbit of beta_0 generate G_beta0 (Seress,
+Sec. 4.2), and the chain is complete once they and every lower level's
+Schreier generators sift.  The order never exceeds |G| and every insert
+grows it, so once it is the true |G| nothing more would be inserted, and the
+chain is the full closure's.  A claim below |G| that the order reaches
+finds the chain incomplete, so a Schreier generator that is still checked
+fails to sift and is inserted; the order grows past the claim, the pairs
+skipped meanwhile are sifted after all, and the chain ends at |G|, which
+fails the order check.  A claim above |G| is never reached.
+
 One accessor, stabilizer_generators, reads G_alpha, the stabilizer of the
 first base point alpha, off the chain (the strong generators fixing alpha),
 and one walk, suborbits, lists its orbits; primitivity, subdegrees and
@@ -41,6 +57,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import repeat
 from operator import itemgetter
 
 __all__ = [
@@ -54,30 +71,31 @@ __all__ = [
 
 
 def orbit(seed, generators, act, limit: int | None = None) -> set:
-    """The closure of {seed} under x -> act(x, g) for g in generators.
+    """The closure of {seed} under the generators, where act(xs, g) gives
+    the images under g of the objects in the list xs, in any order.
 
-    Breadth first: each round applies every generator to the objects the
-    previous round found.  With limit set, raises ValueError as soon as more
-    than limit objects are found.
+    Breadth first: each round applies every generator, in one act call, to
+    all the objects the previous round found.  With limit set, raises
+    ValueError once more than limit objects are found.
     """
     seen = {seed}
     frontier = [seed]
     while frontier:
         new = []
-        for x in frontier:
-            for g in generators:
-                y = act(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-                    if limit is not None and len(seen) > limit:
-                        raise ValueError(f"orbit exceeds {limit} elements")
+        for g in generators:
+            found = set(act(frontier, g))
+            found -= seen
+            if found:
+                seen |= found
+                new += found
+                if limit is not None and len(seen) > limit:
+                    raise ValueError(f"orbit exceeds {limit} elements")
         frontier = new
     return seen
 
 
-def _image(x: int, g: "Permutation") -> int:
-    return g.images[x]
+def _images(xs, g: "Permutation"):
+    return map(g.images.__getitem__, xs)
 
 
 def _orbits(degree: int, generators) -> list[set[int]]:
@@ -86,7 +104,7 @@ def _orbits(degree: int, generators) -> list[set[int]]:
     seen: set[int] = set()
     for point in range(degree):
         if point not in seen:
-            orb = orbit(point, generators, _image)
+            orb = orbit(point, generators, _images)
             seen |= orb
             out.append(orb)
     return out
@@ -174,6 +192,10 @@ class Permutation:
         return "Permutation(%s)" % "".join(str(c) for c in cycles)
 
 
+def _products(xs, g: Permutation):
+    return map(Permutation.__mul__, xs, repeat(g))
+
+
 def _unchecked(images: tuple[int, ...]) -> Permutation:
     """The Permutation with these images, which are known to be a bijection."""
     p = Permutation.__new__(Permutation)
@@ -228,7 +250,8 @@ class PermutationGroup:
     construction and safe to share.
     """
 
-    def __init__(self, degree: int, generators, base_hint=(), name: str | None = None):
+    def __init__(self, degree: int, generators, base_hint=(),
+                 name: str | None = None, _claimed_order=None):
         self.degree = degree
         self.name = name
         gens = []
@@ -248,7 +271,7 @@ class PermutationGroup:
             self.levels.append(_Level(beta, self._one))
         for g in self.generators:
             self._insert(self._code(g.images))
-        self._close()
+        self._close(_claimed_order)
         for level in self.levels:
             level.verified.clear()  # only the construction reads it
 
@@ -314,28 +337,49 @@ class PermutationGroup:
             frontier = sorted(new)
             applied = list(enumerate(codes))
 
-    def _close(self) -> None:
-        """Sift Schreier generators until every level passes."""
+    def _close(self, claimed_order=None) -> None:
+        """Sift Schreier generators until every level passes.
+
+        While the order equals claimed_order, level 0 sifts only the
+        Schreier generators of the input generators, its first codes; a
+        pair it skips stays unverified, so it is sifted if the order moves
+        on (see the module docstring).  Each sift runs inline, through the
+        (beta, inverses.get) pairs of the levels below, as _sift would.
+        """
+        levels = self.levels
+        if not levels:
+            return  # no identity of the degree is built (see _one)
+        one, mul = self._one, self._mul
+        inputs = len(levels[0].codes)
+        claimed = self.order() == claimed_order
         changed = True
         while changed:
             changed = False
-            for i in range(len(self.levels) - 1, -1, -1):
-                level = self.levels[i]
-                one, mul = self._one, self._mul
+            for i in range(len(levels) - 1, -1, -1):
+                level = levels[i]
                 transversal, inverses = level.transversal, level.inverses
                 codes, verified = level.codes, level.verified
+                below = [(lv.beta, lv.inverses.get) for lv in levels[i + 1:]]
                 for gamma in sorted(transversal):
                     u = transversal[gamma]
-                    for gi in range(len(codes)):
+                    for gi in range(inputs if claimed and not i
+                                    else len(codes)):
                         if (gamma, gi) in verified:
                             continue
                         verified.add((gamma, gi))
                         g = codes[gi]
-                        residue = self._sift(
-                            mul(mul(u, g), inverses[g[gamma]]), i + 1)
-                        if residue != one:
-                            self._insert(residue)
+                        code = mul(mul(u, g), inverses[g[gamma]])
+                        for beta, get in below:
+                            u_inverse = get(code[beta])
+                            if u_inverse is None:
+                                break
+                            code = mul(code, u_inverse)
+                        if code != one:
+                            self._insert(code)
                             changed = True
+                            below = [(lv.beta, lv.inverses.get)
+                                     for lv in levels[i + 1:]]
+                            claimed = self.order() == claimed_order
 
     def _sift(self, code, start: int = 0):
         """What is left of code after dividing out levels start.. of the
@@ -367,7 +411,7 @@ class PermutationGroup:
     def orbit(self, point: int) -> set[int]:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        return orbit(point, self.generators, _image)
+        return orbit(point, self.generators, _images)
 
     def orbits(self) -> list[set[int]]:
         return _orbits(self.degree, self.generators)
@@ -457,7 +501,7 @@ class PermutationGroup:
     def elements(self, limit: int | None = None) -> set[Permutation]:
         """Exhaustive element set by generator closure; guard with limit."""
         return orbit(Permutation.identity(self.degree), self.generators,
-                     Permutation.__mul__, limit)
+                     _products, limit)
 
     def __repr__(self) -> str:
         label = self.name or "PermutationGroup"
@@ -491,9 +535,13 @@ def group_from_json(text: str) -> PermutationGroup:
     degree = doc["degree"]
     if type(degree) is not int or degree < 0:
         raise ValueError(f"degree {degree!r} is not a non-negative integer")
-    group = PermutationGroup(degree, doc["generators"],
-                             name=doc.get("name"))
     expected = doc.get("expected_order")
+    if expected is not None and type(expected) is not int:
+        raise ValueError(f"expected_order {expected!r} is not an integer")
+    # the claim only picks when the chain check may switch to the input
+    # generators' Schreier generators at level 0; it is checked below
+    group = PermutationGroup(degree, doc["generators"], name=doc.get("name"),
+                             _claimed_order=expected)
     if expected is not None and group.order() != expected:
         raise ValueError(
             f"group {doc.get('name')!r}: computed order {group.order()} "

@@ -120,6 +120,12 @@ BAD_INPUT = {
                           "--design", "{design_block_text}"],
     "design-v-float": ["verify", "--group", "{group}",
                        "--design", "{design_v_float}"],
+    # True == 1, and 10.0 used to fail only in range(); neither is a
+    # JSON integer, and a negative point count counts nothing
+    "design-v-bool": ["verify", "--group", "{group}",
+                      "--design", "{design_v_bool}"],
+    "design-v-negative": ["verify", "--group", "{group}",
+                          "--design", "{design_v_negative}"],
     "design-block-float": ["verify", "--group", "{group}",
                            "--design", "{design_block_float}"],
     "design-no-blocks": ["verify", "--group", "{group}",
@@ -137,6 +143,14 @@ BAD_INPUT = {
                           "--design", "{design_pairs4}"],
     "group-degree-float": ["verify", "--group", "{group_degree_float}",
                            "--design", "{design_pairs4}"],
+    # Sym(4) claiming its order 24 as 24.0, "24" and, as a trivial group
+    # of order 1, true: the claim is read only when it is an integer
+    "group-order-float": ["verify", "--group", "{group_order_float}",
+                          "--design", "{design_pairs4}"],
+    "group-order-text": ["verify", "--group", "{group_order_text}",
+                         "--design", "{design_pairs4}"],
+    "group-order-bool": ["verify", "--group", "{group_order_bool}",
+                         "--design", "{design_pairs4}"],
     "out-missing-dir": ["construct", "--name", "line1_psl25",
                         "--out", "{missing}/x.json"],
     "pg-lines-7": ["construct", "--name", "pg_lines:7"],
@@ -210,6 +224,8 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
         "design_v_text": {"name": "d", "v": "4", "blocks": [[0, 1]]},
         "design_block_text": {"name": "d", "v": 4, "blocks": [[0, "a"]]},
         "design_v_float": {"name": "d", "v": 4.0, "blocks": [[0, 1]]},
+        "design_v_bool": {"name": "d", "v": True, "blocks": [[0, 1]]},
+        "design_v_negative": {"name": "d", "v": -4, "blocks": [[0, 1]]},
         "design_block_float": {"name": "d", "v": 4, "blocks": [[0, 1.5]]},
         "design_no_blocks": {"name": "d", "v": 4, "blocks": []},
         "design_pairs4": {"name": "pairs4", "v": 4,
@@ -222,6 +238,14 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
         "group_degree_huge": {"name": "g", "degree": 10**30, "generators": []},
         "group_degree_float": {"name": "s4", "degree": 4.0,
                                "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]},
+        "group_order_float": {"name": "s4", "degree": 4,
+                              "generators": [[1, 2, 3, 0], [1, 0, 2, 3]],
+                              "expected_order": 24.0},
+        "group_order_text": {"name": "s4", "degree": 4,
+                             "generators": [[1, 2, 3, 0], [1, 0, 2, 3]],
+                             "expected_order": "24"},
+        "group_order_bool": {"name": "one", "degree": 4, "generators": [],
+                             "expected_order": True},
     }
     paths = {
         "missing": str(tmp_path / "missing"),
@@ -251,6 +275,31 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"name": "d", "v": 10.0, "blocks": [[0, 1]]},
+     "v 10.0 is not a non-negative integer"),
+    ({"name": "d", "v": True, "blocks": [[0, 1]]},
+     "v True is not a non-negative integer"),
+    ({"name": "s4", "degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]],
+      "expected_order": 24.0},
+     "expected_order 24.0 is not an integer"),
+], ids=["design-v-float", "design-v-bool", "group-order-float"])
+def test_integer_fields_are_refused_by_name(capsys, tmp_path, doc, message):
+    pairs4 = {"name": "pairs4", "v": 4,
+              "blocks": [list(p) for p in combinations(range(4), 2)]}
+    s4 = {"name": "s4", "degree": 4,
+          "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]}
+    group, design = tmp_path / "group.json", tmp_path / "design.json"
+    is_group = "degree" in doc
+    group.write_text(json.dumps(doc if is_group else s4))
+    design.write_text(json.dumps(pairs4 if is_group else doc))
+    code, out, err = run(capsys, "verify", "--group", str(group),
+                         "--design", str(design))
+    kind = "group" if is_group else "design"
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind} file {tmp_path / (kind + '.json')}: {message}\n"
 
 
 def test_catalog_entry_without_socle_exit_2(capsys, monkeypatch, tmp_path):

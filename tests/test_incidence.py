@@ -324,6 +324,80 @@ def test_structure_validation():
         IncidenceStructure.from_blocks(4, [(1, 1, 2)])
 
 
+def reference_from_blocks(v, blocks):
+    """The block-by-block scan from_blocks had: the sorted blocks, or the
+    error of the first bad block."""
+    normalized = []
+    for block in blocks:
+        pts = tuple(sorted(block))
+        if len(set(pts)) != len(pts):
+            raise ValueError(f"block {block} repeats a point")
+        if len(pts) < 2:
+            raise ValueError(f"block {block} has fewer than 2 points")
+        if not all(type(p) is int for p in pts):
+            raise ValueError(f"block {block} has a non-integer point")
+        if pts and (pts[0] < 0 or pts[-1] >= v):
+            raise ValueError(f"block {block} not a subset of 0..{v - 1}")
+        normalized.append(pts)
+    return tuple(sorted(normalized))
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_from_blocks_matches_the_block_by_block_scan():
+    """Checked in bulk, the first bad block and its message are the same,
+    also when a later block's sort raises TypeError first in bulk."""
+    rng = random.Random(77)
+    defects = [
+        lambda b: b + [b[0]],                  # repeats a point
+        lambda b: b[:1],                       # fewer than 2 points
+        lambda b: [],
+        lambda b: b[:-1] + [True],             # bool point
+        lambda b: b[:-1] + [float(b[-1])],     # float point
+        lambda b: b[:-1] + [1.5],
+        lambda b: b[:-1] + ["a"],              # sorting raises TypeError
+        lambda b: b[:-1] + [None],
+        lambda b: ["a", "b"],                  # sorts, but names no point
+        lambda b: b[:-1] + [-1],               # out of range
+        lambda b: b[:-1] + [10],
+        lambda b: 5,                           # not a block at all
+    ]
+    kinds = Counter()
+    for _ in range(600):
+        v = 10
+        blocks = [rng.sample(range(v), rng.randrange(2, 6))
+                  for _ in range(rng.randrange(1, 8))]
+        for i in rng.sample(range(len(blocks)),
+                            min(len(blocks), rng.choice((0, 1, 1, 2, 3)))):
+            blocks[i] = rng.choice(defects)(blocks[i])
+        expected = outcome(reference_from_blocks, v, blocks)
+        got = outcome(lambda: IncidenceStructure.from_blocks(v, blocks))
+        if isinstance(got, IncidenceStructure):
+            got = got.blocks
+        assert got == expected, blocks
+        kinds[expected[0] if type(expected[0]) is type else "valid"] += 1
+    assert kinds[ValueError] >= 100 and kinds[TypeError] >= 20
+    assert kinds["valid"] >= 50
+    # an iterator of blocks is read once, and rescanned from the copy
+    assert IncidenceStructure.from_blocks(
+        4, iter([[3, 1], [2, 0]])).blocks == ((0, 2), (1, 3))
+    with pytest.raises(ValueError, match=r"block \[0, 0\] repeats"):
+        IncidenceStructure.from_blocks(4, iter([[1, 2], [0, 0]]))
+
+
+@pytest.mark.parametrize("v", [10.0, True, -1, "10", None],
+                         ids=["float", "bool", "negative", "text", "null"])
+def test_design_json_v_is_a_non_negative_integer(v):
+    with pytest.raises(ValueError, match="is not a non-negative integer"):
+        structure_from_json(json.dumps({"name": "d", "v": v,
+                                        "blocks": [[0, 1]]}))
+
+
 def reference_is_flag_transitive(group, structure):
     """The walk over every flag (point, distinct block) under the
     generators, each generator acting on blocks through a block map."""
@@ -370,7 +444,8 @@ def random_invariant_structure(rng):
         size = rng.randrange(2, len(support) + 1)
         block = tuple(sorted(rng.sample(support, size)))
         orb = orbit(block, group.generators,
-                    lambda blk, g: tuple(sorted(g(p) for p in blk)))
+                    lambda blks, g: [tuple(sorted(g(p) for p in blk))
+                                     for blk in blks])
         blocks += sorted(orb) * rng.choice((1, 1, 2))
     return group, IncidenceStructure.from_blocks(n, blocks)
 

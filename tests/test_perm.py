@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from conftest import DATA, catalog_group, fixture_group
+from ftdesigns import perm as perm_module
 from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
                             canonical_json, group_from_json, group_to_json,
                             load_group, orbit)
@@ -85,7 +86,8 @@ def reference_orbits(degree, generators):
     out = []
     for point in range(degree):
         if not any(point in orb for orb in out):
-            out.append(orbit(point, generators, lambda x, g: g.images[x]))
+            out.append(orbit(point, generators,
+                             lambda xs, g: [g.images[x] for x in xs]))
     return out
 
 
@@ -510,3 +512,179 @@ def test_against_sympy_on_random_catalog_subgroups():
                         combinatorics.Permutation(list(perm)))
                     outside += not verdict
     assert outside >= 100
+
+
+def chain(group):
+    """The chain as built: base, transversal points with their codes in
+    the order found, and strong-generator images, level by level."""
+    return (group.base(),
+            [list(level.transversal.items()) for level in group.levels],
+            [[g.images for g in level.gens] for level in group.levels])
+
+
+def group_text(degree, generators, expected_order=None):
+    doc = {"name": "g", "degree": degree,
+           "generators": [list(g) for g in generators]}
+    if expected_order is not None:
+        doc["expected_order"] = expected_order
+    return canonical_json(doc)
+
+
+@pytest.mark.parametrize("degree", [None, 256, 257],
+                         ids=["file", "bytes", "tuples"])
+def test_load_group_chain_equals_build_group_chain(degree):
+    """The file's expected_order lets the check switch to the input
+    generators at level 0 once it is reached; the chain stays the full
+    closure's, as built, padded to 256 (byte codes) or 257 (tuple codes)."""
+    for name in CATALOG_CHAINS:
+        group = catalog_group(name)
+        n = degree or group.degree
+        gens = [padded(g.images, n) for g in group.generators]
+        loaded = group_from_json(group_text(n, gens, group.order()))
+        assert chain(loaded) == chain(build_group(n, gens)), name
+
+
+@pytest.mark.parametrize("claim", [lambda e: e // 2, lambda e: e - 1,
+                                   lambda e: e + 1, lambda e: 2 * e],
+                         ids=["half", "minus-1", "plus-1", "double"])
+def test_wrong_order_claim_fails_with_the_true_order(claim):
+    for name in CATALOG_CHAINS:
+        group = catalog_group(name)
+        order = group.order()
+        text = group_text(group.degree, [g.images for g in group.generators],
+                          claim(order))
+        with pytest.raises(ValueError, match=(
+                f"computed order {order} != expected {claim(order)}$")):
+            group_from_json(text)
+
+
+def orders_on_the_way(monkeypatch, degree, generators):
+    """Every order the chain of build_group passes through."""
+    seen = []
+    insert = PermutationGroup._insert
+
+    def recording(self, code):
+        insert(self, code)
+        seen.append(self.order())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PermutationGroup, "_insert", recording)
+        build_group(degree, generators)
+    return seen
+
+
+def test_claimed_orders_on_random_groups_against_sympy(monkeypatch):
+    """The true claim leaves the chain as it is; any other claim, also one
+    the chain passes through on its way, still ends at the true order."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(4202)
+    switched = 0
+    for _ in range(100):
+        n = rng.randrange(2, 11)
+        gens = [rng.sample(range(n), n) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.3:
+            gens.append(list(range(n)))    # an identity among the inputs
+        order = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(g) for g in gens]).order()
+        reference = build_group(n, gens)
+        assert reference.order() == order
+        claimed = PermutationGroup(n, gens, _claimed_order=order)
+        assert chain(claimed) == chain(reference)
+        passed = [o for o in orders_on_the_way(monkeypatch, n, gens)
+                  if o < order]
+        switched += bool(passed)
+        for wrong in {order // 2, order - 1, order + 1, 2 * order}:
+            assert PermutationGroup(n, gens,
+                                    _claimed_order=wrong).order() == order
+        for wrong in passed:
+            with pytest.raises(ValueError, match=f"computed order {order} "):
+                group_from_json(group_text(n, gens, wrong))
+    assert switched >= 40
+
+
+def test_group_from_json_passes_the_claim_to_the_chain(monkeypatch):
+    """With its order in the file, the HS chain (padded to degree 257, so
+    its codes are tuples) composes far fewer of them: level 0 sifts only
+    the Schreier generators of the two input generators."""
+    hs = catalog_group("line10_hs")
+    gens = [padded(g.images, 257) for g in hs.generators]
+    products = []
+    tuple_product = perm_module._tuple_product
+
+    def counting(a, b):
+        products.append(1)
+        return tuple_product(a, b)
+
+    monkeypatch.setattr(perm_module, "_tuple_product", counting)
+    group_from_json(group_text(257, gens))
+    unclaimed = len(products)
+    products.clear()
+    group_from_json(group_text(257, gens, hs.order()))
+    assert len(products) < 0.75 * unclaimed
+
+
+@pytest.mark.parametrize("degree, generators, expected", [
+    (4, [[1, 2, 3, 0], [1, 0, 2, 3]], 24.0),
+    (4, [[1, 2, 3, 0], [1, 0, 2, 3]], "24"),
+    (3, [], True),    # True == 1, the order of a group with no generators
+], ids=["float", "text", "bool"])
+def test_group_json_expected_order_is_an_integer(degree, generators,
+                                                 expected):
+    with pytest.raises(ValueError, match=(
+            f"expected_order {expected!r} is not an integer")):
+        group_from_json(group_text(degree, generators, expected))
+    # with no claim at all the file loads
+    assert group_from_json(group_text(degree, generators)).degree == degree
+
+
+def reference_orbit(seed, generators, act, limit=None):
+    """The walk orbit had: one act(x, g) call per object and generator,
+    raising as soon as more than limit objects are found."""
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in generators:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+                    if limit is not None and len(seen) > limit:
+                        raise ValueError(f"orbit exceeds {limit} elements")
+        frontier = new
+    return seen
+
+
+def test_orbit_matches_the_per_element_walk():
+    rng = random.Random(90)
+    kinds = 0
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        gens = [Permutation(rng.sample(range(n), n))
+                for _ in range(rng.randrange(0, 3))]
+        k = rng.randrange(1, n + 1)
+        cases = [
+            (rng.randrange(n), lambda x, g: g(x),
+             lambda xs, g: [g(x) for x in xs]),
+            (tuple(sorted(rng.sample(range(n), k))),
+             lambda b, g: tuple(sorted(map(g, b))),
+             lambda bs, g: [tuple(sorted(map(g, b))) for b in bs]),
+        ]
+        if n <= 6:    # the elements of the group, at most 720
+            cases.append((Permutation.identity(n), Permutation.__mul__,
+                          lambda xs, g: [x * g for x in xs]))
+        for seed, act, batch in cases:
+            expected = reference_orbit(seed, gens, act)
+            assert orbit(seed, gens, batch) == expected
+            for limit in (len(expected) - 1, len(expected),
+                          rng.randrange(1, len(expected) + 1)):
+                try:
+                    reference_orbit(seed, gens, act, limit)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        orbit(seed, gens, batch, limit)
+                    kinds += 1
+                else:
+                    assert orbit(seed, gens, batch, limit) == expected
+    assert kinds >= 200

@@ -283,6 +283,10 @@ def set_image(points: frozenset, g: Permutation) -> frozenset:
     return frozenset(g(p) for p in points)
 
 
+def set_images(sets, g: Permutation):
+    return map(set_image, sets, itertools.repeat(g))
+
+
 def certifies(group: PermutationGroup, design: IncidenceStructure,
               expected: Parameters) -> bool:
     """Whether design is a 2-design with the expected parameters on which
@@ -297,7 +301,7 @@ def certifies(group: PermutationGroup, design: IncidenceStructure,
 
 def try_block(group: PermutationGroup, block, expected: Parameters):
     try:
-        blocks = orbit(frozenset(block), group.generators, set_image,
+        blocks = orbit(frozenset(block), group.generators, set_images,
                        limit=expected.b)
     except ValueError:
         return None
@@ -561,7 +565,7 @@ def gen_line6(rng):
     # degree-28 action: conjugation on the Sylow 3-subgroups (cyclic of
     # order 9) of PSL(2,8)
     identity = Permutation.identity(9)
-    cyclic = [orbit(identity, [g], Permutation.__mul__)
+    cyclic = [orbit(identity, [g], lambda xs, h: [x * h for x in xs])
               for g in psl.elements()]
     sylows = {frozenset(x.images for x in sub)
               for sub in cyclic if len(sub) == 9}
@@ -632,14 +636,14 @@ def build_witt22():
 
     # the line x0 = 0 holds the first q + 1 = 5 points; PSL(3,4) is
     # transitive on lines
-    lines = orbit(frozenset(range(5)), psl.generators, set_image)
+    lines = orbit(frozenset(range(5)), psl.generators, set_images)
     assert len(lines) == 21
 
     # hyperoval: conic {(1, t, t^2)} plus (0,0,1) and the nucleus (0,1,0)
     oval = {index[(1, t, GF4.mul(t, t))] for t in range(4)}
     oval |= {index[(0, 0, 1)], index[(0, 1, 0)]}
     assert len(oval) == 6
-    oval_orbit = orbit(frozenset(oval), psl.generators, set_image)
+    oval_orbit = orbit(frozenset(oval), psl.generators, set_images)
     assert len(oval_orbit) == 56, len(oval_orbit)
 
     hexads = [tuple(sorted(line | {21})) for line in lines]
@@ -745,7 +749,8 @@ def gen_line10(rng):
     def split_image(sp, g: Permutation):
         return split_of(set_image(next(iter(sp)), g))
 
-    splits = orbit(split_of(frozenset(side)), hs.generators, split_image)
+    splits = orbit(split_of(frozenset(side)), hs.generators,
+                   lambda sps, g: map(split_image, sps, itertools.repeat(g)))
     assert len(splits) == 176, len(splits)
     ordered = sorted(splits, key=lambda sp: sorted(sorted(h) for h in sp))
     index = {sp: i for i, sp in enumerate(ordered)}
