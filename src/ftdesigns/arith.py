@@ -281,18 +281,24 @@ def cyclotomic_table(n_max: int, q: int) -> dict[int, int]:
     return _cyclotomic_values(range(1, n_max + 1), q)
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n in ascending order.
+def divisors(n: int, limit: int | None = None) -> list[int]:
+    """All positive divisors of n in ascending order, or with a limit only
+    those at most limit.
 
     The divisors found so far times p^i, for i = 1..e, are each the layer
     before times p, so every divisor is one C-level multiplication; one
-    in-place sort orders them.
+    in-place sort orders them.  With a limit, a layer element above it is
+    dropped, since every multiple of it is above it too.  n is factorized
+    whatever the limit, so an n out of factorize's range is refused.
     """
-    divs = [1]
+    divs = [1] if limit is None or limit >= 1 else []
     for p, e in factorize(n).items():
         layer = divs
         for _ in range(e):
-            layer = list(map(p.__mul__, layer))
+            layer = map(p.__mul__, layer)
+            if limit is not None:
+                layer = filter(limit.__ge__, layer)
+            layer = list(layer)
             divs += layer
     divs.sort()
     return divs

@@ -16,7 +16,7 @@ arithmetic; "nearly feasible" does not exist here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import divisors
 
@@ -117,10 +117,13 @@ def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
     """All admissible parameter tuples with this v and lambda where r divides
     the given modulus.
 
-    For each divisor r of r_divides, k is forced by r(k-1) = lambda(v-1) and
-    b by vr = bk; a tuple is emitted only when both are integral and every
-    admissibility constraint holds.  The empty list is a meaningful result:
-    it proves no design with these constraints exists.
+    lambda*v < r^2 holds exactly when r > isqrt(lambda*v), that is when the
+    cofactor e = r_divides // r is at most r_divides // (isqrt(lambda*v) + 1).
+    So only the divisors e up to that bound are walked, and r is taken as
+    r_divides // e.  For each such r, k is forced by r(k-1) = lambda(v-1)
+    and b by vr = bk; a tuple is emitted only when both are integral and
+    every admissibility constraint holds.  The empty list is a meaningful
+    result: it proves no design with these constraints exists.
     """
     if lam < 1:
         raise ValueError(f"need lambda >= 1, got {lam}")
@@ -129,8 +132,9 @@ def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
     if r_divides < 1:
         raise ValueError(f"need r_divides >= 1, got {r_divides}")
     found = []
-    for r in divisors(r_divides):
-        num_k = lam * (v - 1)
+    num_k = lam * (v - 1)
+    for e in divisors(r_divides, r_divides // (isqrt(lam * v) + 1)):
+        r = r_divides // e
         if num_k % r != 0:
             continue
         k = 1 + num_k // r
@@ -141,7 +145,7 @@ def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
         params = Parameters(v, v * r // k, r, k, lam)
         if is_admissible(params):
             found.append(params)
-    return sorted(set(found))
+    return sorted(found)
 
 
 def embeds_symmetric(params: Parameters) -> tuple[int, int, int] | None:

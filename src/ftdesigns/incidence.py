@@ -200,7 +200,7 @@ def is_flag_transitive(group: PermutationGroup,
     """
     if not is_automorphism_group(group, structure):
         raise GroupActionError("group does not act on the structure")
-    covered = {p for block in structure.blocks for p in block}
+    covered = set(chain.from_iterable(structure.blocks))
     if not covered:
         return False
     base = group.base()

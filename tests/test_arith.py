@@ -111,6 +111,24 @@ def test_divisors_match_sympy_at_one_prime_powers_and_the_range_top():
         assert divisors(n) == sympy.divisors(n), n
 
 
+def test_divisors_up_to_a_limit_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(16)
+    values = [1, 2, 12, 128, 720720, 10**18, 999983**2, 2**59]
+    values += [rng.randrange(1, 10**rng.randrange(2, 19)) for _ in range(60)]
+    for n in values:
+        every = sympy.divisors(n)
+        for limit in (0, 1, isqrt(n), n, n + 1):
+            assert divisors(n, limit) == [d for d in every if d <= limit], \
+                (n, limit)
+
+
+@pytest.mark.parametrize("limit", [None, 0, 1, 12, 10**18, 10**30])
+def test_divisors_refuse_above_the_range_whatever_the_limit(limit):
+    with pytest.raises(ValueError, match="supported factorization range"):
+        divisors(10**18 + 1, limit)
+
+
 def test_divisors_against_scan():
     rng = random.Random(2)
     for _ in range(50):

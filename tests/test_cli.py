@@ -157,6 +157,9 @@ BAD_INPUT = {
     "derived-pg-7": ["construct", "--name", "derived_pg:7"],
     "feasible-lambda-0": ["feasible", "--v", "10", "--lambda", "0"],
     "feasible-above-range": ["feasible", "--v", "1000000000000000000"],
+    # the walk bounds the divisors it lists, but still factorizes the modulus
+    "feasible-r-mod-above-range": ["feasible", "--v", "7", "--r-mod",
+                                   "1000000000000000000000000000000"],
     "eliminate-q-above-range": ["eliminate", "--family", "e6",
                                 "--q-min", "1000000000000000001",
                                 "--q-max", "1000000000000000100"],
@@ -566,6 +569,14 @@ def test_feasible_empty(capsys):
                        "--r-mod", "3")
     assert code == 0
     assert out.strip() == "no feasible parameter sets"
+
+
+def test_feasible_v_above_range_with_small_modulus(capsys):
+    # lambda*v = 2*10**18 + 2 is past the factorization range, but it only
+    # bounds the walk: no r | 12 has r^2 > lambda*v, so there is no row
+    code, out, err = run(capsys, "feasible", "--v", "1000000000000000001",
+                         "--r-mod", "12")
+    assert (code, out, err) == (0, "no feasible parameter sets\n", "")
 
 
 def test_catalog_list(capsys):

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from ftdesigns.arith import divisors
 from ftdesigns.design import (GroupFrame, NonIntegralParameterError,
                               Parameters, admissibility_violations,
                               complete_parameters, embeds_symmetric,
@@ -108,6 +109,45 @@ def test_enumerate_candidates_matches_brute_force_randomly():
         r_mod = rng.randrange(1, 3 * v)
         assert [p.astuple() for p in enumerate_candidates(v, lam, r_mod)] \
             == brute_force_candidates(v, lam, r_mod)
+
+
+def full_walk_candidates(v, lam, r_divides):
+    """Every divisor r of r_divides tried in turn, with the tests of
+    enumerate_candidates but no bound from lambda*v < r^2."""
+    found = []
+    for r in divisors(r_divides):
+        num_k = lam * (v - 1)
+        if num_k % r != 0:
+            continue
+        k = 1 + num_k // r
+        if k < 2 or k > v:
+            continue
+        if (v * r) % k != 0:
+            continue
+        params = Parameters(v, v * r // k, r, k, lam)
+        if is_admissible(params):
+            found.append(params)
+    return sorted(set(found))
+
+
+def test_enumerate_candidates_matches_the_full_walk_on_smooth_values():
+    rng = random.Random(16)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for _ in range(300):
+        # v - 1 is a product of small primes up to 10**15
+        top = 10 ** rng.randrange(1, 16)
+        n = 3
+        while n * 23 <= top:
+            n *= rng.choice(primes)
+        v = n + 1
+        lam = rng.randrange(1, 4)
+        num = lam * (v - 1)
+        moduli = [num, num * rng.randrange(2, 60),
+                  # a modulus that need not divide lambda(v-1)
+                  rng.randrange(1, num + 2) * rng.choice(primes)]
+        for r_mod in moduli:
+            assert enumerate_candidates(v, lam, r_mod) \
+                == full_walk_candidates(v, lam, r_mod), (v, lam, r_mod)
 
 
 def test_embeds_symmetric():
