@@ -11,17 +11,15 @@ Modules:
 """
 
 from .arith import PrimePower, cyclotomic, divisors, ppart
-from .design import (GroupFrame, Parameters, complete_parameters,
-                     embeds_symmetric, enumerate_candidates, is_admissible,
-                     is_large, r_modulus, tits_check)
+from .design import (Parameters, complete_parameters, embeds_symmetric,
+                     enumerate_candidates, is_admissible)
 from .incidence import IncidenceStructure, verify_2design
 from .perm import Permutation, PermutationGroup, build_group
 
 __all__ = [
     "PrimePower", "cyclotomic", "divisors", "ppart",
-    "GroupFrame", "Parameters", "complete_parameters", "embeds_symmetric",
-    "enumerate_candidates", "is_admissible", "is_large", "r_modulus",
-    "tits_check",
+    "Parameters", "complete_parameters", "embeds_symmetric",
+    "enumerate_candidates", "is_admissible",
     "IncidenceStructure", "verify_2design",
     "Permutation", "PermutationGroup", "build_group",
 ]

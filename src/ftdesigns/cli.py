@@ -94,7 +94,10 @@ def _cmd_verify(args) -> int:
 
 
 def _pg_line_space(name: str) -> constructions.LinearSpace:
-    n = int(name.split(":")[1])
+    family, _, suffix = name.partition(":")
+    n = int(suffix) if suffix.isascii() and suffix.isdigit() else None
+    if str(n) != suffix:
+        raise ValueError(f"{name}: expected {family}:<n>, n in plain digits")
     if n > PG_MAX_N:
         raise ValueError(f"{name}: n must be at most {PG_MAX_N}")
     return constructions.pg_line_space(n)

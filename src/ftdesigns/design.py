@@ -16,7 +16,7 @@ arithmetic; "nearly feasible" does not exist here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import divisors
 
@@ -42,31 +42,6 @@ class Parameters:
 
     def __str__(self) -> str:
         return f"({self.v},{self.b},{self.r},{self.k},{self.lam})"
-
-
-@dataclass(frozen=True)
-class GroupFrame:
-    """Order data for an almost simple group G with socle X and H = G_alpha.
-
-    order_h0 is |H ∩ X| and out_order is |Out(X)|; the point count is
-    order_x / order_h0.  stabilizer_is_parabolic records whether H came from
-    a parabolic subgroup, which decides if the Tits divisibility filter
-    applies.
-    """
-
-    order_x: int
-    order_h0: int
-    out_order: int
-    p: int | None = None
-    stabilizer_is_parabolic: bool = False
-
-    def __post_init__(self) -> None:
-        if self.order_x % self.order_h0 != 0:
-            raise ValueError("order_h0 must divide order_x")
-
-    @property
-    def v(self) -> int:
-        return self.order_x // self.order_h0
 
 
 def complete_parameters(v: int, k: int, lam: int) -> Parameters:
@@ -161,36 +136,3 @@ def embeds_symmetric(params: Parameters) -> tuple[int, int, int] | None:
         return None
     return (v + k + lam, k + lam, lam)
 
-
-def is_large(order_g: int, order_h: int) -> bool:
-    """Whether |H|^3 >= |G| for a subgroup H of G."""
-    if order_g % order_h != 0:
-        raise ValueError(f"{order_h} does not divide {order_g}")
-    return order_h**3 >= order_g
-
-
-def tits_check(p: int, v: int) -> bool:
-    """Consistency filter for non-parabolic stabilizers in characteristic p:
-    the point count v must be divisible by p, i.e. gcd(p, v-1) = 1."""
-    if v < 2:
-        raise ValueError(f"need v >= 2, got {v}")
-    return gcd(p, v - 1) == 1
-
-
-def r_modulus(frame: GroupFrame, v: int, lam: int,
-              subdegree_gcd: int | None = None) -> int:
-    """Tightest proven modulus that the replication number must divide.
-
-    Combines r | lambda(v-1), r | |H| with |H| dividing |Out(X)|*|H ∩ X|,
-    and (when a subdegree gcd is known) r | lambda*d for nontrivial
-    subdegrees d.
-    """
-    if lam < 1:
-        raise ValueError("lambda must be positive")
-    if frame.v != v:
-        raise ValueError(
-            f"v = {v} inconsistent with |X|/|H ∩ X| = {frame.v}")
-    modulus = gcd(lam * (v - 1), frame.out_order * frame.order_h0)
-    if subdegree_gcd is not None:
-        modulus = gcd(modulus, lam * subdegree_gcd)
-    return modulus

@@ -25,11 +25,12 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple, TextIO
 
-# cyclotomic is not called here, but bench/tracing.py wraps this binding
+# cyclotomic and enumerate_candidates are not called here, but
+# bench/tracing.py wraps these bindings
 from .arith import (PrimePower, cyclotomic, cyclotomic_table,  # noqa: F401
                     divisors, ppart, prime_powers)
-from .design import (Parameters, admissibility_violations, embeds_symmetric,
-                     enumerate_candidates)
+from .design import (Parameters, admissibility_violations,  # noqa: F401
+                     embeds_symmetric, enumerate_candidates)
 
 EVEN_R_HYPOTHESIS = (
     "r is assumed even: flag-transitive actions with gcd(r, lambda) = 1 "
@@ -771,23 +772,18 @@ PARABOLIC_ROWS: tuple[ParabolicRow, ...] = (
                  subdegree_hypothesis="the group contains a graph automorphism"),
 )
 
-PARABOLIC_ROW_INDEX = {row.key: row for row in PARABOLIC_ROWS}
-
-
 # the largest cyclotomic index of any row, so that one cyclotomic_table per
 # q serves all rows
 _PARABOLIC_N_MAX = max(n for row in PARABOLIC_ROWS
                        for n, _ in row.phi_exponents)
 
 
-def eliminate_parabolic_generic(row: ParabolicRow | str, q: PrimePower,
+def eliminate_parabolic_generic(row: ParabolicRow, q: PrimePower,
                                 phi: dict[int, int] | None = None
                                 ) -> CaseReport:
     """Evaluate v exactly from the cyclotomic product, cross-check the
     tabulated p-part of v - 1 against a direct computation, and test the
     necessary condition v < 2*(|v-1|_p)^2.  phi is as in point_count."""
-    if isinstance(row, str):
-        row = PARABOLIC_ROW_INDEX[row]
     if not row.valid_q(q):
         raise ValueError(f"q = {q} is outside the validity range of row "
                          f"{row.key} ({row.socle}, {row.stabilizer})")
@@ -823,32 +819,6 @@ def eliminate_parabolic_generic(row: ParabolicRow | str, q: PrimePower,
                        extra={"row": row.key, "socle": row.socle,
                               "stabilizer": row.stabilizer}),
         tuple(hypotheses), tuple(facts), (branch,))
-
-
-def eliminate_nonparabolic_bound(ell_v: int, u_r: int) -> bool:
-    """True when a lower bound ell_v for v and an upper bound u_r for r/2
-    already contradict 2v <= r^2, i.e. when 2*u_r^2 < ell_v."""
-    if ell_v < 1 or u_r < 1:
-        raise ValueError("bounds must be positive")
-    return 2 * u_r * u_r < ell_v
-
-
-def table3_scan(v: int, r_modulus: int, lam: int = 2) -> CaseReport:
-    """Exhaustive parameter scan at a known v: eliminated iff no admissible
-    tuple with r | r_modulus exists."""
-    found = enumerate_candidates(v, lam, r_modulus)
-    facts = [Fact(f"admissible tuples with v = {v}, lambda = {lam}, "
-                  f"r | {r_modulus}", (len(found),), not found)]
-    if found:
-        branches = tuple(Branch(str(p), "candidate", "admissible tuple",
-                                params=p) for p in found)
-    else:
-        branches = (Branch("scan", "eliminated",
-                           "no admissible parameter tuple exists"),)
-    return CaseReport(
-        CaseDescriptor("table3_scan",
-                       extra={"v": v, "r_modulus": r_modulus, "lambda": lam}),
-        (), tuple(facts), branches)
 
 
 # -- sweeps -------------------------------------------------------------------

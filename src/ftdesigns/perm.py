@@ -130,16 +130,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return _unchecked(tuple(range(n)))
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "Permutation":
-        images = list(range(n))
-        for cycle in cycles:
-            for x, y in zip(cycle, cycle[1:]):
-                images[x] = y
-            if cycle:
-                images[cycle[-1]] = cycle[0]
-        return cls(images)
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -462,9 +452,6 @@ class PermutationGroup:
                 to_0 = self.levels[0].transversal[0]
                 return False, frozenset(to_0[x] for x in block)
         return True, None
-
-    def is_primitive(self) -> bool:
-        return self.primitivity()[0]
 
     def _minimal_block(self, alpha: int, beta: int) -> set[int]:
         """Smallest block of imprimitivity containing {alpha, beta}."""

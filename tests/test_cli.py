@@ -155,6 +155,11 @@ BAD_INPUT = {
                         "--out", "{missing}/x.json"],
     "pg-lines-7": ["construct", "--name", "pg_lines:7"],
     "derived-pg-7": ["construct", "--name", "derived_pg:7"],
+    # n is the whole suffix after the first colon, in plain digits
+    "pg-lines-junk-field": ["construct", "--name", "pg_lines:3:junk"],
+    "derived-pg-empty-field": ["construct", "--name", "derived_pg:3:"],
+    "pg-lines-space": ["construct", "--name", "pg_lines: 3"],
+    "pg-lines-plus": ["construct", "--name", "pg_lines:+3"],
     "feasible-lambda-0": ["feasible", "--v", "10", "--lambda", "0"],
     "feasible-above-range": ["feasible", "--v", "1000000000000000000"],
     # the walk bounds the divisors it lists, but still factorizes the modulus

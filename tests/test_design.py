@@ -1,14 +1,12 @@
 import random
-from math import gcd
 
 import pytest
 
 from ftdesigns.arith import divisors
-from ftdesigns.design import (GroupFrame, NonIntegralParameterError,
-                              Parameters, admissibility_violations,
-                              complete_parameters, embeds_symmetric,
-                              enumerate_candidates, is_admissible, is_large,
-                              r_modulus, tits_check)
+from ftdesigns.design import (NonIntegralParameterError, Parameters,
+                              admissibility_violations, complete_parameters,
+                              embeds_symmetric, enumerate_candidates,
+                              is_admissible)
 
 
 def brute_force_candidates(v, lam, r_divides):
@@ -176,50 +174,3 @@ def test_embeds_symmetric_identity():
             hits += 1
     assert hits > 0
 
-
-def test_is_large():
-    assert is_large(168, 24)
-    assert not is_large(60, 2)
-    assert is_large(29120, 448)
-    with pytest.raises(ValueError):
-        is_large(100, 7)
-
-
-def test_tits_check():
-    assert not tits_check(2, 65)
-    assert tits_check(2, 66)
-    assert not tits_check(3, 28)
-    assert not tits_check(5, 126)
-    assert tits_check(7, 30)
-    with pytest.raises(ValueError):
-        tits_check(2, 1)
-
-
-def test_r_modulus_suzuki_frame():
-    frame = GroupFrame(order_x=29120, order_h0=448, out_order=3, p=2,
-                       stabilizer_is_parabolic=True)
-    assert frame.v == 65
-    assert r_modulus(frame, 65, 2) == gcd(2 * 64, 3 * 448) == 64
-
-
-def test_r_modulus_fano_frame():
-    frame = GroupFrame(order_x=168, order_h0=24, out_order=2, p=2)
-    mod = r_modulus(frame, 7, 2)
-    assert mod == gcd(12, 48) == 12
-    assert mod % 4 == 0  # the true replication number divides it
-
-
-def test_r_modulus_subdegree_and_errors():
-    frame = GroupFrame(order_x=168, order_h0=24, out_order=2)
-    assert r_modulus(frame, 7, 2, subdegree_gcd=6) == 12
-    with pytest.raises(ValueError):
-        r_modulus(frame, 8, 2)
-    with pytest.raises(ValueError):
-        GroupFrame(order_x=100, order_h0=7, out_order=1)
-
-
-def test_r_modulus_covers_enumerated_candidates():
-    frame = GroupFrame(order_x=168, order_h0=24, out_order=2)
-    mod = r_modulus(frame, 7, 2)
-    for params in enumerate_candidates(7, 2, mod):
-        assert mod % params.r == 0

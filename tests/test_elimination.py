@@ -11,8 +11,8 @@ from ftdesigns.arith import (PrimePower, cyclotomic_table, divisors, ppart,
                              prime_powers)
 from ftdesigns.design import Parameters, admissibility_violations, \
     embeds_symmetric, enumerate_candidates
-from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROW_INDEX,
-                                   PARABOLIC_ROWS, REE_UNITAL_REFERENCE,
+from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROWS,
+                                   REE_UNITAL_REFERENCE,
                                    SU3_STABILIZER_REFERENCE,
                                    SYMMETRIC_EMBED_REFERENCE, Branch,
                                    CaseDescriptor, CaseReport, Fact,
@@ -20,10 +20,10 @@ from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROW_INDEX,
                                    TailedRecords, _branch_json,
                                    _descriptor_json, _extra_json, _fact_json,
                                    _report_json, eliminate_e6, eliminate_g2,
-                                   eliminate_nonparabolic_bound,
                                    eliminate_parabolic_generic, eliminate_ree,
-                                   eliminate_suzuki, sweep, table3_scan,
-                                   write_json)
+                                   eliminate_suzuki, sweep, write_json)
+
+ROWS = {row.key: row for row in PARABOLIC_ROWS}
 
 
 def test_suzuki_q8():
@@ -39,8 +39,7 @@ def test_suzuki_q32_consistent_with_scan():
     # the pure parameter scan keeps tuples the case analysis kills with the
     # extra block-stabilizer divisibility; every scan survivor must have odd
     # k (so k cannot divide the power of two it would need to divide)
-    scan = table3_scan(32**2 + 1, 2 * 32**2)
-    survivors = [b.params for b in scan.branches if b.params is not None]
+    survivors = enumerate_candidates(32**2 + 1, 2, 2 * 32**2)
     assert survivors == [Parameters(1025, 104960, 512, 5, 2)]
     for params in survivors:
         assert params.k % 2 == 1
@@ -286,7 +285,7 @@ def test_e6_both_cases_eliminated():
 
 
 def test_parabolic_3d4_q2():
-    report = eliminate_parabolic_generic("3d4_p1", PrimePower(2, 1))
+    report = eliminate_parabolic_generic(ROWS["3d4_p1"], PrimePower(2, 1))
     assert report.verdict == "eliminated"
     v = report.facts[0].values[0]
     assert v == 2457 == (2**8 + 2**4 + 1) * (2**3 + 1)
@@ -296,16 +295,16 @@ def test_parabolic_3d4_q2():
 def test_parabolic_tits_group_rejected():
     # 2F4 at q = 2 is the Tits-group case and is outside this row's range
     with pytest.raises(ValueError):
-        eliminate_parabolic_generic("2f4_p1", PrimePower(2, 1))
-    eliminate_parabolic_generic("2f4_p1", PrimePower(2, 3))
+        eliminate_parabolic_generic(ROWS["2f4_p1"], PrimePower(2, 1))
+    eliminate_parabolic_generic(ROWS["2f4_p1"], PrimePower(2, 3))
 
 
 def test_parabolic_validity_windows():
-    assert not PARABOLIC_ROW_INDEX["f4_p14"].valid_q(PrimePower(2, 1))
-    assert PARABOLIC_ROW_INDEX["f4_p23"].valid_q(PrimePower(2, 1))
-    assert not PARABOLIC_ROW_INDEX["e6_p16"].valid_q(PrimePower(2, 1))
-    assert PARABOLIC_ROW_INDEX["3d4_p1"].valid_q(PrimePower(2, 1))
-    assert not PARABOLIC_ROW_INDEX["f4_p14"].valid_q(PrimePower(3, 2))
+    assert not ROWS["f4_p14"].valid_q(PrimePower(2, 1))
+    assert ROWS["f4_p23"].valid_q(PrimePower(2, 1))
+    assert not ROWS["e6_p16"].valid_q(PrimePower(2, 1))
+    assert ROWS["3d4_p1"].valid_q(PrimePower(2, 1))
+    assert not ROWS["f4_p14"].valid_q(PrimePower(3, 2))
 
 
 def test_parabolic_rows_validate_up_to_32():
@@ -347,39 +346,10 @@ def test_parabolic_data_error_detected():
 
 
 def test_parabolic_e6_rows_carry_subdegree_hypothesis():
-    report = eliminate_parabolic_generic("e6_p16", PrimePower(3, 1))
+    report = eliminate_parabolic_generic(ROWS["e6_p16"], PrimePower(3, 1))
     assert any("graph automorphism" in h for h in report.hypotheses)
-    report = eliminate_parabolic_generic("3d4_p1", PrimePower(3, 1))
+    report = eliminate_parabolic_generic(ROWS["3d4_p1"], PrimePower(3, 1))
     assert not any("graph automorphism" in h for h in report.hypotheses)
-
-
-def test_nonparabolic_bound():
-    assert eliminate_nonparabolic_bound(10**6, 100)
-    assert not eliminate_nonparabolic_bound(100, 100)
-    assert not eliminate_nonparabolic_bound(2 * 100 * 100, 100)
-    with pytest.raises(ValueError):
-        eliminate_nonparabolic_bound(0, 5)
-
-
-def test_table3_scan_examples():
-    report = table3_scan(65, 128)
-    assert report.verdict == "candidate"
-    assert [b.params for b in report.branches] == \
-        [Parameters(65, 416, 32, 5, 2)]
-
-    report = table3_scan(7, 12)
-    assert report.verdict == "candidate"
-    assert Parameters(7, 7, 4, 4, 2) in [b.params for b in report.branches]
-
-    # with lambda fixed at 2 the 4-point pair design is not admissible
-    report = table3_scan(4, 6)
-    assert report.verdict == "eliminated"
-
-
-def test_scan_agrees_with_enumerate():
-    report = table3_scan(65, 128)
-    assert [b.params for b in report.branches if b.params] == \
-        enumerate_candidates(65, 2, 128)
 
 
 def test_flagged_candidates_satisfy_counting_identities():
@@ -402,15 +372,14 @@ def test_analytic_survivors_appear_in_the_scan():
     # of a case analysis must be among its candidates at the same v
     report = eliminate_ree(PrimePower(3, 3))
     v = 19684
-    scanned = [b.params for b in table3_scan(v, 2 * (v - 1)).branches if b.params]
+    scanned = enumerate_candidates(v, 2, 2 * (v - 1))
     for branch in report.flagged():
         assert branch.params in scanned
 
     for eps_report in (eliminate_g2(PrimePower(2, 2), -1),
                        eliminate_g2(PrimePower(3, 1), -1)):
         v = eps_report.facts[0].values[0]
-        scanned = [b.params for b in table3_scan(v, 2 * (v - 1)).branches
-                   if b.params]
+        scanned = enumerate_candidates(v, 2, 2 * (v - 1))
         for branch in eps_report.flagged():
             assert branch.params in scanned
 
@@ -501,13 +470,23 @@ def test_fact_json_is_json_dumps(fact):
     assert _fact_json(fact) == dumped_at_depth(fact.to_dict(), 3)
 
 
+# a parameter scan at v = 65 with r | 128: a descriptor with int-valued
+# extras, and a branch that carries its parameters
+SCAN = CaseReport(
+    CaseDescriptor("table3_scan",
+                   extra={"v": 65, "r_modulus": 128, "lambda": 2}),
+    (), (Fact("admissible tuples with v = 65, lambda = 2, r | 128", (1,),
+              False),),
+    (Branch("(65,416,32,5,2)", "candidate", "admissible tuple",
+            params=Parameters(65, 416, 32, 5, 2)),))
+
 # a report's descriptor sits at depth 2, its extra at depth 3
 DESCRIPTORS = {
     "suzuki": eliminate_suzuki(PrimePower(2, 3)).descriptor,
     "g2": eliminate_g2(PrimePower(3, 1), -1).descriptor,
     "parabolic": eliminate_parabolic_generic(
-        "e6_p16", PrimePower(3, 1)).descriptor,
-    "table3_scan": table3_scan(65, 128).descriptor,
+        ROWS["e6_p16"], PrimePower(3, 1)).descriptor,
+    "table3_scan": SCAN.descriptor,
     "escapes": CaseDescriptor(
         "odd", PrimePower(5, 2), 1,
         extra={"note": 'a "quote" and q \u2264 2^\u03b1',
@@ -528,7 +507,7 @@ def test_extra_json_is_json_dumps_on_flat_dicts():
     # way; st.text() draws quotes, backslashes and control characters too
     flat = st.dictionaries(st.text(), st.one_of(st.text(), ints),
                            min_size=1, max_size=6)
-    # and the values a table3_scan descriptor holds
+    # and the int-valued extras of a parameter scan
     scan = st.fixed_dictionaries({"v": ints, "r_modulus": ints,
                                   "lambda": ints})
 
@@ -555,8 +534,8 @@ def test_extra_json_falls_back_to_json_dumps(extra):
 
 @pytest.mark.parametrize("reports", [
     [CaseReport(CaseDescriptor("empty"), (), (), ())],
-    [eliminate_ree(PrimePower(3, 3)), table3_scan(65, 128),
-     eliminate_parabolic_generic("e6_p16", PrimePower(3, 1)),
+    [eliminate_ree(PrimePower(3, 3)), SCAN,
+     eliminate_parabolic_generic(ROWS["e6_p16"], PrimePower(3, 1)),
      eliminate_g2(PrimePower(2, 2), -1)],
 ], ids=["empty-report", "mixed"])
 def test_write_json_is_json_dumps(reports):

@@ -31,7 +31,6 @@ def test_permutation_composition():
     q = Permutation([0, 2, 1])
     assert (p * q)(0) == q(p(0))
     assert (p * p.inverse()).is_identity()
-    assert Permutation.from_cycles(4, [(0, 1, 2, 3)]).images == (1, 2, 3, 0)
     # operands of different degrees have no product
     with pytest.raises(ValueError):
         Permutation([1, 2, 0]) * Permutation([4, 3, 2, 1, 0])
@@ -494,7 +493,7 @@ def test_against_sympy_on_random_catalog_subgroups():
                 assert (sorted(map(sorted, ours.orbits()))
                         == sorted(map(sorted, theirs.orbits())))
                 if ours.is_transitive():
-                    assert ours.is_primitive() == theirs.is_primitive(
+                    assert ours.primitivity()[0] == theirs.is_primitive(
                         randomized=False)
                 assert (ours.stabilizer(other).order()
                         == theirs.stabilizer(other).order())
