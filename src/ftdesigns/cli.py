@@ -25,6 +25,7 @@ from .design import enumerate_candidates
 # first; is_automorphism_group stays bound here, where bench/tracing.py
 # wraps it
 from .incidence import (DesignCertificate, DesignError, GroupActionError,
+                        IncidenceStructure,
                         is_automorphism_group,  # noqa: F401
                         is_flag_transitive, is_point_primitive,
                         load_structure, structure_to_json, verify_2design)
@@ -38,10 +39,8 @@ EXIT_INPUT = 2
 # bad JSON or a document of the wrong shape
 DATA_ERRORS = (OSError, KeyError, ValueError, TypeError)
 
-# pg_line_space(n), which certifies its lines, takes about ten times longer
-# for each step of n: 0.34-0.36 s at n = 6 and 3.4-3.9 s at n = 7 (Python
-# 3.11.7 on a 2-core shared host, best of 3 and of 2 runs, in three rounds),
-# and construct --name derived_pg:6 takes 0.7-0.8 s in all.
+# The bound is set by b, which grows ninefold with each step of n: 44,044
+# blocks for derived_pg:6 and 397,852 for derived_pg:7.
 PG_MAX_N = 6
 
 
@@ -93,14 +92,14 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _pg_line_space(name: str) -> constructions.LinearSpace:
+def _pg_line_space(name: str) -> IncidenceStructure:
     family, _, suffix = name.partition(":")
     n = int(suffix) if suffix.isascii() and suffix.isdigit() else None
     if str(n) != suffix:
         raise ValueError(f"{name}: expected {family}:<n>, n in plain digits")
     if n > PG_MAX_N:
         raise ValueError(f"{name}: n must be at most {PG_MAX_N}")
-    return constructions.pg_line_space(n)
+    return constructions.pg_lines(n, 4 if family == "pg_lines" else 3)
 
 
 def _cmd_construct(args) -> int:
@@ -109,10 +108,8 @@ def _cmd_construct(args) -> int:
     try:
         if name == "fano_complement":
             design = constructions.fano_complement()
-        elif name.startswith("pg_lines:"):
-            design = _pg_line_space(name).structure
-        elif name.startswith("derived_pg:"):
-            design = constructions.derived_design(_pg_line_space(name))
+        elif name.startswith(("pg_lines:", "derived_pg:")):
+            design = _pg_line_space(name)
         else:
             entry = constructions.catalog(name)
             design, expected = entry.design, entry.expected

@@ -1,7 +1,7 @@
-"""Builders for concrete designs: projective points over GF(q), the Fano
-complement, projective line spaces over GF(3), point-deleted line designs,
-block orbits under a group, and the bundled catalog of verified
-flag-transitive examples.
+"""Builders for concrete designs, each the orbit of one base block under a
+group: the Fano complement, the lines of PG(n-1, 3) and those lines less one
+point each, under two generators of SL_n(q) acting on the projective points
+over GF(q), and the bundled catalog of verified flag-transitive examples.
 
 Each catalog entry lives as three data files: group generators, the
 expected parameters, and one base block, whose orbit under the group is the
@@ -19,46 +19,18 @@ from itertools import product
 from pathlib import Path
 
 from .design import Parameters
-from .incidence import IncidenceStructure, _block_images, verify_2design
-from .perm import PermutationGroup, load_group, orbit
-
-
-@dataclass(frozen=True)
-class LinearSpace:
-    """A certified 2-(v, k, 1) design: every point pair on exactly one line."""
-
-    structure: IncidenceStructure
-    params: Parameters
-
-    @classmethod
-    def certify(cls, structure: IncidenceStructure) -> "LinearSpace":
-        cert = verify_2design(structure)
-        if cert.params.lam != 1:
-            raise ValueError(
-                f"not a linear space: pair multiplicity {cert.params.lam}")
-        return cls(structure, cert.params)
-
-
-# Points are pg_points(2, 3), the nonzero vectors of GF(2)^3 in lexicographic
-# order, so point i stands for the binary vector of i + 1 and a triple is a
-# line exactly when the vectors sum to zero.  This matches the point labels of
-# the bundled line2_fano_complement group, PSL(2,7).
-_FANO_LINES = tuple(sorted(
-    (a, b, c)
-    for a in range(7) for b in range(a + 1, 7) for c in range(b + 1, 7)
-    if (a + 1) ^ (b + 1) == c + 1))
-
-
-def fano_plane() -> LinearSpace:
-    """The 2-(7,3,1) design on the projective plane over GF(2)."""
-    return LinearSpace.certify(
-        IncidenceStructure.from_blocks(7, _FANO_LINES, name="fano_plane"))
+# nothing here calls verify_2design; it stays bound here, where
+# bench/tracing.py wraps it
+from .incidence import (IncidenceStructure, _block_images,
+                        verify_2design)  # noqa: F401
+from .perm import Permutation, PermutationGroup, load_group, orbit
 
 
 def fano_complement() -> IncidenceStructure:
-    """7 blocks, each the 4-point complement of a Fano line: a 2-(7,4,2)."""
-    blocks = [sorted(set(range(7)) - set(line)) for line in _FANO_LINES]
-    return IncidenceStructure.from_blocks(7, blocks, name="fano_complement")
+    """The complements of the Fano lines, a 2-(7,4,2): the orbit under SL_3(2)
+    of the complement of the line {0, 1, 2} of pg_points(2, 3), the labels of
+    the bundled line2_fano_complement group."""
+    return orbit_design(*sl_generators(2, 3), (3, 4, 5, 6))
 
 
 def pg_points(q: int, n: int) -> list[tuple[int, ...]]:
@@ -69,62 +41,53 @@ def pg_points(q: int, n: int) -> list[tuple[int, ...]]:
             for rest in product(range(q), repeat=n - 1 - lead)]
 
 
-def pg_line_space(n: int) -> LinearSpace:
-    """Points and lines of PG(n-1, 3) as a 2-((3^n - 1)/2, 4, 1) design."""
+def sl_generators(q: int, n: int) -> tuple[int, list[Permutation]]:
+    """The point count of PG(n-1, q), q prime, and two generators of SL_n(q)
+    on pg_points(q, n), acting on row vectors: a = I + E_12, and w, which maps
+    e_i to e_{i+1} and e_n to (-1)^(n-1) e_1.  The conjugates of a by powers
+    of w are transvections I +- E_{i,i+1}, whose commutators give them all."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    points = pg_points(q, n)
+    # every nonzero multiple of each point, so no image needs normalizing
+    index = {tuple(s * c % q for c in pt): i
+             for i, pt in enumerate(points) for s in range(1, q)}
+    sign = (-1) ** (n - 1) % q
+    a = [index[(x[0], (x[0] + x[1]) % q, *x[2:])] for x in points]
+    w = [index[(sign * x[-1] % q, *x[:-1])] for x in points]
+    return len(points), [Permutation(a), Permutation(w)]
+
+
+def pg_lines(n: int, k: int = 4) -> IncidenceStructure:
+    """The lines of PG(n-1, 3), a 2-((3^n-1)/2, 4, 1), or with k = 3 the lines
+    less one point each, a 2-((3^n-1)/2, 3, 2): the orbit under SL_n(3), which
+    is flag-transitive, of k points of the line 0..3 of pg_points(3, n)."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    points = pg_points(3, n)
-    # both nonzero multiples of each point, so no sum needs normalizing
-    index = {tuple(s * c % 3 for c in pt): i
-             for i, pt in enumerate(points) for s in (1, 2)}
-    # each line is emitted once, from its two smallest points i < j
-    lines = []
-    for i, u in enumerate(points):
-        for j, w in enumerate(points[i + 1:], i + 1):
-            rest = [index[tuple((a + s * b) % 3 for a, b in zip(u, w))]
-                    for s in (1, 2)]
-            if j < min(rest):
-                lines.append((i, j, *rest))
-    structure = IncidenceStructure.from_blocks(
-        len(points), lines, name=f"pg_{n - 1}_3_lines")
-    return LinearSpace.certify(structure)
+    return orbit_design(*sl_generators(3, n), range(k))
 
 
-def derived_design(space: LinearSpace) -> IncidenceStructure:
-    """Blocks are the lines with one point removed: a 2-(v, k-1, k-2) design
-    with (number of lines) * k blocks."""
-    if space.params.k < 3:
-        raise ValueError("line size must be at least 3")
-    blocks = []
-    for line in space.structure.blocks:
-        for point in line:
-            blocks.append(tuple(p for p in line if p != point))
-    name = space.structure.name
-    return IncidenceStructure.from_blocks(
-        space.structure.v, blocks,
-        name=f"derived_{name}" if name else "derived")
-
-
-def orbit_design(group: PermutationGroup, base_block) -> IncidenceStructure:
-    """The orbit of a base block under the group, as a simple block set.
+def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
+    """The orbit of a base block under the permutations `generators` of
+    0..degree-1, as a simple block set.
 
     A base block that repeats a point is refused, not folded into a set.
     """
     points = list(base_block)
     if len(set(points)) != len(points):
         raise ValueError(f"base block {points} repeats a point")
-    if not 2 <= len(points) < group.degree:
+    if not 2 <= len(points) < degree:
         raise ValueError(
-            f"base block size {len(points)} must be in 2..{group.degree - 1}")
-    if any(not 0 <= p < group.degree for p in points):
+            f"base block size {len(points)} must be in 2..{degree - 1}")
+    if any(not 0 <= p < degree for p in points):
         raise ValueError("base block is not a subset of the point set")
     # a bool is an int equal to 0 or 1, but it names no point
     if any(type(p) is not int for p in points):
         raise ValueError(f"block {sorted(points)} has a non-integer point")
-    blocks = orbit(tuple(sorted(points)), group.generators, _block_images)
+    blocks = orbit(tuple(sorted(points)), generators, _block_images)
     # every block is the image of the checked base block under a
     # permutation of the points, so it needs no checks of its own
-    return IncidenceStructure(group.degree, tuple(sorted(blocks)))
+    return IncidenceStructure(degree, tuple(sorted(blocks)))
 
 
 # -- bundled catalog ---------------------------------------------------------
@@ -178,7 +141,8 @@ def catalog(name: str) -> CatalogEntry:
     expected = Parameters(*row)
     with open(entry_dir / "base_block.json", encoding="utf-8") as fh:
         base_doc = json.load(fh)
-    design = orbit_design(group, base_doc["block"])
+    design = orbit_design(group.degree, group.generators,
+                          base_doc["block"])
     design = IncidenceStructure(design.v, design.blocks, name=name)
     return CatalogEntry(name, group, design, expected, expected_doc["socle"],
                         expected_doc["automorphism_group"])

@@ -249,8 +249,10 @@ def structure_from_json(text: str) -> IncidenceStructure:
     v = doc["v"]
     if type(v) is not int or v < 0:
         raise ValueError(f"v {v!r} is not a non-negative integer")
-    return IncidenceStructure.from_blocks(v, doc["blocks"],
-                                          name=doc.get("name"))
+    blocks = doc["blocks"]
+    if type(blocks) is not list:
+        raise ValueError(f"blocks {blocks!r} is not a list")
+    return IncidenceStructure.from_blocks(v, blocks, name=doc.get("name"))
 
 
 def load_structure(path) -> IncidenceStructure:

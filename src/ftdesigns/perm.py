@@ -525,9 +525,12 @@ def group_from_json(text: str) -> PermutationGroup:
     expected = doc.get("expected_order")
     if expected is not None and type(expected) is not int:
         raise ValueError(f"expected_order {expected!r} is not an integer")
+    generators = doc["generators"]
+    if type(generators) is not list:
+        raise ValueError(f"generators {generators!r} is not a list")
     # the claim only picks when the chain check may switch to the input
     # generators' Schreier generators at level 0; it is checked below
-    group = PermutationGroup(degree, doc["generators"], name=doc.get("name"),
+    group = PermutationGroup(degree, generators, name=doc.get("name"),
                              _claimed_order=expected)
     if expected is not None and group.order() != expected:
         raise ValueError(

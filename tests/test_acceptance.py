@@ -4,17 +4,20 @@ the measured quantities.  All comparisons are exact integer equality."""
 import random
 import time
 from itertools import combinations
+from math import gcd
 
 from conftest import DATA, catalog_group, fixture_group
 from ftdesigns.arith import PrimePower, ppart, prime_powers
 from ftdesigns.cli import main as cli_main
-from ftdesigns.constructions import catalog, derived_design, pg_line_space
+from ftdesigns.constructions import (catalog, fano_complement, pg_lines,
+                                     sl_generators)
 from ftdesigns.design import Parameters, embeds_symmetric, enumerate_candidates
 from ftdesigns.elimination import (PARABOLIC_ROWS, eliminate_e6, eliminate_g2,
                                    eliminate_parabolic_generic, eliminate_ree,
                                    eliminate_suzuki)
 from ftdesigns.incidence import (is_flag_transitive, is_point_primitive,
                                  structure_to_json, verify_2design)
+from ftdesigns.perm import PermutationGroup
 
 CATALOG_ROWS = {
     "line1_psl25": (6, 10, 5, 3, 2),
@@ -68,18 +71,35 @@ def test_criterion_2_infinite_family_spot_checks():
         return num // den
 
     expected_b[5] = 4 * gaussian_binomial(5, 2, 3)
+    psl_order = {}
     for n in (3, 4, 5):
-        design = derived_design(pg_line_space(n))
+        design = pg_lines(n, 3)
         cert = verify_2design(design)
         v = (3**n - 1) // 2
         assert cert.params.v == v
         assert cert.params.k == 3
         assert cert.params.lam == 2
         assert cert.params.b == expected_b[n], n
+        # the two generators give all of PSL_n(3), which the paper names
+        # as the flag-transitive, point-primitive group of the family
+        group = PermutationGroup(*sl_generators(3, n))
+        psl_order[n] = 3 ** (n * (n - 1) // 2)
+        for i in range(2, n + 1):
+            psl_order[n] *= 3**i - 1
+        psl_order[n] //= gcd(n, 2)
+        assert group.order() == psl_order[n], n
+        assert is_flag_transitive(group, design), n
+        assert is_point_primitive(group, design), n
+    assert psl_order == {3: 5616, 4: 6065280, 5: 237783237120}
+    # the same generators over GF(2) give PSL_3(2) on the Fano complement
+    group = PermutationGroup(*sl_generators(2, 3))
+    assert group.order() == 168
+    assert is_flag_transitive(group, fano_complement())
     elapsed = time.time() - start
     assert elapsed < 30.0, elapsed
     print(f"PASS criterion 2: derived designs on (3^n-1)/2 points certify "
-          f"2-(v,3,2) with b = 52, 520, {expected_b[5]} ({elapsed:.1f}s)")
+          f"2-(v,3,2) with b = 52, 520, {expected_b[5]}, flag-transitive "
+          f"and point-primitive under PSL_n(3) ({elapsed:.1f}s)")
 
 
 def test_criterion_3_case_elimination_replay():

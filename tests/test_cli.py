@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, GOLDEN
-from ftdesigns import cli, incidence
+from ftdesigns import cli, incidence, perm
 from ftdesigns.cli import main
 from ftdesigns.constructions import catalog_names, fano_complement
 from ftdesigns.elimination import FAMILIES, sweep
@@ -130,6 +130,14 @@ BAD_INPUT = {
                            "--design", "{design_block_float}"],
     "design-no-blocks": ["verify", "--group", "{group}",
                          "--design", "{design_no_blocks}"],
+    # a JSON object or string of blocks is refused as a whole, not read
+    # key by key or character by character
+    "design-blocks-object": ["verify", "--group", "{group}",
+                             "--design", "{design_blocks_object}"],
+    "design-blocks-text": ["verify", "--group", "{group}",
+                           "--design", "{design_blocks_text}"],
+    "group-generators-null": ["verify", "--group", "{group_generators_null}",
+                              "--design", "{design_pairs4}"],
     # the Fano complement with its block [0, 1, 3, 6] written as
     # [false, true, 3, 6]; True == 1, but a bool names no point
     "design-block-bool": ["verify", "--group", "{line2_group}",
@@ -236,6 +244,10 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
         "design_v_negative": {"name": "d", "v": -4, "blocks": [[0, 1]]},
         "design_block_float": {"name": "d", "v": 4, "blocks": [[0, 1.5]]},
         "design_no_blocks": {"name": "d", "v": 4, "blocks": []},
+        "design_blocks_object": {"name": "d", "v": 4, "blocks": {"a": 1}},
+        "design_blocks_text": {"name": "d", "v": 4, "blocks": "0123"},
+        "group_generators_null": {"name": "g", "degree": 4,
+                                  "generators": None},
         "design_pairs4": {"name": "pairs4", "v": 4,
                           "blocks": [list(p) for p in combinations(range(4), 2)]},
         "design_block_bool": {"name": "line2_fano_complement", "v": 7,
@@ -293,7 +305,14 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     ({"name": "s4", "degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]],
       "expected_order": 24.0},
      "expected_order 24.0 is not an integer"),
-], ids=["design-v-float", "design-v-bool", "group-order-float"])
+    ({"name": "d", "v": 4, "blocks": {"a": 1}},
+     "blocks {'a': 1} is not a list"),
+    ({"name": "d", "v": 4, "blocks": "0123"},
+     "blocks '0123' is not a list"),
+    ({"name": "g", "degree": 4, "generators": None},
+     "generators None is not a list"),
+], ids=["design-v-float", "design-v-bool", "group-order-float",
+        "design-blocks-object", "design-blocks-text", "group-generators-null"])
 def test_integer_fields_are_refused_by_name(capsys, tmp_path, doc, message):
     pairs4 = {"name": "pairs4", "v": 4,
               "blocks": [list(p) for p in combinations(range(4), 2)]}
@@ -370,6 +389,9 @@ def test_construct_writes_the_golden_block_list(capsys, name):
 # sha256 of the stdout of `construct --name N`, computed on commit f4ac490,
 # before line2_fano_complement and line5_psl211 were stored as base blocks
 # instead of block lists.  No change to the catalog may move these bytes.
+# The n = 6 rows were computed on commit 7a3b615, when pg_lines:n and
+# derived_pg:n were still built by a walk over point pairs rather than as
+# block orbits.
 CONSTRUCT_SHA256 = {
     "line1_psl25":
         "0c27a6959ed385b8137e9e709d969437456fec6e0f34230cfdd4e5f64733524c",
@@ -405,6 +427,10 @@ CONSTRUCT_SHA256 = {
         "6fd912ef72dfbe209c5b53acc7820149bd82db2b315d12bfc0985e893d2fcd0d",
     "derived_pg:5":
         "32d0d26fc8129b484fd31f846d4e067c6fc8ba2756e19e570f07fd0dadf9ae07",
+    "pg_lines:6":
+        "70d8cde76e820fa4ae95368b5a6e082bdc4465db688fff08972c6b19fa324d66",
+    "derived_pg:6":
+        "00267d5b2bd259622afe2fa1e100aae8446943ac9eb9d5ae2da603293dbcc2b5",
 }
 
 
@@ -413,6 +439,18 @@ def test_construct_output_is_pinned(capsys, name):
     code, out, err = run(capsys, "construct", "--name", name)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_SHA256[name]
+
+
+def test_construct_builds_no_chain_for_an_orbit_of_sl_n(capsys, monkeypatch):
+    # the designs are orbits under two generators; no stabilizer chain of
+    # SL_n(q) is needed to list them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(perm.PermutationGroup, "__init__", refuse)
+    for name in ("fano_complement", "pg_lines:4", "derived_pg:4"):
+        code, _, err = run(capsys, "construct", "--name", name)
+        assert (code, err) == (0, "")
 
 
 def test_construct_to_stdout_roundtrips(capsys):

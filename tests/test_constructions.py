@@ -3,12 +3,14 @@ from itertools import combinations
 import pytest
 
 from conftest import DATA
-from ftdesigns.constructions import (catalog, catalog_names, derived_design,
-                                     fano_complement, fano_plane,
-                                     orbit_design, pg_line_space, pg_points)
+from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
+                                     orbit_design, pg_lines, pg_points,
+                                     sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import verify_2design
 from ftdesigns.perm import build_group
+
+S4 = build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
 
 
 def gaussian_binomial(n, k, q):
@@ -26,9 +28,11 @@ def test_fano_complement():
     # symmetric: every two blocks meet in exactly lambda points
     for b1, b2 in combinations(design.blocks, 2):
         assert len(set(b1) & set(b2)) == 2
-    # complementing again recovers the plane
+    # complementing again gives the Fano lines: point i is the binary vector
+    # of i + 1, so a triple is a line exactly when the vectors sum to zero
     lines = sorted(tuple(sorted(set(range(7)) - set(b))) for b in design.blocks)
-    assert lines == sorted(fano_plane().structure.blocks)
+    assert lines == [(a, b, c) for a, b, c in combinations(range(7), 3)
+                     if (a + 1) ^ (b + 1) == c + 1]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -49,15 +53,15 @@ def test_pg_points_fano_labels():
 
 
 def test_pg_line_space_counts():
-    space = pg_line_space(3)
-    assert space.params == Parameters(13, 13, 4, 4, 1)
-    space = pg_line_space(4)
-    assert space.params.v == 40
-    assert space.params.b == gaussian_binomial(4, 2, 3) == 130
-    assert all(len(line) == 4 for line in space.structure.blocks)
+    assert verify_2design(pg_lines(3)).params == Parameters(13, 13, 4, 4, 1)
+    params = verify_2design(pg_lines(4)).params
+    assert params == Parameters(40, 130, 13, 4, 1)
+    assert params.b == gaussian_binomial(4, 2, 3)
 
 
 def test_pg_line_space_lines_are_the_spans_of_point_pairs():
+    # the lines of pg_lines are an orbit of SL_n(3); here they are rebuilt
+    # from their definition, and the derived design from the lines
     for n in (3, 4, 5):
         points = pg_points(3, n)
         index = {pt: i for i, pt in enumerate(points)}
@@ -70,31 +74,53 @@ def test_pg_line_space_lines_are_the_spans_of_point_pairs():
                                                   for a, b in zip(u, w)))]
                            for s in (0, 1, 2)) | {index[w]}
                  for u, w in combinations(points, 2)}
-        lines = pg_line_space(n).structure.blocks
+        lines = pg_lines(n).blocks
         assert len(lines) == len(spans)
         assert set(map(frozenset, lines)) == spans
+        derived = sorted(tuple(sorted(span - {p}))
+                         for span in spans for p in span)
+        assert list(pg_lines(n, 3).blocks) == derived
+
+
+def test_pg_lines_n6_counts():
+    # an orbit of lines holds only lines, so with the line count b it is
+    # every line of PG(5, 3), and with four times it every derived block
+    assert verify_2design(pg_lines(6)).params == \
+        Parameters(364, 11011, 121, 4, 1)
+    assert verify_2design(pg_lines(6, 3)).params == \
+        Parameters(364, 44044, 363, 3, 2)
 
 
 def test_pg_line_space_rejects():
-    with pytest.raises(ValueError):
-        pg_line_space(2)
+    with pytest.raises(ValueError, match="need n >= 3, got 2"):
+        pg_lines(2)
+    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+        sl_generators(3, 1)
+
+
+def test_sl_generators_act_as_their_matrices():
+    # a adds the first coordinate to the second; w shifts the coordinates
+    # up one place and the last to the first, times (-1)^(n-1)
+    for q, n in ((2, 3), (3, 3), (3, 4), (5, 3)):
+        points = pg_points(q, n)
+        degree, (a, w) = sl_generators(q, n)
+        assert degree == len(points)
+
+        def multiples(i):
+            return {tuple(s * c % q for c in points[i]) for s in range(1, q)}
+
+        for i, x in enumerate(points):
+            assert (x[0], (x[0] + x[1]) % q, *x[2:]) in multiples(a(i))
+            assert ((-1) ** (n - 1) * x[-1] % q, *x[:-1]) in multiples(w(i))
 
 
 def test_derived_design_pg23():
-    design = derived_design(pg_line_space(3))
+    design = pg_lines(3, 3)
     assert verify_2design(design).params == Parameters(13, 52, 12, 3, 2)
 
 
-def test_derived_design_fano():
-    design = derived_design(fano_plane())
-    cert = verify_2design(design)
-    assert cert.params == Parameters(7, 21, 6, 2, 1)
-    # every pair appears as a block exactly once
-    assert sorted(design.blocks) == sorted(combinations(range(7), 2))
-
-
 def test_derived_design_pg33():
-    design = derived_design(pg_line_space(4))
+    design = pg_lines(4, 3)
     cert = verify_2design(design)
     assert cert.params == Parameters(40, 520, 39, 3, 2)
     assert cert.params.b == 130 * 4
@@ -102,15 +128,14 @@ def test_derived_design_pg33():
 
 def test_derived_design_parameter_shape():
     for n in (3, 4):
-        space = pg_line_space(n)
-        v, k = space.params.v, space.params.k
-        derived = verify_2design(derived_design(space)).params
-        assert (derived.v, derived.k, derived.lam) == (v, k - 1, k - 2)
+        lines = verify_2design(pg_lines(n)).params
+        derived = verify_2design(pg_lines(n, 3)).params
+        assert (derived.v, derived.k, derived.lam) == \
+            (lines.v, lines.k - 1, lines.k - 2)
 
 
 def test_orbit_design_examples():
-    s4 = build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
-    design = orbit_design(s4, {0, 1})
+    design = orbit_design(S4.degree, S4.generators, {0, 1})
     assert verify_2design(design).params == Parameters(4, 6, 3, 2, 1)
 
     entry = catalog("line1_psl25")
@@ -130,21 +155,16 @@ def test_orbit_design_closure():
 
 
 def test_orbit_design_rejects():
-    s4 = build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
-    with pytest.raises(ValueError):
-        orbit_design(s4, {0})
-    with pytest.raises(ValueError):
-        orbit_design(s4, {0, 1, 2, 3})
-    with pytest.raises(ValueError):
-        orbit_design(s4, {0, 9})
+    for block in ({0}, {0, 1, 2, 3}, {0, 9}):
+        with pytest.raises(ValueError):
+            orbit_design(S4.degree, S4.generators, block)
 
 
 def test_orbit_design_rejects_a_repeated_point():
     # as a set, [0, 1, 1] is the valid block {0, 1}; the repeat is corrupt
     # data and is not folded away
-    s4 = build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
     with pytest.raises(ValueError, match="repeats a point"):
-        orbit_design(s4, [0, 1, 1])
+        orbit_design(S4.degree, S4.generators, [0, 1, 1])
 
 
 def test_catalog_names_complete():

@@ -35,9 +35,9 @@ def test_complete_parameters_examples():
 def test_complete_parameters_matches_derived_design():
     # the (13, 3, 2) row equals the block count of the point-deleted
     # PG(2,3) line design, built independently
-    from ftdesigns.constructions import derived_design, pg_line_space
+    from ftdesigns.constructions import pg_lines
     from ftdesigns.incidence import verify_2design
-    design = derived_design(pg_line_space(3))
+    design = pg_lines(3, 3)
     assert verify_2design(design).params == complete_parameters(13, 3, 2)
 
 

@@ -7,9 +7,8 @@ from itertools import combinations
 import pytest
 
 from conftest import GOLDEN
-from ftdesigns.constructions import (catalog, catalog_names, derived_design,
-                                     fano_complement, orbit_design,
-                                     pg_line_space)
+from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
+                                     orbit_design, pg_lines)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignCertificate, DesignError,
                                  IncidenceStructure,
@@ -35,8 +34,7 @@ def test_verify_fano_complement():
 
 
 def test_verify_derived_pg23():
-    from ftdesigns.constructions import derived_design, pg_line_space
-    design = derived_design(pg_line_space(3))
+    design = pg_lines(3, 3)
     cert = verify_2design(design)
     assert cert.params == Parameters(13, 52, 12, 3, 2)
     assert pair_count_oracle(design) == {2}
@@ -202,7 +200,7 @@ def swap_points(structure, rng):
 
 def test_verify_matches_the_pair_counter_on_known_designs():
     rng = random.Random(17)
-    designs = [derived_design(pg_line_space(n)) for n in (3, 4, 5)]
+    designs = [pg_lines(n, 3) for n in (3, 4, 5)]
     designs += [catalog(name).design for name in catalog_names()]
     kinds = Counter()
     for design in designs:
@@ -236,7 +234,7 @@ def test_is_automorphism_group(psl2_7):
 
 def test_pairs_design_full_symmetric_group():
     s4 = build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
-    design = orbit_design(s4, {0, 1})
+    design = orbit_design(s4.degree, s4.generators, {0, 1})
     assert is_automorphism_group(s4, design)
     assert is_flag_transitive(s4, design)
     assert is_point_primitive(s4, design)
@@ -263,7 +261,7 @@ def test_point_primitivity(psl2_7):
     assert psl2_7.subdegrees(0) == [1, 6]
 
     d8 = build_group(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
-    square_pairs = orbit_design(d8, {0, 1})
+    square_pairs = orbit_design(d8.degree, d8.generators, {0, 1})
     assert not is_point_primitive(d8, square_pairs)
 
     entry = catalog("line7_psu33")
