@@ -44,11 +44,19 @@ DATA_ERRORS = (OSError, KeyError, ValueError, TypeError)
 PG_MAX_N = 6
 
 
-def _certify(design, source: str) -> tuple[DesignCertificate | None, int]:
+def _reason(exc: Exception) -> str:
+    """What a DATA_ERRORS exception says: a KeyError from a document lookup
+    names the key, which is all its str gives."""
+    return f"missing key {exc}" if type(exc) is KeyError else str(exc)
+
+
+def _certify(design, source: str,
+             symmetry=()) -> tuple[DesignCertificate | None, int]:
     """(verify_2design's certificate, EXIT_OK), or (None, exit code) once the
-    reason there is none has been printed."""
+    reason there is none has been printed.  `symmetry` is passed on: the
+    generators of a group known to preserve the design's blocks."""
     try:
-        return verify_2design(design), EXIT_OK
+        return verify_2design(design, symmetry), EXIT_OK
     except DesignError as exc:
         print(f"not a 2-design: {exc.kind} (witness {exc.witness})")
         return None, EXIT_FAIL
@@ -61,24 +69,33 @@ def _cmd_verify(args) -> int:
     try:
         group = load_group(args.group)
     except DATA_ERRORS as exc:
-        print(f"error: group file {args.group}: {exc}", file=sys.stderr)
+        print(f"error: group file {args.group}: {_reason(exc)}",
+              file=sys.stderr)
         return EXIT_INPUT
     try:
         design = load_structure(args.design)
     except DATA_ERRORS as exc:
-        print(f"error: design file {args.design}: {exc}", file=sys.stderr)
+        print(f"error: design file {args.design}: {_reason(exc)}",
+              file=sys.stderr)
         return EXIT_INPUT
 
-    cert, code = _certify(design, f"design file {args.design}")
-    if cert is None:
-        return code
+    # The flag test runs the automorphism check first.  Once that passed,
+    # the group preserves the blocks and may certify the design from one
+    # point row; what fails is reported after the design's verdict.
     try:
         flag = is_flag_transitive(group, design)
-    except GroupActionError:
+    except ValueError as exc:  # GroupActionError is a ValueError
+        flag = exc
+    cert, code = _certify(design, f"design file {args.design}",
+                          () if isinstance(flag, ValueError)
+                          else group.generators)
+    if cert is None:
+        return code
+    if isinstance(flag, GroupActionError):
         print(f"{cert.params} group does not preserve the block multiset")
         return EXIT_FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if isinstance(flag, ValueError):
+        print(f"error: {flag}", file=sys.stderr)
         return EXIT_INPUT
     try:
         primitive = is_point_primitive(group, design)
@@ -92,29 +109,35 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _pg_line_space(name: str) -> IncidenceStructure:
+def _pg_line_space(name: str) -> tuple[IncidenceStructure, tuple[int, int]]:
+    """The design pg_lines:n or derived_pg:n, and (3, n): it is the block
+    orbit of sl_generators(3, n)."""
     family, _, suffix = name.partition(":")
     n = int(suffix) if suffix.isascii() and suffix.isdigit() else None
     if str(n) != suffix:
         raise ValueError(f"{name}: expected {family}:<n>, n in plain digits")
     if n > PG_MAX_N:
         raise ValueError(f"{name}: n must be at most {PG_MAX_N}")
-    return constructions.pg_lines(n, 4 if family == "pg_lines" else 3)
+    return constructions.pg_lines(n, 4 if family == "pg_lines" else 3), (3, n)
 
 
 def _cmd_construct(args) -> int:
     name = args.name
     expected = None  # a catalog entry's parameter row
+    # The design is the block orbit of the group generated by symmetry, or
+    # by sl_generators(*sl), which is rebuilt only to certify the design.
+    symmetry, sl = (), None
     try:
         if name == "fano_complement":
-            design = constructions.fano_complement()
+            design, sl = constructions.fano_complement(), (2, 3)
         elif name.startswith(("pg_lines:", "derived_pg:")):
-            design = _pg_line_space(name)
+            design, sl = _pg_line_space(name)
         else:
             entry = constructions.catalog(name)
             design, expected = entry.design, entry.expected
+            symmetry = entry.group.generators
     except DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return EXIT_INPUT
     text = structure_to_json(design, name=name)
     if args.out:
@@ -124,7 +147,9 @@ def _cmd_construct(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        cert, code = _certify(design, name)
+        if sl is not None:
+            symmetry = constructions.sl_generators(*sl)[1]
+        cert, code = _certify(design, name, symmetry)
         if cert is None:
             return code
         if expected is not None and cert.params != expected:

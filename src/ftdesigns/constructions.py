@@ -102,6 +102,14 @@ class CatalogEntry:
     automorphism_group: str
 
 
+class UnknownEntry(KeyError):
+    """No catalog entry has the name; str gives the message as written,
+    without the quotes a KeyError puts around its key."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 # the parameter row of an entry's expected.json, in Parameters order
 _ROW_KEYS = ("v", "b", "r", "k", "lambda")
 
@@ -127,7 +135,8 @@ def catalog(name: str) -> CatalogEntry:
     names = catalog_names()
     if name not in names:
         known = ", ".join(names) or "none found"
-        raise KeyError(f"unknown catalog entry {name!r} (available: {known})")
+        raise UnknownEntry(
+            f"unknown catalog entry {name!r} (available: {known})")
     entry_dir = data_dir() / "catalog" / name
     group = load_group(entry_dir / "group.json")
     with open(entry_dir / "expected.json", encoding="utf-8") as fh:

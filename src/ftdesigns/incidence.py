@@ -4,7 +4,12 @@ verify_2design certifies the 2-design property by direct counting: uniform
 block size, uniform replication, and constant pair multiplicity over all
 C(v,2) point pairs.  It indexes the blocks through each point once, then
 counts the pair multiplicities one point row at a time, each row in one
-C-level Counter pass over the blocks through that point.  The remaining
+C-level Counter pass over the blocks through that point.  Given generators
+of a group G that preserves the blocks, it counts only the row of point 0
+when G is transitive on the points: G preserves incidence, so r(x) is
+constant on each G-orbit of points and lambda(x, y) on each G-orbit of
+pairs (Dembowski, Finite Geometries, 1968, 2.3), and a g in G with
+g(x) = 0 maps {x, y} to the pair {0, g(y)} of row 0.  The remaining
 checks test a supplied permutation group against a structure:
 block-multiset preservation, transitivity on flags, and primitivity on
 points.  Nothing here searches for groups; it only verifies.
@@ -22,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .design import Parameters
-from .perm import PermutationGroup, orbit
+from .perm import PermutationGroup, _images, orbit
 
 
 class DesignError(ValueError):
@@ -103,8 +108,17 @@ class DesignCertificate:
     pairs_checked: int
 
 
-def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
+def verify_2design(structure: IncidenceStructure,
+                   symmetry=()) -> DesignCertificate:
     """Certify uniform k, uniform r, and constant pair multiplicity.
+
+    `symmetry` holds generators of a group G, on the points 0..v-1, that the
+    caller knows maps the block multiset to itself.  r and lambda are
+    constant on G-orbits of points and of pairs, and a point-transitive G
+    moves every pair onto a pair through 0.  So when G is transitive on the
+    points, a uniform k and a row of point 0 in which every other point
+    occurs lam > 0 times certify every pair.  Otherwise, and whenever that
+    row fails, all v rows are counted as without `symmetry`.
 
     Raises DesignError naming the first violated uniformity, with a witness
     block index, point, or point pair.
@@ -121,6 +135,15 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
             raise DesignError(
                 "non-uniform k", i,
                 f"block {i} has size {len(block)}, expected {k}")
+
+    if (symmetry and all(g.degree == v for g in symmetry)
+            and len(orbit(0, symmetry, _images)) == v):
+        through0 = [block for block in blocks if 0 in block]
+        row = Counter(chain.from_iterable(through0))
+        del row[0]
+        lam = row[1]
+        if lam and len(row) == v - 1 and set(row.values()) == {lam}:
+            return _certificate(v, len(blocks), len(through0), k, lam)
 
     # Each point's blocks are indexed once, keyed by the points that lie in
     # a block, so the work is b * k for any v.  Scanning 0..v-1 for r then
@@ -161,9 +184,15 @@ def verify_2design(structure: IncidenceStructure) -> DesignCertificate:
                     "non-constant lambda", (x, y),
                     f"pair {(x, y)} lies in {row[y]} blocks, "
                     f"pair (0, 1) in {lam}")
-    params = Parameters(v, len(blocks), r, k, lam)
-    assert r * (k - 1) == lam * (v - 1) and v * r == len(blocks) * k
-    return DesignCertificate(params, v * (v - 1) // 2)
+    return _certificate(v, len(blocks), r, k, lam)
+
+
+def _certificate(v: int, b: int, r: int, k: int,
+                 lam: int) -> DesignCertificate:
+    """The certificate of a 2-(v, k, lam) design with b blocks, r through
+    each point: all v(v-1)/2 pairs are certified."""
+    assert r * (k - 1) == lam * (v - 1) and v * r == b * k
+    return DesignCertificate(Parameters(v, b, r, k, lam), v * (v - 1) // 2)
 
 
 def _block_images(blocks, g):

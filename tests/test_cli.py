@@ -12,7 +12,8 @@ import pytest
 from conftest import DATA, GOLDEN
 from ftdesigns import cli, incidence, perm
 from ftdesigns.cli import main
-from ftdesigns.constructions import catalog_names, fano_complement
+from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
+                                     sl_generators)
 from ftdesigns.elimination import FAMILIES, sweep
 from ftdesigns.incidence import IncidenceStructure, structure_to_json
 from ftdesigns.perm import canonical_json
@@ -94,6 +95,31 @@ def test_verify_checks_the_block_multiset_once(capsys, monkeypatch, tmp_path,
     assert calls == [name]
 
 
+@pytest.mark.parametrize("generators, preserves", [
+    ([[1, 2, 3, 4, 5, 6, 0]], False), ([[2, 1, 0, 3, 4, 5, 6]], False),
+    ([[1, 0, 2, 3, 4]], False), (None, True)],
+    ids=["7-cycle", "transposition", "wrong-degree", "catalog-group"])
+def test_verify_passes_the_group_only_once_it_preserves_the_design(
+        capsys, monkeypatch, tmp_path, generators, preserves):
+    passed = []
+
+    def spy(design, symmetry=()):
+        passed.append([g.images for g in symmetry])
+        return incidence.verify_2design(design, symmetry)
+
+    monkeypatch.setattr(cli, "verify_2design", spy)
+    group = tmp_path / "group.json"
+    if generators is None:
+        generators = [list(g.images) for g in
+                      catalog("line2_fano_complement").group.generators]
+    group.write_text(canonical_json({"name": "g", "degree": len(generators[0]),
+                                     "generators": generators}))
+    design = tmp_path / "design.json"
+    design.write_text(structure_to_json(fano_complement()))
+    run(capsys, "verify", "--group", str(group), "--design", str(design))
+    assert passed == [[tuple(g) for g in generators] if preserves else []]
+
+
 @pytest.mark.parametrize("generators, degree, want", [
     # (0 2) moves the Fano complement's block [0, 1, 3, 6] off the design
     ([[2, 1, 0, 3, 4, 5, 6]], 7,
@@ -108,6 +134,43 @@ def test_verify_refuses_a_group_that_does_not_act(capsys, tmp_path,
         {"name": "g", "degree": degree, "generators": generators}))
     design = tmp_path / "design.json"
     design.write_text(structure_to_json(fano_complement()))
+    assert run(capsys, "verify", "--group", str(group),
+               "--design", str(design)) == want
+
+
+# verify runs the group's automorphism check before the design check, and
+# still reports the design's verdict first.  Each expected (exit code,
+# stdout, stderr) below was computed with the code of 012e334, where the
+# design check ran first, before verify changed.
+HEXAGON = [[i, (i + 1) % 6] for i in range(6)]
+PAIRS4 = [list(p) for p in combinations(range(4), 2)]
+
+
+@pytest.mark.parametrize("v, blocks, degree, generators, want", [
+    # not a 2-design, and (0 2) moves the block [0, 1] off it
+    (4, [[0, 1], [2, 3]], 4, [[2, 1, 0, 3]],
+     (1, "not a 2-design: non-constant lambda (witness (0, 2))\n", "")),
+    # not a 2-design, under a group of the wrong degree
+    (4, [[0, 1], [2, 3]], 5, [[1, 0, 2, 3, 4]],
+     (1, "not a 2-design: non-constant lambda (witness (0, 2))\n", "")),
+    # the 6-cycle is transitive and preserves the hexagon, whose row 0
+    # meets only 1 and 5
+    (6, HEXAGON, 6, [[1, 2, 3, 4, 5, 0]],
+     (1, "not a 2-design: non-constant lambda (witness (0, 2))\n", "")),
+    # a 2-design, and (0 1) preserves it without being transitive
+    (4, PAIRS4, 4, [[1, 0, 2, 3]],
+     (1, "(4,6,3,2,1) NOT flag-transitive NOT point-primitive "
+         "(intransitive)\n", "")),
+], ids=["no-design-not-preserved", "no-design-wrong-degree", "hexagon",
+        "design-intransitive"])
+def test_verify_reports_the_design_before_the_group(capsys, tmp_path, v,
+                                                    blocks, degree,
+                                                    generators, want):
+    group = tmp_path / "group.json"
+    group.write_text(canonical_json(
+        {"name": "g", "degree": degree, "generators": generators}))
+    design = tmp_path / "design.json"
+    design.write_text(canonical_json({"name": "d", "v": v, "blocks": blocks}))
     assert run(capsys, "verify", "--group", str(group),
                "--design", str(design)) == want
 
@@ -138,6 +201,11 @@ BAD_INPUT = {
                            "--design", "{design_blocks_text}"],
     "group-generators-null": ["verify", "--group", "{group_generators_null}",
                               "--design", "{design_pairs4}"],
+    # a document without a key that it must have
+    "group-no-degree": ["verify", "--group", "{group_no_degree}",
+                        "--design", "{design_pairs4}"],
+    "design-no-v": ["verify", "--group", "{group}",
+                    "--design", "{design_no_v}"],
     # the Fano complement with its block [0, 1, 3, 6] written as
     # [false, true, 3, 6]; True == 1, but a bool names no point
     "design-block-bool": ["verify", "--group", "{line2_group}",
@@ -187,6 +255,7 @@ BAD_INPUT = {
     "construct-name-path": ["construct", "--name",
                             "line1_psl25/../line2_fano_complement"],
     "construct-name-parent": ["construct", "--name", ".."],
+    "construct-name-dot": ["construct", "--name", "."],
     # a leading NAME=value sets an environment variable, as in a shell
     "construct-no-expected": ["FTDESIGNS_DATA={no_expected}", "construct",
                               "--name", "line1_psl25"],
@@ -248,6 +317,8 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
         "design_blocks_text": {"name": "d", "v": 4, "blocks": "0123"},
         "group_generators_null": {"name": "g", "degree": 4,
                                   "generators": None},
+        "group_no_degree": {"name": "g", "generators": [[1, 0, 2, 3]]},
+        "design_no_v": {"name": "d", "blocks": [[0, 1]]},
         "design_pairs4": {"name": "pairs4", "v": 4,
                           "blocks": [list(p) for p in combinations(range(4), 2)]},
         "design_block_bool": {"name": "line2_fano_complement", "v": 7,
@@ -311,15 +382,18 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
      "blocks '0123' is not a list"),
     ({"name": "g", "degree": 4, "generators": None},
      "generators None is not a list"),
+    ({"name": "g", "generators": [[1, 0, 2, 3]]}, "missing key 'degree'"),
+    ({"name": "d", "blocks": [[0, 1]]}, "missing key 'v'"),
 ], ids=["design-v-float", "design-v-bool", "group-order-float",
-        "design-blocks-object", "design-blocks-text", "group-generators-null"])
+        "design-blocks-object", "design-blocks-text", "group-generators-null",
+        "group-no-degree", "design-no-v"])
 def test_integer_fields_are_refused_by_name(capsys, tmp_path, doc, message):
     pairs4 = {"name": "pairs4", "v": 4,
               "blocks": [list(p) for p in combinations(range(4), 2)]}
     s4 = {"name": "s4", "degree": 4,
           "generators": [[1, 2, 3, 0], [1, 0, 2, 3]]}
     group, design = tmp_path / "group.json", tmp_path / "design.json"
-    is_group = "degree" in doc
+    is_group = "generators" in doc
     group.write_text(json.dumps(doc if is_group else s4))
     design.write_text(json.dumps(pairs4 if is_group else doc))
     code, out, err = run(capsys, "verify", "--group", str(group),
@@ -327,6 +401,13 @@ def test_integer_fields_are_refused_by_name(capsys, tmp_path, doc, message):
     kind = "group" if is_group else "design"
     assert (code, out) == (2, "")
     assert err == f"error: {kind} file {tmp_path / (kind + '.json')}: {message}\n"
+
+
+def test_unknown_catalog_entry_message_is_unquoted(capsys):
+    code, out, err = run(capsys, "construct", "--name", ".")
+    assert (code, out) == (2, "")
+    assert err == (f"error: unknown catalog entry '.' (available: "
+                   f"{', '.join(catalog_names())})\n")
 
 
 def test_catalog_entry_without_socle_exit_2(capsys, monkeypatch, tmp_path):
@@ -451,6 +532,35 @@ def test_construct_builds_no_chain_for_an_orbit_of_sl_n(capsys, monkeypatch):
     for name in ("fano_complement", "pg_lines:4", "derived_pg:4"):
         code, _, err = run(capsys, "construct", "--name", name)
         assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("name, q, n", [
+    ("fano_complement", 2, 3), ("pg_lines:4", 3, 4), ("derived_pg:5", 3, 5),
+    ("line1_psl25", None, None)])
+def test_construct_out_certifies_under_the_construction_group(
+        capsys, monkeypatch, tmp_path, name, q, n):
+    # the design is the block orbit of these generators, so verify_2design
+    # may count one point row; a named construction builds no chain for it
+    passed = []
+
+    def spy(design, symmetry=()):
+        passed.append([g.images for g in symmetry])
+        return incidence.verify_2design(design, symmetry)
+
+    monkeypatch.setattr(cli, "verify_2design", spy)
+    if q is None:
+        want = [g.images for g in catalog(name).group.generators]
+    else:
+        want = [g.images for g in sl_generators(q, n)[1]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stabilizer chain was built")
+
+        monkeypatch.setattr(perm.PermutationGroup, "__init__", refuse)
+    code, out, err = run(capsys, "construct", "--name", name,
+                         "--out", str(tmp_path / "d.json"))
+    assert (code, err) == (0, "") and out.startswith(f"wrote {name} ")
+    assert passed == [want]
 
 
 def test_construct_to_stdout_roundtrips(capsys):

@@ -8,14 +8,14 @@ import pytest
 
 from conftest import GOLDEN
 from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
-                                     orbit_design, pg_lines)
+                                     orbit_design, pg_lines, sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignCertificate, DesignError,
                                  IncidenceStructure,
                                  is_automorphism_group, is_flag_transitive,
                                  is_point_primitive, structure_from_json,
                                  structure_to_json, verify_2design)
-from ftdesigns.perm import build_group, canonical_json, orbit
+from ftdesigns.perm import Permutation, build_group, canonical_json, orbit
 
 
 def pair_count_oracle(structure):
@@ -478,3 +478,80 @@ def test_flag_transitivity_matches_reference_walk_on_catalog(
     forbid_new_chains()
     for entry in entries:
         assert is_flag_transitive(entry.group, entry.design), entry.name
+
+
+
+@pytest.mark.parametrize("transitive", [False, True],
+                         ids=["intransitive", "transitive"])
+def test_verify_under_a_preserving_group_matches_the_full_count(transitive):
+    """verify_2design given the generators that a block orbit was built
+    from, against the same call without them: the same certificate, or the
+    same failure kind, witness and message.  An intransitive group falls
+    back to the full count, which fails: one block orbit of a group with
+    more than one point orbit is no 2-design (Block's lemma).  A transitive
+    group counts row 0, and when that row fails, so does the full count."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def block_orbits(draw):
+        degree = draw(st.integers(4, 12))
+        if transitive:
+            # the degree-cycle makes the group transitive on the points
+            cut, gens = degree, [list(range(1, degree)) + [0]]
+        else:
+            # every generator keeps 0..cut-1 and cut..degree-1 apart
+            cut, gens = draw(st.integers(1, degree - 1)), []
+        halves = st.tuples(st.permutations(range(cut)),
+                           st.permutations(range(cut, degree)))
+        gens += [low + high for low, high in draw(
+            st.lists(halves, min_size=0 if transitive else 1,
+                     max_size=2))]
+        base = draw(st.lists(st.integers(0, degree - 1), min_size=2,
+                             max_size=degree - 1, unique=True))
+        return degree, gens, base
+
+    def same_outcome(degree, gens, base):
+        gens = [Permutation(g) for g in gens]
+        design = orbit_design(degree, gens, base)
+        assert (verify_outcome(lambda s: verify_2design(s, gens), design)
+                == verify_outcome(verify_2design, design))
+
+    if transitive:
+        # the hexagon under its 6-cycle: row 0 meets 1 and 5 only, and the
+        # full count names (0, 2)
+        same_outcome(6, [[1, 2, 3, 4, 5, 0]], [0, 1])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(block_orbits())
+    def check(drawn):
+        same_outcome(*drawn)
+
+    check()
+
+
+def test_verify_under_the_construction_group_matches_the_full_count():
+    designs = [(entry.design, entry.group.generators)
+               for entry in map(catalog, catalog_names())]
+    designs += [(pg_lines(n, 3), sl_generators(3, n)[1]) for n in (3, 4, 5)]
+    for design, gens in designs:
+        cert = verify_2design(design, gens)
+        assert cert == verify_2design(design)
+        assert cert.pairs_checked == design.v * (design.v - 1) // 2
+
+
+def test_verify_under_a_transitive_group_counts_one_row(monkeypatch):
+    entry = catalog("line10_hs")
+    rows = []
+
+    class CountingCounter(Counter):
+        def __init__(self, *args):
+            rows.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr("ftdesigns.incidence.Counter", CountingCounter)
+    verify_2design(entry.design, entry.group.generators)
+    assert len(rows) == 1
+    rows.clear()
+    verify_2design(entry.design)
+    assert len(rows) == entry.design.v
