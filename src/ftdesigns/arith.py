@@ -211,17 +211,40 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     return None
 
 
-def prime_powers(lo: int, hi: int) -> list[PrimePower]:
-    """All prime powers q with lo <= q <= hi, ascending.  Refuses an hi
-    above _DIVISOR_LIMIT, the range the case reports are factored in."""
+def _check_window(hi: int) -> None:
+    """Refuse an hi above _DIVISOR_LIMIT, the range the case reports are
+    factored in."""
     if hi > _DIVISOR_LIMIT:
         raise ValueError(f"{hi} exceeds the supported factorization range "
                          f"(at most {_DIVISOR_LIMIT})")
+
+
+def prime_powers(lo: int, hi: int) -> list[PrimePower]:
+    """All prime powers q with lo <= q <= hi, ascending.  Refuses an hi
+    above _DIVISOR_LIMIT, the range the case reports are factored in."""
+    _check_window(hi)
     out = []
     for q in range(max(lo, 2), hi + 1):
         pa = _prime_power(q)
         if pa is not None:
             out.append(PrimePower(*pa))
+    return out
+
+
+def powers_of(p: int, lo: int, hi: int) -> list[PrimePower]:
+    """The powers q = p^a (a >= 1) of the prime p with lo <= q <= hi,
+    ascending, listed from their exponents: at most 59 lie below
+    _DIVISOR_LIMIT, where prime_powers tests every integer of the window.
+    Refuses an hi above _DIVISOR_LIMIT, as prime_powers does."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    _check_window(hi)
+    out = []
+    q, a = p, 1
+    while q <= hi:
+        if q >= lo:
+            out.append(PrimePower(p, a))
+        q, a = q * p, a + 1
     return out
 
 

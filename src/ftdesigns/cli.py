@@ -212,7 +212,8 @@ def _cmd_catalog_list(args) -> int:
         try:
             entry = constructions.catalog(name)
         except DATA_ERRORS as exc:
-            print(f"error: catalog entry {name}: {exc}", file=sys.stderr)
+            print(f"error: catalog entry {name}: {_reason(exc)}",
+                  file=sys.stderr)
             return EXIT_INPUT
         rows.append(f"{name}\t{entry.expected}\tsocle={entry.socle}\t"
                     f"aut={entry.automorphism_group}")

@@ -138,20 +138,27 @@ def catalog(name: str) -> CatalogEntry:
         raise UnknownEntry(
             f"unknown catalog entry {name!r} (available: {known})")
     entry_dir = data_dir() / "catalog" / name
-    group = load_group(entry_dir / "group.json")
-    with open(entry_dir / "expected.json", encoding="utf-8") as fh:
-        expected_doc = json.load(fh)
-    row = [expected_doc[key] for key in _ROW_KEYS]
-    for key, value in zip(_ROW_KEYS, row):
-        # a bool is an int equal to 0 or 1, but it counts nothing
-        if type(value) is not int:
-            raise ValueError(f"expected.json: {key} = {value!r} is not an "
-                             "integer")
-    expected = Parameters(*row)
-    with open(entry_dir / "base_block.json", encoding="utf-8") as fh:
-        base_doc = json.load(fh)
-    design = orbit_design(group.degree, group.generators,
-                          base_doc["block"])
+    # a lookup that misses raises a KeyError, which names only the key
+    filename = "group.json"
+    try:
+        group = load_group(entry_dir / filename)
+        filename = "expected.json"
+        with open(entry_dir / filename, encoding="utf-8") as fh:
+            expected_doc = json.load(fh)
+        row = [expected_doc[key] for key in _ROW_KEYS]
+        for key, value in zip(_ROW_KEYS, row):
+            # a bool is an int equal to 0 or 1, but it counts nothing
+            if type(value) is not int:
+                raise ValueError(f"expected.json: {key} = {value!r} is not "
+                                 "an integer")
+        socle = expected_doc["socle"]
+        automorphism_group = expected_doc["automorphism_group"]
+        filename = "base_block.json"
+        with open(entry_dir / filename, encoding="utf-8") as fh:
+            block = json.load(fh)["block"]
+    except KeyError as exc:
+        raise ValueError(f"{filename}: missing key {exc}") from None
+    design = orbit_design(group.degree, group.generators, block)
     design = IncidenceStructure(design.v, design.blocks, name=name)
-    return CatalogEntry(name, group, design, expected, expected_doc["socle"],
-                        expected_doc["automorphism_group"])
+    return CatalogEntry(name, group, design, Parameters(*row), socle,
+                        automorphism_group)

@@ -28,7 +28,7 @@ from typing import NamedTuple, TextIO
 # cyclotomic and enumerate_candidates are not called here, but
 # bench/tracing.py wraps these bindings
 from .arith import (PrimePower, cyclotomic, cyclotomic_table,  # noqa: F401
-                    divisors, ppart, prime_powers)
+                    divisors, powers_of, ppart, prime_powers)
 from .design import (Parameters, admissibility_violations,  # noqa: F401
                      embeds_symmetric, enumerate_candidates)
 
@@ -843,6 +843,11 @@ FAMILIES = {
 }
 
 
+# The families whose q are the powers of one prime: sweep lists those from
+# their exponents, so any window up to 10**18 takes a few steps.
+_ONE_PRIME = {"suzuki": 2, "ree": 3}
+
+
 def sweep(family: str, q_min: int, q_max: int) -> list[CaseReport]:
     """All case reports for a family over valid prime powers in [q_min, q_max],
     in deterministic (family, q, epsilon/case) order."""
@@ -851,5 +856,7 @@ def sweep(family: str, q_min: int, q_max: int) -> list[CaseReport]:
         raise ValueError(f"unknown family {family!r} "
                          f"(expected {', '.join(names)} or {last})")
     valid_q, cases = FAMILIES[family]
-    return [report for q in prime_powers(q_min, q_max) if valid_q(q)
-            for report in cases(q)]
+    p = _ONE_PRIME.get(family)
+    qs = (prime_powers(q_min, q_max) if p is None
+          else powers_of(p, q_min, q_max))
+    return [report for q in qs if valid_q(q) for report in cases(q)]

@@ -28,24 +28,12 @@ Sec. 4.2), so the edge is marked verified and never sifted.
 The product of the basic orbit lengths is the exact group order, and sifting
 gives an exact membership test.
 
-A group file states its order, and group_from_json passes that claim, when
-it is an int, to the chain builder, which uses it only to pick when to do
-less checking.  While the order equals the claim, level 0 sifts only the
-Schreier generators of the input generators, its first codes; every other
-level keeps all its strong generators.  This is sound whatever the file
-says.  The input generators generate G, so by Schreier's lemma their
-Schreier generators over the orbit of beta_0 generate G_beta0 (Seress,
-Sec. 4.2), and the chain is complete once they and every lower level's
-Schreier generators sift.  The order never exceeds |G| and every insert
-grows it, so once it is the true |G| nothing more would be inserted, and the
-chain is the full closure's.  A claim below |G| that the order reaches
-finds the chain incomplete, so a Schreier generator that is still checked
-fails to sift and is inserted; the order grows past the claim, the pairs
-skipped meanwhile are sifted after all, and the chain ends at |G|, which
-fails the order check.  A claim above |G| is never reached.
+A residue found while closing level i lies in the stabilizer of beta_0..
+beta_i, so it joins the strong generators of levels i+1 to its depth only
+(Seress, Sec. 4.2); level 0 keeps exactly the non-identity input generators.
 
 One accessor, stabilizer_generators, reads G_alpha, the stabilizer of the
-first base point alpha, off the chain (the strong generators fixing alpha),
+first base point alpha, off the chain (the strong generators of level 1),
 and one walk, suborbits, lists its orbits; primitivity, subdegrees and
 incidence's flag-transitivity test share the two.  One union-find run per
 suborbit decides primitivity (Atkinson, Math. Comp. 29, 1975): G_alpha
@@ -241,7 +229,7 @@ class PermutationGroup:
     """
 
     def __init__(self, degree: int, generators, base_hint=(),
-                 name: str | None = None, _claimed_order=None):
+                 name: str | None = None):
         self.degree = degree
         self.name = name
         gens = []
@@ -261,7 +249,7 @@ class PermutationGroup:
             self.levels.append(_Level(beta, self._one))
         for g in self.generators:
             self._insert(self._code(g.images))
-        self._close(_claimed_order)
+        self._close()
         for level in self.levels:
             level.verified.clear()  # only the construction reads it
 
@@ -281,9 +269,9 @@ class PermutationGroup:
 
     # -- chain construction -------------------------------------------------
 
-    def _insert(self, code) -> None:
+    def _insert(self, code, first: int = 0) -> None:
         """Register the element with this code as a strong generator at
-        every level it stabilizes into."""
+        levels first.. of those it stabilizes into."""
         if code == self._one:
             return
         for depth, level in enumerate(self.levels):
@@ -294,7 +282,7 @@ class PermutationGroup:
             self.levels.append(_Level(beta, self._one))
             depth = len(self.levels) - 1
         g = self._element(code)
-        for level in self.levels[:depth + 1]:
+        for level in self.levels[first:depth + 1]:
             level.gens.append(g)
             self._extend(level, code)
 
@@ -327,21 +315,15 @@ class PermutationGroup:
             frontier = sorted(new)
             applied = list(enumerate(codes))
 
-    def _close(self, claimed_order=None) -> None:
-        """Sift Schreier generators until every level passes.
-
-        While the order equals claimed_order, level 0 sifts only the
-        Schreier generators of the input generators, its first codes; a
-        pair it skips stays unverified, so it is sifted if the order moves
-        on (see the module docstring).  Each sift runs inline, through the
-        (beta, inverses.get) pairs of the levels below, as _sift would.
+    def _close(self) -> None:
+        """Sift Schreier generators until every level passes.  A residue
+        of level i joins levels i+1.. only; each sift runs inline, through
+        the (beta, inverses.get) pairs of the levels below, as _sift would.
         """
         levels = self.levels
         if not levels:
             return  # no identity of the degree is built (see _one)
         one, mul = self._one, self._mul
-        inputs = len(levels[0].codes)
-        claimed = self.order() == claimed_order
         changed = True
         while changed:
             changed = False
@@ -352,12 +334,10 @@ class PermutationGroup:
                 below = [(lv.beta, lv.inverses.get) for lv in levels[i + 1:]]
                 for gamma in sorted(transversal):
                     u = transversal[gamma]
-                    for gi in range(inputs if claimed and not i
-                                    else len(codes)):
+                    for gi, g in enumerate(codes):
                         if (gamma, gi) in verified:
                             continue
                         verified.add((gamma, gi))
-                        g = codes[gi]
                         code = mul(mul(u, g), inverses[g[gamma]])
                         for beta, get in below:
                             u_inverse = get(code[beta])
@@ -365,17 +345,16 @@ class PermutationGroup:
                                 break
                             code = mul(code, u_inverse)
                         if code != one:
-                            self._insert(code)
+                            self._insert(code, i + 1)
                             changed = True
                             below = [(lv.beta, lv.inverses.get)
                                      for lv in levels[i + 1:]]
-                            claimed = self.order() == claimed_order
 
-    def _sift(self, code, start: int = 0):
-        """What is left of code after dividing out levels start.. of the
-        chain: the identity's code iff the element lies in their group."""
+    def _sift(self, code):
+        """What is left of code after dividing out every level of the
+        chain: the identity's code iff the element lies in the group."""
         mul = self._mul
-        for level in self.levels[start:]:
+        for level in self.levels:
             u_inverse = level.inverses.get(code[level.beta])
             if u_inverse is None:
                 return code
@@ -410,14 +389,14 @@ class PermutationGroup:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
     def stabilizer_generators(self, point: int) -> list[Permutation]:
-        """Generators of the stabilizer of point: the strong generators that
-        fix it, read off this chain when point is its first base point, else
+        """Generators of the stabilizer of point: the strong generators of
+        level 1, read off this chain when point is its first base point, else
         off a chain whose base starts at point."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
         anchored = self if (self.levels and self.levels[0].beta == point) else \
             PermutationGroup(self.degree, self.generators, base_hint=(point,))
-        return [g for g in anchored.levels[0].gens if g(point) == point]
+        return list(anchored.levels[1].gens) if len(anchored.levels) > 1 else []
 
     def stabilizer(self, point: int) -> "PermutationGroup":
         """Full point stabilizer, as an independent group."""
@@ -528,10 +507,7 @@ def group_from_json(text: str) -> PermutationGroup:
     generators = doc["generators"]
     if type(generators) is not list:
         raise ValueError(f"generators {generators!r} is not a list")
-    # the claim only picks when the chain check may switch to the input
-    # generators' Schreier generators at level 0; it is checked below
-    group = PermutationGroup(degree, generators, name=doc.get("name"),
-                             _claimed_order=expected)
+    group = PermutationGroup(degree, generators, name=doc.get("name"))
     if expected is not None and group.order() != expected:
         raise ValueError(
             f"group {doc.get('name')!r}: computed order {group.order()} "

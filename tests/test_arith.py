@@ -6,7 +6,7 @@ import pytest
 from ftdesigns import arith
 from ftdesigns.arith import (_TRIAL_LIMIT, PrimePower, cyclotomic,
                              cyclotomic_table, divisors, factorize, is_prime,
-                             ppart, prime_powers)
+                             powers_of, ppart, prime_powers)
 
 
 def trial_division(n):
@@ -164,6 +164,23 @@ def test_prime_power_classify():
 def test_prime_powers_range():
     qs = [pp.q for pp in prime_powers(2, 32)]
     assert qs == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+def test_powers_of_match_prime_powers():
+    rng = random.Random(59)
+    windows = [(2, 5000), (-3, 1), (9, 7), (8, 8), (9, 9)] + [
+        (rng.randrange(-5, 3000), rng.randrange(0, 6000)) for _ in range(40)]
+    for lo, hi in windows:
+        listed = prime_powers(lo, hi)
+        for p in (2, 3, 5, 4093):
+            assert powers_of(p, lo, hi) == [q for q in listed if q.p == p]
+    top = 10**18
+    assert [q.q for q in powers_of(2, 2, top)] == [2**a for a in range(1, 60)]
+    assert [q.q for q in powers_of(3, top // 3, top)] == [3**37]
+    with pytest.raises(ValueError, match="supported factorization range"):
+        powers_of(2, 2, top + 1)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        powers_of(4, 2, 64)
 
 
 def prime_power_by_trial_division(q):

@@ -410,15 +410,38 @@ def test_unknown_catalog_entry_message_is_unquoted(capsys):
                    f"{', '.join(catalog_names())})\n")
 
 
-def test_catalog_entry_without_socle_exit_2(capsys, monkeypatch, tmp_path):
-    root = corrupted_catalog(tmp_path, "line1_psl25")
-    path = tmp_path / "catalog" / "line1_psl25" / "expected.json"
+def drop_key(root, entry, filename, key):
+    """A copy of a bundled catalog entry under root whose file lacks key."""
+    data = corrupted_catalog(root, entry)
+    path = root / "catalog" / entry / filename
     doc = json.loads(path.read_text(encoding="utf-8"))
-    del doc["socle"]
+    del doc[key]
     path.write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("FTDESIGNS_DATA", root)
+    return data
+
+
+def test_catalog_entry_without_socle_exit_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("FTDESIGNS_DATA", drop_key(
+        tmp_path, "line1_psl25", "expected.json", "socle"))
     assert run(capsys, "catalog-list") == (
-        2, "", "error: catalog entry line1_psl25: 'socle'\n")
+        2, "", "error: catalog entry line1_psl25: expected.json: "
+               "missing key 'socle'\n")
+    assert run(capsys, "construct", "--name", "line1_psl25") == (
+        2, "", "error: expected.json: missing key 'socle'\n")
+
+
+@pytest.mark.parametrize("filename, key", [("group.json", "degree"),
+                                           ("group.json", "generators"),
+                                           ("base_block.json", "block")])
+def test_catalog_entry_missing_key_names_the_file(capsys, monkeypatch,
+                                                  tmp_path, filename, key):
+    monkeypatch.setenv("FTDESIGNS_DATA", drop_key(
+        tmp_path, "line1_psl25", filename, key))
+    assert run(capsys, "catalog-list") == (
+        2, "", f"error: catalog entry line1_psl25: {filename}: "
+               f"missing key '{key}'\n")
+    assert run(capsys, "construct", "--name", "line1_psl25") == (
+        2, "", f"error: {filename}: missing key '{key}'\n")
 
 
 def test_construct_out_of_a_block_orbit_that_is_no_design(capsys, monkeypatch,
@@ -630,6 +653,28 @@ def test_eliminate_near_the_top_of_the_factorization_range():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[-1].startswith("summary: ")
     assert done.stdout.splitlines()[-1].endswith(" 0 candidates")
+
+
+@pytest.mark.parametrize("family, p, exponents, summary", [
+    ("suzuki", 2, range(3, 60, 2), "29 cases, 29 eliminated, 0 flagged"),
+    ("ree", 3, range(3, 38, 2), "18 cases, 0 eliminated, 18 flagged"),
+])
+def test_eliminate_one_prime_family_up_to_the_range_top(family, p, exponents,
+                                                        summary):
+    # every q = p^a, a odd >= 3, up to 10**18, listed without testing each
+    # integer of the window; run in its own process under a time limit
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "ftdesigns.cli", "eliminate", "--family",
+         family, "--q-min", "2", "--q-max", "1000000000000000000"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert [line for line in lines if line.startswith("case ")] == [
+        f"case {family} q={p**a}" for a in exponents]
+    assert lines[-1] == f"summary: {summary}, 0 candidates"
 
 
 # sha256 of the stdout of `eliminate --family F --q-min 2 --q-max 1024`,

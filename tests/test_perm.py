@@ -285,23 +285,23 @@ def test_degree_one_and_two_groups():
 
 # (base, transversal size per level, strong generators per level)
 CATALOG_CHAINS = {
-    "line1_psl25": ((1, 0, 2), [6, 5, 2], [3, 2, 1]),
-    "line2_fano_complement": ((0, 1, 3), [7, 6, 4], [6, 4, 2]),
-    "line3_psl24": ((0, 1, 2), [10, 6, 2], [4, 3, 1]),
-    "line4_psl29": ((0, 1, 2, 4), [10, 9, 4, 2], [6, 4, 3, 1]),
-    "line5_psl211": ((0, 1, 2), [11, 10, 6], [5, 3, 2]),
-    "line6_psl28": ((0, 1, 4), [28, 27, 2], [6, 4, 1]),
-    "line7_psu33": ((0, 1, 4, 2), [28, 27, 8, 2], [7, 5, 3, 1]),
-    "line8_psl28": ((0, 1, 2), [36, 14, 3], [5, 3, 1]),
-    "line9_psu35": ((0, 1, 2, 6), [126, 125, 4, 4], [7, 5, 3, 2]),
-    "line10_hs": ((0, 1, 3, 2, 4, 6), [176, 175, 12, 5, 12, 2],
-                  [10, 8, 6, 4, 3, 1]),
+    "line1_psl25": ((1, 0, 2), [6, 5, 2], [2, 2, 1]),
+    "line2_fano_complement": ((0, 1, 3), [7, 6, 4], [2, 4, 2]),
+    "line3_psl24": ((0, 1, 2), [10, 6, 2], [2, 3, 1]),
+    "line4_psl29": ((0, 1, 2, 4), [10, 9, 4, 2], [2, 4, 3, 1]),
+    "line5_psl211": ((0, 1, 2), [11, 10, 6], [2, 3, 2]),
+    "line6_psl28": ((0, 1, 4), [28, 27, 2], [2, 4, 1]),
+    "line7_psu33": ((0, 1, 2, 4), [28, 27, 2, 8], [2, 5, 4, 3]),
+    "line8_psl28": ((0, 1, 2), [36, 14, 3], [2, 3, 1]),
+    "line9_psu35": ((0, 1, 6, 2), [126, 125, 8, 2], [2, 6, 4, 1]),
+    "line10_hs": ((0, 1, 2, 4, 6), [176, 175, 12, 60, 2], [2, 7, 5, 4, 1]),
 }
 
 
 def test_catalog_chains_are_pinned():
-    """The Schreier-Sims chain of each catalog group, as first recorded:
-    a faster chain construction must not pick another base or transversal."""
+    """The Schreier-Sims chain of each catalog group, as recorded once a
+    residue joined only the levels below the one that found it: a faster
+    chain construction must not pick another base or transversal."""
     chains = {}
     for name in CATALOG_CHAINS:
         group = catalog_group(name)
@@ -343,7 +343,7 @@ def test_base_point_stabilizer_is_read_off_the_chain(forbid_new_chains):
         group = catalog_group(name)
         alpha = group.base()[0]
         gens = group.stabilizer_generators(alpha)
-        assert gens == [g for g in group.levels[0].gens if g(alpha) == alpha]
+        assert gens == group.levels[1].gens
         stab = group.stabilizer(alpha)
         assert stab.order() * len(group.orbit(alpha)) == group.order()
         suborbits = sorted(stab.orbits(), key=min)
@@ -532,9 +532,9 @@ def group_text(degree, generators, expected_order=None):
 @pytest.mark.parametrize("degree", [None, 256, 257],
                          ids=["file", "bytes", "tuples"])
 def test_load_group_chain_equals_build_group_chain(degree):
-    """The file's expected_order lets the check switch to the input
-    generators at level 0 once it is reached; the chain stays the full
-    closure's, as built, padded to 256 (byte codes) or 257 (tuple codes)."""
+    """The file's expected_order is checked after the chain is built and
+    changes nothing in it, as built, padded to 256 (byte codes) or 257
+    (tuple codes)."""
     for name in CATALOG_CHAINS:
         group = catalog_group(name)
         n = degree or group.degree
@@ -562,8 +562,8 @@ def orders_on_the_way(monkeypatch, degree, generators):
     seen = []
     insert = PermutationGroup._insert
 
-    def recording(self, code):
-        insert(self, code)
+    def recording(self, code, first=0):
+        insert(self, code, first)
         seen.append(self.order())
 
     with monkeypatch.context() as patch:
@@ -572,12 +572,13 @@ def orders_on_the_way(monkeypatch, degree, generators):
     return seen
 
 
-def test_claimed_orders_on_random_groups_against_sympy(monkeypatch):
-    """The true claim leaves the chain as it is; any other claim, also one
-    the chain passes through on its way, still ends at the true order."""
+def test_random_group_chains_against_sympy(monkeypatch):
+    """The chain has sympy's order and keeps the non-identity inputs, and
+    only them, on level 0; a wrong claim, also one the chain passes through
+    on its way, fails with the true order."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     rng = random.Random(4202)
-    switched = 0
+    passing = 0
     for _ in range(100):
         n = rng.randrange(2, 11)
         gens = [rng.sample(range(n), n) for _ in range(rng.randrange(1, 4))]
@@ -585,26 +586,24 @@ def test_claimed_orders_on_random_groups_against_sympy(monkeypatch):
             gens.append(list(range(n)))    # an identity among the inputs
         order = combinatorics.PermutationGroup(
             [combinatorics.Permutation(g) for g in gens]).order()
-        reference = build_group(n, gens)
-        assert reference.order() == order
-        claimed = PermutationGroup(n, gens, _claimed_order=order)
-        assert chain(claimed) == chain(reference)
+        group = build_group(n, gens)
+        assert group.order() == order
+        level0 = group.levels[0].gens if group.levels else []
+        assert [g.images for g in level0] == [
+            tuple(g) for g in gens if g != list(range(n))]
         passed = [o for o in orders_on_the_way(monkeypatch, n, gens)
                   if o < order]
-        switched += bool(passed)
-        for wrong in {order // 2, order - 1, order + 1, 2 * order}:
-            assert PermutationGroup(n, gens,
-                                    _claimed_order=wrong).order() == order
-        for wrong in passed:
+        passing += bool(passed)
+        for wrong in {order // 2, order - 1, order + 1, 2 * order, *passed}:
             with pytest.raises(ValueError, match=f"computed order {order} "):
                 group_from_json(group_text(n, gens, wrong))
-    assert switched >= 40
+    assert passing >= 40
 
 
-def test_group_from_json_passes_the_claim_to_the_chain(monkeypatch):
-    """With its order in the file, the HS chain (padded to degree 257, so
-    its codes are tuples) composes far fewer of them: level 0 sifts only
-    the Schreier generators of the two input generators."""
+def test_group_from_json_chain_ignores_the_claim(monkeypatch):
+    """With or without its order in the file, the HS chain (padded to
+    degree 257, so its codes are tuples) composes the same number of them:
+    the claim is only compared with the order of the finished chain."""
     hs = catalog_group("line10_hs")
     gens = [padded(g.images, 257) for g in hs.generators]
     products = []
@@ -619,7 +618,7 @@ def test_group_from_json_passes_the_claim_to_the_chain(monkeypatch):
     unclaimed = len(products)
     products.clear()
     group_from_json(group_text(257, gens, hs.order()))
-    assert len(products) < 0.75 * unclaimed
+    assert len(products) == unclaimed == 7458
 
 
 @pytest.mark.parametrize("degree, generators, expected", [
