@@ -18,11 +18,9 @@ recomputed where it is used, so a report can be audited line by line.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import mul
 from typing import NamedTuple, TextIO
 
 # cyclotomic and enumerate_candidates are not called here, but
@@ -50,8 +48,8 @@ class TableDataError(ValueError):
 
 
 # Fact and Branch are named tuples, not frozen dataclasses: a sweep builds
-# hundreds of thousands of them, and a tuple is several times cheaper to
-# build and lighter on the cyclic garbage collector.
+# thousands of them, and a tuple is several times cheaper to build and
+# lighter on the cyclic garbage collector.
 
 class Fact(NamedTuple):
     statement: str
@@ -80,132 +78,9 @@ class Branch(NamedTuple):
         return doc
 
 
-# the lambda*v < r^2 fact of g2's branch m, with %d for m
-_G2_INEQUALITY = ("branch m=%d: lambda*v < r^2 requires "
+# the lambda*v < r^2 condition of g2's branch m
+_G2_INEQUALITY = ("lambda*v < r^2 requires "
                   "q^3(q^3+eps)*(m*gcd)^2 < 4(q^3-eps)^2")
-# that statement around m, as text and inside a JSON string
-_G2_BEFORE_M, _G2_AFTER_M = _G2_INEQUALITY.split("%d")
-_G2_JSON_BEFORE_M, _G2_JSON_AFTER_M = encode_basestring_ascii(
-    _G2_INEQUALITY).split("%d")
-
-
-def _interleave(firsts: list[str], seconds, frame: tuple[str, str, str, str]
-                ) -> str:
-    """sep.join(before + a + between + b + after for a, b in zip(firsts,
-    seconds)) for frame = (before, between, after, sep), in one join."""
-    if not firsts:
-        return ""
-    before, between, after, sep = frame
-    parts = [None, between, None, after + sep + before] * len(firsts)
-    parts[0::4] = firsts
-    parts[2::4] = seconds
-    parts[-1] = after
-    return before + "".join(parts)
-
-
-class LambdaTail(NamedTuple):
-    """The divisors m of a g2 case past the first m >= 2 with lambda*v >=
-    r^2, where r = modulus/(m*g).  lambda*v < r^2 reads lhs_unit*m^2 < rhs,
-    and the left side grows with m, so every one of them fails it: each m
-    stands for one FAIL fact and one eliminated branch, built only when a
-    reader asks for it and rendered in bulk, each m and the one integer of
-    its record that varies with m set into the constant text around them."""
-
-    ms: tuple[int, ...]
-    lhs_unit: int
-    rhs: int
-    too_large: str  # the reason's prefix; r^2 follows
-    modulus: int
-    g: int
-
-    def fact(self, m: int) -> Fact:
-        return Fact(_G2_INEQUALITY % m, (self.lhs_unit * m * m, self.rhs),
-                    False)
-
-    def branch(self, m: int) -> Branch:
-        r = self.modulus // (m * self.g)
-        return Branch(f"m={m}", "eliminated", self.too_large + str(r * r))
-
-    def _render(self, fact_frame, branch_frame) -> tuple[str, str]:
-        """The fact and the branch records, each set into its frame (see
-        _interleave), with the decimal digits of every m computed once."""
-        ms = self.ms
-        digits = list(map(str, ms))
-        lhs = map(self.lhs_unit.__mul__, map(mul, ms, ms))
-        rs = list(map((self.modulus // self.g).__floordiv__, ms))
-        return (_interleave(digits, map(str, lhs), fact_frame),
-                _interleave(digits, map(str, map(mul, rs, rs)), branch_frame))
-
-    def text(self) -> tuple[str, str]:
-        """The fact lines and the branch lines, as CaseReport.to_text
-        writes them."""
-        return self._render(
-            ("  [FAIL] " + _G2_BEFORE_M, _G2_AFTER_M + "   [",
-             ", " + str(self.rhs) + "]", "\n"),
-            ("  branch m=", ": eliminated -- " + self.too_large, "", "\n"))
-
-    def json(self) -> tuple[str, str]:
-        """The facts and the branches as list items at depth 3 (see the
-        JSON templates below)."""
-        return self._render(
-            ('      {\n        "ok": false,\n        "statement": '
-             + _G2_JSON_BEFORE_M,
-             _G2_JSON_AFTER_M + ',\n        "values": [\n          ',
-             ",\n          " + repr(self.rhs) + "\n        ]\n      }",
-             ",\n"),
-            ('      {\n        "label": "m=',
-             '",\n        "reason": '
-             + encode_basestring_ascii(self.too_large)[:-1],
-             '",\n        "verdict": "eliminated"\n      }', ",\n"))
-
-
-class TailedRecords(Sequence):
-    """A g2 report's facts or branches: a head tuple, then one record per
-    divisor of its `LambdaTail`, built on access.  Read-only; it has the
-    length, order, indexing and equality of the expanded tuple.  A report's
-    facts and branches are both TailedRecords over one tail, or neither is.
-
-    Renderers test for it with `type(...) is TailedRecords`: Sequence makes
-    isinstance an ABC check, about ten times slower, and every report of
-    every family goes through these tests."""
-
-    __slots__ = ("head", "tail", "_record")
-
-    def __init__(self, head: tuple, tail: LambdaTail, record) -> None:
-        self.head = head
-        self.tail = tail
-        self._record = record  # tail.fact or tail.branch
-
-    def __len__(self) -> int:
-        return len(self.head) + len(self.tail.ms)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        size = len(self)
-        if index < 0:
-            index += size
-        if not 0 <= index < size:
-            raise IndexError("record index out of range")
-        split = len(self.head)
-        if index < split:
-            return self.head[index]
-        return self._record(self.tail.ms[index - split])
-
-    def __iter__(self):
-        yield from self.head
-        yield from map(self._record, self.tail.ms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, TailedRecords)):
-            return len(self) == len(other) and tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"TailedRecords({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -235,18 +110,15 @@ class CaseDescriptor:
 class CaseReport:
     descriptor: CaseDescriptor
     hypotheses: tuple[str, ...]
-    facts: Sequence[Fact]
-    branches: Sequence[Branch]
+    facts: tuple[Fact, ...]
+    branches: tuple[Branch, ...]
 
     # its descriptor cannot be hashed (see CaseDescriptor)
     __hash__ = None  # type: ignore[assignment]
 
     @property
     def verdict(self) -> str:
-        branches = self.branches
-        if type(branches) is TailedRecords:
-            branches = branches.head  # a tail holds only eliminated branches
-        kinds = {branch.verdict for branch in branches}
+        kinds = {branch.verdict for branch in self.branches}
         if "candidate" in kinds:
             return "candidate"
         if "flagged" in kinds:
@@ -279,25 +151,16 @@ class CaseReport:
         lines = [f"case {head}"]
         for hyp in self.hypotheses:
             lines.append(f"  hypothesis: {hyp}")
-        facts, branches = self.facts, self.branches
-        fact_tail = branch_tail = None
-        if type(facts) is TailedRecords:
-            fact_tail, branch_tail = facts.tail.text()
-            facts, branches = facts.head, branches.head
-        for fact in facts:
+        for fact in self.facts:
             mark = "ok " if fact.ok else "FAIL"
             vals = ", ".join(map(str, fact.values))
             lines.append(f"  [{mark}] {fact.statement}   [{vals}]")
-        if fact_tail is not None:
-            lines.append(fact_tail)
-        for branch in branches:
+        for branch in self.branches:
             lines.append(f"  branch {branch.label}: {branch.verdict} -- {branch.reason}")
             if branch.params is not None:
                 lines.append(f"    parameters {branch.params}")
             if branch.reference is not None:
                 lines.append(f"    closed by: {branch.reference}")
-        if branch_tail is not None:
-            lines.append(branch_tail)
         lines.append(f"  verdict: {self.verdict}")
         return "\n".join(lines)
 
@@ -344,11 +207,9 @@ def _branch_json(branch: Branch) -> str:
             + encode_basestring_ascii(branch.verdict) + "\n      }")
 
 
-def _json_list(items: list[str], more: bool = False) -> str:
+def _json_list(items: list[str]) -> str:
     """The value of a list-valued key of a report, from its items rendered
-    at depth 3; with more, only its text up to the items that follow."""
-    if more:
-        return "[\n" + "".join([item + ",\n" for item in items])
+    at depth 3."""
     return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
 
 
@@ -383,34 +244,18 @@ def _descriptor_json(desc: CaseDescriptor) -> str:
     return text + "\n    }"
 
 
-def _report_pieces(report: CaseReport) -> list[str]:
-    """The report at depth 1, as pieces to be written in order: the whole
-    report, or for a g2 report with a tail, the text around its two
-    bulk-rendered tails and the tails themselves, which are never copied
-    into a larger string."""
-    facts, branches = report.facts, report.branches
-    fact_tail = branch_tail = None
-    if type(facts) is TailedRecords:
-        fact_tail, branch_tail = facts.tail.json()
-        facts, branches = facts.head, branches.head
-    tailed = fact_tail is not None
-    start = ('  {\n    "branches": '
-             + _json_list(list(map(_branch_json, branches)), tailed))
-    middle = (',\n    "descriptor": ' + _descriptor_json(report.descriptor)
-              + ',\n    "facts": '
-              + _json_list(list(map(_fact_json, facts)), tailed))
-    end = (',\n    "hypotheses": '
-           + _json_list(["      " + encode_basestring_ascii(hyp)
-                         for hyp in report.hypotheses])
-           + ',\n    "verdict": ' + encode_basestring_ascii(report.verdict)
-           + "\n  }")
-    if not tailed:
-        return [start + middle + end]
-    return [start, branch_tail, "\n    ]" + middle, fact_tail, "\n    ]" + end]
-
-
 def _report_json(report: CaseReport) -> str:
-    return "".join(_report_pieces(report))
+    """The report at depth 1."""
+    return ('  {\n    "branches": '
+            + _json_list(list(map(_branch_json, report.branches)))
+            + ',\n    "descriptor": ' + _descriptor_json(report.descriptor)
+            + ',\n    "facts": '
+            + _json_list(list(map(_fact_json, report.facts)))
+            + ',\n    "hypotheses": '
+            + _json_list(["      " + encode_basestring_ascii(hyp)
+                          for hyp in report.hypotheses])
+            + ',\n    "verdict": ' + encode_basestring_ascii(report.verdict)
+            + "\n  }")
 
 
 def write_json(reports: list[CaseReport], out: TextIO) -> None:
@@ -420,8 +265,7 @@ def write_json(reports: list[CaseReport], out: TextIO) -> None:
     sep = "[\n"
     for report in reports:
         out.write(sep)
-        for piece in _report_pieces(report):
-            out.write(piece)
+        out.write(_report_json(report))
         sep = ",\n"
     out.write("[]\n" if sep == "[\n" else "\n]\n")
 
@@ -539,13 +383,13 @@ def _g2_q(q: PrimePower) -> bool:
 
 def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     """v = q^3(q^3 + eps)/2 and r*m*gcd(2, q-1) = 2(q^3 - eps) for some
-    m >= 1.  Walks every divisor m, applying in order: the lambda*v < r^2
-    inequality (decisive for m >= 2), nontriviality, k <= r, b-integrality
-    (the q^3 + 4 | 120 kill for even q, eps = +, m = 1), the symmetric
-    embedding criterion r = k + lambda, and full admissibility.  The
-    inequality's left side grows with m, so from the first m >= 2 that fails
-    it every divisor does: that tail is kept as one `LambdaTail`, and the
-    report's facts and branches expand it on access."""
+    m >= 1.  Walks the divisors m in ascending order, applying in order: the
+    lambda*v < r^2 inequality (decisive for m >= 2), nontriviality, k <= r,
+    b-integrality (the q^3 + 4 | 120 kill for even q, eps = +, m = 1), the
+    symmetric embedding criterion r = k + lambda, and full admissibility.
+    The inequality's left side grows with m, so the first m0 >= 2 that fails
+    it ends the walk: one FAIL fact and one eliminated branch `m>=m0` state
+    that lemma for m0 and every larger divisor."""
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     if not _g2_q(q):
@@ -561,7 +405,6 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     # fixed for the case
     lhs_unit = q3 * (q3 + eps) * g * g
     rhs = 4 * (q3 - eps) ** 2
-    too_large = f"lambda*v = {2 * v} >= r^2 = "
     facts = [
         Fact("v = q^3(q^3 + eps)/2", (v,), True),
         Fact("r*m*gcd(2, q-1) = 2(q^3 - eps) for a positive integer m",
@@ -569,18 +412,23 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     ]
     branches = []
     ms = divisors(modulus // g)
-    tail = None
     for i, m in enumerate(ms):
         lhs = lhs_unit * m * m
         inequality_ok = lhs < rhs
+        r = modulus // (m * g)
         if m >= 2 and not inequality_ok:
             # lhs grows with m, so this m and every later one fail too
-            tail = LambdaTail(tuple(ms[i:]), lhs_unit, rhs, too_large,
-                              modulus, g)
+            facts.append(Fact(
+                f"branches m>={m}: {_G2_INEQUALITY}, whose left side grows "
+                f"with m; {len(ms) - i} divisors m", (lhs, rhs), False))
+            branches.append(Branch(
+                f"m>={m}", "eliminated",
+                f"lambda*v = {2 * v} >= r^2 = {r * r} at m = {m}, "
+                "and r falls as m grows"))
             break
         label = f"m={m}"
-        r = modulus // (m * g)
-        facts.append(Fact(_G2_INEQUALITY % m, (lhs, rhs), inequality_ok))
+        facts.append(Fact(f"branch {label}: {_G2_INEQUALITY}", (lhs, rhs),
+                          inequality_ok))
         if twice_v1 % r != 0:
             branches.append(Branch(
                 label, "eliminated",
@@ -631,13 +479,9 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
         else:
             branches.append(Branch(
                 label, "candidate", "arithmetic survivor", params=params))
-    facts, branches = tuple(facts), tuple(branches)
-    if tail is not None:
-        facts = TailedRecords(facts, tail, tail.fact)
-        branches = TailedRecords(branches, tail, tail.branch)
     return CaseReport(
         CaseDescriptor("g2_a2eps", q, epsilon), (EVEN_R_HYPOTHESIS,),
-        facts, branches)
+        tuple(facts), tuple(branches))
 
 
 # -- E6(q) with maximal parabolic stabilizers P1 and P3 ----------------------
@@ -847,16 +691,30 @@ FAMILIES = {
 # their exponents, so any window up to 10**18 takes a few steps.
 _ONE_PRIME = {"suzuki": 2, "ree": 3}
 
+# The other families test every integer of the window for a prime power,
+# which takes 1.2-1.5 s for 10**5 integers just below 10**18; sweep
+# refuses a wider window for them.
+WINDOW_LIMIT = 100_000
+
 
 def sweep(family: str, q_min: int, q_max: int) -> list[CaseReport]:
     """All case reports for a family over valid prime powers in [q_min, q_max],
-    in deterministic (family, q, epsilon/case) order."""
+    in deterministic (family, q, epsilon/case) order.  Refuses a window of
+    more than WINDOW_LIMIT integers for a family not in _ONE_PRIME."""
     if family not in FAMILIES:
         *names, last = FAMILIES
         raise ValueError(f"unknown family {family!r} "
                          f"(expected {', '.join(names)} or {last})")
     valid_q, cases = FAMILIES[family]
     p = _ONE_PRIME.get(family)
-    qs = (prime_powers(q_min, q_max) if p is None
-          else powers_of(p, q_min, q_max))
+    if p is None:
+        lo = max(q_min, 2)
+        if q_max - lo >= WINDOW_LIMIT:
+            raise ValueError(
+                f"{family} tests every integer of its window, so the window "
+                f"holds at most WINDOW_LIMIT = {WINDOW_LIMIT} integers, not "
+                f"q = {lo}..{q_max}")
+        qs = prime_powers(q_min, q_max)
+    else:
+        qs = powers_of(p, q_min, q_max)
     return [report for q in qs if valid_q(q) for report in cases(q)]

@@ -251,6 +251,17 @@ BAD_INPUT = {
     "eliminate-g2-above-divisor-range-json": ["eliminate", "--family", "g2",
                                               "--q-min", "1000001",
                                               "--q-max", "1000100", "--json"],
+    # these families test every integer of the window for a prime power,
+    # so a window of more than WINDOW_LIMIT integers is refused up front
+    "eliminate-g2-wide-window": ["eliminate", "--family", "g2",
+                                 "--q-min", "2",
+                                 "--q-max", "1000000000000000000"],
+    "eliminate-e6-wide-window": ["eliminate", "--family", "e6",
+                                 "--q-min", "2",
+                                 "--q-max", "1000000000000000000"],
+    "eliminate-parabolic-wide-window": ["eliminate", "--family", "parabolic",
+                                        "--q-min", "2",
+                                        "--q-max", "1000000000000000000"],
     # catalog names are the entry directories, never a path through them
     "construct-name-path": ["construct", "--name",
                             "line1_psl25/../line2_fano_complement"],
@@ -681,6 +692,9 @@ def test_eliminate_one_prime_family_up_to_the_range_top(family, p, exponents,
 # as text and with --json, computed on commit dd02eba, before Fact and
 # Branch became named tuples, prime_powers stopped factoring and descriptors
 # got a JSON template.  A change to any of them must leave these bytes alone.
+# The g2 pair was re-recorded when each g2 report came to state its
+# lambda*v >= r^2 tail as one fact and one branch `m>=m0`; the records
+# before that lemma kept their bytes.
 ELIMINATE_SHA256 = {
     ("suzuki", False):
         "ac39190e700f8b918d498394ee9ce166585c5144d2a8abb34a942eca97308eaa",
@@ -691,9 +705,9 @@ ELIMINATE_SHA256 = {
     ("ree", True):
         "6a0dd9cdf95369a6c7b9f91597bb3a1a6b45270e6b9d579028a79cb9addb1a7b",
     ("g2", False):
-        "27fda20c8cacab278218ef7e722eeb2e4d4cee90124c1aaac23c6779b06c2afb",
+        "ceff422892172921542ed718401b8363baf333bdfd1b564b03e61a35b0f58459",
     ("g2", True):
-        "f10bdfe90478d8bc9ae431cf8d3581d9f7dd1eede5a3529a7398fb548608a9b3",
+        "1fc603461fbd852ecf5cd71f619c1ac3b6fb7e1c5e0f0b48f711eb9164da81a9",
     ("e6", False):
         "b786da68889880430d357f209cb412f6a9f632d2b81ddc3357e03d0479c17fcd",
     ("e6", True):
@@ -717,12 +731,13 @@ def test_eliminate_output_is_pinned(capsys, family, as_json):
 
 
 # sha256 of the stdout of `eliminate --family g2 --q-min 2 --q-max 4096`,
-# text and --json, the benchmark's window, computed on commit dd02eba.
-# Beside ELIMINATE_SHA256, these pin the lambda*v >= r^2 tail of every g2
-# case up to q = 4096.
+# text and --json, the benchmark's window, recorded when each g2 report came
+# to state its lambda*v >= r^2 tail as one lemma (1,248,166 and 2,259,600
+# bytes).  Beside ELIMINATE_SHA256, these pin that lemma and the records
+# before it in every g2 case up to q = 4096.
 ELIMINATE_G2_4096_SHA256 = {
-    False: "37dcfc58b9b66c51d0f7c64e62cc106a48c46607ce3f6f89f2c31b81151901b5",
-    True: "abf0fd6b0fcf1e051f5de3c3c78c308e03cdc3db365fa2f11513f00967c5ba30",
+    False: "57be66fdddecbef1f9b176aef2b06950bae37730048157118aa0af1776359eba",
+    True: "383ab07ceebc3675ccc9799415a12bce4377e89a7498cc69eb6c82e4a6ed1393",
 }
 
 

@@ -14,12 +14,11 @@ from ftdesigns.design import Parameters, admissibility_violations, \
 from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROWS,
                                    REE_UNITAL_REFERENCE,
                                    SU3_STABILIZER_REFERENCE,
-                                   SYMMETRIC_EMBED_REFERENCE, Branch,
-                                   CaseDescriptor, CaseReport, Fact,
-                                   ParabolicRow, TableDataError,
-                                   TailedRecords, _branch_json,
+                                   SYMMETRIC_EMBED_REFERENCE, WINDOW_LIMIT,
+                                   Branch, CaseDescriptor, CaseReport, Fact,
+                                   ParabolicRow, TableDataError, _branch_json,
                                    _descriptor_json, _extra_json, _fact_json,
-                                   _report_json, eliminate_e6, eliminate_g2,
+                                   eliminate_e6, eliminate_g2,
                                    eliminate_parabolic_generic, eliminate_ree,
                                    eliminate_suzuki, sweep, write_json)
 
@@ -104,8 +103,8 @@ def test_g2_q4_minus_flagged_branches():
 
 def reference_g2(q: PrimePower, eps: int) -> tuple[tuple, tuple]:
     """The facts and branches of a g2 case, one record per divisor m, as
-    eliminate_g2 built them before it kept its lambda*v >= r^2 tail as one
-    record."""
+    eliminate_g2 built them before it stated its lambda*v >= r^2 tail as one
+    lemma."""
     qq = q.q
     g = gcd(2, qq - 1)
     q3 = qq**3
@@ -186,74 +185,74 @@ def test_g2_tail_expands_to_the_per_divisor_records():
         for eps in (1, -1):
             report = eliminate_g2(q, eps)
             facts, branches = reference_g2(q, eps)
-            tuple_report = CaseReport(report.descriptor, report.hypotheses,
-                                      facts, branches)
             where = (q.q, eps)
-            assert list(report.facts) == list(facts), where
-            assert list(report.branches) == list(branches), where
-            assert (len(report.facts), len(report.branches)) == \
-                (len(facts), len(branches)), where
-            assert report.verdict == tuple_report.verdict, where
-            assert report.flagged() == tuple_report.flagged(), where
-            assert report.candidates() == tuple_report.candidates(), where
-            # the tail is a suffix of both: the records held one by one are
-            # the reference's first ones, and the rest are lambda*v >= r^2
-            # kills from the first m >= 2 on
-            assert isinstance(report.facts, TailedRecords), where
-            head = report.branches.head
-            tail = report.branches.tail
-            assert report.facts.tail is tail
-            assert branches[:len(head)] == head, where
-            assert facts[:len(report.facts.head)] == report.facts.head, where
-            assert len(facts) - len(report.facts.head) == len(tail.ms), where
-            assert tail.ms[0] >= 2 and all(
-                b.reason.startswith("lambda*v = ")
-                for b in branches[len(head):]), where
+            # the lemma is the last fact and the last branch, and the only
+            # records that speak of more than one m
+            *head_facts, lemma_fact = report.facts
+            *head_branches, lemma = report.branches
+            assert [f for f in report.facts
+                    if f.statement.startswith("branches m>=")] == \
+                [lemma_fact], where
+            assert [b for b in report.branches
+                    if b.label.startswith("m>=")] == [lemma], where
+            # the records before it are the reference's first ones
+            n_facts, n_branches = len(head_facts), len(head_branches)
+            assert tuple(head_facts) == facts[:n_facts], where
+            assert tuple(head_branches) == branches[:n_branches], where
+            # and every reference record from its m0 on is a lambda*v >= r^2
+            # kill, one fact and one branch per divisor
+            m0 = int(lemma.label[len("m>="):])
+            tail = branches[n_branches:]
+            assert m0 >= 2 and tail[0].label == f"m={m0}", where
+            assert all(b.verdict == "eliminated"
+                       and b.reason.startswith("lambda*v = ")
+                       for b in tail), where
+            assert len(facts) - n_facts == len(tail), where
+            assert not any(f.ok for f in facts[n_facts:]), where
+            # the lemma counts those divisors, with m0's values and reason
+            first = facts[n_facts]
+            assert lemma_fact == Fact(
+                first.statement.replace(f"branch m={m0}:",
+                                        f"branches m>={m0}:")
+                + f", whose left side grows with m; {len(tail)} divisors m",
+                first.values, False), where
+            assert lemma == Branch(
+                f"m>={m0}", "eliminated",
+                f"{tail[0].reason} at m = {m0}, and r falls as m grows"), where
+            reference = CaseReport(report.descriptor, report.hypotheses,
+                                   facts, branches)
+            assert report.verdict == reference.verdict, where
+            assert report.flagged() == reference.flagged(), where
+            assert report.candidates() == reference.candidates(), where
 
 
 @pytest.mark.parametrize("q", [3, 4, 8, 9, 64, 243, 1024, 4096])
 @pytest.mark.parametrize("eps", [1, -1])
 def test_g2_report_reads_and_renders_as_its_tuples(q, eps):
-    q = PrimePower.classify(q)
-    report = eliminate_g2(q, eps)
-    facts, branches = reference_g2(q, eps)
-    tuple_report = CaseReport(report.descriptor, report.hypotheses,
-                              facts, branches)
-    assert report == tuple_report
-    for got, want in ((report.facts, facts), (report.branches, branches)):
-        assert got == want and hash(got) == hash(want)
-        assert [got[i] for i in range(-len(want), len(want))] == \
-            list(want + want)
-        assert got[1:-1:3] == want[1:-1:3] and got[::-1] == want[::-1]
-        assert got.index(want[-1]) == len(want) - 1 and want[-1] in got
-        for index in (len(want), -len(want) - 1):
-            with pytest.raises(IndexError):
-                got[index]
-    assert report.to_text() == tuple_report.to_text()
-    assert report.to_dict() == tuple_report.to_dict()
-    assert _report_json(report) == _report_json(tuple_report)
-
-
-def test_g2_tail_renders_as_its_records():
-    # every g2 case to q = 4096: the bulk-rendered tail against the records
-    # it expands to, each rendered on its own
-    for q in prime_powers(3, 4096):
-        for eps in (1, -1):
-            report = eliminate_g2(q, eps)
-            tuple_report = CaseReport(report.descriptor, report.hypotheses,
-                                      tuple(report.facts),
-                                      tuple(report.branches))
-            assert report.to_text() == tuple_report.to_text(), (q.q, eps)
-            assert _report_json(report) == _report_json(tuple_report), \
-                (q.q, eps)
+    # the facts and branches are plain tuples, and the text, the dict and
+    # the JSON write each of their records once, the lemma last
+    report = eliminate_g2(PrimePower.classify(q), eps)
+    assert type(report.facts) is tuple and type(report.branches) is tuple
+    lemma = report.branches[-1]
+    lines = report.to_text().splitlines()
+    assert sum(line.startswith("  [") for line in lines) == len(report.facts)
+    assert sum(line.startswith("  branch ") for line in lines) == \
+        len(report.branches)
+    assert lines[-2] == f"  branch {lemma.label}: eliminated -- {lemma.reason}"
+    doc = report.to_dict()
+    assert doc["facts"] == [fact.to_dict() for fact in report.facts]
+    assert doc["branches"] == [branch.to_dict() for branch in report.branches]
+    out = io.StringIO()
+    write_json([report], out)
+    assert out.getvalue() == json.dumps([doc], indent=2, sort_keys=True) + "\n"
 
 
 def test_g2_window_totals():
     # the benchmark's g2 window; bench/tracing.py counts these lengths
     reports = sweep("g2", 2, 4096)
     assert len(reports) == 1206
-    assert sum(len(r.branches) for r in reports) == 113406
-    assert sum(len(r.facts) for r in reports) == 117024
+    assert sum(len(r.branches) for r in reports) == 2423
+    assert sum(len(r.facts) for r in reports) == 6041
     assert all(r.hypotheses == (EVEN_R_HYPOTHESIS,) for r in reports)
 
 
@@ -409,6 +408,22 @@ def test_sweep_families():
         sweep("m24", 2, 8)
 
 
+@pytest.mark.parametrize("family", ["g2", "e6", "parabolic"])
+def test_sweep_refuses_a_window_past_the_limit(monkeypatch, family):
+    # prime_powers would test every integer of the window, so it is not
+    # reached past the limit; below it, sweep lists q through the binding
+    windows = []
+    monkeypatch.setattr(elimination, "prime_powers",
+                        lambda lo, hi: windows.append((lo, hi)) or [])
+    top = 1 + WINDOW_LIMIT  # q = 2..top holds WINDOW_LIMIT integers
+    assert sweep(family, -5, top) == []
+    with pytest.raises(ValueError, match=f"WINDOW_LIMIT = {WINDOW_LIMIT}"):
+        sweep(family, 2, top + 1)
+    with pytest.raises(ValueError, match="WINDOW_LIMIT"):
+        sweep(family, 2, 10**18)
+    assert windows == [(-5, top)]
+
+
 def test_report_json_shape():
     doc = eliminate_ree(PrimePower(3, 3)).to_dict()
     assert doc["verdict"] == "flagged"
@@ -537,7 +552,9 @@ def test_extra_json_falls_back_to_json_dumps(extra):
     [eliminate_ree(PrimePower(3, 3)), SCAN,
      eliminate_parabolic_generic(ROWS["e6_p16"], PrimePower(3, 1)),
      eliminate_g2(PrimePower(2, 2), -1)],
-], ids=["empty-report", "mixed"])
+    # every g2 report ends in its lambda*v >= r^2 lemma
+    sweep("g2", 3, 16),
+], ids=["empty-report", "mixed", "g2"])
 def test_write_json_is_json_dumps(reports):
     out = io.StringIO()
     write_json(reports, out)
