@@ -8,7 +8,7 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 _DIVISOR_LIMIT = 10**18
 _TRIAL_LIMIT = 1000
@@ -99,6 +99,14 @@ def _rho(n: int) -> int:
 _TRIAL_PRIMES = tuple(filter(is_prime, range(_TRIAL_LIMIT)))
 
 
+def _check_factorable(n: int) -> None:
+    """Refuse an n outside 1..10**18, the range factorize is exact in."""
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
+    if n > _DIVISOR_LIMIT:
+        raise ValueError(f"{n} exceeds the supported factorization range")
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} with the primes ascending, exact
     for 1 <= n <= 10**18.
@@ -108,10 +116,7 @@ def factorize(n: int) -> dict[int, int]:
     split by Brent-Pollard rho until each piece passes the Miller-Rabin
     test of is_prime.
     """
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    if n > _DIVISOR_LIMIT:
-        raise ValueError(f"{n} exceeds the supported factorization range")
+    _check_factorable(n)
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -139,6 +144,29 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
+def factorize_product(pieces: tuple[int, ...]) -> dict[int, int]:
+    """factorize(n) for n the product of the positive ints in pieces, with
+    the exponents of each piece's factorization added up, so pieces that
+    share a prime may be given.
+
+    A caller that knows n as a product of small pieces factors only those.
+    n is refused as factorize refuses it, with the same message.
+    """
+    _check_factorable(prod(pieces))
+    factors: dict[int, int] = {}
+    for piece in pieces:
+        for p, e in factorize(piece).items():
+            factors[p] = factors.get(p, 0) + e
+    return dict(sorted(factors.items()))
+
+
+# The last prime that _prime_power or PrimePower proved.  Each PrimePower
+# that classify, prime_powers and powers_of build is of the prime proved just
+# before, so the constructor tests only a p other than this one.  Nothing but
+# a proven prime is ever stored, so a stale value costs at most a test.
+_proven = 2
+
+
 @dataclass(frozen=True)
 class PrimePower:
     """q = p^a with p prime and a >= 1."""
@@ -147,14 +175,29 @@ class PrimePower:
     a: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        global _proven
+        if self.p != _proven:
+            if not is_prime(self.p):
+                raise ValueError(f"{self.p} is not prime")
+            _proven = self.p
         if self.a < 1:
             raise ValueError(f"exponent {self.a} must be positive")
 
     @property
     def q(self) -> int:
         return self.p ** self.a
+
+    def ppart(self, n: int) -> int:
+        """The p-part of n: the largest power of p dividing n, 1 when p
+        does not divide n."""
+        if n < 1:
+            raise ValueError(f"p-part undefined for {n}")
+        p = self.p
+        part = 1
+        while n % p == 0:
+            n //= p
+            part *= p
+        return part
 
     @classmethod
     def classify(cls, q: int) -> "PrimePower":
@@ -188,7 +231,9 @@ def _prime_power(q: int) -> tuple[int, int] | None:
 
     If q = p^a, then p is the exact root with the largest a, so the first
     exact root found decides: q is a prime power iff that root is prime.
+    The p returned is left in _proven.
     """
+    global _proven
     if q < 2:
         return None
     for p in _SMALL_PRIMES:
@@ -197,9 +242,13 @@ def _prime_power(q: int) -> tuple[int, int] | None:
             while q % p == 0:
                 q //= p
                 a += 1
-            return (p, a) if q == 1 else None
+            if q != 1:
+                return None
+            _proven = p
+            return p, a
     if _miller_rabin(q):
-        return (q, 1)
+        _proven = q
+        return q, 1
     # every prime factor of q is at least 43, so q = p^a needs 43^a <= q
     top = 1
     while 43 ** (top + 1) <= q:
@@ -207,7 +256,10 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     for a in range(top, 1, -1):
         p = _iroot(q, a)
         if p**a == q:
-            return (p, a) if is_prime(p) else None
+            if not is_prime(p):
+                return None
+            _proven = p
+            return p, a
     return None
 
 
@@ -236,8 +288,7 @@ def powers_of(p: int, lo: int, hi: int) -> list[PrimePower]:
     ascending, listed from their exponents: at most 59 lie below
     _DIVISOR_LIMIT, where prime_powers tests every integer of the window.
     Refuses an hi above _DIVISOR_LIMIT, as prime_powers does."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    PrimePower(p, 1)  # raises unless p is prime, and leaves it in _proven
     _check_window(hi)
     out = []
     q, a = p, 1
@@ -251,17 +302,10 @@ def powers_of(p: int, lo: int, hi: int) -> list[PrimePower]:
 def ppart(n: int, p: int) -> int:
     """The p-part of n: the largest power of p dividing n.
 
-    Returns 1 when p does not divide n.
+    Returns 1 when p does not divide n.  Raises unless p is prime; a
+    caller holding a PrimePower asks it instead, which needs no test.
     """
-    if n < 1:
-        raise ValueError(f"p-part undefined for {n}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
-    return part
+    return PrimePower(p, 1).ppart(n)
 
 
 def _cyclotomic_values(ns, q: int) -> dict[int, int]:
@@ -306,16 +350,27 @@ def cyclotomic_table(n_max: int, q: int) -> dict[int, int]:
 
 def divisors(n: int, limit: int | None = None) -> list[int]:
     """All positive divisors of n in ascending order, or with a limit only
-    those at most limit.
+    those at most limit, as divisors_from lists them.  n is factorized
+    whatever the limit, so an n out of factorize's range is refused."""
+    return divisors_from(factorize(n), limit)
+
+
+def divisors_from(factors: dict[int, int],
+                  limit: int | None = None) -> list[int]:
+    """The divisors of the n whose prime factorization is factors
+    ({p: exponent}), in ascending order, or with a limit only those at most
+    limit.
 
     The divisors found so far times p^i, for i = 1..e, are each the layer
     before times p, so every divisor is one C-level multiplication; one
     in-place sort orders them.  With a limit, a layer element above it is
-    dropped, since every multiple of it is above it too.  n is factorized
-    whatever the limit, so an n out of factorize's range is refused.
+    dropped, since every multiple of it is above it too, and a prime above
+    it adds no layer at all.
     """
     divs = [1] if limit is None or limit >= 1 else []
-    for p, e in factorize(n).items():
+    for p, e in factors.items():
+        if limit is not None and p > limit:
+            continue
         layer = divs
         for _ in range(e):
             layer = map(p.__mul__, layer)

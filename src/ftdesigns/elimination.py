@@ -20,13 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import NamedTuple, TextIO
 
-# cyclotomic and enumerate_candidates are not called here, but
+# cyclotomic, divisors and enumerate_candidates are not called here, but
 # bench/tracing.py wraps these bindings
 from .arith import (PrimePower, cyclotomic, cyclotomic_table,  # noqa: F401
-                    divisors, powers_of, ppart, prime_powers)
+                    divisors, divisors_from, factorize_product, powers_of,
+                    prime_powers)
 from .design import (Parameters, admissibility_violations,  # noqa: F401
                      embeds_symmetric, enumerate_candidates)
 
@@ -387,9 +388,13 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     lambda*v < r^2 inequality (decisive for m >= 2), nontriviality, k <= r,
     b-integrality (the q^3 + 4 | 120 kill for even q, eps = +, m = 1), the
     symmetric embedding criterion r = k + lambda, and full admissibility.
-    The inequality's left side grows with m, so the first m0 >= 2 that fails
-    it ends the walk: one FAIL fact and one eliminated branch `m>=m0` state
-    that lemma for m0 and every larger divisor."""
+    The inequality's left side grows with m, so the divisors m >= 2 that
+    pass it are those up to a bound, and the walk lists only m = 1 and
+    those.  One FAIL fact and one eliminated branch `m>=m0` state the lemma
+    for m0, the least divisor above the bound, and every larger divisor;
+    their number is the divisor count, from the exponents, less the
+    divisors walked.  2(q^3 - eps)/gcd(2, q-1) is factored from its pieces
+    2(q - eps)/gcd(2, q-1) and q^2 + eps*q + 1, never whole."""
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     if not _g2_q(q):
@@ -402,30 +407,28 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     modulus = 2 * (q3 - eps)
     twice_v1 = 2 * (v - 1)
     # lambda*v < r^2 reads lhs_unit * m^2 < rhs; both sides without m are
-    # fixed for the case
+    # fixed for the case, and the m that pass are those up to the bound
     lhs_unit = q3 * (q3 + eps) * g * g
     rhs = 4 * (q3 - eps) ** 2
+    bound = max(1, isqrt((rhs - 1) // lhs_unit))
     facts = [
         Fact("v = q^3(q^3 + eps)/2", (v,), True),
         Fact("r*m*gcd(2, q-1) = 2(q^3 - eps) for a positive integer m",
              (modulus, g), True),
     ]
     branches = []
-    ms = divisors(modulus // g)
-    for i, m in enumerate(ms):
+    # modulus/g = (2/g)(q - eps) * (q^2 + eps*q + 1)
+    n = modulus // g
+    factors = factorize_product((2 // g * (qq - eps), qq * qq + eps * qq + 1))
+    ms = divisors_from(factors, bound)
+    # the least divisor m0 above the bound, over any prime p dividing it,
+    # is a divisor m0/p up to the bound
+    m0 = min((d * p for d in ms for p in factors
+              if d * p > bound and n % (d * p) == 0), default=None)
+    for m in ms:
         lhs = lhs_unit * m * m
         inequality_ok = lhs < rhs
         r = modulus // (m * g)
-        if m >= 2 and not inequality_ok:
-            # lhs grows with m, so this m and every later one fail too
-            facts.append(Fact(
-                f"branches m>={m}: {_G2_INEQUALITY}, whose left side grows "
-                f"with m; {len(ms) - i} divisors m", (lhs, rhs), False))
-            branches.append(Branch(
-                f"m>={m}", "eliminated",
-                f"lambda*v = {2 * v} >= r^2 = {r * r} at m = {m}, "
-                "and r falls as m grows"))
-            break
         label = f"m={m}"
         facts.append(Fact(f"branch {label}: {_G2_INEQUALITY}", (lhs, rhs),
                           inequality_ok))
@@ -479,6 +482,17 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
         else:
             branches.append(Branch(
                 label, "candidate", "arithmetic survivor", params=params))
+    if m0 is not None:
+        # lhs grows with m, so m0 and every larger divisor fail
+        r = modulus // (m0 * g)
+        count = prod(e + 1 for e in factors.values()) - len(ms)
+        facts.append(Fact(
+            f"branches m>={m0}: {_G2_INEQUALITY}, whose left side grows "
+            f"with m; {count} divisors m", (lhs_unit * m0 * m0, rhs), False))
+        branches.append(Branch(
+            f"m>={m0}", "eliminated",
+            f"lambda*v = {2 * v} >= r^2 = {r * r} at m = {m0}, "
+            "and r falls as m grows"))
     return CaseReport(
         CaseDescriptor("g2_a2eps", q, epsilon), (EVEN_R_HYPOTHESIS,),
         tuple(facts), tuple(branches))
@@ -633,7 +647,7 @@ def eliminate_parabolic_generic(row: ParabolicRow, q: PrimePower,
                          f"{row.key} ({row.socle}, {row.stabilizer})")
     v = row.point_count(q, phi)
     u_claimed = row.tabulated_ppart(q)
-    u_actual = ppart(v - 1, q.p)
+    u_actual = q.ppart(v - 1)
     facts = [
         Fact("v as an exact cyclotomic product", (v,), True),
         Fact(f"tabulated |v-1|_p = {row.ppart_rule} agrees with the p-part "

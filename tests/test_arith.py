@@ -1,11 +1,12 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
 from ftdesigns import arith
 from ftdesigns.arith import (_TRIAL_LIMIT, PrimePower, cyclotomic,
-                             cyclotomic_table, divisors, factorize, is_prime,
+                             cyclotomic_table, divisors, divisors_from,
+                             factorize, factorize_product, is_prime,
                              powers_of, ppart, prime_powers)
 
 
@@ -36,6 +37,38 @@ def test_ppart_rejects_bad_input():
         ppart(0, 2)
     with pytest.raises(ValueError):
         ppart(10, 4)
+
+
+def test_ppart_of_a_prime_power_matches_ppart():
+    rng = random.Random(17)
+    for q in (PrimePower(2, 3), PrimePower(3, 1), PrimePower(4093, 2)):
+        for n in [1, q.q, q.q**3 * 10] + [rng.randrange(1, 10**12)
+                                          for _ in range(50)]:
+            assert q.ppart(n) == ppart(n, q.p), (q, n)
+    with pytest.raises(ValueError, match="p-part undefined"):
+        PrimePower(2, 1).ppart(0)
+
+
+def test_known_primes_are_not_tested_again(monkeypatch):
+    # every q below 43^2 is told by division and one Miller-Rabin call, so
+    # listing and classifying them, and building a PrimePower of what was
+    # found, needs no is_prime call; nor do the p-parts of a parabolic sweep
+    from ftdesigns.elimination import sweep
+    calls = []
+    monkeypatch.setattr(arith, "is_prime",
+                        lambda n: calls.append(n) or is_prime(n))
+    listed = prime_powers(2, 43**2 - 1)
+    assert [PrimePower.classify(q.q) for q in listed] == listed
+    assert len(sweep("parabolic", 2, 1024)) == 615
+    assert calls == []
+    # powers_of tests its prime once, not once per power
+    assert len(powers_of(1009, 2, 10**18)) == 5
+    assert calls == [1009]
+    # a composite p is refused wherever it comes from
+    for bad in (lambda: PrimePower(4, 2), lambda: ppart(10, 4),
+                lambda: powers_of(4, 2, 64), lambda: PrimePower(1009**2, 1)):
+        with pytest.raises(ValueError, match="is not prime"):
+            bad()
 
 
 def test_ppart_property():
@@ -121,6 +154,63 @@ def test_divisors_up_to_a_limit_match_sympy():
         for limit in (0, 1, isqrt(n), n, n + 1):
             assert divisors(n, limit) == [d for d in every if d <= limit], \
                 (n, limit)
+
+
+def test_divisors_from_a_factorization_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.one_of(st.integers(1, 10**6), st.integers(1, 10**18)),
+                      st.one_of(st.none(), st.integers(-1, 10),
+                                st.integers(-1, 10**19)))
+    def check(n, limit):
+        every = sympy.divisors(n)
+        want = every if limit is None else [d for d in every if d <= limit]
+        assert divisors_from(sympy.factorint(n), limit) == want
+
+    check()
+
+
+def g2_pieces(q: int, eps: int) -> tuple[int, int]:
+    # 2(q^3 - eps)/gcd(2, q-1) = (2/gcd(2, q-1))(q - eps) * (q^2 + eps*q + 1)
+    return (2 // gcd(2, q - 1) * (q - eps), q * q + eps * q + 1)
+
+
+def test_factorize_product_of_the_g2_pieces_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(24)
+    qs = [q.q for q in prime_powers(2, 4096)]
+    # seeded prime powers up to 10**6: the first at or above a random start,
+    # and random powers p^a of small primes
+    qs += [prime_powers(x, x + 200)[0].q
+           for x in (rng.randrange(2, 10**6 - 200) for _ in range(150))]
+    qs += [p**a for p in (2, 3, 5, 7, 11, 13, 101, 997)
+           for a in range(2, 20) if p**a <= 10**6]
+    for q in qs:
+        for eps in (1, -1):
+            pieces = g2_pieces(q, eps)
+            n = 2 * (q**3 - eps) // gcd(2, q - 1)
+            assert pieces[0] * pieces[1] == n
+            factors = factorize_product(pieces)
+            assert factors == sympy.factorint(n), (q, eps)
+            assert list(factors) == sorted(factors)
+
+
+def test_factorize_product_refuses_as_factorize_does():
+    # 2(q^3 - 1)/gcd(2, q-1) at q = 1000003, the least prime above 10**6
+    n = 1000003**3 - 1
+    with pytest.raises(ValueError) as whole:
+        factorize(n)
+    with pytest.raises(ValueError) as pieces:
+        factorize_product(g2_pieces(1000003, 1))
+    assert str(pieces.value) == str(whole.value) == \
+        f"{n} exceeds the supported factorization range"
+    with pytest.raises(ValueError, match="cannot factorize 0"):
+        factorize_product((5, 0))
+    assert factorize_product(()) == {}
+    assert factorize_product((12, 18, 1)) == {2: 3, 3: 3}
 
 
 @pytest.mark.parametrize("limit", [None, 0, 1, 12, 10**18, 10**30])

@@ -751,6 +751,28 @@ def test_eliminate_g2_benchmark_window_is_pinned(capsys, as_json):
         ELIMINATE_G2_4096_SHA256[as_json]
 
 
+# sha256 of the stdout of `eliminate --family g2 --q-min 999001
+# --q-max 1000000`, text and --json (159,921 and 268,934 bytes), recorded
+# while eliminate_g2 still factored 2(q^3 - eps)/gcd(2, q-1) whole and
+# listed all its divisors.  Near 10**6 the piece q^2 + eps*q + 1 is large
+# enough to reach rho, so these pin the factoring from pieces on that path.
+ELIMINATE_G2_TOP_SHA256 = {
+    False: "132cab3b27a56879c0e51a714182c4a47eb6f8db4563ca4d1f8ed58c3a86a505",
+    True: "c8d903d53a7dd37f6885ae0a34e1973cdae5422c9efbb34179207c91359a235d",
+}
+
+
+@pytest.mark.parametrize("as_json", ELIMINATE_G2_TOP_SHA256,
+                         ids=["text", "json"])
+def test_eliminate_g2_top_of_range_is_pinned(capsys, as_json):
+    argv = ["eliminate", "--family", "g2", "--q-min", "999001",
+            "--q-max", "1000000"]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ELIMINATE_G2_TOP_SHA256[as_json]
+
+
 def test_eliminate_unknown_family(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "eliminate", "--family", "m24")

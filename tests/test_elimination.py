@@ -181,7 +181,10 @@ def reference_g2(q: PrimePower, eps: int) -> tuple[tuple, tuple]:
 
 
 def test_g2_tail_expands_to_the_per_divisor_records():
-    for q in prime_powers(3, 4096):
+    # the benchmark's window, and the top of the range: 2^19, 3^12, 997^2
+    # and the largest prime below 10**6
+    top = [PrimePower.classify(q) for q in (524288, 531441, 994009, 999983)]
+    for q in prime_powers(3, 4096) + top:
         for eps in (1, -1):
             report = eliminate_g2(q, eps)
             facts, branches = reference_g2(q, eps)
@@ -261,6 +264,14 @@ def test_g2_rejects_bad_input():
         eliminate_g2(PrimePower(2, 1), 1)
     with pytest.raises(ValueError):
         eliminate_g2(PrimePower(3, 1), 0)
+    # above q = 10**6 the modulus leaves the factorization range, and is
+    # named whole although only its pieces would be factored
+    for q, eps in ((1000003, 1), (1000003, -1), (2**20, 1), (2**20, -1)):
+        g = gcd(2, q - 1)
+        with pytest.raises(ValueError) as refused:
+            eliminate_g2(PrimePower.classify(q), eps)
+        assert str(refused.value) == (f"{2 * (q**3 - eps) // g} exceeds the "
+                                      "supported factorization range")
 
 
 def test_e6_p1_q2_values():
