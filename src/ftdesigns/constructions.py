@@ -12,7 +12,6 @@ loudly.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -23,7 +22,8 @@ from .design import Parameters
 # bench/tracing.py wraps it
 from .incidence import (IncidenceStructure, _block_images,
                         verify_2design)  # noqa: F401
-from .perm import Permutation, PermutationGroup, load_group, orbit
+from .perm import (Permutation, PermutationGroup, json_object, load_group,
+                   orbit)
 
 
 def fano_complement() -> IncidenceStructure:
@@ -74,6 +74,10 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
     A base block that repeats a point is refused, not folded into a set.
     """
     points = list(base_block)
+    # first, so that no later check compares or hashes a point of another
+    # type; a bool is an int equal to 0 or 1, but it names no point
+    if any(type(p) is not int for p in points):
+        raise ValueError(f"base block {points} has a non-integer point")
     if len(set(points)) != len(points):
         raise ValueError(f"base block {points} repeats a point")
     if not 2 <= len(points) < degree:
@@ -81,9 +85,6 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
             f"base block size {len(points)} must be in 2..{degree - 1}")
     if any(not 0 <= p < degree for p in points):
         raise ValueError("base block is not a subset of the point set")
-    # a bool is an int equal to 0 or 1, but it names no point
-    if any(type(p) is not int for p in points):
-        raise ValueError(f"block {sorted(points)} has a non-integer point")
     blocks = orbit(tuple(sorted(points)), generators, _block_images)
     # every block is the image of the checked base block under a
     # permutation of the points, so it needs no checks of its own
@@ -138,26 +139,30 @@ def catalog(name: str) -> CatalogEntry:
         raise UnknownEntry(
             f"unknown catalog entry {name!r} (available: {known})")
     entry_dir = data_dir() / "catalog" / name
-    # a lookup that misses raises a KeyError, which names only the key
+    # a lookup that misses raises a KeyError, which names only the key;
+    # either error is prefixed with the file it was raised on
     filename = "group.json"
     try:
         group = load_group(entry_dir / filename)
         filename = "expected.json"
-        with open(entry_dir / filename, encoding="utf-8") as fh:
-            expected_doc = json.load(fh)
+        expected_doc = json_object(
+            (entry_dir / filename).read_text(encoding="utf-8"))
         row = [expected_doc[key] for key in _ROW_KEYS]
         for key, value in zip(_ROW_KEYS, row):
             # a bool is an int equal to 0 or 1, but it counts nothing
             if type(value) is not int:
-                raise ValueError(f"expected.json: {key} = {value!r} is not "
-                                 "an integer")
+                raise ValueError(f"{key} = {value!r} is not an integer")
         socle = expected_doc["socle"]
         automorphism_group = expected_doc["automorphism_group"]
         filename = "base_block.json"
-        with open(entry_dir / filename, encoding="utf-8") as fh:
-            block = json.load(fh)["block"]
+        block = json_object(
+            (entry_dir / filename).read_text(encoding="utf-8"))["block"]
+        if type(block) is not list:
+            raise ValueError(f"block {block!r} is not a list")
     except KeyError as exc:
         raise ValueError(f"{filename}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{filename}: {exc}") from None
     design = orbit_design(group.degree, group.generators, block)
     design = IncidenceStructure(design.v, design.blocks, name=name)
     return CatalogEntry(name, group, design, Parameters(*row), socle,

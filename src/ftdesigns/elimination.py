@@ -17,8 +17,7 @@ recomputed where it is used, so a report can be audited line by line.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import gcd, isqrt, prod
 from typing import NamedTuple, TextIO
@@ -89,10 +88,7 @@ class CaseDescriptor:
     family: str
     q: PrimePower | None = None
     epsilon: int | None = None
-    extra: dict = field(default_factory=dict)
-
-    # extra is a dict, so no descriptor can be hashed; say so in the type
-    __hash__ = None  # type: ignore[assignment]
+    row: ParabolicRow | None = None
 
     def to_dict(self) -> dict:
         doc: dict = {"family": self.family}
@@ -102,8 +98,9 @@ class CaseDescriptor:
             doc["a"] = self.q.a
         if self.epsilon is not None:
             doc["epsilon"] = self.epsilon
-        if self.extra:
-            doc["extra"] = dict(self.extra)
+        if self.row is not None:
+            doc["extra"] = {"row": self.row.key, "socle": self.row.socle,
+                            "stabilizer": self.row.stabilizer}
         return doc
 
 
@@ -113,9 +110,6 @@ class CaseReport:
     hypotheses: tuple[str, ...]
     facts: tuple[Fact, ...]
     branches: tuple[Branch, ...]
-
-    # its descriptor cannot be hashed (see CaseDescriptor)
-    __hash__ = None  # type: ignore[assignment]
 
     @property
     def verdict(self) -> str:
@@ -129,9 +123,6 @@ class CaseReport:
     def candidates(self) -> list[Parameters]:
         return [b.params for b in self.branches
                 if b.verdict == "candidate" and b.params is not None]
-
-    def flagged(self) -> list[Branch]:
-        return [b for b in self.branches if b.verdict == "flagged"]
 
     def to_dict(self) -> dict:
         return {
@@ -171,15 +162,14 @@ class CaseReport:
 # Facts and branches are nearly all of the objects in a JSON report list, so
 # each has a fixed template rather than a trip through json's pure-Python
 # indenting encoder, which took most of the time of `eliminate --json`; so
-# has the descriptor, and its `extra` when that is a flat dict of strings
-# and ints, as every bundled case's is.  A template sits at its depth in the
-# list: a report at depth 1, its descriptor at depth 2, its extra, a fact or
-# a branch at depth 3, values or params at depth 5.  Keys come in sorted
-# order, ints by repr, bools as true/false and strings through
-# encode_basestring_ascii, as json.dumps(..., indent=2, sort_keys=True)
-# writes them.  The templates are plain string concatenation: a quote or
-# backslash inside the braces of an f-string needs Python 3.12 (PEP 701),
-# and the package supports 3.10.
+# has the descriptor, with its parabolic row's `extra`.  A template sits at
+# its depth in the list: a report at depth 1, its descriptor at depth 2, its
+# extra, a fact or a branch at depth 3, values or params at depth 5.  Keys
+# come in sorted order, ints by repr, bools as true/false and strings
+# through encode_basestring_ascii, as json.dumps(..., indent=2,
+# sort_keys=True) writes them.  The templates are plain string
+# concatenation: a quote or backslash inside the braces of an f-string needs
+# Python 3.12 (PEP 701), and the package supports 3.10.
 
 def _int_list(values) -> str:
     if not values:
@@ -214,21 +204,6 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
 
 
-def _extra_json(extra: dict) -> str:
-    """A descriptor's `extra` at depth 3.  A dict of str keys and str or
-    int values has a template; any other goes through json.dumps."""
-    items = extra.items()
-    if not all(type(key) is str and type(value) in (str, int)
-               for key, value in items):
-        return json.dumps(dict(extra), indent=2, sort_keys=True).replace(
-            "\n", "\n      ")
-    return "{\n        " + ",\n        ".join([
-        encode_basestring_ascii(key) + ": "
-        + (encode_basestring_ascii(value) if type(value) is str
-           else repr(value))
-        for key, value in sorted(items)]) + "\n      }"
-
-
 def _descriptor_json(desc: CaseDescriptor) -> str:
     """The descriptor at depth 2."""
     text = "{"
@@ -237,8 +212,13 @@ def _descriptor_json(desc: CaseDescriptor) -> str:
         text += '\n      "a": ' + repr(q.a) + ","
     if desc.epsilon is not None:
         text += '\n      "epsilon": ' + repr(desc.epsilon) + ","
-    if desc.extra:
-        text += '\n      "extra": ' + _extra_json(desc.extra) + ","
+    row = desc.row
+    if row is not None:
+        text += ('\n      "extra": {\n        "row": '
+                 + encode_basestring_ascii(row.key)
+                 + ',\n        "socle": ' + encode_basestring_ascii(row.socle)
+                 + ',\n        "stabilizer": '
+                 + encode_basestring_ascii(row.stabilizer) + "\n      },")
     text += '\n      "family": ' + encode_basestring_ascii(desc.family)
     if q is not None:
         text += ',\n      "p": ' + repr(q.p) + ',\n      "q": ' + repr(q.q)
@@ -569,7 +549,6 @@ class ParabolicRow:
     char: int | None = None   # required characteristic, if any
     min_q: int = 2
     odd_exponent: bool = False
-    min_a: int = 1
     subdegree_hypothesis: str | None = None
 
     def valid_q(self, q: PrimePower) -> bool:
@@ -577,7 +556,7 @@ class ParabolicRow:
             return False
         if self.odd_exponent and q.a % 2 == 0:
             return False
-        return q.a >= self.min_a and q.q >= self.min_q
+        return q.q >= self.min_q
 
     def point_count(self, q: PrimePower,
                     phi: dict[int, int] | None = None) -> int:
@@ -613,13 +592,13 @@ PARABOLIC_ROWS: tuple[ParabolicRow, ...] = (
                  ((2, 1), (3, 1), (6, 2), (12, 1)), "q^3"),
     ParabolicRow("2f4_p1", "2F4(q)", "P1",
                  ((2, 1), (4, 2), (6, 1), (12, 1)), "q^2",
-                 char=2, min_q=8, odd_exponent=True, min_a=3),
+                 char=2, min_q=8, odd_exponent=True),
     ParabolicRow("f4_p14", "F4(q)", "P1,4",
                  ((2, 2), (3, 2), (4, 1), (6, 2), (8, 1), (12, 1)), "2q",
-                 char=2, min_a=2),
+                 char=2, min_q=4),
     ParabolicRow("f4_p23", "F4(q)", "P2,3",
                  ((2, 2), (3, 2), (4, 2), (6, 2), (8, 1), (12, 1)), "2q",
-                 char=2, min_a=1),
+                 char=2),
     ParabolicRow("e6_p16", "E6(q)", "P1,6",
                  ((3, 2), (5, 1), (6, 1), (8, 1), (9, 1), (12, 1)),
                  "gcd(2,p)q", min_q=3,
@@ -673,9 +652,7 @@ def eliminate_parabolic_generic(row: ParabolicRow, q: PrimePower,
     if row.subdegree_hypothesis:
         hypotheses.append(f"assumed: {row.subdegree_hypothesis}")
     return CaseReport(
-        CaseDescriptor("parabolic_generic", q,
-                       extra={"row": row.key, "socle": row.socle,
-                              "stabilizer": row.stabilizer}),
+        CaseDescriptor("parabolic_generic", q, row=row),
         tuple(hypotheses), tuple(facts), (branch,))
 
 

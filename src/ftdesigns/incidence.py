@@ -19,7 +19,6 @@ stabilizer G_alpha of one of them is transitive on the blocks through alpha.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -27,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .design import Parameters
-from .perm import PermutationGroup, _images, orbit
+from .perm import PermutationGroup, _images, json_object, orbit
 
 
 class DesignError(ValueError):
@@ -274,7 +273,7 @@ def structure_to_json(structure: IncidenceStructure,
 
 
 def structure_from_json(text: str) -> IncidenceStructure:
-    doc = json.loads(text)
+    doc = json_object(text)
     v = doc["v"]
     if type(v) is not int or v < 0:
         raise ValueError(f"v {v!r} is not a non-negative integer")

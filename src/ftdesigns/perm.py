@@ -496,8 +496,23 @@ def group_to_json(group: PermutationGroup, name: str | None = None,
     return canonical_json(doc)
 
 
-def group_from_json(text: str) -> PermutationGroup:
+# what a document of the wrong shape is, by the type json.loads gives it
+_JSON_KINDS = {list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def json_object(text: str) -> dict:
+    """The JSON object a data file holds; a document of any other shape is
+    refused by what it is."""
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError(
+            f"the document is {_JSON_KINDS[type(doc)]}, not a JSON object")
+    return doc
+
+
+def group_from_json(text: str) -> PermutationGroup:
+    doc = json_object(text)
     degree = doc["degree"]
     if type(degree) is not int or degree < 0:
         raise ValueError(f"degree {degree!r} is not a non-negative integer")

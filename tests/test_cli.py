@@ -290,15 +290,68 @@ BAD_INPUT = {
     "construct-out-row-off-by-one": ["FTDESIGNS_DATA={row_off_by_one}",
                                      "construct", "--name", "line1_psl25",
                                      "--out", "{out}"],
+    # a data file must hold a JSON object, and a base block a list
+    "group-document-array": ["verify", "--group", "{group_array}",
+                             "--design", "{design}"],
+    "group-document-number": ["verify", "--group", "{group_number}",
+                              "--design", "{design}"],
+    "design-document-array": ["verify", "--group", "{group}",
+                              "--design", "{design_array}"],
+    "design-document-number": ["verify", "--group", "{group}",
+                               "--design", "{design_number}"],
+    "construct-expected-array": ["FTDESIGNS_DATA={expected_array}",
+                                 "construct", "--name", "line1_psl25"],
+    "catalog-list-expected-array": ["FTDESIGNS_DATA={expected_array}",
+                                    "catalog-list"],
+    "catalog-list-group-array": ["FTDESIGNS_DATA={group_array_entry}",
+                                 "catalog-list"],
+    "construct-base-block-number": ["FTDESIGNS_DATA={block_number}",
+                                    "construct", "--name", "line1_psl25"],
+    "construct-base-block-string": ["FTDESIGNS_DATA={block_string}",
+                                    "construct", "--name", "line1_psl25"],
+}
+
+# the whole of stderr for the rows whose message is pinned, formatted as
+# their argv is
+BAD_INPUT_ERRORS = {
+    "group-list": "error: group file {group_list}: the document is an "
+                  "array, not a JSON object\n",
+    "group-document-array": "error: group file {group_array}: the document "
+                            "is an array, not a JSON object\n",
+    "group-document-number": "error: group file {group_number}: the "
+                             "document is a number, not a JSON object\n",
+    "design-document-array": "error: design file {design_array}: the "
+                             "document is an array, not a JSON object\n",
+    "design-document-number": "error: design file {design_number}: the "
+                              "document is a number, not a JSON object\n",
+    "construct-expected-array": "error: expected.json: the document is an "
+                                "array, not a JSON object\n",
+    "catalog-list-expected-array": "error: catalog entry line1_psl25: "
+                                   "expected.json: the document is an "
+                                   "array, not a JSON object\n",
+    "catalog-list-group-array": "error: catalog entry line1_psl25: "
+                                "group.json: the document is an array, not "
+                                "a JSON object\n",
+    "construct-base-block-number": "error: base_block.json: block 5 is not "
+                                   "a list\n",
+    "construct-base-block-string": "error: base_block.json: block '012' is "
+                                   "not a list\n",
+    "construct-block-text": "error: base block [0, 'a'] has a non-integer "
+                            "point\n",
 }
 
 
-def corrupted_catalog(root, entry, base_block=None, drop=None, row=None):
+def corrupted_catalog(root, entry, base_block=None, drop=None, row=None,
+                      whole=None):
     """A data directory holding one copy of a bundled catalog entry, with its
-    base block replaced, keys of its expected.json overwritten by `row`, or
-    one of its files deleted."""
+    base block replaced, keys of its expected.json overwritten by `row`, one
+    of its files deleted, or one rewritten as `whole`: a (filename,
+    document) pair."""
     entry_dir = root / "catalog" / entry
     shutil.copytree(DATA / "catalog" / entry, entry_dir)
+    if whole is not None:
+        filename, doc = whole
+        (entry_dir / filename).write_text(json.dumps(doc))
     if base_block is not None:
         (entry_dir / "base_block.json").write_text(
             json.dumps({"block": base_block}))
@@ -311,8 +364,10 @@ def corrupted_catalog(root, entry, base_block=None, drop=None, row=None):
     return str(root)
 
 
-@pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
+@pytest.mark.parametrize("argv, error", [
+    (argv, BAD_INPUT_ERRORS.get(key)) for key, argv in BAD_INPUT.items()],
+    ids=BAD_INPUT.keys())
+def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
     docs = {
         "group_list": [[1, 2, 3, 0]],
         "group": {"name": "c4", "degree": 4, "generators": [[1, 2, 3, 0]]},
@@ -348,6 +403,10 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
                              "expected_order": "24"},
         "group_order_bool": {"name": "one", "degree": 4, "generators": [],
                              "expected_order": True},
+        "group_array": [1, 2],
+        "group_number": 5,
+        "design_array": [1],
+        "design_number": 5,
     }
     paths = {
         "missing": str(tmp_path / "missing"),
@@ -366,6 +425,16 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
                                         "line1_psl25", row={"b": "10"}),
         "row_off_by_one": corrupted_catalog(tmp_path / "row_off_by_one",
                                             "line1_psl25", row={"b": 11}),
+        "expected_array": corrupted_catalog(
+            tmp_path / "expected_array", "line1_psl25",
+            whole=("expected.json", [1])),
+        "group_array_entry": corrupted_catalog(
+            tmp_path / "group_array_entry", "line1_psl25",
+            whole=("group.json", [1])),
+        "block_number": corrupted_catalog(tmp_path / "block_number",
+                                          "line1_psl25", base_block=5),
+        "block_string": corrupted_catalog(tmp_path / "block_string",
+                                          "line1_psl25", base_block="012"),
         "out": str(tmp_path / "out.json"),
     }
     for stem, doc in docs.items():
@@ -377,6 +446,8 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    if error is not None:
+        assert err == error.format(**paths)
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -17,12 +17,16 @@ from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROWS,
                                    SYMMETRIC_EMBED_REFERENCE, WINDOW_LIMIT,
                                    Branch, CaseDescriptor, CaseReport, Fact,
                                    ParabolicRow, TableDataError, _branch_json,
-                                   _descriptor_json, _extra_json, _fact_json,
+                                   _descriptor_json, _fact_json,
                                    eliminate_e6, eliminate_g2,
                                    eliminate_parabolic_generic, eliminate_ree,
                                    eliminate_suzuki, sweep, write_json)
 
 ROWS = {row.key: row for row in PARABOLIC_ROWS}
+
+
+def flagged(report: CaseReport) -> list[Branch]:
+    return [b for b in report.branches if b.verdict == "flagged"]
 
 
 def test_suzuki_q8():
@@ -225,7 +229,7 @@ def test_g2_tail_expands_to_the_per_divisor_records():
             reference = CaseReport(report.descriptor, report.hypotheses,
                                    facts, branches)
             assert report.verdict == reference.verdict, where
-            assert report.flagged() == reference.flagged(), where
+            assert flagged(report) == flagged(reference), where
             assert report.candidates() == reference.candidates(), where
 
 
@@ -317,6 +321,29 @@ def test_parabolic_validity_windows():
     assert not ROWS["f4_p14"].valid_q(PrimePower(3, 2))
 
 
+# each row's validity rule as four fields, before min_a was folded into
+# min_q: (char, min_q, odd_exponent, min_a)
+FOUR_FIELD_RULES = {
+    "3d4_p1": (None, 2, False, 1),
+    "2f4_p1": (2, 8, True, 3),
+    "f4_p14": (2, 2, False, 2),
+    "f4_p23": (2, 2, False, 1),
+    "e6_p16": (None, 3, False, 1),
+    "e6_p35": (None, 3, False, 1),
+}
+
+
+def test_valid_q_agrees_with_the_four_field_rule():
+    assert set(FOUR_FIELD_RULES) == set(ROWS)
+    for q in prime_powers(2, 100_000):
+        for key, (char, min_q, odd_exponent, min_a) in \
+                FOUR_FIELD_RULES.items():
+            expected = ((char is None or q.p == char)
+                        and not (odd_exponent and q.a % 2 == 0)
+                        and q.a >= min_a and q.q >= min_q)
+            assert ROWS[key].valid_q(q) == expected, (key, q.q)
+
+
 def test_parabolic_rows_validate_up_to_32():
     for row in PARABOLIC_ROWS:
         hit = False
@@ -365,12 +392,12 @@ def test_parabolic_e6_rows_carry_subdegree_hypothesis():
 def test_flagged_candidates_satisfy_counting_identities():
     for q in prime_powers(27, 64):
         if q.p == 3 and q.a % 2 == 1 and q.a >= 3:
-            for branch in eliminate_ree(q).flagged():
+            for branch in flagged(eliminate_ree(q)):
                 if branch.params is not None:
                     assert admissibility_violations(branch.params) == []
     for q in prime_powers(3, 32):
         for eps in (1, -1):
-            for branch in eliminate_g2(q, eps).flagged():
+            for branch in flagged(eliminate_g2(q, eps)):
                 if branch.params is not None:
                     v, b, r, k, lam = branch.params.astuple()
                     assert r * (k - 1) == lam * (v - 1)
@@ -383,14 +410,14 @@ def test_analytic_survivors_appear_in_the_scan():
     report = eliminate_ree(PrimePower(3, 3))
     v = 19684
     scanned = enumerate_candidates(v, 2, 2 * (v - 1))
-    for branch in report.flagged():
+    for branch in flagged(report):
         assert branch.params in scanned
 
     for eps_report in (eliminate_g2(PrimePower(2, 2), -1),
                        eliminate_g2(PrimePower(3, 1), -1)):
         v = eps_report.facts[0].values[0]
         scanned = enumerate_candidates(v, 2, 2 * (v - 1))
-        for branch in eps_report.flagged():
+        for branch in flagged(eps_report):
             assert branch.params in scanned
 
 
@@ -496,15 +523,20 @@ def test_fact_json_is_json_dumps(fact):
     assert _fact_json(fact) == dumped_at_depth(fact.to_dict(), 3)
 
 
-# a parameter scan at v = 65 with r | 128: a descriptor with int-valued
-# extras, and a branch that carries its parameters
+# a parameter scan at v = 65 with r | 128: a descriptor of a family alone,
+# and a branch that carries its parameters
 SCAN = CaseReport(
-    CaseDescriptor("table3_scan",
-                   extra={"v": 65, "r_modulus": 128, "lambda": 2}),
+    CaseDescriptor("table3_scan"),
     (), (Fact("admissible tuples with v = 65, lambda = 2, r | 128", (1,),
               False),),
     (Branch("(65,416,32,5,2)", "candidate", "admissible tuple",
             params=Parameters(65, 416, 32, 5, 2)),))
+
+# a row whose strings need every kind of escape: quotes, backslashes,
+# control characters and non-ASCII, in and beyond the BMP
+ESCAPES_ROW = ParabolicRow(
+    'a "quote" \\ \x00\x1f\x7f', "q \u2264 2^\u03b1\n\t",
+    "\U0001d53d\r\u2028", ((2, 1),), "q")
 
 # a report's descriptor sits at depth 2, its extra at depth 3
 DESCRIPTORS = {
@@ -513,49 +545,13 @@ DESCRIPTORS = {
     "parabolic": eliminate_parabolic_generic(
         ROWS["e6_p16"], PrimePower(3, 1)).descriptor,
     "table3_scan": SCAN.descriptor,
-    "escapes": CaseDescriptor(
-        "odd", PrimePower(5, 2), 1,
-        extra={"note": 'a "quote" and q \u2264 2^\u03b1',
-               "nested": {"b": [1, -2], "a": None}}),
+    "escapes": CaseDescriptor("odd", PrimePower(5, 2), 1, row=ESCAPES_ROW),
 }
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS.values(), ids=DESCRIPTORS.keys())
 def test_descriptor_json_is_json_dumps(desc):
     assert "    " + _descriptor_json(desc) == dumped_at_depth(desc.to_dict(), 2)
-
-
-def test_extra_json_is_json_dumps_on_flat_dicts():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    ints = st.one_of(st.integers(), st.integers(-10**60, 10**60))
-    # the whole of unicode but surrogates, which json cannot encode either
-    # way; st.text() draws quotes, backslashes and control characters too
-    flat = st.dictionaries(st.text(), st.one_of(st.text(), ints),
-                           min_size=1, max_size=6)
-    # and the int-valued extras of a parameter scan
-    scan = st.fixed_dictionaries({"v": ints, "r_modulus": ints,
-                                  "lambda": ints})
-
-    @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(st.one_of(flat, scan))
-    @hypothesis.example({"note": '"q" \\ \x00\x1f\x7f \u2264 \U0001d53d',
-                         "\u03b1\n": -2**100})
-    def check(extra):
-        assert "      " + _extra_json(extra) == dumped_at_depth(extra, 3)
-        desc = CaseDescriptor("x", extra=extra)
-        assert "    " + _descriptor_json(desc) == \
-            dumped_at_depth(desc.to_dict(), 2)
-
-    check()
-
-
-@pytest.mark.parametrize("extra", [
-    {"flag": True}, {"none": None}, {"x": 1.5}, {"list": [1, "a"]},
-    {"nested": {"b": [1, -2], "a": None}}, {1: "int key"}],
-    ids=["bool", "none", "float", "list", "nested", "int-key"])
-def test_extra_json_falls_back_to_json_dumps(extra):
-    assert "      " + _extra_json(extra) == dumped_at_depth(extra, 3)
 
 
 @pytest.mark.parametrize("reports", [
@@ -573,11 +569,16 @@ def test_write_json_is_json_dumps(reports):
         [r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
 
 
-def test_descriptors_and_reports_are_not_hashable():
-    # a descriptor holds a dict, so hashing one always raised TypeError
-    report = eliminate_g2(PrimePower(3, 1), -1)
-    for obj in (report, report.descriptor, CaseDescriptor("empty")):
-        assert not isinstance(obj, Hashable)
-        with pytest.raises(TypeError):
-            hash(obj)
-    assert report == eliminate_g2(PrimePower(3, 1), -1)
+def test_descriptors_and_reports_hash_as_values():
+    # frozen records of frozen fields: equal reports hash equal, a parabolic
+    # descriptor through its row
+    for build in (lambda: eliminate_g2(PrimePower(3, 1), -1),
+                  lambda: eliminate_parabolic_generic(ROWS["e6_p16"],
+                                                      PrimePower(3, 1))):
+        report, again = build(), build()
+        assert report is not again and report == again
+        for obj, twin in ((report, again),
+                          (report.descriptor, again.descriptor)):
+            assert isinstance(obj, Hashable)
+            assert hash(obj) == hash(twin)
+    assert len({CaseDescriptor("empty"), CaseDescriptor("empty")}) == 1

@@ -1,7 +1,9 @@
 """bench/tracing.py wraps functions in every module that binds them, so a
 binding the package drops breaks the traced benchmark run.  Installing and
-undoing its patches on the real modules catches that here."""
+undoing its patches on the real modules catches that here, and every
+name a module imports is read there unless it is listed as tracer-only."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -20,3 +22,38 @@ def test_tracer_installs_and_undoes_on_every_layer(monkeypatch):
     finally:
         patches.undo()
     assert mods["cli"].main is main
+
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "ftdesigns").glob("*.py")) + [
+    ROOT / "tools" / "gen_catalog.py"]
+
+# names imported only so that bench/tracing.py can wrap them there
+TRACER_ONLY = {
+    "elimination": {"cyclotomic", "divisors", "enumerate_candidates"},
+    "constructions": {"verify_2design"},
+    "cli": {"is_automorphism_group"},
+}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """The names a module imports and never reads; `__init__` reads the
+    names in its `__all__`, which it re-exports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.stem == "__init__":
+        used.update(importlib.import_module("ftdesigns").__all__)
+    return imported - used
+
+
+def test_every_import_is_used_or_tracer_only():
+    for path in MODULES:
+        assert unused_imports(path) == TRACER_ONLY.get(path.stem, set()), \
+            path.name
