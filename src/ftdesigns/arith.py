@@ -8,7 +8,7 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 _DIVISOR_LIMIT = 10**18
 _TRIAL_LIMIT = 1000
@@ -99,14 +99,6 @@ def _rho(n: int) -> int:
 _TRIAL_PRIMES = tuple(filter(is_prime, range(_TRIAL_LIMIT)))
 
 
-def _check_factorable(n: int) -> None:
-    """Refuse an n outside 1..10**18, the range factorize is exact in."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    if n > _DIVISOR_LIMIT:
-        raise ValueError(f"{n} exceeds the supported factorization range")
-
-
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} with the primes ascending, exact
     for 1 <= n <= 10**18.
@@ -116,7 +108,10 @@ def factorize(n: int) -> dict[int, int]:
     split by Brent-Pollard rho until each piece passes the Miller-Rabin
     test of is_prime.
     """
-    _check_factorable(n)
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}")
+    if n > _DIVISOR_LIMIT:
+        raise ValueError(f"{n} exceeds the supported factorization range")
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -141,22 +136,6 @@ def factorize(n: int) -> dict[int, int]:
         else:
             f = _rho(m)
             pending += (f, m // f)
-    return dict(sorted(factors.items()))
-
-
-def factorize_product(pieces: tuple[int, ...]) -> dict[int, int]:
-    """factorize(n) for n the product of the positive ints in pieces, with
-    the exponents of each piece's factorization added up, so pieces that
-    share a prime may be given.
-
-    A caller that knows n as a product of small pieces factors only those.
-    n is refused as factorize refuses it, with the same message.
-    """
-    _check_factorable(prod(pieces))
-    factors: dict[int, int] = {}
-    for piece in pieces:
-        for p, e in factorize(piece).items():
-            factors[p] = factors.get(p, 0) + e
     return dict(sorted(factors.items()))
 
 
@@ -350,16 +329,8 @@ def cyclotomic_table(n_max: int, q: int) -> dict[int, int]:
 
 def divisors(n: int, limit: int | None = None) -> list[int]:
     """All positive divisors of n in ascending order, or with a limit only
-    those at most limit, as divisors_from lists them.  n is factorized
-    whatever the limit, so an n out of factorize's range is refused."""
-    return divisors_from(factorize(n), limit)
-
-
-def divisors_from(factors: dict[int, int],
-                  limit: int | None = None) -> list[int]:
-    """The divisors of the n whose prime factorization is factors
-    ({p: exponent}), in ascending order, or with a limit only those at most
-    limit.
+    those at most limit.  n is factorized whatever the limit, so an n out
+    of factorize's range is refused.
 
     The divisors found so far times p^i, for i = 1..e, are each the layer
     before times p, so every divisor is one C-level multiplication; one
@@ -368,7 +339,7 @@ def divisors_from(factors: dict[int, int],
     it adds no layer at all.
     """
     divs = [1] if limit is None or limit >= 1 else []
-    for p, e in factors.items():
+    for p, e in factorize(n).items():
         if limit is not None and p > limit:
             continue
         layer = divs

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import NamedTuple, TextIO
 
 # cyclotomic, divisors and enumerate_candidates are not called here, but
 # bench/tracing.py wraps these bindings
 from .arith import (PrimePower, cyclotomic, cyclotomic_table,  # noqa: F401
-                    divisors, divisors_from, factorize_product, powers_of,
-                    prime_powers)
+                    divisors, powers_of, prime_powers)
 from .design import (Parameters, admissibility_violations,  # noqa: F401
                      embeds_symmetric, enumerate_candidates)
 
@@ -371,10 +370,7 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     The inequality's left side grows with m, so the divisors m >= 2 that
     pass it are those up to a bound, and the walk lists only m = 1 and
     those.  One FAIL fact and one eliminated branch `m>=m0` state the lemma
-    for m0, the least divisor above the bound, and every larger divisor;
-    their number is the divisor count, from the exponents, less the
-    divisors walked.  2(q^3 - eps)/gcd(2, q-1) is factored from its pieces
-    2(q - eps)/gcd(2, q-1) and q^2 + eps*q + 1, never whole."""
+    for m0, the least divisor above the bound, and every larger divisor."""
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     if not _g2_q(q):
@@ -397,14 +393,16 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
              (modulus, g), True),
     ]
     branches = []
-    # modulus/g = (2/g)(q - eps) * (q^2 + eps*q + 1)
+    # The bound is 1 or 2, so nothing is factored.  n is always even, so
+    # m0 = 2 when the bound is 1.  The bound is 2 only for eps = -1 and
+    # q = 2^a; then m0 is the least odd prime factor of q^3 + 1, at most
+    # 65537 for every q <= 10**18, since the Fermat number 2^(2^s) + 1
+    # divides q^3 + 1 for 2^s the 2-part of a.
     n = modulus // g
-    factors = factorize_product((2 // g * (qq - eps), qq * qq + eps * qq + 1))
-    ms = divisors_from(factors, bound)
-    # the least divisor m0 above the bound, over any prime p dividing it,
-    # is a divisor m0/p up to the bound
-    m0 = min((d * p for d in ms for p in factors
-              if d * p > bound and n % (d * p) == 0), default=None)
+    ms = [m for m in range(1, bound + 1) if n % m == 0]
+    m0 = bound + 1
+    while n % m0:
+        m0 += 1
     for m in ms:
         lhs = lhs_unit * m * m
         inequality_ok = lhs < rhs
@@ -462,17 +460,15 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
         else:
             branches.append(Branch(
                 label, "candidate", "arithmetic survivor", params=params))
-    if m0 is not None:
-        # lhs grows with m, so m0 and every larger divisor fail
-        r = modulus // (m0 * g)
-        count = prod(e + 1 for e in factors.values()) - len(ms)
-        facts.append(Fact(
-            f"branches m>={m0}: {_G2_INEQUALITY}, whose left side grows "
-            f"with m; {count} divisors m", (lhs_unit * m0 * m0, rhs), False))
-        branches.append(Branch(
-            f"m>={m0}", "eliminated",
-            f"lambda*v = {2 * v} >= r^2 = {r * r} at m = {m0}, "
-            "and r falls as m grows"))
+    # lhs grows with m, so m0 and every larger divisor fail
+    r = modulus // (m0 * g)
+    facts.append(Fact(
+        f"branches m>={m0}: {_G2_INEQUALITY}, whose left side grows with m",
+        (lhs_unit * m0 * m0, rhs), False))
+    branches.append(Branch(
+        f"m>={m0}", "eliminated",
+        f"lambda*v = {2 * v} >= r^2 = {r * r} at m = {m0}, "
+        "and r falls as m grows"))
     return CaseReport(
         CaseDescriptor("g2_a2eps", q, epsilon), (EVEN_R_HYPOTHESIS,),
         tuple(facts), tuple(branches))

@@ -1,12 +1,11 @@
 import random
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 
 from ftdesigns import arith
 from ftdesigns.arith import (_TRIAL_LIMIT, PrimePower, cyclotomic,
-                             cyclotomic_table, divisors, divisors_from,
-                             factorize, factorize_product, is_prime,
+                             cyclotomic_table, divisors, factorize, is_prime,
                              powers_of, ppart, prime_powers)
 
 
@@ -156,7 +155,7 @@ def test_divisors_up_to_a_limit_match_sympy():
                 (n, limit)
 
 
-def test_divisors_from_a_factorization_match_sympy():
+def test_divisors_match_sympy_on_drawn_values_and_limits():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -168,49 +167,9 @@ def test_divisors_from_a_factorization_match_sympy():
     def check(n, limit):
         every = sympy.divisors(n)
         want = every if limit is None else [d for d in every if d <= limit]
-        assert divisors_from(sympy.factorint(n), limit) == want
+        assert divisors(n, limit) == want
 
     check()
-
-
-def g2_pieces(q: int, eps: int) -> tuple[int, int]:
-    # 2(q^3 - eps)/gcd(2, q-1) = (2/gcd(2, q-1))(q - eps) * (q^2 + eps*q + 1)
-    return (2 // gcd(2, q - 1) * (q - eps), q * q + eps * q + 1)
-
-
-def test_factorize_product_of_the_g2_pieces_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(24)
-    qs = [q.q for q in prime_powers(2, 4096)]
-    # seeded prime powers up to 10**6: the first at or above a random start,
-    # and random powers p^a of small primes
-    qs += [prime_powers(x, x + 200)[0].q
-           for x in (rng.randrange(2, 10**6 - 200) for _ in range(150))]
-    qs += [p**a for p in (2, 3, 5, 7, 11, 13, 101, 997)
-           for a in range(2, 20) if p**a <= 10**6]
-    for q in qs:
-        for eps in (1, -1):
-            pieces = g2_pieces(q, eps)
-            n = 2 * (q**3 - eps) // gcd(2, q - 1)
-            assert pieces[0] * pieces[1] == n
-            factors = factorize_product(pieces)
-            assert factors == sympy.factorint(n), (q, eps)
-            assert list(factors) == sorted(factors)
-
-
-def test_factorize_product_refuses_as_factorize_does():
-    # 2(q^3 - 1)/gcd(2, q-1) at q = 1000003, the least prime above 10**6
-    n = 1000003**3 - 1
-    with pytest.raises(ValueError) as whole:
-        factorize(n)
-    with pytest.raises(ValueError) as pieces:
-        factorize_product(g2_pieces(1000003, 1))
-    assert str(pieces.value) == str(whole.value) == \
-        f"{n} exceeds the supported factorization range"
-    with pytest.raises(ValueError, match="cannot factorize 0"):
-        factorize_product((5, 0))
-    assert factorize_product(()) == {}
-    assert factorize_product((12, 18, 1)) == {2: 3, 3: 3}
 
 
 @pytest.mark.parametrize("limit", [None, 0, 1, 12, 10**18, 10**30])

@@ -14,7 +14,7 @@ from ftdesigns import cli, incidence, perm
 from ftdesigns.cli import main
 from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
                                      sl_generators)
-from ftdesigns.elimination import FAMILIES, sweep
+from ftdesigns.elimination import FAMILIES, WINDOW_LIMIT, sweep
 from ftdesigns.incidence import IncidenceStructure, structure_to_json
 from ftdesigns.perm import canonical_json
 
@@ -244,13 +244,6 @@ BAD_INPUT = {
     "eliminate-q-above-range": ["eliminate", "--family", "e6",
                                 "--q-min", "1000000000000000001",
                                 "--q-max", "1000000000000000100"],
-    # 2(q^3 - eps)/gcd(2, q-1) passes the factorization range above q = 10**6
-    "eliminate-g2-above-divisor-range": ["eliminate", "--family", "g2",
-                                         "--q-min", "1000001",
-                                         "--q-max", "1000100"],
-    "eliminate-g2-above-divisor-range-json": ["eliminate", "--family", "g2",
-                                              "--q-min", "1000001",
-                                              "--q-max", "1000100", "--json"],
     # these families test every integer of the window for a prime power,
     # so a window of more than WINDOW_LIMIT integers is refused up front
     "eliminate-g2-wide-window": ["eliminate", "--family", "g2",
@@ -724,17 +717,21 @@ def test_eliminate_json_empty_window(capsys):
 
 def test_eliminate_near_the_top_of_the_factorization_range():
     # Every q here is near 10**18; trial division up to sqrt(q) would not
-    # finish, so run it in its own process under a time limit.
+    # finish, so run it in its own process under a time limit.  The g2
+    # window is the widest accepted, and its moduli 2(q^3 - eps)/gcd(2, q-1)
+    # are far above 10**18, which g2 never factors.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "ftdesigns.cli", "eliminate", "--family", "e6",
-         "--q-min", "999999999999999000", "--q-max", "1000000000000000000"],
-        env=env, capture_output=True, text=True, timeout=30)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines()[-1].startswith("summary: ")
-    assert done.stdout.splitlines()[-1].endswith(" 0 candidates")
+    for family, q_min in (("e6", 999999999999999000),
+                          ("g2", 10**18 + 1 - WINDOW_LIMIT)):
+        done = subprocess.run(
+            [sys.executable, "-m", "ftdesigns.cli", "eliminate", "--family",
+             family, "--q-min", str(q_min), "--q-max", str(10**18)],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert (done.returncode, done.stderr) == (0, ""), family
+        assert done.stdout.splitlines()[-1].startswith("summary: "), family
+        assert done.stdout.splitlines()[-1].endswith(" 0 candidates"), family
 
 
 @pytest.mark.parametrize("family, p, exponents, summary", [
@@ -764,7 +761,8 @@ def test_eliminate_one_prime_family_up_to_the_range_top(family, p, exponents,
 # Branch became named tuples, prime_powers stopped factoring and descriptors
 # got a JSON template.  A change to any of them must leave these bytes alone.
 # The g2 pair was re-recorded when each g2 report came to state its
-# lambda*v >= r^2 tail as one fact and one branch `m>=m0`; the records
+# lambda*v >= r^2 tail as one fact and one branch `m>=m0`, and again when
+# that fact lost its count of the divisors m (`; N divisors m`); the records
 # before that lemma kept their bytes.
 ELIMINATE_SHA256 = {
     ("suzuki", False):
@@ -776,9 +774,9 @@ ELIMINATE_SHA256 = {
     ("ree", True):
         "6a0dd9cdf95369a6c7b9f91597bb3a1a6b45270e6b9d579028a79cb9addb1a7b",
     ("g2", False):
-        "ceff422892172921542ed718401b8363baf333bdfd1b564b03e61a35b0f58459",
+        "0a1a417580ec5f9ca2e20fb72859c2ae42a82a0b2c63ab4375f1178b9c820724",
     ("g2", True):
-        "1fc603461fbd852ecf5cd71f619c1ac3b6fb7e1c5e0f0b48f711eb9164da81a9",
+        "1717b2c1170c8a9e913b11ab7d64567f7782941c7effef1a4bad40bb152370dd",
     ("e6", False):
         "b786da68889880430d357f209cb412f6a9f632d2b81ddc3357e03d0479c17fcd",
     ("e6", True):
@@ -802,13 +800,14 @@ def test_eliminate_output_is_pinned(capsys, family, as_json):
 
 
 # sha256 of the stdout of `eliminate --family g2 --q-min 2 --q-max 4096`,
-# text and --json, the benchmark's window, recorded when each g2 report came
-# to state its lambda*v >= r^2 tail as one lemma (1,248,166 and 2,259,600
-# bytes).  Beside ELIMINATE_SHA256, these pin that lemma and the records
-# before it in every g2 case up to q = 4096.
+# text and --json, the benchmark's window (1,229,784 and 2,241,218 bytes),
+# recorded when g2's lemma fact lost its count of the divisors m; the bytes
+# are those from before, with each `; N divisors m` removed.  Beside
+# ELIMINATE_SHA256, these pin that lemma and the records before it in every
+# g2 case up to q = 4096.
 ELIMINATE_G2_4096_SHA256 = {
-    False: "57be66fdddecbef1f9b176aef2b06950bae37730048157118aa0af1776359eba",
-    True: "383ab07ceebc3675ccc9799415a12bce4377e89a7498cc69eb6c82e4a6ed1393",
+    False: "adacff50b2ed06e9565f6dd6c00dc13a991f49abf7b7583a6198ad19c419b3c7",
+    True: "d9d45aad9fb6c453c3747254acaca00f450808d632e8343a3537aa04f4be1acd",
 }
 
 
@@ -823,13 +822,13 @@ def test_eliminate_g2_benchmark_window_is_pinned(capsys, as_json):
 
 
 # sha256 of the stdout of `eliminate --family g2 --q-min 999001
-# --q-max 1000000`, text and --json (159,921 and 268,934 bytes), recorded
-# while eliminate_g2 still factored 2(q^3 - eps)/gcd(2, q-1) whole and
-# listed all its divisors.  Near 10**6 the piece q^2 + eps*q + 1 is large
-# enough to reach rho, so these pin the factoring from pieces on that path.
+# --q-max 1000000`, text and --json (157,880 and 266,893 bytes), recorded
+# when g2's lemma fact lost its count of the divisors m; the bytes are those
+# from before, with each `; N divisors m` removed.  They pin m0 where
+# 2(q^3 - eps)/gcd(2, q-1) is near 10**18.
 ELIMINATE_G2_TOP_SHA256 = {
-    False: "132cab3b27a56879c0e51a714182c4a47eb6f8db4563ca4d1f8ed58c3a86a505",
-    True: "c8d903d53a7dd37f6885ae0a34e1973cdae5422c9efbb34179207c91359a235d",
+    False: "d31558f1e3464d56d32275eea1873ca73b70816213656ba86cc794dda615ab9f",
+    True: "f56e25dc48cf9b0a4d7411052913691147d555c5654a38fa5fba60f0c73900cd",
 }
 
 

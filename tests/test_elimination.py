@@ -1,7 +1,8 @@
 import io
 import json
 from collections.abc import Hashable
-from math import gcd
+from functools import cache
+from math import gcd, prod
 
 import pytest
 
@@ -216,13 +217,12 @@ def test_g2_tail_expands_to_the_per_divisor_records():
                        for b in tail), where
             assert len(facts) - n_facts == len(tail), where
             assert not any(f.ok for f in facts[n_facts:]), where
-            # the lemma counts those divisors, with m0's values and reason
+            # the lemma states those divisors with m0's values and reason
             first = facts[n_facts]
             assert lemma_fact == Fact(
                 first.statement.replace(f"branch m={m0}:",
                                         f"branches m>={m0}:")
-                + f", whose left side grows with m; {len(tail)} divisors m",
-                first.values, False), where
+                + ", whose left side grows with m", first.values, False), where
             assert lemma == Branch(
                 f"m>={m0}", "eliminated",
                 f"{tail[0].reason} at m = {m0}, and r falls as m grows"), where
@@ -268,14 +268,6 @@ def test_g2_rejects_bad_input():
         eliminate_g2(PrimePower(2, 1), 1)
     with pytest.raises(ValueError):
         eliminate_g2(PrimePower(3, 1), 0)
-    # above q = 10**6 the modulus leaves the factorization range, and is
-    # named whole although only its pieces would be factored
-    for q, eps in ((1000003, 1), (1000003, -1), (2**20, 1), (2**20, -1)):
-        g = gcd(2, q - 1)
-        with pytest.raises(ValueError) as refused:
-            eliminate_g2(PrimePower.classify(q), eps)
-        assert str(refused.value) == (f"{2 * (q**3 - eps) // g} exceeds the "
-                                      "supported factorization range")
 
 
 def test_e6_p1_q2_values():
@@ -419,6 +411,107 @@ def test_analytic_survivors_appear_in_the_scan():
         scanned = enumerate_candidates(v, 2, 2 * (v - 1))
         for branch in flagged(eps_report):
             assert branch.params in scanned
+
+
+@cache
+def sympy_phi_coefficients(n: int) -> tuple[int, ...]:
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return tuple(int(c) for c in
+                 sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs())
+
+
+def sympy_phi(n: int, q: int) -> int:
+    """The n-th cyclotomic polynomial at q, by Horner's rule on sympy's
+    coefficients."""
+    value = 0
+    for c in sympy_phi_coefficients(n):
+        value = value * q + c
+    return value
+
+
+def sympy_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(q, p, a) for every prime power q = p^a in lo..hi, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    found = []
+    for q in range(lo, hi + 1):
+        factors = sympy.factorint(q)
+        if len(factors) == 1:
+            found.append((q, *factors.popitem()))
+    return found
+
+
+def g2_survivors_match_the_scan(q: int) -> None:
+    # the flagged and candidate branches of both g2 reports at q are the
+    # generic scan at r | 2(q^3 - eps)/gcd(2, q-1), v = q^3(q^3 + eps)/2
+    for eps in (1, -1):
+        modulus = 2 * (q**3 - eps) // gcd(2, q - 1)
+        v = q**3 * prod(sympy_phi(n, q) for n in
+                        ((2, 6) if eps == 1 else (1, 3))) // 2
+        report = eliminate_g2(PrimePower.classify(q), eps)
+        assert report.facts[0].values == (v,), (q, eps)
+        survivors = sorted(b.params for b in report.branches
+                           if b.verdict in ("flagged", "candidate"))
+        assert survivors == enumerate_candidates(v, 2, modulus), (q, eps)
+
+
+def test_g2_survivors_are_the_scan_up_to_4096():
+    for q, _, _ in sympy_prime_powers(3, 4096):
+        g2_survivors_match_the_scan(q)
+
+
+def test_g2_survivors_are_the_scan_on_drawn_prime_powers():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # primes below 10**6, and powers of small primes, while the modulus
+    # 2(q^3 - eps)/gcd(2, q-1) stays in the factorization range
+    qs = st.one_of(
+        st.integers(4, 10**6).map(sympy.prevprime),
+        st.builds(pow, st.sampled_from([2, 3, 5, 7, 11, 13, 997]),
+                  st.integers(2, 40)),
+    ).filter(lambda q: 2 * (q**3 + 1) // gcd(2, q - 1) <= 10**18)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(qs)
+    def check(q):
+        g2_survivors_match_the_scan(q)
+
+    check()
+
+
+def test_e6_and_parabolic_reports_are_eliminated_iff_the_scan_is_empty():
+    # v from sympy's cyclotomic polynomials; the modulus of e6 from its
+    # subdegrees (p1) or 12*a*q*Phi_5(q) (p3), that of parabolic 2|v-1|_p
+    sympy = pytest.importorskip("sympy")
+    reports = []
+    for q, p, a in sympy_prime_powers(2, 4096):
+        pq = PrimePower(p, a)
+        if q <= 1024:
+            v = prod(sympy_phi(n, q) ** e
+                     for n, e in ((3, 2), (6, 1), (9, 1), (12, 1)))
+            d1 = q * sympy_phi(2, q) ** 2 * prod(
+                sympy_phi(n, q) for n in (4, 6, 8))
+            d2 = q**8 * sympy_phi(5, q) * sympy_phi(8, q)
+            reports.append((eliminate_e6(pq, "p1"), v,
+                            gcd(2 * d1, 2 * d2, 2 * (v - 1))))
+            v = prod(sympy_phi(n, q) ** e for n, e in
+                     ((2, 1), (3, 2), (4, 1), (6, 2), (8, 1), (9, 1),
+                      (12, 1)))
+            reports.append((eliminate_e6(pq, "p3"), v,
+                            12 * a * q * sympy_phi(5, q)))
+        for row in PARABOLIC_ROWS:
+            if row.valid_q(pq):
+                v = prod(sympy_phi(n, q) ** e for n, e in row.phi_exponents)
+                reports.append((eliminate_parabolic_generic(row, pq), v,
+                                2 * p ** sympy.multiplicity(p, v - 1)))
+    for report, v, modulus in reports:
+        where = (report.branches[0].label, report.descriptor.q.q)
+        assert report.facts[0].values == (v,), where
+        if report.descriptor.family.startswith("e6_"):
+            assert report.facts[2].values == (modulus,), where
+        scan = enumerate_candidates(v, 2, modulus)
+        assert (report.verdict == "eliminated") == (not scan), where
 
 
 def test_eliminated_branches_name_their_reason():
