@@ -7,8 +7,9 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
+from typing import NamedTuple
 
 _DIVISOR_LIMIT = 10**18
 _TRIAL_LIMIT = 1000
@@ -139,32 +140,38 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-# The last prime that _prime_power or PrimePower proved.  Each PrimePower
-# that classify, prime_powers and powers_of build is of the prime proved just
-# before, so the constructor tests only a p other than this one.  Nothing but
-# a proven prime is ever stored, so a stale value costs at most a test.
+# The last prime that _prime_power, prime_powers or PrimePower proved.  Each
+# PrimePower that classify, prime_powers and powers_of build is of the prime
+# proved just before, so the constructor tests only a p other than this one.
+# Nothing but a proven prime is ever stored, so a stale value costs at most a
+# test.
 _proven = 2
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """q = p^a with p prime and a >= 1."""
-
+class _PrimePowerFields(NamedTuple):
     p: int
     a: int
+    q: int
 
-    def __post_init__(self) -> None:
+
+class PrimePower(_PrimePowerFields):
+    """q = p^a with p prime and a >= 1, built as PrimePower(p, a); q is
+    computed once, when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, a: int) -> "PrimePower":
         global _proven
-        if self.p != _proven:
-            if not is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-            _proven = self.p
-        if self.a < 1:
-            raise ValueError(f"exponent {self.a} must be positive")
+        if p != _proven:
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            _proven = p
+        if a < 1:
+            raise ValueError(f"exponent {a} must be positive")
+        return tuple.__new__(cls, (p, a, p ** a))
 
-    @property
-    def q(self) -> int:
-        return self.p ** self.a
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.p, self.a
 
     def ppart(self, n: int) -> int:
         """The p-part of n: the largest power of p dividing n, 1 when p
@@ -252,20 +259,51 @@ def _check_window(hi: int) -> None:
 
 def prime_powers(lo: int, hi: int) -> list[PrimePower]:
     """All prime powers q with lo <= q <= hi, ascending.  Refuses an hi
-    above _DIVISOR_LIMIT, the range the case reports are factored in."""
+    above _DIVISOR_LIMIT, the range the case reports are factored in.
+
+    The window is sieved once: each trial prime p up to isqrt(hi) strikes
+    its multiples from max(p^2, lo) on, so what survives is a prime or has
+    no prime factor below _TRIAL_LIMIT.  When isqrt(hi) < _TRIAL_LIMIT the
+    sieve alone proves every survivor prime; otherwise each survivor is
+    tested.  The powers p^a with a >= 2 are listed from the prime integer
+    a-th roots of the window.  The memory taken is one byte per integer of
+    the window.
+    """
+    global _proven
     _check_window(hi)
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    root = isqrt(hi)
+    proven = root < _TRIAL_LIMIT
+    sieve = bytearray(b"\1") * (hi - lo + 1)
+    for p in _TRIAL_PRIMES:
+        if p > root:
+            break
+        start = max(p * p, -(-lo // p) * p) - lo
+        sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    # {p^a: (p, a)} for a >= 2, each marked as a survivor; a root p below
+    # _TRIAL_LIMIT is prime iff it is a trial prime
+    powers = {}
+    for a in range(2, hi.bit_length()):
+        for p in range(_iroot(lo - 1, a) + 1, _iroot(hi, a) + 1):
+            if p in _TRIAL_PRIMES if p < _TRIAL_LIMIT else is_prime(p):
+                powers[p ** a] = p, a
+                sieve[p ** a - lo] = 1
     out = []
-    for q in range(max(lo, 2), hi + 1):
-        pa = _prime_power(q)
-        if pa is not None:
-            out.append(PrimePower(*pa))
+    for q in compress(range(lo, hi + 1), sieve):
+        p, a = powers.get(q, (q, 1))
+        if a == 1 and not (proven or is_prime(q)):
+            continue
+        _proven = p
+        out.append(PrimePower(p, a))
     return out
 
 
 def powers_of(p: int, lo: int, hi: int) -> list[PrimePower]:
     """The powers q = p^a (a >= 1) of the prime p with lo <= q <= hi,
     ascending, listed from their exponents: at most 59 lie below
-    _DIVISOR_LIMIT, where prime_powers tests every integer of the window.
+    _DIVISOR_LIMIT, where prime_powers sieves every integer of the window.
     Refuses an hi above _DIVISOR_LIMIT, as prime_powers does."""
     PrimePower(p, 1)  # raises unless p is prime, and leaves it in _proven
     _check_window(hi)

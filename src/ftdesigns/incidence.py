@@ -20,6 +20,7 @@ stabilizer G_alpha of one of them is transitive on the blocks through alpha.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -83,9 +84,16 @@ class IncidenceStructure:
 
 
 def _checked_block(block, v: int) -> tuple[int, ...]:
-    """The block as a sorted point tuple; ValueError if it repeats a point,
-    has fewer than 2 points, or a point that is no integer in 0..v-1."""
-    pts = tuple(sorted(block))
+    """The block as a sorted point tuple; ValueError if it is no collection,
+    repeats a point, has fewer than 2 points, or a point that is no integer
+    in 0..v-1."""
+    if not isinstance(block, Iterable):
+        raise ValueError(f"block {block!r} is not a list")
+    try:
+        pts = tuple(sorted(block))
+    except TypeError:
+        # points that do not compare, such as a list among integers
+        raise ValueError(f"block {block} has a non-integer point") from None
     if len(set(pts)) != len(pts):
         raise ValueError(f"block {block} repeats a point")
     if len(pts) < 2:

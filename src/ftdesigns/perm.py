@@ -522,6 +522,9 @@ def group_from_json(text: str) -> PermutationGroup:
     generators = doc["generators"]
     if type(generators) is not list:
         raise ValueError(f"generators {generators!r} is not a list")
+    for g in generators:
+        if type(g) is not list:
+            raise ValueError(f"generator {g!r} is not a list")
     group = PermutationGroup(degree, generators, name=doc.get("name"))
     if expected is not None and group.order() != expected:
         raise ValueError(

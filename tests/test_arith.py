@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import isqrt
 
@@ -201,6 +203,9 @@ def test_factorize_reconstructs():
 
 def test_prime_power_classify():
     assert PrimePower.classify(8) == PrimePower(2, 3)
+    # q is stored, and a copy or a pickle is rebuilt from (p, a)
+    assert pickle.loads(pickle.dumps(PrimePower(2, 3))) == (2, 3, 8)
+    assert copy.copy(PrimePower(3, 2)).q == 9
     assert PrimePower.classify(7).q == 7
     assert PrimePower(3, 3).q == 27
     for bad in (1, 6, 12, 100):
@@ -299,6 +304,17 @@ def test_prime_powers_near_the_top_match_factorize():
     assert [pp.q for pp in prime_powers(lo, 10**18)] == old
 
 
+def prime_power_by_sympy(sympy, q):
+    # independent oracle: (p, a) with q = p^a and p prime, or None, from
+    # sympy's primality test and its largest perfect-power root
+    if sympy.isprime(q):
+        return (q, 1)
+    power = sympy.perfect_power(q)
+    if power and sympy.isprime(power[0]):
+        return power
+    return None
+
+
 def test_prime_powers_match_sympy_on_random_values():
     sympy = pytest.importorskip("sympy")
     hypothesis = pytest.importorskip("hypothesis")
@@ -307,22 +323,60 @@ def test_prime_powers_match_sympy_on_random_values():
         lambda e: st.integers(2, sympy.integer_nthroot(10**18, e)[0]).map(
             lambda b: b**e))
 
-    def oracle(q):
-        if sympy.isprime(q):
-            return (q, 1)
-        power = sympy.perfect_power(q)
-        if power and sympy.isprime(power[0]):
-            return power
-        return None
-
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(st.one_of(st.integers(2, 10**18), powers))
     def check(q):
-        want = oracle(q)
+        want = prime_power_by_sympy(sympy, q)
         assert prime_powers(q, q) == ([] if want is None
                                       else [PrimePower(*want)])
 
     check()
+
+
+# Windows where the sieve changes how it decides: isqrt(hi) just below
+# _TRIAL_LIMIT, where the sieve alone proves its survivors prime, and from
+# _TRIAL_LIMIT on, where each survivor is tested; and windows holding prime
+# powers that only the roots find: 43^2 (above the Miller-Rabin bases),
+# 1009^2 (above the trial primes, so it survives the sieve), and the
+# largest powers of 2 and 3 below 10**18.
+SIEVE_WINDOWS = [
+    (2, 2000),
+    (_TRIAL_LIMIT**2 - 2000, _TRIAL_LIMIT**2 - 1),
+    (_TRIAL_LIMIT**2 - 1000, _TRIAL_LIMIT**2 + 999),
+    (_TRIAL_LIMIT**2, (_TRIAL_LIMIT + 1)**2),
+    (43**2 - 1000, 43**2 + 999),
+    (1009**2 - 1000, 1009**2 + 999),
+    (2**59 - 1000, 2**59 + 999),
+    (3**37 - 1999, 3**37),
+    (10**18 - 1999, 10**18),
+]
+
+
+def test_prime_power_sieve_matches_sympy_integer_by_integer():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def check(lo, hi):
+        want = []
+        for q in range(max(lo, 2), hi + 1):
+            pa = prime_power_by_sympy(sympy, q)
+            if pa is not None:
+                want.append((q, *pa))
+        assert [(pp.q, pp.p, pp.a) for pp in prime_powers(lo, hi)] == want, \
+            (lo, hi)
+
+    assert {isqrt(hi) < _TRIAL_LIMIT for _, hi in SIEVE_WINDOWS} == \
+        {True, False}
+    for lo, hi in SIEVE_WINDOWS:
+        check(lo, hi)
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.integers(2, 10**18), st.integers(0, 1999))
+    def drawn(hi, width):
+        check(hi - width, hi)
+
+    drawn()
 
 
 def test_prime_powers_refuses_q_beyond_factorization_range():

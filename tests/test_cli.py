@@ -302,6 +302,14 @@ BAD_INPUT = {
                                     "construct", "--name", "line1_psl25"],
     "construct-base-block-string": ["FTDESIGNS_DATA={block_string}",
                                     "construct", "--name", "line1_psl25"],
+    # shapes inside a document: a block or generator that is no list, and
+    # a point that is a list
+    "design-block-number": ["verify", "--group", "{group}",
+                            "--design", "{design_block_number}"],
+    "design-point-list": ["verify", "--group", "{group}",
+                          "--design", "{design_point_list}"],
+    "group-generator-number": ["verify", "--group", "{group_generator_number}",
+                               "--design", "{design}"],
 }
 
 # the whole of stderr for the rows whose message is pinned, formatted as
@@ -331,6 +339,12 @@ BAD_INPUT_ERRORS = {
                                    "not a list\n",
     "construct-block-text": "error: base block [0, 'a'] has a non-integer "
                             "point\n",
+    "design-block-number": "error: design file {design_block_number}: "
+                           "block 5 is not a list\n",
+    "design-point-list": "error: design file {design_point_list}: block "
+                         "[0, [1]] has a non-integer point\n",
+    "group-generator-number": "error: group file {group_generator_number}: "
+                              "generator 5 is not a list\n",
 }
 
 
@@ -400,6 +414,11 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
         "group_number": 5,
         "design_array": [1],
         "design_number": 5,
+        "design_block_number": {"name": "d", "v": 4, "blocks": [5, [2, 3]]},
+        "design_point_list": {"name": "d", "v": 4,
+                              "blocks": [[0, [1]], [2, 3]]},
+        "group_generator_number": {"name": "g", "degree": 4,
+                                   "generators": [5]},
     }
     paths = {
         "missing": str(tmp_path / "missing"),

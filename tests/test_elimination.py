@@ -514,6 +514,51 @@ def test_e6_and_parabolic_reports_are_eliminated_iff_the_scan_is_empty():
         assert (report.verdict == "eliminated") == (not scan), where
 
 
+def test_suzuki_and_ree_scan_survivors_are_flagged_or_named_kills():
+    # Suzuki and Ree kill branches by non-counting facts (an overgroup's
+    # index, two blocks through a point pair), so the scan at r | 2(v-1)
+    # finds more than the report flags: every flagged parameter set is in
+    # the scan, and every other scan candidate is killed by what the report
+    # names.  v from sympy: Phi_4(q) = q^2 + 1, Phi_2(q)Phi_6(q) = q^3 + 1.
+    sympy = pytest.importorskip("sympy")
+    for a in range(3, 30, 2):
+        q = 2**a
+        report = eliminate_suzuki(PrimePower(2, a))
+        v = sympy_phi(4, q)
+        assert report.facts[0].values == (v,), q
+        assert not flagged(report)
+        scan = enumerate_candidates(v, 2, 2 * (v - 1))
+        assert scan, q
+        # branch r = 2^c fails on its odd k = 2^(2a+1-c) + 1 dividing r
+        failing = {fact.values for fact in report.facts if not fact.ok}
+        for params in scan:
+            assert (params.k, params.r) in failing, (q, params)
+    for a in range(3, 12, 2):
+        q = 3**a
+        report = eliminate_ree(PrimePower(3, a))
+        v = sympy_phi(2, q) * sympy_phi(6, q)
+        assert report.facts[0].values == (v,), q
+        scan = enumerate_candidates(v, 2, 2 * (v - 1))
+        survivors = [branch.params for branch in flagged(report)]
+        assert survivors and set(survivors) <= set(scan), q
+        bound = next(fact for fact in report.facts
+                     if "forcing t >= a-1" in fact.statement)
+        assert bound.values == (q + 3, 4 * 3 ** (a - 1)) and bound.ok, q
+        for params in scan:
+            if params in survivors:
+                continue
+            if params.r % 2:
+                # outside the hypothesis the report names
+                assert EVEN_R_HYPOTHESIS in report.hypotheses, (q, params)
+                continue
+            # r = 2*3^c and k = 3^t + 1 with t = 3a - c, where the report's
+            # bound q + 3 <= 4*3^t fails
+            t = 3 * a - sympy.multiplicity(3, params.r)
+            assert params.r == 2 * 3 ** (3 * a - t), (q, params)
+            assert params.k == 3**t + 1, (q, params)
+            assert not q + 3 <= 4 * 3**t, (q, params)
+
+
 def test_eliminated_branches_name_their_reason():
     for report in sweep("g2", 3, 16) + sweep("suzuki", 8, 128):
         for branch in report.branches:

@@ -324,10 +324,16 @@ def test_structure_validation():
 
 def reference_from_blocks(v, blocks):
     """The block-by-block scan from_blocks had: the sorted blocks, or the
-    error of the first bad block."""
+    error of the first bad block; a block that is no list or does not sort
+    is refused by name."""
     normalized = []
     for block in blocks:
-        pts = tuple(sorted(block))
+        if type(block) is not list:
+            raise ValueError(f"block {block!r} is not a list")
+        try:
+            pts = tuple(sorted(block))
+        except TypeError:
+            raise ValueError(f"block {block} has a non-integer point")
         if len(set(pts)) != len(pts):
             raise ValueError(f"block {block} repeats a point")
         if len(pts) < 2:
@@ -379,7 +385,8 @@ def test_from_blocks_matches_the_block_by_block_scan():
             got = got.blocks
         assert got == expected, blocks
         kinds[expected[0] if type(expected[0]) is type else "valid"] += 1
-    assert kinds[ValueError] >= 100 and kinds[TypeError] >= 20
+    # every bad block is refused by name, none by a bare TypeError
+    assert kinds[ValueError] >= 120 and kinds[TypeError] == 0
     assert kinds["valid"] >= 50
     # an iterator of blocks is read once, and rescanned from the copy
     assert IncidenceStructure.from_blocks(

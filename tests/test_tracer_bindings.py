@@ -16,12 +16,25 @@ def test_tracer_installs_and_undoes_on_every_layer(monkeypatch):
     mods = {layer: importlib.import_module(f"ftdesigns.{layer}")
             for layer in tracing.LAYERS}
     main = mods["cli"].main
-    patches = tracing.install(tracing.Recorder(), mods)
+    # a report is a named tuple, whose class takes the CI pins' wrappers
+    report_cls = mods["elimination"].CaseReport
+    methods = {name: getattr(report_cls, name)
+               for name in ("to_text", "to_dict")}
+    report = mods["elimination"].sweep("suzuki", 8, 8)[0]
+    rec = tracing.Recorder()
+    patches = tracing.install(rec, mods)
     try:
         assert mods["cli"].main is not main
+        for name, method in methods.items():
+            assert getattr(report_cls, name).__wrapped__ is method
+            assert getattr(report, name)() == method(report)
+        assert rec.reduce()[2] == {"elimination.to_text": 1,
+                                   "elimination.to_dict": 1}
     finally:
         patches.undo()
     assert mods["cli"].main is main
+    for name, method in methods.items():
+        assert getattr(report_cls, name) is method
 
 
 ROOT = Path(__file__).resolve().parents[1]
