@@ -7,6 +7,7 @@ floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -41,11 +42,6 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    return _miller_rabin(n)
-
-
-def _miller_rabin(n: int) -> bool:
-    """is_prime for an n that no prime below 43 divides."""
     if n < 43 * 43:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
@@ -140,11 +136,10 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-# The last prime that _prime_power, prime_powers or PrimePower proved.  Each
-# PrimePower that classify, prime_powers and powers_of build is of the prime
-# proved just before, so the constructor tests only a p other than this one.
-# Nothing but a proven prime is ever stored, so a stale value costs at most a
-# test.
+# The last prime that prime_powers or PrimePower proved.  Each PrimePower
+# that prime_powers and powers_of build is of the prime proved just before,
+# so the constructor tests only a p other than this one.  Nothing but a
+# proven prime is ever stored, so a stale value costs at most a test.
 _proven = 2
 
 
@@ -187,11 +182,12 @@ class PrimePower(_PrimePowerFields):
 
     @classmethod
     def classify(cls, q: int) -> "PrimePower":
-        """Write q as p^a, or raise if q is not a prime power >= 2."""
-        pa = _prime_power(q)
-        if pa is None:
+        """Write q as p^a, or raise if q is not a prime power >= 2 or is
+        above _DIVISOR_LIMIT: the one-integer window of prime_powers."""
+        found = prime_powers(q, q)
+        if not found:
             raise ValueError(f"{q} is not a prime power")
-        return cls(*pa)
+        return found[0]
 
     def __str__(self) -> str:
         return f"{self.q}" if self.a == 1 else f"{self.p}^{self.a}"
@@ -200,53 +196,12 @@ class PrimePower(_PrimePowerFields):
 def _iroot(n: int, a: int) -> int:
     """The integer a-th root floor(n^(1/a)) of n >= 1, by integer Newton
     iteration from 2^ceil(bits/a), which lies above the root."""
-    if a == 2:
-        return isqrt(n)
     x = 1 << -(-n.bit_length() // a)
     while True:
         y = ((a - 1) * x + n // x ** (a - 1)) // a
         if y >= x:
             return x
         x = y
-
-
-def _prime_power(q: int) -> tuple[int, int] | None:
-    """(p, a) with q = p^a, p prime and a >= 1, or None, without factoring:
-    division by the primes below 43, then is_prime(q), then the exact
-    integer a-th roots of q for a >= 2, largest a first.
-
-    If q = p^a, then p is the exact root with the largest a, so the first
-    exact root found decides: q is a prime power iff that root is prime.
-    The p returned is left in _proven.
-    """
-    global _proven
-    if q < 2:
-        return None
-    for p in _SMALL_PRIMES:
-        if q % p == 0:
-            a = 0
-            while q % p == 0:
-                q //= p
-                a += 1
-            if q != 1:
-                return None
-            _proven = p
-            return p, a
-    if _miller_rabin(q):
-        _proven = q
-        return q, 1
-    # every prime factor of q is at least 43, so q = p^a needs 43^a <= q
-    top = 1
-    while 43 ** (top + 1) <= q:
-        top += 1
-    for a in range(top, 1, -1):
-        p = _iroot(q, a)
-        if p**a == q:
-            if not is_prime(p):
-                return None
-            _proven = p
-            return p, a
-    return None
 
 
 def _check_window(hi: int) -> None:
@@ -262,12 +217,13 @@ def prime_powers(lo: int, hi: int) -> list[PrimePower]:
     above _DIVISOR_LIMIT, the range the case reports are factored in.
 
     The window is sieved once: each trial prime p up to isqrt(hi) strikes
-    its multiples from max(p^2, lo) on, so what survives is a prime or has
-    no prime factor below _TRIAL_LIMIT.  When isqrt(hi) < _TRIAL_LIMIT the
-    sieve alone proves every survivor prime; otherwise each survivor is
-    tested.  The powers p^a with a >= 2 are listed from the prime integer
-    a-th roots of the window.  The memory taken is one byte per integer of
-    the window.
+    its multiples in the window, and those of these primes that lie in it
+    are put back, so what survives is a prime or has no prime factor below
+    _TRIAL_LIMIT.  When isqrt(hi) < _TRIAL_LIMIT the sieve alone proves
+    every survivor prime; otherwise each survivor is tested.  The powers
+    p^a with a >= 2 are listed down from the integer a-th root of hi, one
+    root per exponent.  The memory taken is one byte per integer of the
+    window.
     """
     global _proven
     _check_window(hi)
@@ -276,20 +232,28 @@ def prime_powers(lo: int, hi: int) -> list[PrimePower]:
         return []
     root = isqrt(hi)
     proven = root < _TRIAL_LIMIT
-    sieve = bytearray(b"\1") * (hi - lo + 1)
-    for p in _TRIAL_PRIMES:
-        if p > root:
-            break
-        start = max(p * p, -(-lo // p) * p) - lo
-        sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    n = hi - lo + 1
+    sieve = bytearray(b"\1") * n
+    primes = _TRIAL_PRIMES[:bisect_right(_TRIAL_PRIMES, root)]
+    for p in primes:
+        start = -lo % p
+        if start < n:
+            sieve[start::p] = bytes((n - 1 - start) // p + 1)
+    for p in primes[bisect_left(primes, lo):]:
+        sieve[p - lo] = 1
     # {p^a: (p, a)} for a >= 2, each marked as a survivor; a root p below
-    # _TRIAL_LIMIT is prime iff it is a trial prime
+    # _TRIAL_LIMIT is prime iff it is a trial prime.  An even a takes the
+    # isqrt of the (a/2)-th root, as floor(sqrt(floor(x))) = floor(sqrt(x)).
     powers = {}
+    roots = [hi, hi]
     for a in range(2, hi.bit_length()):
-        for p in range(_iroot(lo - 1, a) + 1, _iroot(hi, a) + 1):
+        p = isqrt(roots[a // 2]) if a % 2 == 0 else _iroot(hi, a)
+        roots.append(p)
+        while (q := p ** a) >= lo:
             if p in _TRIAL_PRIMES if p < _TRIAL_LIMIT else is_prime(p):
-                powers[p ** a] = p, a
-                sieve[p ** a - lo] = 1
+                powers[q] = p, a
+                sieve[q - lo] = 1
+            p -= 1
     out = []
     for q in compress(range(lo, hi + 1), sieve):
         p, a = powers.get(q, (q, 1))

@@ -38,9 +38,6 @@ class Parameters(NamedTuple):
     k: int
     lam: int
 
-    def astuple(self) -> tuple[int, int, int, int, int]:
-        return tuple(self)
-
     def __str__(self) -> str:
         return "(%s,%s,%s,%s,%s)" % self
 
@@ -66,7 +63,7 @@ def complete_parameters(v: int, k: int, lam: int) -> Parameters:
 
 def admissibility_violations(params: Parameters) -> list[str]:
     """Names of every violated constraint; empty list means admissible."""
-    v, b, r, k, lam = params.astuple()
+    v, b, r, k, lam = params
     violations = []
     if r * (k - 1) != lam * (v - 1):
         violations.append("r(k-1) = lambda(v-1) violated")
@@ -130,7 +127,7 @@ def embeds_symmetric(params: Parameters) -> tuple[int, int, int] | None:
     Returns (v + k + lambda, k + lambda, lambda), or None when the extension
     criterion r = k + lambda does not hold.  Only meaningful for lambda <= 2.
     """
-    v, _, r, k, lam = params.astuple()
+    v, _, r, k, lam = params
     if lam > 2:
         raise ValueError("extension criterion only applies for lambda <= 2")
     if r != k + lam:

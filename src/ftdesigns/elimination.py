@@ -74,7 +74,7 @@ class Branch(NamedTuple):
         if self.reference is not None:
             doc["reference"] = self.reference
         if self.params is not None:
-            doc["params"] = list(self.params.astuple())
+            doc["params"] = list(self.params)
         return doc
 
 
@@ -351,7 +351,7 @@ def eliminate_ree(q: PrimePower) -> CaseReport:
     facts.append(Fact(
         "branch t=a: (v, b, r, k) = (q^3+1, 2q^2(q^2-q+1), 2q^2, q+1) "
         "satisfies every counting constraint",
-        params.astuple(), not violations))
+        tuple(params), not violations))
     branches.append(Branch(
         "t=a", "flagged" if not violations else "eliminated",
         "arithmetic survivor" if not violations else "; ".join(violations),

@@ -91,10 +91,11 @@ def _checked_block(block, v: int) -> tuple[int, ...]:
         raise ValueError(f"block {block!r} is not a list")
     try:
         pts = tuple(sorted(block))
+        repeats = len(set(pts)) != len(pts)
     except TypeError:
-        # points that do not compare, such as a list among integers
+        # points that do not compare or do not hash, such as lists
         raise ValueError(f"block {block} has a non-integer point") from None
-    if len(set(pts)) != len(pts):
+    if repeats:
         raise ValueError(f"block {block} repeats a point")
     if len(pts) < 2:
         raise ValueError(f"block {block} has fewer than 2 points")

@@ -265,9 +265,10 @@ def test_prime_powers_match_trial_division():
                 PrimePower.classify(q)
 
 
-# Powers of primes above 41, which reach the root search because only the
-# primes up to 41 are divided out; the largest powers of 2 and 3 below
-# 10**18; and numbers with two prime factors, some of them perfect powers.
+# Powers of primes above the Miller-Rabin bases or above the trial primes,
+# which classify, a one-integer window of prime_powers, finds from the
+# roots; the largest powers of 2 and 3 below 10**18; and numbers with two
+# prime factors, some of them perfect powers.
 PINNED_PRIME_POWERS = {
     43**2: (43, 2),
     10007**4: (10007, 4),

@@ -303,11 +303,13 @@ BAD_INPUT = {
     "construct-base-block-string": ["FTDESIGNS_DATA={block_string}",
                                     "construct", "--name", "line1_psl25"],
     # shapes inside a document: a block or generator that is no list, and
-    # a point that is a list
+    # a point that is a list, among integers or among lists
     "design-block-number": ["verify", "--group", "{group}",
                             "--design", "{design_block_number}"],
     "design-point-list": ["verify", "--group", "{group}",
                           "--design", "{design_point_list}"],
+    "design-points-lists": ["verify", "--group", "{group}",
+                            "--design", "{design_points_lists}"],
     "group-generator-number": ["verify", "--group", "{group_generator_number}",
                                "--design", "{design}"],
 }
@@ -343,6 +345,8 @@ BAD_INPUT_ERRORS = {
                            "block 5 is not a list\n",
     "design-point-list": "error: design file {design_point_list}: block "
                          "[0, [1]] has a non-integer point\n",
+    "design-points-lists": "error: design file {design_points_lists}: "
+                           "block [[0], [1]] has a non-integer point\n",
     "group-generator-number": "error: group file {group_generator_number}: "
                               "generator 5 is not a list\n",
 }
@@ -417,6 +421,8 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
         "design_block_number": {"name": "d", "v": 4, "blocks": [5, [2, 3]]},
         "design_point_list": {"name": "d", "v": 4,
                               "blocks": [[0, [1]], [2, 3]]},
+        "design_points_lists": {"name": "d", "v": 4,
+                                "blocks": [[[0], [1]], [2, 3]]},
         "group_generator_number": {"name": "g", "degree": 4,
                                    "generators": [5]},
     }

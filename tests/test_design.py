@@ -73,7 +73,7 @@ def test_admissibility_trivial_design():
 def test_enumerate_candidates_fano():
     found = enumerate_candidates(7, 2, 12)
     assert Parameters(7, 7, 4, 4, 2) in found
-    assert [p.astuple() for p in found] == brute_force_candidates(7, 2, 12)
+    assert [tuple(p) for p in found] == brute_force_candidates(7, 2, 12)
 
 
 def test_enumerate_candidates_suzuki_q8():
@@ -82,7 +82,7 @@ def test_enumerate_candidates_suzuki_q8():
     # which eliminate_suzuki applies.
     found = enumerate_candidates(65, 2, 128)
     assert found == [Parameters(65, 416, 32, 5, 2)]
-    assert [p.astuple() for p in found] == brute_force_candidates(65, 2, 128)
+    assert [tuple(p) for p in found] == brute_force_candidates(65, 2, 128)
 
 
 def test_enumerate_candidates_names_a_bad_lambda():
@@ -105,7 +105,7 @@ def test_enumerate_candidates_matches_brute_force_randomly():
         v = rng.randrange(4, 400)
         lam = rng.randrange(1, 4)
         r_mod = rng.randrange(1, 3 * v)
-        assert [p.astuple() for p in enumerate_candidates(v, lam, r_mod)] \
+        assert [tuple(p) for p in enumerate_candidates(v, lam, r_mod)] \
             == brute_force_candidates(v, lam, r_mod)
 
 

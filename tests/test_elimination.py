@@ -391,7 +391,7 @@ def test_flagged_candidates_satisfy_counting_identities():
         for eps in (1, -1):
             for branch in flagged(eliminate_g2(q, eps)):
                 if branch.params is not None:
-                    v, b, r, k, lam = branch.params.astuple()
+                    v, b, r, k, lam = branch.params
                     assert r * (k - 1) == lam * (v - 1)
                     assert v * r == b * k
 

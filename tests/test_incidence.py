@@ -324,17 +324,18 @@ def test_structure_validation():
 
 def reference_from_blocks(v, blocks):
     """The block-by-block scan from_blocks had: the sorted blocks, or the
-    error of the first bad block; a block that is no list or does not sort
-    is refused by name."""
+    error of the first bad block; a block that is no list, or whose points
+    do not sort or hash, is refused by name."""
     normalized = []
     for block in blocks:
         if type(block) is not list:
             raise ValueError(f"block {block!r} is not a list")
         try:
             pts = tuple(sorted(block))
+            repeats = len(set(pts)) != len(pts)
         except TypeError:
             raise ValueError(f"block {block} has a non-integer point")
-        if len(set(pts)) != len(pts):
+        if repeats:
             raise ValueError(f"block {block} repeats a point")
         if len(pts) < 2:
             raise ValueError(f"block {block} has fewer than 2 points")
@@ -367,6 +368,8 @@ def test_from_blocks_matches_the_block_by_block_scan():
         lambda b: b[:-1] + ["a"],              # sorting raises TypeError
         lambda b: b[:-1] + [None],
         lambda b: ["a", "b"],                  # sorts, but names no point
+        lambda b: [[p] for p in b],            # sorts, but does not hash
+        lambda b: [b],
         lambda b: b[:-1] + [-1],               # out of range
         lambda b: b[:-1] + [10],
         lambda b: 5,                           # not a block at all
