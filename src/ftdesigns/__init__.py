@@ -10,18 +10,4 @@ Modules:
     cli            command-line front end
 """
 
-from .arith import PrimePower, cyclotomic, divisors, ppart
-from .design import (Parameters, complete_parameters, embeds_symmetric,
-                     enumerate_candidates, is_admissible)
-from .incidence import IncidenceStructure, verify_2design
-from .perm import Permutation, PermutationGroup, build_group
-
-__all__ = [
-    "PrimePower", "cyclotomic", "divisors", "ppart",
-    "Parameters", "complete_parameters", "embeds_symmetric",
-    "enumerate_candidates", "is_admissible",
-    "IncidenceStructure", "verify_2design",
-    "Permutation", "PermutationGroup", "build_group",
-]
-
 __version__ = "0.1.0"

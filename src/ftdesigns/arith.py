@@ -136,13 +136,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(sorted(factors.items()))
 
 
-# The last prime that prime_powers or PrimePower proved.  Each PrimePower
-# that prime_powers and powers_of build is of the prime proved just before,
-# so the constructor tests only a p other than this one.  Nothing but a
-# proven prime is ever stored, so a stale value costs at most a test.
-_proven = 2
-
-
 class _PrimePowerFields(NamedTuple):
     p: int
     a: int
@@ -156,14 +149,11 @@ class PrimePower(_PrimePowerFields):
     __slots__ = ()
 
     def __new__(cls, p: int, a: int) -> "PrimePower":
-        global _proven
-        if p != _proven:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            _proven = p
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         if a < 1:
             raise ValueError(f"exponent {a} must be positive")
-        return tuple.__new__(cls, (p, a, p ** a))
+        return _unchecked_power(p, a)
 
     def __getnewargs__(self) -> tuple[int, int]:
         return self.p, self.a
@@ -191,6 +181,12 @@ class PrimePower(_PrimePowerFields):
 
     def __str__(self) -> str:
         return f"{self.q}" if self.a == 1 else f"{self.p}^{self.a}"
+
+
+def _unchecked_power(p: int, a: int) -> PrimePower:
+    """The PrimePower p^a, built without a test: the caller has proved p
+    prime and a >= 1."""
+    return tuple.__new__(PrimePower, (p, a, p ** a))
 
 
 def _iroot(n: int, a: int) -> int:
@@ -225,7 +221,6 @@ def prime_powers(lo: int, hi: int) -> list[PrimePower]:
     root per exponent.  The memory taken is one byte per integer of the
     window.
     """
-    global _proven
     _check_window(hi)
     lo = max(lo, 2)
     if hi < lo:
@@ -259,8 +254,7 @@ def prime_powers(lo: int, hi: int) -> list[PrimePower]:
         p, a = powers.get(q, (q, 1))
         if a == 1 and not (proven or is_prime(q)):
             continue
-        _proven = p
-        out.append(PrimePower(p, a))
+        out.append(_unchecked_power(p, a))
     return out
 
 
@@ -269,13 +263,13 @@ def powers_of(p: int, lo: int, hi: int) -> list[PrimePower]:
     ascending, listed from their exponents: at most 59 lie below
     _DIVISOR_LIMIT, where prime_powers sieves every integer of the window.
     Refuses an hi above _DIVISOR_LIMIT, as prime_powers does."""
-    PrimePower(p, 1)  # raises unless p is prime, and leaves it in _proven
+    PrimePower(p, 1)  # raises unless p is prime
     _check_window(hi)
     out = []
     q, a = p, 1
     while q <= hi:
         if q >= lo:
-            out.append(PrimePower(p, a))
+            out.append(_unchecked_power(p, a))
         q, a = q * p, a + 1
     return out
 

@@ -118,10 +118,6 @@ class CaseReport(NamedTuple):
             return "flagged"
         return "eliminated"
 
-    def candidates(self) -> list[Parameters]:
-        return [b.params for b in self.branches
-                if b.verdict == "candidate" and b.params is not None]
-
     def to_dict(self) -> dict:
         return {
             "descriptor": self.descriptor.to_dict(),

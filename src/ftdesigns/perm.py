@@ -28,9 +28,10 @@ Sec. 4.2), so the edge is marked verified and never sifted.
 The product of the basic orbit lengths is the exact group order, and sifting
 gives an exact membership test.
 
-A residue found while closing level i lies in the stabilizer of beta_0..
-beta_i, so it joins the strong generators of levels i+1 to its depth only
-(Seress, Sec. 4.2); level 0 keeps exactly the non-identity input generators.
+A Schreier generator of level i fixes beta_0..beta_i, so the sift that tests
+membership runs on it from level i+1 on, and a residue joins the strong
+generators of levels i+1 to its depth only (Seress, Sec. 4.2); level 0 keeps
+exactly the non-identity input generators.
 
 One accessor, stabilizer_generators, reads G_alpha, the stabilizer of the
 first base point alpha, off the chain (the strong generators of level 1),
@@ -316,9 +317,9 @@ class PermutationGroup:
             applied = list(enumerate(codes))
 
     def _close(self) -> None:
-        """Sift Schreier generators until every level passes.  A residue
-        of level i joins levels i+1.. only; each sift runs inline, through
-        the (beta, inverses.get) pairs of the levels below, as _sift would.
+        """Sift Schreier generators until every level passes.  The Schreier
+        generator of level i fixes beta_0..beta_i, so it is sifted from
+        level i+1 on, and a residue joins levels i+1.. only.
         """
         levels = self.levels
         if not levels:
@@ -331,30 +332,24 @@ class PermutationGroup:
                 level = levels[i]
                 transversal, inverses = level.transversal, level.inverses
                 codes, verified = level.codes, level.verified
-                below = [(lv.beta, lv.inverses.get) for lv in levels[i + 1:]]
                 for gamma in sorted(transversal):
                     u = transversal[gamma]
                     for gi, g in enumerate(codes):
                         if (gamma, gi) in verified:
                             continue
                         verified.add((gamma, gi))
-                        code = mul(mul(u, g), inverses[g[gamma]])
-                        for beta, get in below:
-                            u_inverse = get(code[beta])
-                            if u_inverse is None:
-                                break
-                            code = mul(code, u_inverse)
+                        code = self._sift(
+                            mul(mul(u, g), inverses[g[gamma]]), i + 1)
                         if code != one:
                             self._insert(code, i + 1)
                             changed = True
-                            below = [(lv.beta, lv.inverses.get)
-                                     for lv in levels[i + 1:]]
 
-    def _sift(self, code):
-        """What is left of code after dividing out every level of the
-        chain: the identity's code iff the element lies in the group."""
+    def _sift(self, code, first: int = 0):
+        """What is left of code after dividing out levels first.. of the
+        chain as it is now, a level appended while closing included: with
+        first = 0, the identity's code iff the element lies in the group."""
         mul = self._mul
-        for level in self.levels:
+        for level in self.levels[first:]:
             u_inverse = level.inverses.get(code[level.beta])
             if u_inverse is None:
                 return code

@@ -30,6 +30,11 @@ def flagged(report: CaseReport) -> list[Branch]:
     return [b for b in report.branches if b.verdict == "flagged"]
 
 
+def candidates(report: CaseReport) -> list[Parameters]:
+    return [b.params for b in report.branches
+            if b.verdict == "candidate" and b.params is not None]
+
+
 def test_suzuki_q8():
     report = eliminate_suzuki(PrimePower(2, 3))
     assert report.verdict == "eliminated"
@@ -230,7 +235,7 @@ def test_g2_tail_expands_to_the_per_divisor_records():
                                    facts, branches)
             assert report.verdict == reference.verdict, where
             assert flagged(report) == flagged(reference), where
-            assert report.candidates() == reference.candidates(), where
+            assert candidates(report) == candidates(reference), where
 
 
 @pytest.mark.parametrize("q", [3, 4, 8, 9, 64, 243, 1024, 4096])

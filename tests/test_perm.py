@@ -6,6 +6,7 @@ import pytest
 
 from conftest import DATA, catalog_group, fixture_group
 from ftdesigns import perm as perm_module
+from ftdesigns.constructions import sl_generators
 from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
                             canonical_json, group_from_json, group_to_json,
                             load_group, orbit)
@@ -309,6 +310,33 @@ def test_catalog_chains_are_pinned():
                         [len(level.transversal) for level in group.levels],
                         [len(level.gens) for level in group.levels])
     assert chains == CATALOG_CHAINS
+
+
+# (beta, basic orbit length, strong generators) per level, for chains that
+# start with one level and gain all the others while they are closed
+DEEP_CHAINS = {
+    "sl_5_3": [(40, 121, 2), (13, 120, 12), (4, 117, 10), (1, 108, 9),
+               (0, 81, 8), (5, 2, 4), (41, 2, 3), (14, 2, 2), (2, 2, 1)],
+    "sym_12": [(0, 12, 2), (1, 11, 11), (10, 10, 10), (8, 9, 8), (6, 8, 6),
+               (4, 7, 4), (2, 6, 3), (3, 5, 6), (9, 4, 5), (5, 3, 3),
+               (7, 2, 1)],
+}
+
+
+def test_deep_chains_are_pinned():
+    """SL_5(3) on the 121 points of PG(4, 3) and Sym(12) from a 12-cycle and
+    a transposition: every level beyond the first is appended while the
+    chain is closed, and later sifts pass through it."""
+    cycle = list(range(1, 12)) + [0]
+    swap = [1, 0] + list(range(2, 12))
+    groups = {"sl_5_3": build_group(*sl_generators(3, 5)),
+              "sym_12": build_group(12, [cycle, swap])}
+    chains = {name: [(level.beta, len(level.transversal), len(level.gens))
+                     for level in group.levels]
+              for name, group in groups.items()}
+    assert chains == DEEP_CHAINS
+    assert groups["sl_5_3"].order() == 237783237120
+    assert groups["sym_12"].order() == 479001600
 
 
 def padded(images, degree):

@@ -1,7 +1,8 @@
 """bench/tracing.py wraps functions in every module that binds them, so a
 binding the package drops breaks the traced benchmark run.  Installing and
 undoing its patches on the real modules catches that here, and every
-name a module imports is read there unless it is listed as tracer-only."""
+name a module imports is read there unless it is listed as tracer-only.
+The same ast walk refuses any `global` statement in those modules."""
 
 import ast
 import importlib
@@ -50,8 +51,7 @@ TRACER_ONLY = {
 
 
 def unused_imports(path: Path) -> set[str]:
-    """The names a module imports and never reads; `__init__` reads the
-    names in its `__all__`, which it re-exports."""
+    """The names a module imports and never reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -61,8 +61,6 @@ def unused_imports(path: Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    if path.stem == "__init__":
-        used.update(importlib.import_module("ftdesigns").__all__)
     return imported - used
 
 
@@ -70,3 +68,13 @@ def test_every_import_is_used_or_tracer_only():
     for path in MODULES:
         assert unused_imports(path) == TRACER_ONLY.get(path.stem, set()), \
             path.name
+
+
+def test_no_module_state_is_rebound():
+    """No function rebinds a module-level name: a module's answers depend
+    on its arguments only, not on what an earlier call left behind."""
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        rebound = [node.names for node in ast.walk(tree)
+                   if isinstance(node, ast.Global)]
+        assert rebound == [], path.name

@@ -43,8 +43,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ftdesigns.constructions import data_dir, fano_complement, pg_points
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignError, IncidenceStructure,
-                                 is_flag_transitive, is_point_primitive,
-                                 verify_2design)
+                                 _block_images, is_flag_transitive,
+                                 is_point_primitive, verify_2design)
 from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
                             canonical_json, group_to_json, orbit)
 
@@ -279,14 +279,6 @@ def structure_automorphism(structure: IncidenceStructure,
 
 # -- block orbit search ---------------------------------------------------------
 
-def set_image(points: frozenset, g: Permutation) -> frozenset:
-    return frozenset(g(p) for p in points)
-
-
-def set_images(sets, g: Permutation):
-    return map(set_image, sets, itertools.repeat(g))
-
-
 def certifies(group: PermutationGroup, design: IncidenceStructure,
               expected: Parameters) -> bool:
     """Whether design is a 2-design with the expected parameters on which
@@ -301,14 +293,13 @@ def certifies(group: PermutationGroup, design: IncidenceStructure,
 
 def try_block(group: PermutationGroup, block, expected: Parameters):
     try:
-        blocks = orbit(frozenset(block), group.generators, set_images,
+        blocks = orbit(tuple(sorted(block)), group.generators, _block_images,
                        limit=expected.b)
     except ValueError:
         return None
     if len(blocks) != expected.b:
         return None
-    design = IncidenceStructure.from_blocks(
-        group.degree, [sorted(blk) for blk in blocks])
+    design = IncidenceStructure(group.degree, tuple(sorted(blocks)))
     return design if certifies(group, design, expected) else None
 
 
@@ -636,18 +627,18 @@ def build_witt22():
 
     # the line x0 = 0 holds the first q + 1 = 5 points; PSL(3,4) is
     # transitive on lines
-    lines = orbit(frozenset(range(5)), psl.generators, set_images)
+    lines = orbit(tuple(range(5)), psl.generators, _block_images)
     assert len(lines) == 21
 
     # hyperoval: conic {(1, t, t^2)} plus (0,0,1) and the nucleus (0,1,0)
     oval = {index[(1, t, GF4.mul(t, t))] for t in range(4)}
     oval |= {index[(0, 0, 1)], index[(0, 1, 0)]}
     assert len(oval) == 6
-    oval_orbit = orbit(frozenset(oval), psl.generators, set_images)
+    oval_orbit = orbit(tuple(sorted(oval)), psl.generators, _block_images)
     assert len(oval_orbit) == 56, len(oval_orbit)
 
-    hexads = [tuple(sorted(line | {21})) for line in lines]
-    hexads += [tuple(sorted(o)) for o in oval_orbit]
+    hexads = [line + (21,) for line in lines]
+    hexads += oval_orbit
     witt = IncidenceStructure.from_blocks(22, hexads, name="witt_s3_6_22")
     # Steiner property: every 3-set of points lies in exactly one hexad
     triple_count = {}
@@ -747,7 +738,7 @@ def gen_line10(rng):
         return frozenset((fset, comp))
 
     def split_image(sp, g: Permutation):
-        return split_of(set_image(next(iter(sp)), g))
+        return split_of(frozenset(map(g, next(iter(sp)))))
 
     splits = orbit(split_of(frozenset(side)), hs.generators,
                    lambda sps, g: map(split_image, sps, itertools.repeat(g)))
