@@ -170,15 +170,6 @@ class PrimePower(_PrimePowerFields):
             part *= p
         return part
 
-    @classmethod
-    def classify(cls, q: int) -> "PrimePower":
-        """Write q as p^a, or raise if q is not a prime power >= 2 or is
-        above _DIVISOR_LIMIT: the one-integer window of prime_powers."""
-        found = prime_powers(q, q)
-        if not found:
-            raise ValueError(f"{q} is not a prime power")
-        return found[0]
-
     def __str__(self) -> str:
         return f"{self.q}" if self.a == 1 else f"{self.p}^{self.a}"
 
@@ -272,15 +263,6 @@ def powers_of(p: int, lo: int, hi: int) -> list[PrimePower]:
             out.append(_unchecked_power(p, a))
         q, a = q * p, a + 1
     return out
-
-
-def ppart(n: int, p: int) -> int:
-    """The p-part of n: the largest power of p dividing n.
-
-    Returns 1 when p does not divide n.  Raises unless p is prime; a
-    caller holding a PrimePower asks it instead, which needs no test.
-    """
-    return PrimePower(p, 1).ppart(n)
 
 
 def _cyclotomic_values(ns, q: int) -> dict[int, int]:

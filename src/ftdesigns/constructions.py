@@ -20,7 +20,7 @@ from pathlib import Path
 from .design import Parameters
 # nothing here calls verify_2design; it stays bound here, where
 # bench/tracing.py wraps it
-from .incidence import (IncidenceStructure, _block_images,
+from .incidence import (IncidenceStructure, _block_images, _checked_block,
                         verify_2design)  # noqa: F401
 from .perm import (Permutation, PermutationGroup, json_object, load_group,
                    orbit)
@@ -71,21 +71,15 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
     """The orbit of a base block under the permutations `generators` of
     0..degree-1, as a simple block set.
 
-    A base block that repeats a point is refused, not folded into a set.
+    The base block is checked as a design file's block is, so one that
+    repeats a point is refused, not folded into a set; it must also leave
+    a point out.
     """
-    points = list(base_block)
-    # first, so that no later check compares or hashes a point of another
-    # type; a bool is an int equal to 0 or 1, but it names no point
-    if any(type(p) is not int for p in points):
-        raise ValueError(f"base block {points} has a non-integer point")
-    if len(set(points)) != len(points):
-        raise ValueError(f"base block {points} repeats a point")
-    if not 2 <= len(points) < degree:
+    block = _checked_block(base_block, degree)
+    if len(block) >= degree:
         raise ValueError(
-            f"base block size {len(points)} must be in 2..{degree - 1}")
-    if any(not 0 <= p < degree for p in points):
-        raise ValueError("base block is not a subset of the point set")
-    blocks = orbit(tuple(sorted(points)), generators, _block_images)
+            f"block {base_block} has more than {degree - 1} points")
+    blocks = orbit(block, generators, _block_images)
     # every block is the image of the checked base block under a
     # permutation of the points, so it needs no checks of its own
     return IncidenceStructure(degree, tuple(sorted(blocks)))
@@ -159,11 +153,11 @@ def catalog(name: str) -> CatalogEntry:
             (entry_dir / filename).read_text(encoding="utf-8"))["block"]
         if type(block) is not list:
             raise ValueError(f"block {block!r} is not a list")
+        design = orbit_design(group.degree, group.generators, block)
     except KeyError as exc:
         raise ValueError(f"{filename}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{filename}: {exc}") from None
-    design = orbit_design(group.degree, group.generators, block)
     design = IncidenceStructure(design.v, design.blocks, name=name)
     return CatalogEntry(name, group, design, Parameters(*row), socle,
                         automorphism_group)

@@ -82,10 +82,6 @@ def admissibility_violations(params: Parameters) -> list[str]:
     return violations
 
 
-def is_admissible(params: Parameters) -> bool:
-    return not admissibility_violations(params)
-
-
 def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
     """All admissible parameter tuples with this v and lambda where r divides
     the given modulus.
@@ -116,7 +112,7 @@ def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
         if (v * r) % k != 0:
             continue
         params = Parameters(v, v * r // k, r, k, lam)
-        if is_admissible(params):
+        if not admissibility_violations(params):
             found.append(params)
     return sorted(found)
 

@@ -52,7 +52,6 @@ from operator import itemgetter
 __all__ = [
     "Permutation",
     "PermutationGroup",
-    "build_group",
     "orbit",
     "load_group",
     "group_to_json",
@@ -223,10 +222,9 @@ class _Level:
 
 
 class PermutationGroup:
-    """Permutation group with a verified stabilizer chain.
-
-    Construct through build_group(); instances are immutable after
-    construction and safe to share.
+    """Permutation group with a verified stabilizer chain, generated by
+    Permutations or image arrays of the given degree; instances are
+    immutable after construction and safe to share.
     """
 
     def __init__(self, degree: int, generators, base_hint=(),
@@ -469,11 +467,6 @@ class PermutationGroup:
         return f"<{label} degree={self.degree} order={self.order()}>"
 
 
-def build_group(degree: int, generators, name: str | None = None) -> PermutationGroup:
-    """Group of the given degree generated by the given image arrays."""
-    return PermutationGroup(degree, generators, name=name)
-
-
 def canonical_json(obj) -> str:
     """Stable serialization used for every JSON artifact in this package."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -498,8 +491,12 @@ _JSON_KINDS = {list: "an array", str: "a string", int: "a number",
 
 def json_object(text: str) -> dict:
     """The JSON object a data file holds; a document of any other shape is
-    refused by what it is."""
-    doc = json.loads(text)
+    refused by what it is, and one nested too deeply for the parser's
+    recursion is refused as such."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("the document is nested too deeply") from None
     if type(doc) is not dict:
         raise ValueError(
             f"the document is {_JSON_KINDS[type(doc)]}, not a JSON object")

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import gcd
 
 from conftest import DATA, catalog_group, fixture_group
-from ftdesigns.arith import PrimePower, ppart, prime_powers
+from ftdesigns.arith import PrimePower, prime_powers
 from ftdesigns.cli import main as cli_main
 from ftdesigns.constructions import (catalog, fano_complement, pg_lines,
                                      sl_generators)
@@ -119,7 +119,7 @@ def test_criterion_3_case_elimination_replay():
         q**3 + 1, 2 * q**2 * (q**2 - q + 1), 2 * q**2, q + 1, 2)
 
     for q in (3, 4, 5, 7, 8, 9, 16):
-        qq = PrimePower.classify(q)
+        qq = prime_powers(q, q)[0]
         plus = eliminate_g2(qq, 1)
         minus = eliminate_g2(qq, -1)
         assert plus.verdict == "eliminated", q
@@ -141,10 +141,9 @@ def test_criterion_3_case_elimination_replay():
                 q**3 * (q**3 - 1) // 2, q**3 * (q**3 + 1) // 2,
                 q**3 + 1, q**3 - 1, 2)
 
-    for q in (2, 3, 4):
+    for q in prime_powers(2, 4):
         for case in ("p1", "p3"):
-            assert eliminate_e6(PrimePower.classify(q), case).verdict == \
-                "eliminated", (q, case)
+            assert eliminate_e6(q, case).verdict == "eliminated", (q, case)
 
     elapsed = time.time() - start
     assert elapsed < 10.0, elapsed
@@ -159,13 +158,13 @@ def test_criterion_4_tabulated_p_parts():
             if not row.valid_q(q):
                 continue
             v = row.point_count(q)
-            assert row.tabulated_ppart(q) == ppart(v - 1, q.p), (row.key, q.q)
+            assert row.tabulated_ppart(q) == q.ppart(v - 1), (row.key, q.q)
             report = eliminate_parabolic_generic(row, q)
             assert report.verdict == "eliminated"
             checked += 1
     assert checked >= 60
-    print(f"PASS criterion 4: tabulated |v-1|_p equals ppart(v-1, p) for "
-          f"{checked} (row, q) pairs with q <= 32")
+    print(f"PASS criterion 4: tabulated |v-1|_p equals the p-part of v-1 "
+          f"for {checked} (row, q) pairs with q <= 32")
 
 
 def test_criterion_5_oracle_equivalence():

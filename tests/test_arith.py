@@ -8,7 +8,7 @@ import pytest
 from ftdesigns import arith
 from ftdesigns.arith import (_TRIAL_LIMIT, PrimePower, cyclotomic,
                              cyclotomic_table, divisors, factorize, is_prime,
-                             powers_of, ppart, prime_powers)
+                             powers_of, prime_powers)
 
 
 def trial_division(n):
@@ -26,47 +26,49 @@ def trial_division(n):
 
 
 def test_ppart_examples():
-    assert ppart(48, 2) == 16
-    assert ppart(35, 2) == 1
+    two = PrimePower(2, 1)
+    assert two.ppart(48) == 16
+    assert two.ppart(35) == 1
     # 2456 factors as 2^3 * 307 by trial division
     assert trial_division(2456) == {2: 3, 307: 1}
-    assert ppart(2456, 2) == 8
+    assert two.ppart(2456) == 8
 
 
 def test_ppart_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ppart(0, 2)
-    with pytest.raises(ValueError):
-        ppart(10, 4)
+    with pytest.raises(ValueError, match="p-part undefined"):
+        PrimePower(2, 1).ppart(0)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        PrimePower(4, 1).ppart(10)
 
 
 def test_ppart_of_a_prime_power_matches_ppart():
+    # the p-part depends on p alone, not on the exponent of the power
     rng = random.Random(17)
     for q in (PrimePower(2, 3), PrimePower(3, 1), PrimePower(4093, 2)):
         for n in [1, q.q, q.q**3 * 10] + [rng.randrange(1, 10**12)
                                           for _ in range(50)]:
-            assert q.ppart(n) == ppart(n, q.p), (q, n)
+            assert q.ppart(n) == PrimePower(q.p, 1).ppart(n), (q, n)
     with pytest.raises(ValueError, match="p-part undefined"):
         PrimePower(2, 1).ppart(0)
 
 
 def test_known_primes_are_not_tested_again(monkeypatch):
     # every q below 43^2 is told by division and one Miller-Rabin call, so
-    # listing and classifying them, and building a PrimePower of what was
-    # found, needs no is_prime call; nor do the p-parts of a parabolic sweep
+    # listing them, each as its own one-integer window too, needs no
+    # is_prime call; nor do the p-parts of a parabolic sweep
     from ftdesigns.elimination import sweep
     calls = []
     monkeypatch.setattr(arith, "is_prime",
                         lambda n: calls.append(n) or is_prime(n))
     listed = prime_powers(2, 43**2 - 1)
-    assert [PrimePower.classify(q.q) for q in listed] == listed
+    assert [prime_powers(q.q, q.q) for q in listed] == [[q] for q in listed]
     assert len(sweep("parabolic", 2, 1024)) == 615
     assert calls == []
     # powers_of tests its prime once, not once per power
     assert len(powers_of(1009, 2, 10**18)) == 5
     assert calls == [1009]
     # a composite p is refused wherever it comes from
-    for bad in (lambda: PrimePower(4, 2), lambda: ppart(10, 4),
+    for bad in (lambda: PrimePower(4, 2), lambda: PrimePower(4, 1).ppart(10),
                 lambda: powers_of(4, 2, 64), lambda: PrimePower(1009**2, 1)):
         with pytest.raises(ValueError, match="is not prime"):
             bad()
@@ -78,7 +80,7 @@ def test_ppart_property():
     for _ in range(300):
         n = rng.randrange(1, 10**9)
         p = rng.choice(primes)
-        part = ppart(n, p)
+        part = PrimePower(p, 1).ppart(n)
         assert n % part == 0
         assert (n // part) % p != 0
 
@@ -202,15 +204,14 @@ def test_factorize_reconstructs():
 
 
 def test_prime_power_classify():
-    assert PrimePower.classify(8) == PrimePower(2, 3)
+    assert prime_powers(8, 8) == [PrimePower(2, 3)]
     # q is stored, and a copy or a pickle is rebuilt from (p, a)
     assert pickle.loads(pickle.dumps(PrimePower(2, 3))) == (2, 3, 8)
     assert copy.copy(PrimePower(3, 2)).q == 9
-    assert PrimePower.classify(7).q == 7
+    assert prime_powers(7, 7)[0].q == 7
     assert PrimePower(3, 3).q == 27
     for bad in (1, 6, 12, 100):
-        with pytest.raises(ValueError):
-            PrimePower.classify(bad)
+        assert prime_powers(bad, bad) == []
     with pytest.raises(ValueError):
         PrimePower(4, 2)
 
@@ -257,18 +258,17 @@ def test_prime_powers_match_trial_division():
             expected[q] = pa
     assert [(pp.q, pp.p, pp.a) for pp in prime_powers(2, top)] == \
         [(q, p, a) for q, (p, a) in expected.items()]
-    for q in range(-2, top + 1):
-        if q in expected:
-            assert PrimePower.classify(q) == PrimePower(*expected[q])
-        else:
-            with pytest.raises(ValueError, match="not a prime power"):
-                PrimePower.classify(q)
+    # the one-integer windows of the bottom of the range; the sympy test
+    # below draws them up to 10**18
+    for q in range(-2, 4097):
+        assert prime_powers(q, q) == ([PrimePower(*expected[q])]
+                                      if q in expected else [])
 
 
 # Powers of primes above the Miller-Rabin bases or above the trial primes,
-# which classify, a one-integer window of prime_powers, finds from the
-# roots; the largest powers of 2 and 3 below 10**18; and numbers with two
-# prime factors, some of them perfect powers.
+# which a one-integer window of prime_powers finds from the roots; the
+# largest powers of 2 and 3 below 10**18; and numbers with two prime
+# factors, some of them perfect powers.
 PINNED_PRIME_POWERS = {
     43**2: (43, 2),
     10007**4: (10007, 4),
@@ -288,13 +288,7 @@ PINNED_PRIME_POWERS = {
 def test_classify_pinned(q):
     want = PINNED_PRIME_POWERS[q]
     assert prime_power_by_trial_division(q) == want
-    if want is None:
-        with pytest.raises(ValueError, match="not a prime power"):
-            PrimePower.classify(q)
-        assert prime_powers(q, q) == []
-    else:
-        assert PrimePower.classify(q) == PrimePower(*want)
-        assert prime_powers(q, q) == [PrimePower(*want)]
+    assert prime_powers(q, q) == ([] if want is None else [PrimePower(*want)])
 
 
 def test_prime_powers_near_the_top_match_factorize():
@@ -383,7 +377,7 @@ def test_prime_power_sieve_matches_sympy_integer_by_integer():
 def test_prime_powers_refuses_q_beyond_factorization_range():
     assert prime_powers(10**18, 10**18) == []
     # The window holds the primes 10**18 + 3, + 9, + 31 and + 79, which
-    # classify cannot factor; they must not be dropped silently.
+    # lie above the factorization range; they must not be dropped silently.
     with pytest.raises(ValueError, match="factorization range"):
         prime_powers(10**18 + 1, 10**18 + 100)
 

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from conftest import DATA, GOLDEN
 from ftdesigns import cli, incidence, perm
 from ftdesigns.cli import main
 from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
-                                     sl_generators)
+                                     orbit_design, sl_generators)
 from ftdesigns.elimination import FAMILIES, WINDOW_LIMIT, sweep
 from ftdesigns.incidence import IncidenceStructure, structure_to_json
 from ftdesigns.perm import canonical_json
@@ -312,6 +313,15 @@ BAD_INPUT = {
                             "--design", "{design_points_lists}"],
     "group-generator-number": ["verify", "--group", "{group_generator_number}",
                                "--design", "{design}"],
+    # lists nested 100,000 deep, deeper than the JSON parser recurses
+    "group-nested-deep": ["verify", "--group", "{group_deep}",
+                          "--design", "{design}"],
+    "design-nested-deep": ["verify", "--group", "{group}",
+                           "--design", "{design_deep}"],
+    "construct-base-block-nested-deep": ["FTDESIGNS_DATA={block_deep}",
+                                         "construct", "--name", "line1_psl25"],
+    "catalog-list-base-block-nested-deep": ["FTDESIGNS_DATA={block_deep}",
+                                            "catalog-list"],
 }
 
 # the whole of stderr for the rows whose message is pinned, formatted as
@@ -339,8 +349,11 @@ BAD_INPUT_ERRORS = {
                                    "a list\n",
     "construct-base-block-string": "error: base_block.json: block '012' is "
                                    "not a list\n",
-    "construct-block-text": "error: base block [0, 'a'] has a non-integer "
-                            "point\n",
+    "construct-block-text": "error: base_block.json: block [0, 'a'] has a "
+                            "non-integer point\n",
+    "catalog-list-block-text": "error: catalog entry line1_psl25: "
+                               "base_block.json: block [0, 'a'] has a "
+                               "non-integer point\n",
     "design-block-number": "error: design file {design_block_number}: "
                            "block 5 is not a list\n",
     "design-point-list": "error: design file {design_point_list}: block "
@@ -349,7 +362,19 @@ BAD_INPUT_ERRORS = {
                            "block [[0], [1]] has a non-integer point\n",
     "group-generator-number": "error: group file {group_generator_number}: "
                               "generator 5 is not a list\n",
+    "group-nested-deep": "error: group file {group_deep}: the document is "
+                         "nested too deeply\n",
+    "design-nested-deep": "error: design file {design_deep}: the document is "
+                          "nested too deeply\n",
+    "construct-base-block-nested-deep": "error: base_block.json: the document "
+                                        "is nested too deeply\n",
+    "catalog-list-base-block-nested-deep": "error: catalog entry "
+                                           "line1_psl25: base_block.json: the "
+                                           "document is nested too deeply\n",
 }
+
+# a JSON array nested deeper than json.loads can recurse
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def corrupted_catalog(root, entry, base_block=None, drop=None, row=None,
@@ -453,11 +478,19 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
                                           "line1_psl25", base_block=5),
         "block_string": corrupted_catalog(tmp_path / "block_string",
                                           "line1_psl25", base_block="012"),
+        "block_deep": corrupted_catalog(tmp_path / "block_deep",
+                                        "line1_psl25"),
         "out": str(tmp_path / "out.json"),
     }
-    for stem, doc in docs.items():
+    (tmp_path / "block_deep" / "catalog" / "line1_psl25"
+     / "base_block.json").write_text(f'{{"block": {DEEP}}}')
+    # json.dumps cannot write what json.loads cannot read
+    texts = {"group_deep": f'{{"degree": 4, "generators": {DEEP}}}',
+             "design_deep": f'{{"v": 4, "blocks": {DEEP}}}'}
+    texts.update((stem, json.dumps(doc)) for stem, doc in docs.items())
+    for stem, text in texts.items():
         paths[stem] = str(tmp_path / f"{stem}.json")
-        (tmp_path / f"{stem}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{stem}.json").write_text(text)
     argv = [arg.format(**paths) for arg in argv]
     while "=" in argv[0]:
         monkeypatch.setenv(*argv.pop(0).split("=", 1))
@@ -542,6 +575,108 @@ def test_catalog_entry_missing_key_names_the_file(capsys, monkeypatch,
                f"missing key '{key}'\n")
     assert run(capsys, "construct", "--name", "line1_psl25") == (
         2, "", f"error: {filename}: missing key '{key}'\n")
+
+
+def mutate(data, st, node):
+    """The JSON value node with one part changed as drawn from data: an
+    entry of an object or array dropped, an array entry repeated, or a
+    value replaced by one of another type, by a huge or nearby integer, or
+    by itself nested in arrays, some deeper than the JSON parser recurses.
+    Containers are changed in place."""
+    if node and isinstance(node, (dict, list)) and data.draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(list(keys)))
+        actions = ["descend", "drop"] + ["repeat"] * isinstance(node, list)
+        action = data.draw(st.sampled_from(actions))
+        if action == "descend":
+            node[key] = mutate(data, st, node[key])
+        elif action == "drop":
+            del node[key]
+        else:
+            node.insert(key, node[key])
+        return node
+    nested = st.sampled_from([1, 2, 50]).map(
+        lambda depth: reduce(lambda inner, _: [inner], range(depth), node))
+    return data.draw(st.one_of(
+        st.sampled_from([None, True, False, 1.5, "", "x", [], {}, DEEP_MARK]),
+        st.integers(-2, 8),
+        st.sampled_from([-10**30, 2**63, 10**18 + 1, 10**30]),
+        nested))
+
+
+# stands for DEEP inside a document: json.dumps cannot write what json.loads
+# cannot read, so dumps writes it in
+DEEP_MARK = "\0deep"
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(DEEP_MARK), DEEP)
+
+
+def test_mutated_data_files_end_with_an_exit_code(capsys, monkeypatch,
+                                                  tmp_path):
+    """No mutation of line1_psl25's three catalog files, or of a group or
+    design file, makes catalog-list, construct or verify end other than
+    with exit 0, 1 or 2, and exit 2 prints exactly one error: line."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry_dir = tmp_path / "data" / "catalog" / "line1_psl25"
+    corrupted_catalog(tmp_path / "data", "line1_psl25")
+    monkeypatch.setenv("FTDESIGNS_DATA", str(tmp_path / "data"))
+    originals = {path.name: json.loads(path.read_text(encoding="utf-8"))
+                 for path in (DATA / "catalog" / "line1_psl25").iterdir()}
+    group, design = tmp_path / "group.json", tmp_path / "design.json"
+    design_doc = json.loads(structure_to_json(catalog("line1_psl25").design))
+    out = str(tmp_path / "out.json")
+
+    def write(path, doc):
+        path.write_text(dumps(doc), encoding="utf-8")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.sampled_from(sorted(originals) + ["verify-group",
+                                                           "verify-design"]),
+                      st.data())
+    def check(target, data):
+        for name, doc in originals.items():
+            write(entry_dir / name, doc)
+        write(group, originals["group.json"])
+        write(design, design_doc)
+        path = {"verify-group": group, "verify-design": design}.get(
+            target, entry_dir / target)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = mutate(data, st, doc)
+        write(path, doc)
+        if target.startswith("verify"):
+            argvs = [["verify", "--group", str(group),
+                      "--design", str(design)]]
+        else:
+            argvs = [["catalog-list"],
+                     ["construct", "--name", "line1_psl25", "--out", out]]
+        for argv in argvs:
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (argv, code)
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert err == "", err
+
+    check()
+
+
+@pytest.mark.parametrize("base_block", [(0, 1, 2), (0, 1, 21)],
+                         ids=["0-1-2", "0-1-21"])
+def test_line6_group_certifies_two_more_designs(capsys, tmp_path, base_block):
+    # two block orbits of triples under the group of line6_psl28 that the
+    # catalog does not hold (tests/test_constructions.py tells them apart)
+    group = DATA / "catalog" / "line6_psl28" / "group.json"
+    generators = catalog("line6_psl28").group.generators
+    design = tmp_path / "design.json"
+    design.write_text(structure_to_json(
+        orbit_design(28, generators, base_block)))
+    assert run(capsys, "verify", "--group", str(group),
+               "--design", str(design)) == (
+        0, "(28,252,27,3,2) flag-transitive point-primitive\n", "")
 
 
 def test_construct_out_of_a_block_orbit_that_is_no_design(capsys, monkeypatch,

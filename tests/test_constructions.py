@@ -1,4 +1,5 @@
-from itertools import combinations
+from collections import defaultdict
+from itertools import chain, combinations
 
 import pytest
 
@@ -8,9 +9,9 @@ from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
                                      sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import verify_2design
-from ftdesigns.perm import build_group
+from ftdesigns.perm import PermutationGroup, orbit
 
-S4 = build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
+S4 = PermutationGroup(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
 
 
 def gaussian_binomial(n, k, q):
@@ -155,8 +156,15 @@ def test_orbit_design_closure():
 
 
 def test_orbit_design_rejects():
-    for block in ({0}, {0, 1, 2, 3}, {0, 9}):
-        with pytest.raises(ValueError):
+    # the base block is refused as a design file's block is, and a block of
+    # every point is refused too
+    for block, message in (({0}, "has fewer than 2 points"),
+                           ({0, 1, 2, 3}, "has more than 3 points"),
+                           ({0, 9}, "not a subset of 0..3"),
+                           ([0, "a"], "has a non-integer point"),
+                           ([False, 1], "has a non-integer point"),
+                           (5, "is not a list")):
+        with pytest.raises(ValueError, match=f"^block .* {message}$"):
             orbit_design(S4.degree, S4.generators, block)
 
 
@@ -215,3 +223,60 @@ def test_the_two_10_point_designs_are_kept_separately():
     assert verify_2design(a.design).params == verify_2design(b.design).params
     assert a.group.order() == 120
     assert b.group.order() == 720
+
+
+def test_the_two_10_point_designs_are_one_design_relabelled():
+    relabel = [0, 1, 6, 8, 9, 2, 4, 3, 7, 5]
+    assert sorted(tuple(sorted(relabel[x] for x in block))
+                  for block in catalog("line3_psl24").design.blocks) == \
+        list(catalog("line4_psl29").design.blocks)
+
+
+def pair_cycles(design, point=0):
+    """The cycle lengths, ascending, of the graph whose edges are the blocks
+    through point less point, for a design with k = 3 and lambda = 2, where
+    every other point lies on two such edges.  When a group is transitive on
+    the points, the lengths are the same at every point, so they are an
+    isomorphism invariant of the design."""
+    adjacent = defaultdict(list)
+    for block in design.blocks:
+        if point in block:
+            x, y = (p for p in block if p != point)
+            adjacent[x].append(y)
+            adjacent[y].append(x)
+    assert all(len(ends) == 2 for ends in adjacent.values())
+
+    def neighbours(xs, _):
+        return chain.from_iterable(map(adjacent.get, xs))
+
+    lengths, seen = [], set()
+    for start in adjacent:
+        if start not in seen:
+            cycle = orbit(start, [None], neighbours)
+            seen |= cycle
+            lengths.append(len(cycle))
+    return sorted(lengths)
+
+
+def test_line6_group_has_two_more_28_point_designs():
+    # the block orbits of triples under the group of line6_psl28 with 252
+    # blocks; verify certifies both (tests/test_cli.py), and the 9-cycles
+    # tell (0,1,21) apart from (0,1,2) and from line7_psu33's design
+    group = catalog("line6_psl28").group
+    line7 = catalog("line7_psu33").design
+    # the group is transitive on the points, so every orbit of triples has
+    # one through 0
+    orbits, seen = {}, set()
+    for triple in combinations(range(1, group.degree), 2):
+        block = (0, *triple)
+        if block not in seen:
+            orbits[block] = orbit_design(group.degree, group.generators, block)
+            seen.update(orbits[block].blocks)
+    assert {block: design.b for block, design in orbits.items()} == {
+        (0, 1, 2): 252, (0, 1, 4): 504, (0, 1, 8): 756, (0, 1, 12): 756,
+        (0, 1, 20): 756, (0, 1, 21): 252}
+    for block in ((0, 1, 2), (0, 1, 21)):
+        assert verify_2design(orbits[block]).params == \
+            Parameters(28, 252, 27, 3, 2)
+    assert pair_cycles(orbits[(0, 1, 2)]) == pair_cycles(line7) == [3] * 9
+    assert pair_cycles(orbits[(0, 1, 21)]) == [9] * 3

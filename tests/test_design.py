@@ -5,8 +5,7 @@ import pytest
 from ftdesigns.arith import divisors
 from ftdesigns.design import (NonIntegralParameterError, Parameters,
                               admissibility_violations, complete_parameters,
-                              embeds_symmetric, enumerate_candidates,
-                              is_admissible)
+                              embeds_symmetric, enumerate_candidates)
 
 
 def brute_force_candidates(v, lam, r_divides):
@@ -53,7 +52,6 @@ def test_complete_parameters_failure_modes():
 
 
 def test_admissibility_pass():
-    assert is_admissible(Parameters(6, 10, 5, 3, 2))
     assert admissibility_violations(Parameters(6, 10, 5, 3, 2)) == []
 
 
@@ -62,7 +60,6 @@ def test_admissibility_k_exceeds_r():
     params = Parameters(378, 328, 26, 30, 2)
     violations = admissibility_violations(params)
     assert "k <= r violated" in violations
-    assert not is_admissible(params)
 
 
 def test_admissibility_trivial_design():
@@ -123,7 +120,7 @@ def full_walk_candidates(v, lam, r_divides):
         if (v * r) % k != 0:
             continue
         params = Parameters(v, v * r // k, r, k, lam)
-        if is_admissible(params):
+        if not admissibility_violations(params):
             found.append(params)
     return sorted(set(found))
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import GOLDEN
 from ftdesigns import elimination
-from ftdesigns.arith import (PrimePower, cyclotomic_table, divisors, ppart,
+from ftdesigns.arith import (PrimePower, cyclotomic_table, divisors,
                              prime_powers)
 from ftdesigns.design import Parameters, admissibility_violations, \
     embeds_symmetric, enumerate_candidates
@@ -193,7 +193,8 @@ def reference_g2(q: PrimePower, eps: int) -> tuple[tuple, tuple]:
 def test_g2_tail_expands_to_the_per_divisor_records():
     # the benchmark's window, and the top of the range: 2^19, 3^12, 997^2
     # and the largest prime below 10**6
-    top = [PrimePower.classify(q) for q in (524288, 531441, 994009, 999983)]
+    top = [PrimePower(2, 19), PrimePower(3, 12), PrimePower(997, 2),
+           PrimePower(999983, 1)]
     for q in prime_powers(3, 4096) + top:
         for eps in (1, -1):
             report = eliminate_g2(q, eps)
@@ -243,7 +244,7 @@ def test_g2_tail_expands_to_the_per_divisor_records():
 def test_g2_report_reads_and_renders_as_its_tuples(q, eps):
     # the facts and branches are plain tuples, and the text, the dict and
     # the JSON write each of their records once, the lemma last
-    report = eliminate_g2(PrimePower.classify(q), eps)
+    report = eliminate_g2(prime_powers(q, q)[0], eps)
     assert type(report.facts) is tuple and type(report.branches) is tuple
     lemma = report.branches[-1]
     lines = report.to_text().splitlines()
@@ -287,10 +288,9 @@ def test_e6_p1_q2_values():
 
 
 def test_e6_both_cases_eliminated():
-    for q in (2, 3, 4):
+    for q in prime_powers(2, 4):
         for case in ("p1", "p3"):
-            assert eliminate_e6(PrimePower.classify(q), case).verdict == \
-                "eliminated"
+            assert eliminate_e6(q, case).verdict == "eliminated"
     with pytest.raises(ValueError):
         eliminate_e6(PrimePower(2, 1), "p2")
 
@@ -300,7 +300,7 @@ def test_parabolic_3d4_q2():
     assert report.verdict == "eliminated"
     v = report.facts[0].values[0]
     assert v == 2457 == (2**8 + 2**4 + 1) * (2**3 + 1)
-    assert ppart(v - 1, 2) == 8
+    assert PrimePower(2, 1).ppart(v - 1) == 8
 
 
 def test_parabolic_tits_group_rejected():
@@ -453,7 +453,7 @@ def g2_survivors_match_the_scan(q: int) -> None:
         modulus = 2 * (q**3 - eps) // gcd(2, q - 1)
         v = q**3 * prod(sympy_phi(n, q) for n in
                         ((2, 6) if eps == 1 else (1, 3))) // 2
-        report = eliminate_g2(PrimePower.classify(q), eps)
+        report = eliminate_g2(prime_powers(q, q)[0], eps)
         assert report.facts[0].values == (v,), (q, eps)
         survivors = sorted(b.params for b in report.branches
                            if b.verdict in ("flagged", "candidate"))

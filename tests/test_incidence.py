@@ -15,7 +15,8 @@ from ftdesigns.incidence import (DesignCertificate, DesignError,
                                  is_automorphism_group, is_flag_transitive,
                                  is_point_primitive, structure_from_json,
                                  structure_to_json, verify_2design)
-from ftdesigns.perm import Permutation, build_group, canonical_json, orbit
+from ftdesigns.perm import (Permutation, PermutationGroup, canonical_json,
+                            orbit)
 
 
 def pair_count_oracle(structure):
@@ -225,15 +226,15 @@ def test_repeated_blocks_counted_with_multiplicity():
 def test_is_automorphism_group(psl2_7):
     design = fano_complement()
     assert is_automorphism_group(psl2_7, design)
-    shift = build_group(7, [[1, 2, 3, 4, 5, 6, 0]])
+    shift = PermutationGroup(7, [[1, 2, 3, 4, 5, 6, 0]])
     broken = IncidenceStructure.from_blocks(7, design.blocks[1:])
     assert not is_automorphism_group(shift, broken)
     with pytest.raises(ValueError):
-        is_automorphism_group(build_group(5, []), design)
+        is_automorphism_group(PermutationGroup(5, []), design)
 
 
 def test_pairs_design_full_symmetric_group():
-    s4 = build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
+    s4 = PermutationGroup(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
     design = orbit_design(s4.degree, s4.generators, {0, 1})
     assert is_automorphism_group(s4, design)
     assert is_flag_transitive(s4, design)
@@ -245,7 +246,7 @@ def test_flag_transitivity(psl2_7):
     assert design.flag_count() == 28
     assert is_flag_transitive(psl2_7, design)
 
-    trivial = build_group(4, [])
+    trivial = PermutationGroup(4, [])
     pairs = IncidenceStructure.from_blocks(4, list(combinations(range(4), 2)))
     assert not is_flag_transitive(trivial, pairs)
 
@@ -260,7 +261,7 @@ def test_point_primitivity(psl2_7):
     assert is_point_primitive(psl2_7, fano_complement())
     assert psl2_7.subdegrees(0) == [1, 6]
 
-    d8 = build_group(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
+    d8 = PermutationGroup(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
     square_pairs = orbit_design(d8.degree, d8.generators, {0, 1})
     assert not is_point_primitive(d8, square_pairs)
 
@@ -437,7 +438,7 @@ def random_invariant_structure(rng):
     block orbit is sometimes taken twice."""
     n = rng.randrange(2, 9)
     gens = [rng.sample(range(n), n) for _ in range(rng.choice((0, 1, 2, 2)))]
-    group = build_group(n, gens)
+    group = PermutationGroup(n, gens)
     point_orbits = group.orbits()
     base = group.base()
     if base and rng.random() < 0.3:

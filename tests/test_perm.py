@@ -7,24 +7,23 @@ import pytest
 from conftest import DATA, catalog_group, fixture_group
 from ftdesigns import perm as perm_module
 from ftdesigns.constructions import sl_generators
-from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
-                            canonical_json, group_from_json, group_to_json,
-                            load_group, orbit)
+from ftdesigns.perm import (Permutation, PermutationGroup, canonical_json,
+                            group_from_json, group_to_json, load_group, orbit)
 
 
 def sym4():
-    return build_group(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
+    return PermutationGroup(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
 
 
 def dihedral8():
-    return build_group(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
+    return PermutationGroup(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
 
 
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
     with pytest.raises(ValueError):
-        build_group(4, [[0, 1, 2]])
+        PermutationGroup(4, [[0, 1, 2]])
 
 
 def test_permutation_composition():
@@ -41,7 +40,7 @@ def test_permutation_composition():
 
 def test_build_group_examples():
     assert sym4().order() == 24
-    assert build_group(1, []).order() == 1
+    assert PermutationGroup(1, []).order() == 1
 
 
 def test_psl2_7_order_by_exhaustive_enumeration(psl2_7):
@@ -72,9 +71,9 @@ def test_hs_order_and_orbit_stabilizer():
 def test_orbit():
     g = sym4()
     assert g.orbit(0) == {0, 1, 2, 3}
-    triv = build_group(6, [])
+    triv = PermutationGroup(6, [])
     assert triv.orbit(5) == {5}
-    part = build_group(3, [[1, 0, 2]])
+    part = PermutationGroup(3, [[1, 0, 2]])
     assert part.orbit(2) == {2}
     with pytest.raises(ValueError):
         g.orbit(9)
@@ -110,7 +109,7 @@ def test_orbits_match_the_reference_loop():
             gens.append(images)
         cases.append((n, gens))
     for n, gens in cases:
-        group = build_group(n, gens)
+        group = PermutationGroup(n, gens)
         assert group.orbits() == reference_orbits(n, group.generators)
     # 20,000 orbits: the reference loop takes seconds here
     assert PermutationGroup(20000, []).orbits() == [{x} for x in range(20000)]
@@ -119,7 +118,7 @@ def test_orbits_match_the_reference_loop():
 def test_stabilizer(psl2_7):
     assert sym4().stabilizer(0).order() == 6
     assert psl2_7.stabilizer(0).order() == 24
-    triv = build_group(3, [])
+    triv = PermutationGroup(3, [])
     assert triv.stabilizer(0).order() == 1
 
 
@@ -128,7 +127,7 @@ def test_subdegrees(psl2_7):
     assert psl2_7.subdegrees(0) == [1, 6]
     assert dihedral8().subdegrees(0) == [1, 1, 2]
     with pytest.raises(ValueError):
-        build_group(3, [[1, 0, 2]]).subdegrees(0)
+        PermutationGroup(3, [[1, 0, 2]]).subdegrees(0)
 
 
 def test_subdegrees_sum_and_point_independence(psl2_7):
@@ -142,16 +141,16 @@ def test_primitivity():
     assert sym4().primitivity() == (True, None)
     prim, block = dihedral8().primitivity()
     assert not prim and block == frozenset({0, 2})
-    prim, block = build_group(6, [[1, 2, 3, 4, 5, 0]]).primitivity()
+    prim, block = PermutationGroup(6, [[1, 2, 3, 4, 5, 0]]).primitivity()
     assert not prim and len(block) in (2, 3)
     with pytest.raises(ValueError):
-        build_group(3, [[1, 0, 2]]).primitivity()
+        PermutationGroup(3, [[1, 0, 2]]).primitivity()
     with pytest.raises(ValueError):
-        build_group(1, []).primitivity()
+        PermutationGroup(1, []).primitivity()
 
 
 def test_primitivity_witness_is_a_block():
-    group = build_group(6, [[1, 2, 3, 4, 5, 0]])
+    group = PermutationGroup(6, [[1, 2, 3, 4, 5, 0]])
     _, block = group.primitivity()
     for element in group.elements():
         image = {element(x) for x in block}
@@ -188,7 +187,7 @@ def test_chain_orbit_product_is_order():
 
 
 def test_deterministic_construction(psl2_7):
-    again = build_group(7, [list(g.images) for g in psl2_7.generators])
+    again = PermutationGroup(7, [list(g.images) for g in psl2_7.generators])
     assert again.base() == psl2_7.base()
     assert again.order() == psl2_7.order()
 
@@ -235,7 +234,7 @@ def test_permutation_images_are_no_bools():
     with pytest.raises(ValueError):
         Permutation([True, False])
     with pytest.raises(ValueError):
-        build_group(4, [[1, 2, 3, 0], [True, False, 2, 3]])
+        PermutationGroup(4, [[1, 2, 3, 0], [True, False, 2, 3]])
 
 
 def test_load_group_memory_follows_the_file(tmp_path):
@@ -275,8 +274,8 @@ def test_composition_at_small_degrees(degree):
 
 
 def test_degree_one_and_two_groups():
-    assert build_group(1, []).elements() == {Permutation.identity(1)}
-    swap = build_group(2, [[1, 0]])
+    assert PermutationGroup(1, []).elements() == {Permutation.identity(1)}
+    swap = PermutationGroup(2, [[1, 0]])
     assert swap.order() == 2
     assert swap.elements() == {Permutation.identity(2), Permutation([1, 0])}
     assert swap.primitivity() == (True, None)
@@ -329,8 +328,8 @@ def test_deep_chains_are_pinned():
     chain is closed, and later sifts pass through it."""
     cycle = list(range(1, 12)) + [0]
     swap = [1, 0] + list(range(2, 12))
-    groups = {"sl_5_3": build_group(*sl_generators(3, 5)),
-              "sym_12": build_group(12, [cycle, swap])}
+    groups = {"sl_5_3": PermutationGroup(*sl_generators(3, 5)),
+              "sym_12": PermutationGroup(12, [cycle, swap])}
     chains = {name: [(level.beta, len(level.transversal), len(level.gens))
                      for level in group.levels]
               for name, group in groups.items()}
@@ -350,8 +349,8 @@ def test_padded_catalog_chains_are_pinned(degree):
     change no catalog chain, nor a stabilizer taken at a non-base point."""
     for name, pinned in CATALOG_CHAINS.items():
         group = catalog_group(name)
-        big = build_group(degree, [padded(g.images, degree)
-                                   for g in group.generators])
+        big = PermutationGroup(degree, [padded(g.images, degree)
+                                        for g in group.generators])
         assert type(big.levels[0].codes[0]) is (bytes if degree == 256
                                                  else tuple)
         assert (big.base(), [len(level.transversal) for level in big.levels],
@@ -437,21 +436,22 @@ def relabelled(rng, degree, generators):
     inverse = [0] * degree
     for i, j in enumerate(relabel):
         inverse[j] = i
-    return build_group(degree, [[relabel[g[inverse[x]]] for x in range(degree)]
-                                for g in generators])
+    return PermutationGroup(
+        degree, [[relabel[g[inverse[x]]] for x in range(degree)]
+                 for g in generators])
 
 
 def oracle_groups():
     rng = random.Random(31)
     groups = [sym4(), dihedral8(), catalog_group("line1_psl25"),
-              build_group(6, [[1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
-                              [0, 1, 4, 5, 2, 3]])]    # S2 wr S3
+              PermutationGroup(6, [[1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+                                   [0, 1, 4, 5, 2, 3]])]    # S2 wr S3
     for n in (4, 6, 8, 9):
-        groups.append(build_group(n, [[(x + 1) % n for x in range(n)]]))
+        groups.append(PermutationGroup(n, [[(x + 1) % n for x in range(n)]]))
     for _ in range(40):
         n = rng.randrange(2, 7)
         gens = [rng.sample(range(n), n) for _ in range(rng.randrange(1, 3))]
-        groups.append(build_group(n, gens))
+        groups.append(PermutationGroup(n, gens))
     for size, count in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2)):
         for _ in range(8):
             gens = [random_wreath_element(rng, size, count)
@@ -463,8 +463,9 @@ def oracle_groups():
         fixing_0 = sorted(element.images for element in group.elements()
                           if element(0) == 0 and not element.is_identity())
         if fixing_0:
-            groups.append(build_group(group.degree, [rng.choice(fixing_0)] + [
-                g.images for g in group.generators]))
+            groups.append(PermutationGroup(
+                group.degree, [rng.choice(fixing_0)] + [
+                    g.images for g in group.generators]))
     return groups
 
 
@@ -514,7 +515,7 @@ def test_against_sympy_on_random_catalog_subgroups():
             other = rng.randrange(group.degree)
             for degree in (group.degree, 256, 257):
                 images = [padded(g.images, degree) for g in gens]
-                ours = build_group(degree, images)
+                ours = PermutationGroup(degree, images)
                 theirs = combinatorics.PermutationGroup(
                     [combinatorics.Permutation(list(g)) for g in images])
                 assert ours.order() == theirs.order()
@@ -568,7 +569,7 @@ def test_load_group_chain_equals_build_group_chain(degree):
         n = degree or group.degree
         gens = [padded(g.images, n) for g in group.generators]
         loaded = group_from_json(group_text(n, gens, group.order()))
-        assert chain(loaded) == chain(build_group(n, gens)), name
+        assert chain(loaded) == chain(PermutationGroup(n, gens)), name
 
 
 @pytest.mark.parametrize("claim", [lambda e: e // 2, lambda e: e - 1,
@@ -586,7 +587,7 @@ def test_wrong_order_claim_fails_with_the_true_order(claim):
 
 
 def orders_on_the_way(monkeypatch, degree, generators):
-    """Every order the chain of build_group passes through."""
+    """Every order the chain of PermutationGroup passes through."""
     seen = []
     insert = PermutationGroup._insert
 
@@ -596,7 +597,7 @@ def orders_on_the_way(monkeypatch, degree, generators):
 
     with monkeypatch.context() as patch:
         patch.setattr(PermutationGroup, "_insert", recording)
-        build_group(degree, generators)
+        PermutationGroup(degree, generators)
     return seen
 
 
@@ -614,7 +615,7 @@ def test_random_group_chains_against_sympy(monkeypatch):
             gens.append(list(range(n)))    # an identity among the inputs
         order = combinatorics.PermutationGroup(
             [combinatorics.Permutation(g) for g in gens]).order()
-        group = build_group(n, gens)
+        group = PermutationGroup(n, gens)
         assert group.order() == order
         level0 = group.levels[0].gens if group.levels else []
         assert [g.images for g in level0] == [

@@ -45,8 +45,8 @@ from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignError, IncidenceStructure,
                                  _block_images, is_flag_transitive,
                                  is_point_primitive, verify_2design)
-from ftdesigns.perm import (Permutation, PermutationGroup, build_group,
-                            canonical_json, group_to_json, orbit)
+from ftdesigns.perm import (Permutation, PermutationGroup, canonical_json,
+                            group_to_json, orbit)
 
 
 # -- small finite fields ------------------------------------------------------
@@ -362,13 +362,13 @@ def even_subgroup(group: PermutationGroup, expected_order: int) -> PermutationGr
     h = odd[0]
     gens = [g if perm_sign(g) == 1 else g * h for g in group.generators]
     gens = [g for g in gens if not g.is_identity()]
-    sub = build_group(group.degree, gens)
+    sub = PermutationGroup(group.degree, gens)
     pool = [h * g * h.inverse() for g in gens]
     while sub.order() < expected_order and pool:
         extra = pool.pop(0)
         if not sub.contains(extra):
             gens.append(extra)
-            sub = build_group(group.degree, gens)
+            sub = PermutationGroup(group.degree, gens)
     if sub.order() != expected_order:
         raise RuntimeError(f"even subgroup has order {sub.order()}, "
                            f"expected {expected_order}")
@@ -417,7 +417,7 @@ def unitary_group(gf: GF, q: int, with_field_aut: bool,
     gens = [matrix_perm(gf, m, points) for m in mats]
     if with_field_aut:
         gens.append(frobenius_perm(gf, points))
-    group = build_group(len(points), gens, name=name)
+    group = PermutationGroup(len(points), gens, name=name)
     assert group.order() == expected_order, (name, group.order())
     return group
 
@@ -432,7 +432,7 @@ def two_generators(group: PermutationGroup, rng) -> PermutationGroup:
         return group
     for _ in range(100):
         pair = [group.random_element(rng), group.random_element(rng)]
-        small = build_group(group.degree, pair)
+        small = PermutationGroup(group.degree, pair)
         if small.order() == group.order():
             return small
     raise RuntimeError(f"no generating pair found for {group.name}")
@@ -466,7 +466,7 @@ def write_fixture(name: str, group: PermutationGroup, rng):
 # -- the ten catalog lines --------------------------------------------------------
 
 def gen_line1(rng):
-    group = build_group(6, psl2_gens(GF5), name="psl2_5")
+    group = PermutationGroup(6, psl2_gens(GF5), name="psl2_5")
     assert group.order() == 60
     expected = Parameters(6, 10, 5, 3, 2)
     block, design = search_block_exhaustive(group, expected)
@@ -479,7 +479,7 @@ def gen_line2(rng):
     gf2 = GF(2, 1)
     points = pg_points(2, 3)
     gens = [matrix_perm(gf2, m, points) for m in transvection_mats(gf2, 3)]
-    group = build_group(7, gens, name="psl2_7")
+    group = PermutationGroup(7, gens, name="psl2_7")
     assert group.order() == 168
     expected = Parameters(7, 7, 4, 4, 2)
     design = fano_complement()
@@ -495,8 +495,8 @@ def gen_line3(rng):
     index, on_pairs = pair_action(5)
     five_cycle = Permutation([1, 2, 3, 4, 0])
     swap = Permutation([1, 0, 2, 3, 4])
-    group = build_group(10, [on_pairs(five_cycle), on_pairs(swap)],
-                        name="psl2_4_ext")
+    group = PermutationGroup(10, [on_pairs(five_cycle), on_pairs(swap)],
+                             name="psl2_4_ext")
     assert group.order() == 120
     expected = Parameters(10, 15, 6, 4, 2)
     # blocks are the 4-cycles of the complete graph K5, as sets of 4 edges
@@ -509,10 +509,10 @@ def gen_line3(rng):
 
 def gen_line4(rng):
     gens = psl2_gens(GF9)
-    psl29 = build_group(10, gens, name="psl2_9")
+    psl29 = PermutationGroup(10, gens, name="psl2_9")
     assert psl29.order() == 360
-    group = build_group(10, gens + [frobenius_perm(GF9, pg_points(9, 2))],
-                        name="psl2_9_ext")
+    group = PermutationGroup(
+        10, gens + [frobenius_perm(GF9, pg_points(9, 2))], name="psl2_9_ext")
     assert group.order() == 720
     expected = Parameters(10, 15, 6, 4, 2)
     block, design = search_block_exhaustive(group, expected)
@@ -532,7 +532,7 @@ def gen_line5(rng):
     # prescribe 0 -> 0, 1 -> 2 (a non-residue image) and search
     mover = structure_automorphism(design, {0: 0, 1: 2})
     assert mover is not None
-    group = build_group(11, [add1, mul3, mover], name="psl2_11")
+    group = PermutationGroup(11, [add1, mul3, mover], name="psl2_11")
     assert group.order() == 660, group.order()
     expected = Parameters(11, 11, 5, 5, 2)
     found = try_block(group, design.blocks[0], expected)
@@ -543,10 +543,10 @@ def gen_line5(rng):
 
 def build_pgammal2_8():
     gens = psl2_gens(GF8)
-    psl = build_group(9, gens, name="psl2_8")
+    psl = PermutationGroup(9, gens, name="psl2_8")
     assert psl.order() == 504
-    full = build_group(9, gens + [frobenius_perm(GF8, pg_points(8, 2))],
-                       name="psl2_8_ext")
+    full = PermutationGroup(
+        9, gens + [frobenius_perm(GF8, pg_points(8, 2))], name="psl2_8_ext")
     assert full.order() == 1512
     return psl, full
 
@@ -573,7 +573,7 @@ def gen_line6(rng):
         return Permutation(images)
 
     gens28 = [conj_perm(g) for g in full.generators]
-    group = build_group(28, gens28, name="psl2_8_ext_on_28")
+    group = PermutationGroup(28, gens28, name="psl2_8_ext_on_28")
     assert group.order() == 1512, group.order()
     expected = Parameters(28, 36, 9, 7, 2)
     block, design = search_block_cycles(group, expected, rng)
@@ -595,8 +595,8 @@ def gen_line7(rng):
 def gen_line8(rng):
     _, full = build_pgammal2_8()
     _, on_pairs = pair_action(9)
-    group = build_group(36, [on_pairs(g) for g in full.generators],
-                        name="psl2_8_ext_on_36")
+    group = PermutationGroup(36, [on_pairs(g) for g in full.generators],
+                             name="psl2_8_ext_on_36")
     assert group.order() == 1512
     expected = Parameters(36, 84, 14, 6, 2)
     block, design = search_block_cycles(group, expected, rng, tries=2000)
@@ -622,7 +622,7 @@ def build_witt22():
     points = pg_points(4, 3)
     index = {pt: i for i, pt in enumerate(points)}
     psl_gens = [matrix_perm(GF4, m, points) for m in transvection_mats(GF4, 3)]
-    psl = build_group(21, psl_gens, name="psl3_4")
+    psl = PermutationGroup(21, psl_gens, name="psl3_4")
     assert psl.order() == 20160, psl.order()
 
     # the line x0 = 0 holds the first q + 1 = 5 points; PSL(3,4) is
@@ -655,7 +655,7 @@ def build_witt22():
 def build_m22_groups(witt, stab_gens22):
     mover = structure_automorphism(witt, {21: 0})
     assert mover is not None
-    m22_2 = build_group(22, stab_gens22 + [mover], name="m22_ext")
+    m22_2 = PermutationGroup(22, stab_gens22 + [mover], name="m22_ext")
     assert m22_2.order() == 887040, m22_2.order()
     m22 = even_subgroup(m22_2, 443520)
     return m22, m22_2
@@ -709,9 +709,9 @@ def gen_line10(rng):
     mover_images = find_automorphism(100, adj, colors, {0: 1})
     assert mover_images is not None
     mover = Permutation(mover_images)
-    hs = build_group(100, m22_lift + [mover], name="hs_on_100")
+    hs = PermutationGroup(100, m22_lift + [mover], name="hs_on_100")
     if hs.order() == 2 * 44352000:
-        hs = build_group(100, m22_lift + [mover * odd_lift], name="hs_on_100")
+        hs = PermutationGroup(100, m22_lift + [mover * odd_lift], name="hs_on_100")
     assert hs.order() == 44352000, hs.order()
     print("  HS on 100 vertices, order", hs.order())
 
@@ -749,7 +749,7 @@ def gen_line10(rng):
     def action(g: Permutation) -> Permutation:
         return Permutation([index[split_image(sp, g)] for sp in ordered])
 
-    group = build_group(176, [action(g) for g in hs.generators], name="hs")
+    group = PermutationGroup(176, [action(g) for g in hs.generators], name="hs")
     assert group.order() == 44352000, group.order()
     assert group.subdegrees(0) == [1, 175]
     print("  HS on 176 splits, order", group.order())
@@ -760,7 +760,7 @@ def gen_line10(rng):
 
 
 def gen_fixture_psl2_4(rng):
-    group = build_group(5, psl2_gens(GF4), name="psl2_4")
+    group = PermutationGroup(5, psl2_gens(GF4), name="psl2_4")
     assert group.order() == 60
     write_fixture("psl2_4", group, rng)
 
