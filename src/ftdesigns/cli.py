@@ -10,8 +10,10 @@ Subcommands:
 
 Exit codes are a contract: 0 for success (or every case eliminated/flagged
 as expected), 1 for a verification failure or an unexplained candidate,
-2 for bad input.  Output is deterministic: identical invocations produce
-byte-identical output.
+2 for bad input.  Bad input is whatever raises an OSError or a ValueError,
+and main alone turns one into a single `error:` line and exit 2; a command
+that knows which file is at fault re-raises with the file named.  Output is
+deterministic: identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -35,49 +37,34 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-# what reading a group, design or catalog file raises on a missing file,
-# bad JSON or a document of the wrong shape
-DATA_ERRORS = (OSError, KeyError, ValueError, TypeError)
-
 # The bound is set by b, which grows ninefold with each step of n: 44,044
 # blocks for derived_pg:6 and 397,852 for derived_pg:7.
 PG_MAX_N = 6
 
 
-def _reason(exc: Exception) -> str:
-    """What a DATA_ERRORS exception says: a KeyError from a document lookup
-    names the key, which is all its str gives."""
-    return f"missing key {exc}" if type(exc) is KeyError else str(exc)
-
-
-def _certify(design, source: str,
-             symmetry=()) -> tuple[DesignCertificate | None, int]:
-    """(verify_2design's certificate, EXIT_OK), or (None, exit code) once the
-    reason there is none has been printed.  `symmetry` is passed on: the
-    generators of a group known to preserve the design's blocks."""
+def _certify(design, source: str, symmetry=()) -> DesignCertificate | None:
+    """verify_2design's certificate, or None once the reason there is none
+    has been printed; a design it refuses to count is refused as bad input
+    from `source`.  `symmetry` is passed on: the generators of a group known
+    to preserve the design's blocks."""
     try:
-        return verify_2design(design, symmetry), EXIT_OK
+        return verify_2design(design, symmetry)
     except DesignError as exc:
         print(f"not a 2-design: {exc.kind} (witness {exc.witness})")
-        return None, EXIT_FAIL
-    except (ValueError, TypeError, OverflowError) as exc:
-        print(f"error: {source}: {exc}", file=sys.stderr)
-        return None, EXIT_INPUT
+        return None
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _cmd_verify(args) -> int:
     try:
         group = load_group(args.group)
-    except DATA_ERRORS as exc:
-        print(f"error: group file {args.group}: {_reason(exc)}",
-              file=sys.stderr)
-        return EXIT_INPUT
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"group file {args.group}: {exc}") from None
     try:
         design = load_structure(args.design)
-    except DATA_ERRORS as exc:
-        print(f"error: design file {args.design}: {_reason(exc)}",
-              file=sys.stderr)
-        return EXIT_INPUT
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"design file {args.design}: {exc}") from None
 
     # The flag test runs the automorphism check first.  Once that passed,
     # the group preserves the blocks and may certify the design from one
@@ -86,17 +73,15 @@ def _cmd_verify(args) -> int:
         flag = is_flag_transitive(group, design)
     except ValueError as exc:  # GroupActionError is a ValueError
         flag = exc
-    cert, code = _certify(design, f"design file {args.design}",
-                          () if isinstance(flag, ValueError)
-                          else group.generators)
+    cert = _certify(design, f"design file {args.design}",
+                    () if isinstance(flag, ValueError) else group.generators)
     if cert is None:
-        return code
+        return EXIT_FAIL
     if isinstance(flag, GroupActionError):
         print(f"{cert.params} group does not preserve the block multiset")
         return EXIT_FAIL
     if isinstance(flag, ValueError):
-        print(f"error: {flag}", file=sys.stderr)
-        return EXIT_INPUT
+        raise flag
     try:
         primitive = is_point_primitive(group, design)
         primitive_text = "point-primitive" if primitive else "NOT point-primitive"
@@ -127,36 +112,27 @@ def _cmd_construct(args) -> int:
     # The design is the block orbit of the group generated by symmetry, or
     # by sl_generators(*sl), which is rebuilt only to certify the design.
     symmetry, sl = (), None
-    try:
-        if name == "fano_complement":
-            design, sl = constructions.fano_complement(), (2, 3)
-        elif name.startswith(("pg_lines:", "derived_pg:")):
-            design, sl = _pg_line_space(name)
-        else:
-            entry = constructions.catalog(name)
-            design, expected = entry.design, entry.expected
-            symmetry = entry.group.generators
-    except DATA_ERRORS as exc:
-        print(f"error: {_reason(exc)}", file=sys.stderr)
-        return EXIT_INPUT
+    if name == "fano_complement":
+        design, sl = constructions.fano_complement(), (2, 3)
+    elif name.startswith(("pg_lines:", "derived_pg:")):
+        design, sl = _pg_line_space(name)
+    else:
+        entry = constructions.catalog(name)
+        design, expected = entry.design, entry.expected
+        symmetry = entry.group.generators
     text = structure_to_json(design, name=name)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         if sl is not None:
             symmetry = constructions.sl_generators(*sl)[1]
-        cert, code = _certify(design, name, symmetry)
+        cert = _certify(design, name, symmetry)
         if cert is None:
-            return code
+            return EXIT_FAIL
         if expected is not None and cert.params != expected:
-            print(f"error: {name}: certified parameters {cert.params} "
-                  f"differ from the row {expected} in expected.json",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"{name}: certified parameters {cert.params} "
+                             f"differ from the row {expected} in "
+                             f"expected.json")
         print(f"wrote {name} {cert.params} to {args.out}")
     else:
         sys.stdout.write(text)
@@ -164,11 +140,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
-    try:
-        reports = elimination.sweep(args.family, args.q_min, args.q_max)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    reports = elimination.sweep(args.family, args.q_min, args.q_max)
     if args.json:
         elimination.write_json(reports, sys.stdout)
     else:
@@ -188,11 +160,7 @@ def _cmd_eliminate(args) -> int:
 def _cmd_feasible(args) -> int:
     lam = args.lam
     r_mod = args.r_mod if args.r_mod is not None else lam * (args.v - 1)
-    try:
-        found = enumerate_candidates(args.v, lam, r_mod)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    found = enumerate_candidates(args.v, lam, r_mod)
     if not found:
         print("no feasible parameter sets")
         return EXIT_OK
@@ -211,10 +179,8 @@ def _cmd_catalog_list(args) -> int:
     for name in names:
         try:
             entry = constructions.catalog(name)
-        except DATA_ERRORS as exc:
-            print(f"error: catalog entry {name}: {_reason(exc)}",
-                  file=sys.stderr)
-            return EXIT_INPUT
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"catalog entry {name}: {exc}") from None
         rows.append(f"{name}\t{entry.expected}\tsocle={entry.socle}\t"
                     f"aut={entry.automorphism_group}")
     print("\n".join(rows))
@@ -263,7 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

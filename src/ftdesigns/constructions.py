@@ -22,8 +22,8 @@ from .design import Parameters
 # bench/tracing.py wraps it
 from .incidence import (IncidenceStructure, _block_images, _checked_block,
                         verify_2design)  # noqa: F401
-from .perm import (Permutation, PermutationGroup, json_object, load_group,
-                   orbit)
+from .perm import (Permutation, PermutationGroup, _brief, json_object,
+                   load_group, orbit)
 
 
 def fano_complement() -> IncidenceStructure:
@@ -77,8 +77,8 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
     """
     block = _checked_block(base_block, degree)
     if len(block) >= degree:
-        raise ValueError(
-            f"block {base_block} has more than {degree - 1} points")
+        raise ValueError(f"block {_brief.repr(base_block)} has more than "
+                         f"{degree - 1} points")
     blocks = orbit(block, generators, _block_images)
     # every block is the image of the checked base block under a
     # permutation of the points, so it needs no checks of its own
@@ -95,14 +95,6 @@ class CatalogEntry:
     expected: Parameters
     socle: str
     automorphism_group: str
-
-
-class UnknownEntry(KeyError):
-    """No catalog entry has the name; str gives the message as written,
-    without the quotes a KeyError puts around its key."""
-
-    def __str__(self) -> str:
-        return self.args[0]
 
 
 # the parameter row of an entry's expected.json, in Parameters order
@@ -130,11 +122,10 @@ def catalog(name: str) -> CatalogEntry:
     names = catalog_names()
     if name not in names:
         known = ", ".join(names) or "none found"
-        raise UnknownEntry(
+        raise ValueError(
             f"unknown catalog entry {name!r} (available: {known})")
     entry_dir = data_dir() / "catalog" / name
-    # a lookup that misses raises a KeyError, which names only the key;
-    # either error is prefixed with the file it was raised on
+    # a refusal is prefixed with the file it was raised on
     filename = "group.json"
     try:
         group = load_group(entry_dir / filename)
@@ -145,17 +136,14 @@ def catalog(name: str) -> CatalogEntry:
         for key, value in zip(_ROW_KEYS, row):
             # a bool is an int equal to 0 or 1, but it counts nothing
             if type(value) is not int:
-                raise ValueError(f"{key} = {value!r} is not an integer")
+                raise ValueError(
+                    f"{key} = {_brief.repr(value)} is not an integer")
         socle = expected_doc["socle"]
         automorphism_group = expected_doc["automorphism_group"]
         filename = "base_block.json"
         block = json_object(
             (entry_dir / filename).read_text(encoding="utf-8"))["block"]
-        if type(block) is not list:
-            raise ValueError(f"block {block!r} is not a list")
         design = orbit_design(group.degree, group.generators, block)
-    except KeyError as exc:
-        raise ValueError(f"{filename}: missing key {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{filename}: {exc}") from None
     design = IncidenceStructure(design.v, design.blocks, name=name)

@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .design import Parameters
-from .perm import PermutationGroup, _images, json_object, orbit
+from .perm import PermutationGroup, _brief, _images, json_object, orbit
 
 
 class DesignError(ValueError):
@@ -84,27 +84,33 @@ class IncidenceStructure:
 
 
 def _checked_block(block, v: int) -> tuple[int, ...]:
-    """The block as a sorted point tuple; ValueError if it is no collection,
-    repeats a point, has fewer than 2 points, or a point that is no integer
-    in 0..v-1."""
-    if not isinstance(block, Iterable):
-        raise ValueError(f"block {block!r} is not a list")
+    """The block as a sorted point tuple; ValueError if it is a string, a
+    dict or no collection at all, repeats a point, has fewer than 2 points,
+    or a point that is no integer in 0..v-1."""
+    # a string or a JSON object iterates, by character or by key, but it
+    # is no list of points
+    if isinstance(block, (str, dict)) or not isinstance(block, Iterable):
+        raise ValueError(f"block {_brief.repr(block)} is not a list")
     try:
         pts = tuple(sorted(block))
         repeats = len(set(pts)) != len(pts)
     except TypeError:
         # points that do not compare or do not hash, such as lists
-        raise ValueError(f"block {block} has a non-integer point") from None
-    if repeats:
-        raise ValueError(f"block {block} repeats a point")
-    if len(pts) < 2:
-        raise ValueError(f"block {block} has fewer than 2 points")
+        pts = repeats = None
+    if pts is None:
+        fault = "has a non-integer point"
+    elif repeats:
+        fault = "repeats a point"
+    elif len(pts) < 2:
+        fault = "has fewer than 2 points"
     # a bool is an int equal to 0 or 1, but it names no point
-    if not all(type(p) is int for p in pts):
-        raise ValueError(f"block {block} has a non-integer point")
-    if pts and (pts[0] < 0 or pts[-1] >= v):
-        raise ValueError(f"block {block} not a subset of 0..{v - 1}")
-    return pts
+    elif not all(type(p) is int for p in pts):
+        fault = "has a non-integer point"
+    elif pts[0] < 0 or pts[-1] >= v:
+        fault = f"not a subset of 0..{v - 1}"
+    else:
+        return pts
+    raise ValueError(f"block {_brief.repr(block)} {fault}")
 
 
 @dataclass(frozen=True)
@@ -285,10 +291,10 @@ def structure_from_json(text: str) -> IncidenceStructure:
     doc = json_object(text)
     v = doc["v"]
     if type(v) is not int or v < 0:
-        raise ValueError(f"v {v!r} is not a non-negative integer")
+        raise ValueError(f"v {_brief.repr(v)} is not a non-negative integer")
     blocks = doc["blocks"]
     if type(blocks) is not list:
-        raise ValueError(f"blocks {blocks!r} is not a list")
+        raise ValueError(f"blocks {_brief.repr(blocks)} is not a list")
     return IncidenceStructure.from_blocks(v, blocks, name=doc.get("name"))
 
 

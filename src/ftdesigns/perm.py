@@ -45,6 +45,7 @@ point of beta's suborbit.
 from __future__ import annotations
 
 import json
+import reprlib
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
@@ -488,11 +489,24 @@ def group_to_json(group: PermutationGroup, name: str | None = None,
 _JSON_KINDS = {list: "an array", str: "a string", int: "a number",
                float: "a number", bool: "a boolean", type(None): "null"}
 
+# how a refusal quotes an item of a data file: a long list or string is cut
+# short, so one bad block cannot make a message of megabytes.  The limits
+# are set one by one, as Repr takes them as arguments only from Python 3.12.
+_brief = reprlib.Repr()
+_brief.maxlist = _brief.maxtuple = _brief.maxset = _brief.maxfrozenset = 20
+
+
+class _Document(dict):
+    """A JSON object that refuses a lookup of a key it lacks as bad input."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing key {key!r}")
+
 
 def json_object(text: str) -> dict:
-    """The JSON object a data file holds; a document of any other shape is
-    refused by what it is, and one nested too deeply for the parser's
-    recursion is refused as such."""
+    """The JSON object a data file holds, whose missing keys are refused
+    with a ValueError; a document of any other shape is refused by what it
+    is, and one nested too deeply for the parser's recursion as such."""
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -500,28 +514,30 @@ def json_object(text: str) -> dict:
     if type(doc) is not dict:
         raise ValueError(
             f"the document is {_JSON_KINDS[type(doc)]}, not a JSON object")
-    return doc
+    return _Document(doc)
 
 
 def group_from_json(text: str) -> PermutationGroup:
     doc = json_object(text)
     degree = doc["degree"]
     if type(degree) is not int or degree < 0:
-        raise ValueError(f"degree {degree!r} is not a non-negative integer")
+        raise ValueError(
+            f"degree {_brief.repr(degree)} is not a non-negative integer")
     expected = doc.get("expected_order")
     if expected is not None and type(expected) is not int:
-        raise ValueError(f"expected_order {expected!r} is not an integer")
+        raise ValueError(
+            f"expected_order {_brief.repr(expected)} is not an integer")
     generators = doc["generators"]
     if type(generators) is not list:
-        raise ValueError(f"generators {generators!r} is not a list")
+        raise ValueError(f"generators {_brief.repr(generators)} is not a list")
     for g in generators:
         if type(g) is not list:
-            raise ValueError(f"generator {g!r} is not a list")
+            raise ValueError(f"generator {_brief.repr(g)} is not a list")
     group = PermutationGroup(degree, generators, name=doc.get("name"))
     if expected is not None and group.order() != expected:
         raise ValueError(
-            f"group {doc.get('name')!r}: computed order {group.order()} "
-            f"!= expected {expected}")
+            f"group {_brief.repr(doc.get('name'))}: computed order "
+            f"{group.order()} != expected {expected}")
     return group
 
 

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -311,6 +313,16 @@ BAD_INPUT = {
                           "--design", "{design_point_list}"],
     "design-points-lists": ["verify", "--group", "{group}",
                             "--design", "{design_points_lists}"],
+    # a string or a JSON object iterates, by character or by key, but it
+    # is no list of points
+    "design-block-string": ["verify", "--group", "{group}",
+                            "--design", "{design_block_string}"],
+    "design-block-object": ["verify", "--group", "{group}",
+                            "--design", "{design_block_object}"],
+    # a bad block of 100,002 points is quoted cut short, in one line of
+    # well under 300 bytes besides the path, not 688,959 bytes
+    "design-block-long": ["verify", "--group", "{group}",
+                          "--design", "{design_block_long}"],
     "group-generator-number": ["verify", "--group", "{group_generator_number}",
                                "--design", "{design}"],
     # lists nested 100,000 deep, deeper than the JSON parser recurses
@@ -360,6 +372,13 @@ BAD_INPUT_ERRORS = {
                          "[0, [1]] has a non-integer point\n",
     "design-points-lists": "error: design file {design_points_lists}: "
                            "block [[0], [1]] has a non-integer point\n",
+    "design-block-string": "error: design file {design_block_string}: "
+                           "block '01' is not a list\n",
+    "design-block-object": "error: design file {design_block_object}: "
+                           "block {{'0': 1}} is not a list\n",
+    "design-block-long": "error: design file {design_block_long}: block "
+                         "[0, 'x', 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, "
+                         "13, 14, 15, 16, 17, ...] has a non-integer point\n",
     "group-generator-number": "error: group file {group_generator_number}: "
                               "generator 5 is not a list\n",
     "group-nested-deep": "error: group file {group_deep}: the document is "
@@ -448,6 +467,11 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
                               "blocks": [[0, [1]], [2, 3]]},
         "design_points_lists": {"name": "d", "v": 4,
                                 "blocks": [[[0], [1]], [2, 3]]},
+        "design_block_string": {"name": "d", "v": 4, "blocks": ["01", [2, 3]]},
+        "design_block_object": {"name": "d", "v": 4,
+                                "blocks": [{"0": 1}, [2, 3]]},
+        "design_block_long": {"name": "d", "v": 4,
+                              "blocks": [[0, "x", *range(100_000)], [2, 3]]},
         "group_generator_number": {"name": "g", "degree": 4,
                                    "generators": [5]},
     }
@@ -710,6 +734,32 @@ def test_verify_huge_v_not_a_design(capsys, tmp_path, block, witness):
                          "--design", str(design))
     assert (code, err) == (1, "")
     assert out == f"not a 2-design: non-uniform r (witness {witness})\n"
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasible", "--v", "16"],
+    ["eliminate", "--family", "suzuki", "--q-min", "8", "--q-max", "8"],
+    ["eliminate", "--family", "suzuki", "--q-min", "8", "--q-max", "8",
+     "--json"],
+    ["construct", "--name", "line1_psl25"],
+    ["catalog-list"],
+    ["verify", "--group", "{group}", "--design", "{design}"],
+], ids=["feasible", "eliminate", "eliminate-json", "construct",
+        "catalog-list", "verify"])
+def test_a_failed_write_to_stdout_exits_2(capsys, monkeypatch, argv):
+    paths = {"group": DATA / "catalog" / "line2_fano_complement"
+             / "group.json", "design": GOLDEN / "line2_fano_complement.json"}
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main([arg.format(**paths) for arg in argv])
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_construct_unknown_name(capsys):

@@ -1,3 +1,5 @@
+import json
+import shutil
 from collections import defaultdict
 from itertools import chain, combinations
 
@@ -8,8 +10,9 @@ from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
                                      orbit_design, pg_lines, pg_points,
                                      sl_generators)
 from ftdesigns.design import Parameters
-from ftdesigns.incidence import verify_2design
-from ftdesigns.perm import PermutationGroup, orbit
+from ftdesigns.incidence import (structure_from_json, structure_to_json,
+                                 verify_2design)
+from ftdesigns.perm import PermutationGroup, group_from_json, orbit
 
 S4 = PermutationGroup(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
 
@@ -183,14 +186,14 @@ def test_catalog_names_complete():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown catalog entry"):
         catalog("line11_m24")
 
 
 @pytest.mark.parametrize("name", ["line1_psl25/../line2_fano_complement",
                                   "..", ".", "line1_psl25/"])
 def test_catalog_names_no_path(name):
-    with pytest.raises(KeyError, match="unknown catalog entry"):
+    with pytest.raises(ValueError, match="unknown catalog entry"):
         catalog(name)
 
 
@@ -212,8 +215,45 @@ def test_catalog_loads_groups_with_orders():
 def test_data_dir_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FTDESIGNS_DATA", str(tmp_path))
     assert catalog_names() == []
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown catalog entry"):
         catalog("line1_psl25")
+
+
+def without(text: str, key: str) -> str:
+    """The JSON object text with key dropped."""
+    doc = json.loads(text)
+    del doc[key]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("filename, key", [
+    ("group", "degree"), ("group", "generators"), ("design", "v"),
+    ("design", "blocks"),
+    *[("expected.json", key) for key in ("v", "b", "r", "k", "lambda",
+                                         "socle", "automorphism_group")],
+    ("base_block.json", "block")])
+def test_a_missing_key_is_a_value_error(monkeypatch, tmp_path, filename,
+                                        key):
+    """Every key a data file must hold is refused, when it is missing, as
+    bad input is: by a ValueError that names it."""
+    entry = tmp_path / "catalog" / "line1_psl25"
+    shutil.copytree(DATA / "catalog" / "line1_psl25", entry)
+    monkeypatch.setenv("FTDESIGNS_DATA", str(tmp_path))
+    refused = pytest.raises(ValueError, match=f"missing key '{key}'$")
+    if filename == "group":
+        text = (entry / "group.json").read_text(encoding="utf-8")
+        with refused:
+            group_from_json(without(text, key))
+    elif filename == "design":
+        text = structure_to_json(catalog("line1_psl25").design)
+        with refused:
+            structure_from_json(without(text, key))
+    else:
+        path = entry / filename
+        path.write_text(without(path.read_text(encoding="utf-8"), key),
+                        encoding="utf-8")
+        with refused:
+            catalog("line1_psl25")
 
 
 def test_the_two_10_point_designs_are_kept_separately():

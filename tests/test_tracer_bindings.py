@@ -2,7 +2,8 @@
 binding the package drops breaks the traced benchmark run.  Installing and
 undoing its patches on the real modules catches that here, and every
 name a module imports is read there unless it is listed as tracer-only.
-The same ast walk refuses any `global` statement in those modules."""
+The same ast walk refuses any `global` statement in those modules, and
+any exit 2 in cli that main does not decide."""
 
 import ast
 import importlib
@@ -78,3 +79,34 @@ def test_no_module_state_is_rebound():
         rebound = [node.names for node in ast.walk(tree)
                    if isinstance(node, ast.Global)]
         assert rebound == [], path.name
+
+
+def test_only_main_refuses_input():
+    """cli decides exit 2 in one place: no function but main returns
+    EXIT_INPUT, writes to stderr or spells an `error:` line, apart from
+    catalog-list's refusal of a data directory that holds no entry."""
+    tree = ast.parse((ROOT / "src" / "ftdesigns" / "cli.py").read_text(
+        encoding="utf-8"))
+    found = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Return)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "EXIT_INPUT"):
+                found.append((func.name, "return EXIT_INPUT"))
+            elif isinstance(node, ast.Call) and any(
+                    keyword.arg == "file" for keyword in node.keywords):
+                found.append((func.name, ast.unparse(node.args[0])))
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.startswith("error:")):
+                found.append((func.name, repr(node.value)))
+    assert sorted(found) == [
+        ("_cmd_catalog_list", "'no catalog data found'"),
+        ("_cmd_catalog_list", "return EXIT_INPUT"),
+        ("main", "'error: '"),
+        ("main", "f'error: {exc}'"),
+        ("main", "return EXIT_INPUT"),
+    ]
