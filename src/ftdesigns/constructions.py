@@ -20,7 +20,7 @@ from pathlib import Path
 from .design import Parameters
 # nothing here calls verify_2design; it stays bound here, where
 # bench/tracing.py wraps it
-from .incidence import (IncidenceStructure, _block_images, _checked_block,
+from .incidence import (IncidenceStructure, _block_walk, _checked_block,
                         verify_2design)  # noqa: F401
 from .perm import (Permutation, PermutationGroup, _brief, json_object,
                    load_group, orbit)
@@ -79,10 +79,12 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
     if len(block) >= degree:
         raise ValueError(f"block {_brief.repr(base_block)} has more than "
                          f"{degree - 1} points")
-    blocks = orbit(block, generators, _block_images)
+    code, act, gens = _block_walk(degree, generators)
+    blocks = orbit(code(block), gens, act)
     # every block is the image of the checked base block under a
-    # permutation of the points, so it needs no checks of its own
-    return IncidenceStructure(degree, tuple(sorted(blocks)))
+    # permutation of the points, so it needs no checks of its own; codes
+    # sort as their point tuples do
+    return IncidenceStructure(degree, tuple(map(tuple, sorted(blocks))))
 
 
 # -- bundled catalog ---------------------------------------------------------
@@ -140,6 +142,11 @@ def catalog(name: str) -> CatalogEntry:
                     f"{key} = {_brief.repr(value)} is not an integer")
         socle = expected_doc["socle"]
         automorphism_group = expected_doc["automorphism_group"]
+        for key, value in (("socle", socle),
+                           ("automorphism_group", automorphism_group)):
+            if type(value) is not str:
+                raise ValueError(
+                    f"{key} = {_brief.repr(value)} is not a string")
         filename = "base_block.json"
         block = json_object(
             (entry_dir / filename).read_text(encoding="utf-8"))["block"]

@@ -15,6 +15,15 @@ block-multiset preservation, transitivity on flags, and primitivity on
 points.  Nothing here searches for groups; it only verifies.
 G is flag-transitive iff it is transitive on the points in blocks and the
 stabilizer G_alpha of one of them is transitive on the blocks through alpha.
+
+Blocks are walked by perm's degree rule.  On at most 256 points a block is
+coded as bytes, its image under a generator is one bytes.translate through
+the generator's 256-byte table, built once per call, and bytes(sorted(...))
+is its canonical form; above 256 points a block is a sorted point tuple,
+mapped point by point.  Either way IncidenceStructure.blocks holds sorted
+tuples.  Block multisets are compared as Counters through dict.__eq__: both
+count only the blocks that occur, and the dict comparison runs in C.  The
+design writer fills one %-template per block size.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .design import Parameters
-from .perm import PermutationGroup, _brief, _images, json_object, orbit
+from .perm import (PermutationGroup, _brief, _byte_coded, _byte_table,
+                   _images, json_object, orbit)
 
 
 class DesignError(ValueError):
@@ -210,9 +220,30 @@ def _certificate(v: int, b: int, r: int, k: int,
 
 
 def _block_images(blocks, g):
-    """The images under g of the blocks, each a sorted point tuple."""
+    """The images under the Permutation g of the blocks, each a sorted
+    point tuple: the block walk above 256 points."""
     return map(tuple, map(sorted, map(map, repeat(g.images.__getitem__),
                                       blocks)))
+
+
+def _byte_block_images(blocks, table):
+    """The images of the byte-coded blocks under the permutation whose
+    256-byte table is given, each a sorted bytes object."""
+    return map(bytes, map(sorted, map(bytes.translate, blocks,
+                                      repeat(table))))
+
+
+def _block_walk(degree: int, generators):
+    """(code, act, gens) for walking blocks on the points 0..degree-1 under
+    the generators: code turns a sorted point tuple into the block's code,
+    tuple(code) turns it back, and act(codes, g), for g one of gens, gives
+    the codes of their images in any order.  Up to perm's byte degree a
+    code is bytes and gens are byte tables, built once here; above it a
+    code is the tuple itself and gens the Permutations."""
+    if _byte_coded(degree):
+        return (bytes, _byte_block_images,
+                [_byte_table(g.images) for g in generators])
+    return tuple, _block_images, generators
 
 
 def is_automorphism_group(group: PermutationGroup,
@@ -221,9 +252,13 @@ def is_automorphism_group(group: PermutationGroup,
     if group.degree != structure.v:
         raise ValueError(
             f"group degree {group.degree} != point count {structure.v}")
-    reference = Counter(structure.blocks)
-    for g in group.generators:
-        if Counter(_block_images(structure.blocks, g)) != reference:
+    code, act, gens = _block_walk(structure.v, group.generators)
+    blocks = list(map(code, structure.blocks))
+    reference = Counter(blocks)
+    for g in gens:
+        # both count only blocks that occur, so the dicts are equal iff the
+        # multisets are, and dict's comparison runs in C (Counter's does not)
+        if not dict.__eq__(Counter(act(blocks, g)), reference):
             return False
     return True
 
@@ -251,9 +286,9 @@ def is_flag_transitive(group: PermutationGroup,
     if group.orbit(alpha) != covered:
         return False
     through = {block for block in structure.blocks if alpha in block}
-    reached = orbit(min(through), group.stabilizer_generators(alpha),
-                    _block_images)
-    return len(reached) == len(through)
+    code, act, gens = _block_walk(structure.v,
+                                  group.stabilizer_generators(alpha))
+    return len(orbit(code(min(through)), gens, act)) == len(through)
 
 
 def is_point_primitive(group: PermutationGroup,
@@ -265,21 +300,30 @@ def is_point_primitive(group: PermutationGroup,
     return group.primitivity()[0]
 
 
-def _block_json(block) -> str:
-    if not block:
-        return "[]"
-    return "[\n      " + ",\n      ".join(map(repr, block)) + "\n    ]"
+class _BlockTemplates(dict):
+    """The % template of a block of k points in a design file, by k, made
+    on first use: %d writes an int as repr does."""
+
+    def __missing__(self, k: int) -> str:
+        template = self[k] = ("[\n      " + ",\n      ".join(["%d"] * k)
+                              + "\n    ]") if k else "[]"
+        return template
+
+
+_BLOCK_TEMPLATES = _BlockTemplates()
 
 
 def structure_to_json(structure: IncidenceStructure,
                       name: str | None = None) -> str:
     """The design file: byte for byte what canonical_json writes for
-    {"name": ..., "v": ..., "blocks": [...]}, from a fixed template, as
+    {"name": ..., "v": ..., "blocks": [...]}, from fixed templates, as
     json's pure-Python indenting encoder is slow on thousands of blocks.
     Keys come in sorted order, ints by repr and the name through
     encode_basestring_ascii."""
     blocks = structure.blocks
-    blocks_text = ("[\n    " + ",\n    ".join(map(_block_json, blocks))
+    texts = map(str.__mod__,
+                map(_BLOCK_TEMPLATES.__getitem__, map(len, blocks)), blocks)
+    blocks_text = ("[\n    " + ",\n    ".join(texts)
                    + "\n  ]") if blocks else "[]"
     return ('{\n  "blocks": ' + blocks_text
             + ',\n  "name": '

@@ -16,7 +16,9 @@ inverting one is one bytes.maketrans call.  256 is the width of a byte; a
 larger degree has points that no byte can name, so there a code is the image
 tuple, composed by operator.itemgetter.  Only the chain's transversals, their
 inverses, the strong generators' codes and sifting see codes; everything
-outside the chain deals in Permutation objects.
+outside the chain deals in Permutation objects.  _byte_coded is the one
+degree rule: incidence and constructions walk blocks as bytes by it too,
+through the same 256-byte tables (_byte_table).
 
 Each level keeps the inverse of every coset representative, computed once
 when the representative is added, so sifting and Schreier generators never
@@ -26,7 +28,10 @@ tree edge is the identity (Seress, Permutation Group Algorithms, 2003,
 Sec. 4.2), so the edge is marked verified and never sifted.
 
 The product of the basic orbit lengths is the exact group order, and sifting
-gives an exact membership test.
+gives an exact membership test.  A sift walks one flat list of
+(beta, inverses) pairs, one per level, which grows as levels are added, and
+skips a level whose beta the code fixes: u_beta is the identity, so that
+division would change nothing.
 
 A Schreier generator of level i fixes beta_0..beta_i, so the sift that tests
 membership runs on it from level i+1 on, and a residue joins the strong
@@ -187,6 +192,18 @@ def _unchecked(images: tuple[int, ...]) -> Permutation:
 _BYTE_ONE = bytes(range(256))
 
 
+def _byte_coded(degree: int) -> bool:
+    """Whether points 0..degree-1 are coded as bytes: the one degree rule
+    of the chain's codes and of incidence's block walks."""
+    return degree <= len(_BYTE_ONE)
+
+
+def _byte_table(images: tuple[int, ...]) -> bytes:
+    """The 256-byte code of a permutation of degree at most 256: its images,
+    padded with fixed points, as a bytes.translate table."""
+    return bytes(images) + _BYTE_ONE[len(images):]
+
+
 def _byte_inverse(code: bytes) -> bytes:
     return bytes.maketrans(code, _BYTE_ONE)
 
@@ -241,12 +258,14 @@ class PermutationGroup:
                     f"generator degree {g.degree} != group degree {degree}")
             gens.append(g)
         self.generators = tuple(gens)
-        self._bytes = degree <= len(_BYTE_ONE)
+        self._bytes = _byte_coded(degree)
         self._mul = bytes.translate if self._bytes else _tuple_product
         self._invert = _byte_inverse if self._bytes else _tuple_inverse
         self.levels: list[_Level] = []
+        # (beta, inverses) of each level, in order: the path _sift walks
+        self._sift_path: list[tuple[int, dict]] = []
         for beta in base_hint:
-            self.levels.append(_Level(beta, self._one))
+            self._add_level(beta)
         for g in self.generators:
             self._insert(self._code(g.images))
         self._close()
@@ -260,14 +279,17 @@ class PermutationGroup:
         return _BYTE_ONE if self._bytes else tuple(range(self.degree))
 
     def _code(self, images: tuple[int, ...]):
-        if self._bytes:
-            return bytes(images) + _BYTE_ONE[len(images):]
-        return images
+        return _byte_table(images) if self._bytes else images
 
     def _element(self, code) -> Permutation:
         return _unchecked(tuple(code[:self.degree]))
 
     # -- chain construction -------------------------------------------------
+
+    def _add_level(self, beta: int) -> None:
+        level = _Level(beta, self._one)
+        self.levels.append(level)
+        self._sift_path.append((beta, level.inverses))
 
     def _insert(self, code, first: int = 0) -> None:
         """Register the element with this code as a strong generator at
@@ -278,8 +300,7 @@ class PermutationGroup:
             if code[level.beta] != level.beta:
                 break
         else:
-            beta = next(i for i, j in enumerate(code) if i != j)
-            self.levels.append(_Level(beta, self._one))
+            self._add_level(next(i for i, j in enumerate(code) if i != j))
             depth = len(self.levels) - 1
         g = self._element(code)
         for level in self.levels[first:depth + 1]:
@@ -346,13 +367,17 @@ class PermutationGroup:
     def _sift(self, code, first: int = 0):
         """What is left of code after dividing out levels first.. of the
         chain as it is now, a level appended while closing included: with
-        first = 0, the identity's code iff the element lies in the group."""
+        first = 0, the identity's code iff the element lies in the group.
+        A level whose beta the code fixes divides by the identity, so it is
+        skipped."""
         mul = self._mul
-        for level in self.levels[first:]:
-            u_inverse = level.inverses.get(code[level.beta])
-            if u_inverse is None:
-                return code
-            code = mul(code, u_inverse)
+        for beta, inverses in self._sift_path[first:]:
+            gamma = code[beta]
+            if gamma != beta:
+                u_inverse = inverses.get(gamma)
+                if u_inverse is None:
+                    return code
+                code = mul(code, u_inverse)
         return code
 
     # -- queries -------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, GOLDEN
+from conftest import DATA, GOLDEN, padded
 from ftdesigns import cli, incidence, perm
 from ftdesigns.cli import main
 from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
@@ -71,6 +71,27 @@ def test_verify_hs(capsys, tmp_path):
                        "--design", str(design))
     assert code == 0
     assert out.strip() == "(176,1100,50,8,2) flag-transitive point-primitive"
+
+
+def test_catalog_blocks_are_never_walked_as_tuples(capsys, tmp_path,
+                                                   forbid_tuple_blocks):
+    """Every catalog design has at most 256 points, so construct and verify
+    walk its blocks as bytes; the tuple walk is refused, and it is what a
+    design on 257 points takes."""
+    forbid_tuple_blocks()
+    for name in catalog_names():
+        design = tmp_path / f"{name}.json"
+        code, out, _ = run(capsys, "construct", "--name", name,
+                           "--out", str(design))
+        assert code == 0, out
+        code, out, _ = run(capsys, "verify", "--group",
+                           str(DATA / "catalog" / name / "group.json"),
+                           "--design", str(design))
+        assert (code, out.split()[1:]) == (
+            0, ["flag-transitive", "point-primitive"]), out
+    with pytest.raises(AssertionError, match="walked as tuples"):
+        orbit_design(257, [perm.Permutation(padded(g.images, 257))
+                           for g in sl_generators(2, 3)[1]], (3, 4, 5, 6))
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -277,6 +298,14 @@ BAD_INPUT = {
                                 "catalog-list"],
     "construct-row-b-text": ["FTDESIGNS_DATA={row_b_text}", "construct",
                              "--name", "line1_psl25"],
+    # the group names are printed as they stand, so each must be a string
+    "catalog-list-socle-object": ["FTDESIGNS_DATA={socle_object}",
+                                  "catalog-list"],
+    "construct-socle-object": ["FTDESIGNS_DATA={socle_object}", "construct",
+                               "--name", "line1_psl25"],
+    "catalog-list-aut-null": ["FTDESIGNS_DATA={aut_null}", "catalog-list"],
+    "construct-aut-null": ["FTDESIGNS_DATA={aut_null}", "construct",
+                           "--name", "line1_psl25"],
     # as a set the base block is the valid [0, 1, 3, 6]
     "construct-out-base-block-repeats": ["FTDESIGNS_DATA={block_repeats}",
                                          "construct", "--name",
@@ -357,6 +386,16 @@ BAD_INPUT_ERRORS = {
     "catalog-list-group-array": "error: catalog entry line1_psl25: "
                                 "group.json: the document is an array, not "
                                 "a JSON object\n",
+    "catalog-list-socle-object": "error: catalog entry line1_psl25: "
+                                 "expected.json: socle = {{'a': [1, 2]}} is "
+                                 "not a string\n",
+    "construct-socle-object": "error: expected.json: socle = {{'a': [1, 2]}} "
+                              "is not a string\n",
+    "catalog-list-aut-null": "error: catalog entry line1_psl25: "
+                             "expected.json: automorphism_group = None is "
+                             "not a string\n",
+    "construct-aut-null": "error: expected.json: automorphism_group = None "
+                          "is not a string\n",
     "construct-base-block-number": "error: base_block.json: block 5 is not "
                                    "a list\n",
     "construct-base-block-string": "error: base_block.json: block '012' is "
@@ -492,6 +531,11 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
                                         "line1_psl25", row={"b": "10"}),
         "row_off_by_one": corrupted_catalog(tmp_path / "row_off_by_one",
                                             "line1_psl25", row={"b": 11}),
+        "socle_object": corrupted_catalog(tmp_path / "socle_object",
+                                          "line1_psl25",
+                                          row={"socle": {"a": [1, 2]}}),
+        "aut_null": corrupted_catalog(tmp_path / "aut_null", "line1_psl25",
+                                      row={"automorphism_group": None}),
         "expected_array": corrupted_catalog(
             tmp_path / "expected_array", "line1_psl25",
             whole=("expected.json", [1])),

@@ -6,12 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import DATA, GOLDEN, padded
 from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
                                      orbit_design, pg_lines, sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignCertificate, DesignError,
-                                 IncidenceStructure,
+                                 GroupActionError, IncidenceStructure,
                                  is_automorphism_group, is_flag_transitive,
                                  is_point_primitive, structure_from_json,
                                  structure_to_json, verify_2design)
@@ -566,3 +566,45 @@ def test_verify_under_a_transitive_group_counts_one_row(monkeypatch):
     rows.clear()
     verify_2design(entry.design)
     assert len(rows) == entry.design.v
+
+
+@pytest.fixture(scope="module")
+def padded_catalog():
+    """Each catalog entry's group, design and base block, with fixed points
+    in no block added up to 256 points, where blocks are walked as bytes,
+    and up to 257, where they are walked as tuples."""
+    padded_entries = {}
+    for name in catalog_names():
+        entry = catalog(name)
+        base_block = json.loads((DATA / "catalog" / name / "base_block.json")
+                                .read_text(encoding="utf-8"))["block"]
+        padded_entries[name] = {
+            v: (PermutationGroup(v, [padded(g.images, v)
+                                     for g in entry.group.generators]),
+                IncidenceStructure(v, entry.design.blocks), base_block)
+            for v in (256, 257)}
+    return padded_entries
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_byte_and_tuple_block_walks_agree(padded_catalog, name):
+    """At 256 and at 257 points: the same block orbit, the same verdicts and
+    the same design file apart from v.  A design with one block replaced
+    or one block doubled is refused on both sides: the group is transitive
+    on the blocks, so it preserves neither multiset."""
+    seen = {}
+    for v, (group, design, base_block) in padded_catalog[name].items():
+        assert orbit_design(v, group.generators, base_block) == design
+        first = design.blocks[0]
+        other = tuple(sorted((*first[:-1], min(set(range(v)) - set(first)))))
+        replaced = IncidenceStructure(v, (other, *design.blocks[1:]))
+        doubled = IncidenceStructure(v, (first, *design.blocks))
+        for bad in (replaced, doubled):
+            assert not is_automorphism_group(group, bad)
+            with pytest.raises(GroupActionError):
+                is_flag_transitive(group, bad)
+        seen[v] = (is_automorphism_group(group, design),
+                   is_flag_transitive(group, design),
+                   structure_to_json(design).replace(f'"v": {v}\n', ""))
+    assert seen[256] == seen[257]
+    assert seen[256][:2] == (True, True)
