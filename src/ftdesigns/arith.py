@@ -228,13 +228,10 @@ def prime_powers(lo: int, hi: int) -> list[PrimePower]:
     for p in primes[bisect_left(primes, lo):]:
         sieve[p - lo] = 1
     # {p^a: (p, a)} for a >= 2, each marked as a survivor; a root p below
-    # _TRIAL_LIMIT is prime iff it is a trial prime.  An even a takes the
-    # isqrt of the (a/2)-th root, as floor(sqrt(floor(x))) = floor(sqrt(x)).
+    # _TRIAL_LIMIT is prime iff it is a trial prime.
     powers = {}
-    roots = [hi, hi]
     for a in range(2, hi.bit_length()):
-        p = isqrt(roots[a // 2]) if a % 2 == 0 else _iroot(hi, a)
-        roots.append(p)
+        p = _iroot(hi, a)
         while (q := p ** a) >= lo:
             if p in _TRIAL_PRIMES if p < _TRIAL_LIMIT else is_prime(p):
                 powers[q] = p, a

@@ -42,7 +42,7 @@ EXIT_INPUT = 2
 PG_MAX_N = 6
 
 
-def _certify(design, source: str, symmetry=()) -> DesignCertificate | None:
+def _certify(design, source: str, symmetry) -> DesignCertificate | None:
     """verify_2design's certificate, or None once the reason there is none
     has been printed; a design it refuses to count is refused as bad input
     from `source`.  `symmetry` is passed on: the generators of a group known
@@ -232,7 +232,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass  # stderr is closed too, as in a pipe that was read out
         return EXIT_INPUT
 
 

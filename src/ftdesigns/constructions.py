@@ -20,7 +20,7 @@ from pathlib import Path
 from .design import Parameters
 # nothing here calls verify_2design; it stays bound here, where
 # bench/tracing.py wraps it
-from .incidence import (IncidenceStructure, _block_walk, _checked_block,
+from .incidence import (IncidenceStructure, _block_walk, _checked_blocks,
                         verify_2design)  # noqa: F401
 from .perm import (Permutation, PermutationGroup, _brief, json_object,
                    load_group, orbit)
@@ -75,7 +75,7 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
     repeats a point is refused, not folded into a set; it must also leave
     a point out.
     """
-    block = _checked_block(base_block, degree)
+    [block] = _checked_blocks([base_block], degree)
     if len(block) >= degree:
         raise ValueError(f"block {_brief.repr(base_block)} has more than "
                          f"{degree - 1} points")

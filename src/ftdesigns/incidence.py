@@ -9,12 +9,17 @@ of a group G that preserves the blocks, it counts only the row of point 0
 when G is transitive on the points: G preserves incidence, so r(x) is
 constant on each G-orbit of points and lambda(x, y) on each G-orbit of
 pairs (Dembowski, Finite Geometries, 1968, 2.3), and a g in G with
-g(x) = 0 maps {x, y} to the pair {0, g(y)} of row 0.  The remaining
-checks test a supplied permutation group against a structure:
-block-multiset preservation, transitivity on flags, and primitivity on
-points.  Nothing here searches for groups; it only verifies.
+g(x) = 0 maps {x, y} to the pair {0, g(y)} of row 0.  Row 0 is then
+the only row, and one that fails is reported as the first row of the full
+count would be, since r is uniform.  The remaining checks test a supplied
+permutation group against a structure: block-multiset preservation,
+transitivity on flags, and primitivity on points.  Nothing here searches for groups; it only verifies.
 G is flag-transitive iff it is transitive on the points in blocks and the
 stabilizer G_alpha of one of them is transitive on the blocks through alpha.
+
+A design file's blocks and a construction's base block pass one check,
+_checked_blocks: each rule is one C-level pass over the whole list, and
+the blocks are checked one at a time only to name the first bad one.
 
 Blocks are walked by perm's degree rule.  On at most 256 points a block is
 coded as bytes, its image under a generator is one bytes.translate through
@@ -67,23 +72,7 @@ class IncidenceStructure:
 
     @classmethod
     def from_blocks(cls, v: int, blocks, name: str | None = None) -> "IncidenceStructure":
-        blocks = list(blocks)
-        try:
-            normalized = list(map(tuple, map(sorted, blocks)))
-            points = chain.from_iterable(normalized)
-            # a bool is an int equal to 0 or 1, but it names no point
-            valid = (set(map(type, points)) <= {int}
-                     and min(map(len, normalized), default=2) >= 2
-                     and list(map(len, map(set, normalized)))
-                     == list(map(len, normalized))
-                     and min(map(itemgetter(0), normalized), default=0) >= 0
-                     and max(map(itemgetter(-1), normalized), default=0) < v)
-        except TypeError:
-            valid = False
-        if not valid:
-            # the same checks block by block, to name the first bad block
-            normalized = list(map(_checked_block, blocks, repeat(v)))
-        return cls(v, tuple(sorted(normalized)), name)
+        return cls(v, tuple(sorted(_checked_blocks(list(blocks), v))), name)
 
     @property
     def b(self) -> int:
@@ -93,34 +82,42 @@ class IncidenceStructure:
         return sum(len(block) for block in self.blocks)
 
 
-def _checked_block(block, v: int) -> tuple[int, ...]:
-    """The block as a sorted point tuple; ValueError if it is a string, a
-    dict or no collection at all, repeats a point, has fewer than 2 points,
-    or a point that is no integer in 0..v-1."""
+def _checked_blocks(blocks: list, v: int) -> list[tuple[int, ...]]:
+    """The blocks as sorted point tuples; ValueError naming the first that
+    is a string, a dict or no collection at all, has points that do not
+    sort or hash, repeats a point, has fewer than 2 points, or has a point
+    that is no integer in 0..v-1.  Each test is one C-level pass over the
+    whole list, and only a list that fails is checked block by block."""
     # a string or a JSON object iterates, by character or by key, but it
     # is no list of points
-    if isinstance(block, (str, dict)) or not isinstance(block, Iterable):
-        raise ValueError(f"block {_brief.repr(block)} is not a list")
-    try:
-        pts = tuple(sorted(block))
-        repeats = len(set(pts)) != len(pts)
-    except TypeError:
-        # points that do not compare or do not hash, such as lists
-        pts = repeats = None
-    if pts is None:
-        fault = "has a non-integer point"
-    elif repeats:
-        fault = "repeats a point"
-    elif len(pts) < 2:
-        fault = "has fewer than 2 points"
-    # a bool is an int equal to 0 or 1, but it names no point
-    elif not all(type(p) is int for p in pts):
-        fault = "has a non-integer point"
-    elif pts[0] < 0 or pts[-1] >= v:
-        fault = f"not a subset of 0..{v - 1}"
+    if any(issubclass(kind, (str, dict)) or not issubclass(kind, Iterable)
+           for kind in set(map(type, blocks))):
+        fault = "is not a list"
     else:
-        return pts
-    raise ValueError(f"block {_brief.repr(block)} {fault}")
+        try:
+            normalized = list(map(tuple, map(sorted, blocks)))
+            sizes = list(map(len, normalized))
+            repeats = list(map(len, map(set, normalized))) != sizes
+        except TypeError:
+            # points that do not compare or do not hash, such as lists
+            fault = "has a non-integer point"
+        else:
+            if repeats:
+                fault = "repeats a point"
+            elif min(sizes, default=2) < 2:
+                fault = "has fewer than 2 points"
+            # a bool is an int equal to 0 or 1, but it names no point
+            elif not set(map(type, chain.from_iterable(normalized))) <= {int}:
+                fault = "has a non-integer point"
+            elif (min(map(itemgetter(0), normalized), default=0) < 0
+                  or max(map(itemgetter(-1), normalized), default=0) >= v):
+                fault = f"not a subset of 0..{v - 1}"
+            else:
+                return normalized
+    if len(blocks) != 1:
+        # the same tests block by block, to name the first bad block
+        return [pts for block in blocks for pts in _checked_blocks([block], v)]
+    raise ValueError(f"block {_brief.repr(blocks[0])} {fault}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +138,9 @@ def verify_2design(structure: IncidenceStructure,
     constant on G-orbits of points and of pairs, and a point-transitive G
     moves every pair onto a pair through 0.  So when G is transitive on the
     points, a uniform k and a row of point 0 in which every other point
-    occurs lam > 0 times certify every pair.  Otherwise, and whenever that
-    row fails, all v rows are counted as without `symmetry`.
+    occurs lam times certify every pair, and a failing row 0 is the first
+    failure of the full count, as r is uniform.  Otherwise all v rows are
+    counted.
 
     Raises DesignError naming the first violated uniformity, with a witness
     block index, point, or point pair.
@@ -162,29 +160,27 @@ def verify_2design(structure: IncidenceStructure,
 
     if (symmetry and all(g.degree == v for g in symmetry)
             and len(orbit(0, symmetry, _images)) == v):
-        through0 = [block for block in blocks if 0 in block]
-        row = Counter(chain.from_iterable(through0))
-        del row[0]
-        lam = row[1]
-        if lam and len(row) == v - 1 and set(row.values()) == {lam}:
-            return _certificate(v, len(blocks), len(through0), k, lam)
-
-    # Each point's blocks are indexed once, keyed by the points that lie in
-    # a block, so the work is b * k for any v.  Scanning 0..v-1 for r then
-    # stops within b * k + 1 steps: at the first point in no block when
-    # r > 0, and at the first point in a block, which the scan starts from,
-    # when r == 0.
-    through = defaultdict(list)
-    for block in blocks:
-        for point in block:
-            through[point].append(block)
-    r = len(through.get(0, ()))
-    for point in range(0 if r else min(through, default=v), v):
-        count = len(through.get(point, ()))
-        if count != r:
-            raise DesignError(
-                "non-uniform r", point,
-                f"point {point} lies in {count} blocks, point 0 in {r}")
+        rows = (0,)
+        through = {0: [block for block in blocks if 0 in block]}
+        r = len(through[0])
+    else:
+        # Each point's blocks are indexed once, keyed by the points that lie
+        # in a block, so the work is b * k for any v.  Scanning 0..v-1 for r
+        # then stops within b * k + 1 steps: at the first point in no block
+        # when r > 0, and at the first point in a block, which the scan
+        # starts from, when r == 0.
+        rows = range(v)
+        through = defaultdict(list)
+        for block in blocks:
+            for point in block:
+                through[point].append(block)
+        r = len(through.get(0, ()))
+        for point in range(0 if r else min(through, default=v), v):
+            count = len(through.get(point, ()))
+            if count != r:
+                raise DesignError(
+                    "non-uniform r", point,
+                    f"point {point} lies in {count} blocks, point 0 in {r}")
 
     # Row x counts, in one C-level pass over the blocks through x, how many
     # of them hold each other point y: the multiplicity of the pair {x, y}.
@@ -194,7 +190,7 @@ def verify_2design(structure: IncidenceStructure,
     # pair in combinations(range(v), 2) order whose count is not that of
     # (0, 1).  With r > 0 the rows run only once every point lies in a
     # block, so v <= b * k.
-    for x in range(v):
+    for x in rows:
         row = Counter(chain.from_iterable(through.get(x, ())))
         del row[x]  # a Counter ignores a missing key
         if x == 0:
@@ -336,10 +332,13 @@ def structure_from_json(text: str) -> IncidenceStructure:
     v = doc["v"]
     if type(v) is not int or v < 0:
         raise ValueError(f"v {_brief.repr(v)} is not a non-negative integer")
+    name = doc.get("name")
+    if "name" in doc and type(name) is not str:
+        raise ValueError(f"name {_brief.repr(name)} is not a string")
     blocks = doc["blocks"]
     if type(blocks) is not list:
         raise ValueError(f"blocks {_brief.repr(blocks)} is not a list")
-    return IncidenceStructure.from_blocks(v, blocks, name=doc.get("name"))
+    return IncidenceStructure.from_blocks(v, blocks, name=name)
 
 
 def load_structure(path) -> IncidenceStructure:

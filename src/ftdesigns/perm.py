@@ -28,10 +28,9 @@ tree edge is the identity (Seress, Permutation Group Algorithms, 2003,
 Sec. 4.2), so the edge is marked verified and never sifted.
 
 The product of the basic orbit lengths is the exact group order, and sifting
-gives an exact membership test.  A sift walks one flat list of
-(beta, inverses) pairs, one per level, which grows as levels are added, and
-skips a level whose beta the code fixes: u_beta is the identity, so that
-division would change nothing.
+gives an exact membership test.  A sift walks the levels and skips one
+whose beta the code fixes: u_beta is the identity, so that division would
+change nothing.
 
 A Schreier generator of level i fixes beta_0..beta_i, so the sift that tests
 membership runs on it from level i+1 on, and a residue joins the strong
@@ -262,10 +261,8 @@ class PermutationGroup:
         self._mul = bytes.translate if self._bytes else _tuple_product
         self._invert = _byte_inverse if self._bytes else _tuple_inverse
         self.levels: list[_Level] = []
-        # (beta, inverses) of each level, in order: the path _sift walks
-        self._sift_path: list[tuple[int, dict]] = []
         for beta in base_hint:
-            self._add_level(beta)
+            self.levels.append(_Level(beta, self._one))
         for g in self.generators:
             self._insert(self._code(g.images))
         self._close()
@@ -286,11 +283,6 @@ class PermutationGroup:
 
     # -- chain construction -------------------------------------------------
 
-    def _add_level(self, beta: int) -> None:
-        level = _Level(beta, self._one)
-        self.levels.append(level)
-        self._sift_path.append((beta, level.inverses))
-
     def _insert(self, code, first: int = 0) -> None:
         """Register the element with this code as a strong generator at
         levels first.. of those it stabilizes into."""
@@ -300,7 +292,8 @@ class PermutationGroup:
             if code[level.beta] != level.beta:
                 break
         else:
-            self._add_level(next(i for i, j in enumerate(code) if i != j))
+            self.levels.append(_Level(
+                next(i for i, j in enumerate(code) if i != j), self._one))
             depth = len(self.levels) - 1
         g = self._element(code)
         for level in self.levels[first:depth + 1]:
@@ -371,10 +364,11 @@ class PermutationGroup:
         A level whose beta the code fixes divides by the identity, so it is
         skipped."""
         mul = self._mul
-        for beta, inverses in self._sift_path[first:]:
+        for level in self.levels[first:]:
+            beta = level.beta
             gamma = code[beta]
             if gamma != beta:
-                u_inverse = inverses.get(gamma)
+                u_inverse = level.inverses.get(gamma)
                 if u_inverse is None:
                     return code
                 code = mul(code, u_inverse)
@@ -548,6 +542,9 @@ def group_from_json(text: str) -> PermutationGroup:
     if type(degree) is not int or degree < 0:
         raise ValueError(
             f"degree {_brief.repr(degree)} is not a non-negative integer")
+    name = doc.get("name")
+    if "name" in doc and type(name) is not str:
+        raise ValueError(f"name {_brief.repr(name)} is not a string")
     expected = doc.get("expected_order")
     if expected is not None and type(expected) is not int:
         raise ValueError(
@@ -558,10 +555,10 @@ def group_from_json(text: str) -> PermutationGroup:
     for g in generators:
         if type(g) is not list:
             raise ValueError(f"generator {_brief.repr(g)} is not a list")
-    group = PermutationGroup(degree, generators, name=doc.get("name"))
+    group = PermutationGroup(degree, generators, name=name)
     if expected is not None and group.order() != expected:
         raise ValueError(
-            f"group {_brief.repr(doc.get('name'))}: computed order "
+            f"group {_brief.repr(name)}: computed order "
             f"{group.order()} != expected {expected}")
     return group
 

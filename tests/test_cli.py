@@ -352,6 +352,11 @@ BAD_INPUT = {
     # well under 300 bytes besides the path, not 688,959 bytes
     "design-block-long": ["verify", "--group", "{group}",
                           "--design", "{design_block_long}"],
+    # a name is written back as it stands, so each must be a string
+    "design-name-number": ["verify", "--group", "{group}",
+                           "--design", "{design_name_number}"],
+    "group-name-list": ["verify", "--group", "{group_name_list}",
+                        "--design", "{design}"],
     "group-generator-number": ["verify", "--group", "{group_generator_number}",
                                "--design", "{design}"],
     # lists nested 100,000 deep, deeper than the JSON parser recurses
@@ -418,6 +423,10 @@ BAD_INPUT_ERRORS = {
     "design-block-long": "error: design file {design_block_long}: block "
                          "[0, 'x', 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, "
                          "13, 14, 15, 16, 17, ...] has a non-integer point\n",
+    "design-name-number": "error: design file {design_name_number}: name 5 "
+                          "is not a string\n",
+    "group-name-list": "error: group file {group_name_list}: name ['c4'] is "
+                       "not a string\n",
     "group-generator-number": "error: group file {group_generator_number}: "
                               "generator 5 is not a list\n",
     "group-nested-deep": "error: group file {group_deep}: the document is "
@@ -513,6 +522,9 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
                               "blocks": [[0, "x", *range(100_000)], [2, 3]]},
         "group_generator_number": {"name": "g", "degree": 4,
                                    "generators": [5]},
+        "design_name_number": {"name": 5, "v": 4, "blocks": [[0, 1], [2, 3]]},
+        "group_name_list": {"name": ["c4"], "degree": 4,
+                            "generators": [[1, 2, 3, 0]]},
     }
     paths = {
         "missing": str(tmp_path / "missing"),
@@ -804,6 +816,22 @@ def test_a_failed_write_to_stdout_exits_2(capsys, monkeypatch, argv):
     code = main([arg.format(**paths) for arg in argv])
     assert (code, capsys.readouterr().err) == (
         2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout or stderr whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_a_closed_stdout_and_stderr_exit_2(monkeypatch):
+    """The `error:` line is written if it can be: with stderr the same
+    closed pipe as stdout, main still returns 2."""
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", ClosedPipe())
+    assert main(["eliminate", "--family", "suzuki", "--q-min", "8",
+                 "--q-max", "8"]) == 2
 
 
 def test_construct_unknown_name(capsys):

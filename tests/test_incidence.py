@@ -15,8 +15,8 @@ from ftdesigns.incidence import (DesignCertificate, DesignError,
                                  is_automorphism_group, is_flag_transitive,
                                  is_point_primitive, structure_from_json,
                                  structure_to_json, verify_2design)
-from ftdesigns.perm import (Permutation, PermutationGroup, canonical_json,
-                            orbit)
+from ftdesigns.perm import (Permutation, PermutationGroup, _brief,
+                            canonical_json, orbit)
 
 
 def pair_count_oracle(structure):
@@ -326,24 +326,27 @@ def test_structure_validation():
 def reference_from_blocks(v, blocks):
     """The block-by-block scan from_blocks had: the sorted blocks, or the
     error of the first bad block; a block that is no list, or whose points
-    do not sort or hash, is refused by name."""
+    do not sort or hash, is refused by name.  A block is quoted as every
+    refusal quotes it, through perm's reprlib.Repr, which cuts a long one
+    short and sorts a dict's keys."""
     normalized = []
     for block in blocks:
+        block_text = _brief.repr(block)
         if type(block) is not list:
-            raise ValueError(f"block {block!r} is not a list")
+            raise ValueError(f"block {block_text} is not a list")
         try:
             pts = tuple(sorted(block))
             repeats = len(set(pts)) != len(pts)
         except TypeError:
-            raise ValueError(f"block {block} has a non-integer point")
+            raise ValueError(f"block {block_text} has a non-integer point")
         if repeats:
-            raise ValueError(f"block {block} repeats a point")
+            raise ValueError(f"block {block_text} repeats a point")
         if len(pts) < 2:
-            raise ValueError(f"block {block} has fewer than 2 points")
+            raise ValueError(f"block {block_text} has fewer than 2 points")
         if not all(type(p) is int for p in pts):
-            raise ValueError(f"block {block} has a non-integer point")
+            raise ValueError(f"block {block_text} has a non-integer point")
         if pts and (pts[0] < 0 or pts[-1] >= v):
-            raise ValueError(f"block {block} not a subset of 0..{v - 1}")
+            raise ValueError(f"block {block_text} not a subset of 0..{v - 1}")
         normalized.append(pts)
     return tuple(sorted(normalized))
 
@@ -355,26 +358,30 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
+# ways to spoil a block: each maps a list of points to a bad block
+DEFECTS = [
+    lambda b: b + [b[0]],                  # repeats a point
+    lambda b: b[:1],                       # fewer than 2 points
+    lambda b: [],
+    lambda b: b[:-1] + [True],             # bool point
+    lambda b: b[:-1] + [float(b[-1])],     # float point
+    lambda b: b[:-1] + [1.5],
+    lambda b: b[:-1] + ["a"],              # sorting raises TypeError
+    lambda b: b[:-1] + [None],
+    lambda b: ["a", "b"],                  # sorts, but names no point
+    lambda b: [[p] for p in b],            # sorts, but does not hash
+    lambda b: [b],
+    lambda b: b[:-1] + [-1],               # out of range
+    lambda b: b[:-1] + [10],
+    lambda b: 5,                           # not a block at all
+    lambda b: dict.fromkeys(b, 0),         # iterates as points, by key
+]
+
+
 def test_from_blocks_matches_the_block_by_block_scan():
     """Checked in bulk, the first bad block and its message are the same,
     also when a later block's sort raises TypeError first in bulk."""
     rng = random.Random(77)
-    defects = [
-        lambda b: b + [b[0]],                  # repeats a point
-        lambda b: b[:1],                       # fewer than 2 points
-        lambda b: [],
-        lambda b: b[:-1] + [True],             # bool point
-        lambda b: b[:-1] + [float(b[-1])],     # float point
-        lambda b: b[:-1] + [1.5],
-        lambda b: b[:-1] + ["a"],              # sorting raises TypeError
-        lambda b: b[:-1] + [None],
-        lambda b: ["a", "b"],                  # sorts, but names no point
-        lambda b: [[p] for p in b],            # sorts, but does not hash
-        lambda b: [b],
-        lambda b: b[:-1] + [-1],               # out of range
-        lambda b: b[:-1] + [10],
-        lambda b: 5,                           # not a block at all
-    ]
     kinds = Counter()
     for _ in range(600):
         v = 10
@@ -382,7 +389,7 @@ def test_from_blocks_matches_the_block_by_block_scan():
                   for _ in range(rng.randrange(1, 8))]
         for i in rng.sample(range(len(blocks)),
                             min(len(blocks), rng.choice((0, 1, 1, 2, 3)))):
-            blocks[i] = rng.choice(defects)(blocks[i])
+            blocks[i] = rng.choice(DEFECTS)(blocks[i])
         expected = outcome(reference_from_blocks, v, blocks)
         got = outcome(lambda: IncidenceStructure.from_blocks(v, blocks))
         if isinstance(got, IncidenceStructure):
@@ -397,6 +404,18 @@ def test_from_blocks_matches_the_block_by_block_scan():
         4, iter([[3, 1], [2, 0]])).blocks == ((0, 2), (1, 3))
     with pytest.raises(ValueError, match=r"block \[0, 0\] repeats"):
         IncidenceStructure.from_blocks(4, iter([[1, 2], [0, 0]]))
+
+
+def test_orbit_design_refuses_a_base_block_as_from_blocks_does():
+    """A bad base block is refused with the message that a design file
+    holding it as its one block gets."""
+    rng = random.Random(78)
+    cycle = [Permutation([*range(1, 10), 0])]
+    for defect in DEFECTS:
+        block = defect(rng.sample(range(10), rng.randrange(2, 6)))
+        expected = outcome(IncidenceStructure.from_blocks, 10, [block])
+        assert expected[0] is ValueError, block
+        assert outcome(orbit_design, 10, cycle, block) == expected
 
 
 @pytest.mark.parametrize("v", [10.0, True, -1, "10", None],
@@ -566,6 +585,13 @@ def test_verify_under_a_transitive_group_counts_one_row(monkeypatch):
     rows.clear()
     verify_2design(entry.design)
     assert len(rows) == entry.design.v
+    # the hexagon under its 6-cycle fails at row 0, which is reported as it
+    # stands, not counted again
+    rows.clear()
+    cycle = [Permutation([1, 2, 3, 4, 5, 0])]
+    with pytest.raises(DesignError) as failure:
+        verify_2design(orbit_design(6, cycle, [0, 1]), cycle)
+    assert (failure.value.witness, len(rows)) == ((0, 2), 1)
 
 
 @pytest.fixture(scope="module")
