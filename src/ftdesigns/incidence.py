@@ -34,7 +34,7 @@ design writer fills one %-template per block size.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -84,13 +84,15 @@ class IncidenceStructure:
 
 def _checked_blocks(blocks: list, v: int) -> list[tuple[int, ...]]:
     """The blocks as sorted point tuples; ValueError naming the first that
-    is a string, a dict or no collection at all, has points that do not
-    sort or hash, repeats a point, has fewer than 2 points, or has a point
-    that is no integer in 0..v-1.  Each test is one C-level pass over the
-    whole list, and only a list that fails is checked block by block."""
+    is a string, a dict, an iterator or no collection at all, has points
+    that do not sort or hash, repeats a point, has fewer than 2 points, or
+    has a point that is no integer in 0..v-1.  Each test is one C-level pass
+    over the whole list, and only a list that fails is checked block by
+    block."""
     # a string or a JSON object iterates, by character or by key, but it
-    # is no list of points
-    if any(issubclass(kind, (str, dict)) or not issubclass(kind, Iterable)
+    # is no list of points; an iterator would be spent by the first pass
+    if any(issubclass(kind, (str, dict, Iterator))
+           or not issubclass(kind, Iterable)
            for kind in set(map(type, blocks))):
         fault = "is not a list"
     else:
@@ -169,7 +171,6 @@ def verify_2design(structure: IncidenceStructure,
         # then stops within b * k + 1 steps: at the first point in no block
         # when r > 0, and at the first point in a block, which the scan
         # starts from, when r == 0.
-        rows = range(v)
         through = defaultdict(list)
         for block in blocks:
             for point in block:
@@ -181,6 +182,8 @@ def verify_2design(structure: IncidenceStructure,
                 raise DesignError(
                     "non-uniform r", point,
                     f"point {point} lies in {count} blocks, point 0 in {r}")
+        # with r == 0 every block is empty, so row 0 stands for every row
+        rows = range(v) if r else (0,)
 
     # Row x counts, in one C-level pass over the blocks through x, how many
     # of them hold each other point y: the multiplicity of the pair {x, y}.

@@ -469,14 +469,6 @@ class PermutationGroup:
         root = find(alpha)
         return {x for x in range(self.degree) if find(x) == root}
 
-    def random_element(self, rng) -> Permutation:
-        """Uniform random element, via random transversal representatives."""
-        code = self._one
-        for level in reversed(self.levels):
-            gamma = rng.choice(sorted(level.transversal))
-            code = self._mul(code, level.transversal[gamma])
-        return self._element(code)
-
     def elements(self, limit: int | None = None) -> set[Permutation]:
         """Exhaustive element set by generator closure; guard with limit."""
         return orbit(Permutation.identity(self.degree), self.generators,

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -64,6 +65,15 @@ def test_verify_failure_witnesses():
         verify_2design(IncidenceStructure.from_blocks(
             4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     assert info.value.kind == "non-constant lambda"
+
+
+def test_verify_with_only_empty_blocks_reads_one_row():
+    """With every block empty, every row is row 0's, so a huge v is
+    certified at once, not row by row."""
+    start = time.perf_counter()
+    cert = verify_2design(IncidenceStructure(10**30, ((),)))
+    assert time.perf_counter() - start < 1
+    assert cert.params == Parameters(10**30, 1, 0, 0, 0)
 
 
 def test_verify_memory_follows_the_blocks_not_v_squared():
@@ -375,6 +385,7 @@ DEFECTS = [
     lambda b: b[:-1] + [10],
     lambda b: 5,                           # not a block at all
     lambda b: dict.fromkeys(b, 0),         # iterates as points, by key
+    lambda b: iter(b),                     # spent by the first pass
 ]
 
 
@@ -404,6 +415,9 @@ def test_from_blocks_matches_the_block_by_block_scan():
         4, iter([[3, 1], [2, 0]])).blocks == ((0, 2), (1, 3))
     with pytest.raises(ValueError, match=r"block \[0, 0\] repeats"):
         IncidenceStructure.from_blocks(4, iter([[1, 2], [0, 0]]))
+    # but a block that is an iterator is refused as no list, by name
+    with pytest.raises(ValueError, match=r"block <list_iter.*> is not a list"):
+        IncidenceStructure.from_blocks(4, [iter([0, 1]), [0, 0]])
 
 
 def test_orbit_design_refuses_a_base_block_as_from_blocks_does():

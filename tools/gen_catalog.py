@@ -21,10 +21,13 @@ Run from the repository root:
     PYTHONPATH=src python3 tools/gen_catalog.py [--only line6_psl28,...]
 
 Each entry draws from its own RNG, seeded from the entry's name, so a run
-with --only writes the same bytes for an entry as a full run.  Every group is
-stored as a generating set of at most two elements, found at write time,
-after the block search.  The output directory is the package's data
-directory, or FTDESIGNS_DATA when that is set:
+with --only writes the same bytes for an entry as a full run.  Its random
+elements are words in the group's generators, so the files depend only on
+each entry's generators and seed: a change to how the stabilizer chain is
+built moves none of them.  Every group is stored as a generating set of at
+most two elements, found at write time, after the block search.  The output
+directory is the package's data directory, or FTDESIGNS_DATA when that is
+set:
 
     FTDESIGNS_DATA=/tmp/data PYTHONPATH=src python3 tools/gen_catalog.py
 """
@@ -311,12 +314,22 @@ def search_block_exhaustive(group, expected: Parameters):
     raise RuntimeError("exhaustive block search failed")
 
 
+def random_word(group: PermutationGroup, rng) -> Permutation:
+    """The product of 40 generators drawn by rng.  It reads no stabilizer
+    chain, so what the tool writes depends only on the generators and the
+    entry's seed."""
+    word = rng.choice(group.generators)
+    for _ in range(39):
+        word = word * rng.choice(group.generators)
+    return word
+
+
 def search_block_cycles(group, expected: Parameters, rng, tries=4000):
     """Randomized search: candidate blocks are unions of at most two cycles
-    (plus fixed points) of random group elements."""
+    (plus fixed points) of random words in the generators."""
     k = expected.k
     for _ in range(tries):
-        g = group.random_element(rng)
+        g = random_word(group, rng)
         cycles = g.cycles()
         fixed = [i for i in range(group.degree) if g(i) == i]
         candidates = []
@@ -426,12 +439,12 @@ def unitary_group(gf: GF, q: int, with_field_aut: bool,
 
 def two_generators(group: PermutationGroup, rng) -> PermutationGroup:
     """The group on at most two generators: its own set when that is small
-    enough, else the first pair of random elements that generates a subgroup
-    of the same order, which is then the whole group."""
+    enough, else the first pair of random words that generates a subgroup of
+    the same order, which is then the whole group."""
     if len(group.generators) <= 2:
         return group
     for _ in range(100):
-        pair = [group.random_element(rng), group.random_element(rng)]
+        pair = [random_word(group, rng), random_word(group, rng)]
         small = PermutationGroup(group.degree, pair)
         if small.order() == group.order():
             return small
@@ -785,6 +798,10 @@ def main():
     parser.add_argument("--only", help="comma-separated entry names")
     args = parser.parse_args()
     names = args.only.split(",") if args.only else list(GENERATORS)
+    unknown = [name for name in names if name not in GENERATORS]
+    if unknown:
+        parser.error(f"unknown entries {', '.join(unknown)}; "
+                     f"known: {', '.join(GENERATORS)}")
     for name in names:
         start = time.time()
         print(f"[{name}]")
