@@ -159,6 +159,8 @@ def _cmd_eliminate(args) -> int:
 
 def _cmd_feasible(args) -> int:
     lam = args.lam
+    if args.r_mod is not None and args.r_mod < 1:
+        raise ValueError(f"--r-mod must be at least 1, got {args.r_mod}")
     r_mod = args.r_mod if args.r_mod is not None else lam * (args.v - 1)
     found = enumerate_candidates(args.v, lam, r_mod)
     if not found:

@@ -35,7 +35,11 @@ change nothing.
 A Schreier generator of level i fixes beta_0..beta_i, so the sift that tests
 membership runs on it from level i+1 on, and a residue joins the strong
 generators of levels i+1 to its depth only (Seress, Sec. 4.2); level 0 keeps
-exactly the non-identity input generators.
+exactly the non-identity input generators.  Levels close in Sims' depth-first
+order (Sims, Computational methods in the study of permutation groups, 1970;
+Seress, Sec. 4.2): after a residue, every level below the one that found it
+closes again before that one sifts on, so its later Schreier generators meet
+the whole stabilizer below, and fewer become strong generators.
 
 One accessor, stabilizer_generators, reads G_alpha, the stabilizer of the
 first base point alpha, off the chain (the strong generators of level 1),
@@ -330,32 +334,35 @@ class PermutationGroup:
             applied = list(enumerate(codes))
 
     def _close(self) -> None:
-        """Sift Schreier generators until every level passes.  The Schreier
-        generator of level i fixes beta_0..beta_i, so it is sifted from
-        level i+1 on, and a residue joins levels i+1.. only.
-        """
+        """Sift Schreier generators until every level passes, in Sims'
+        depth-first order (Sims 1970; Seress, Sec. 4.2): levels are swept
+        deepest first, and the walk restarts at the deepest level whenever a
+        residue joins, so a level sifts on only through a closed chain below
+        it and fewer of its Schreier generators leave a residue.  A loop, not
+        recursion, so no chain is too deep for it."""
         levels = self.levels
-        if not levels:
-            return  # no identity of the degree is built (see _one)
+        i = len(levels) - 1
+        while i >= 0:
+            i = len(levels) - 1 if self._sweep(i) else i - 1
+
+    def _sweep(self, i: int) -> bool:
+        """Sift level i's unverified Schreier generators from level i+1 on:
+        True as soon as one leaves a residue, which joins levels i+1.."""
+        level = self.levels[i]
         one, mul = self._one, self._mul
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(levels) - 1, -1, -1):
-                level = levels[i]
-                transversal, inverses = level.transversal, level.inverses
-                codes, verified = level.codes, level.verified
-                for gamma in sorted(transversal):
-                    u = transversal[gamma]
-                    for gi, g in enumerate(codes):
-                        if (gamma, gi) in verified:
-                            continue
-                        verified.add((gamma, gi))
-                        code = self._sift(
-                            mul(mul(u, g), inverses[g[gamma]]), i + 1)
-                        if code != one:
-                            self._insert(code, i + 1)
-                            changed = True
+        transversal, inverses = level.transversal, level.inverses
+        codes, verified = level.codes, level.verified
+        for gamma in sorted(transversal):
+            u = transversal[gamma]
+            for gi, g in enumerate(codes):
+                if (gamma, gi) in verified:
+                    continue
+                verified.add((gamma, gi))
+                code = self._sift(mul(mul(u, g), inverses[g[gamma]]), i + 1)
+                if code != one:
+                    self._insert(code, i + 1)
+                    return True
+        return False
 
     def _sift(self, code, first: int = 0):
         """What is left of code after dividing out levels first.. of the

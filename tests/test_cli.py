@@ -261,6 +261,7 @@ BAD_INPUT = {
     "pg-lines-space": ["construct", "--name", "pg_lines: 3"],
     "pg-lines-plus": ["construct", "--name", "pg_lines:+3"],
     "feasible-lambda-0": ["feasible", "--v", "10", "--lambda", "0"],
+    "feasible-r-mod-0": ["feasible", "--v", "7", "--r-mod", "0"],
     "feasible-above-range": ["feasible", "--v", "1000000000000000000"],
     # the walk bounds the divisors it lists, but still factorizes the modulus
     "feasible-r-mod-above-range": ["feasible", "--v", "7", "--r-mod",
@@ -438,6 +439,7 @@ BAD_INPUT_ERRORS = {
     "catalog-list-base-block-nested-deep": "error: catalog entry "
                                            "line1_psl25: base_block.json: the "
                                            "document is nested too deeply\n",
+    "feasible-r-mod-0": "error: --r-mod must be at least 1, got 0\n",
 }
 
 # a JSON array nested deeper than json.loads can recurse

@@ -280,23 +280,23 @@ def test_degree_one_and_two_groups():
 # (base, transversal size per level, strong generators per level)
 CATALOG_CHAINS = {
     "line1_psl25": ((1, 0, 2), [6, 5, 2], [2, 2, 1]),
-    "line2_fano_complement": ((0, 1, 3), [7, 6, 4], [2, 4, 2]),
+    "line2_fano_complement": ((0, 1, 3), [7, 6, 4], [2, 2, 2]),
     "line3_psl24": ((0, 1, 2), [10, 6, 2], [2, 3, 1]),
-    "line4_psl29": ((0, 1, 2, 4), [10, 9, 4, 2], [2, 6, 3, 1]),
-    "line5_psl211": ((0, 1, 2), [11, 10, 6], [2, 4, 2]),
-    "line6_psl28": ((0, 1, 4), [28, 27, 2], [2, 3, 1]),
-    "line7_psu33": ((0, 1, 2, 4), [28, 27, 2, 8], [2, 4, 3, 2]),
-    "line8_psl28": ((0, 1, 2), [36, 14, 3], [2, 3, 1]),
-    "line9_psu35": ((0, 1, 2, 6), [126, 125, 4, 4], [2, 5, 3, 1]),
+    "line4_psl29": ((0, 1, 2, 4), [10, 9, 4, 2], [2, 4, 3, 1]),
+    "line5_psl211": ((0, 1, 2), [11, 10, 6], [2, 3, 2]),
+    "line6_psl28": ((0, 1, 4), [28, 27, 2], [2, 2, 1]),
+    "line7_psu33": ((0, 1, 2, 4), [28, 27, 2, 8], [2, 3, 3, 2]),
+    "line8_psl28": ((0, 1, 2), [36, 14, 3], [2, 2, 1]),
+    "line9_psu35": ((0, 1, 2, 6), [126, 125, 4, 4], [2, 2, 2, 2]),
     "line10_hs": ((0, 1, 2, 3, 4, 6), [176, 175, 12, 5, 12, 2],
-                  [2, 8, 6, 4, 3, 1]),
+                  [2, 3, 4, 4, 3, 1]),
 }
 
 
 def test_catalog_chains_are_pinned():
-    """The Schreier-Sims chain of each catalog group, as recorded once a
-    residue joined only the levels below the one that found it: a faster
-    chain construction must not pick another base or transversal."""
+    """The Schreier-Sims chain of each catalog group, as recorded once the
+    levels were closed depth first, in Sims' order: a faster chain
+    construction must not pick another base or transversal."""
     chains = {}
     for name in CATALOG_CHAINS:
         group = catalog_group(name)
@@ -309,18 +309,18 @@ def test_catalog_chains_are_pinned():
 # (beta, basic orbit length, strong generators) per level, for chains that
 # start with one level and gain all the others while they are closed
 DEEP_CHAINS = {
-    "sl_5_3": [(40, 121, 2), (13, 120, 12), (4, 117, 10), (1, 108, 9),
-               (0, 81, 8), (5, 2, 4), (41, 2, 3), (14, 2, 2), (2, 2, 1)],
-    "sym_12": [(0, 12, 2), (1, 11, 11), (10, 10, 10), (8, 9, 8), (6, 8, 6),
-               (4, 7, 4), (2, 6, 3), (3, 5, 6), (9, 4, 5), (5, 3, 3),
-               (7, 2, 1)],
+    "sl_5_3": [(40, 121, 2), (13, 120, 7), (4, 117, 7), (1, 108, 8),
+               (0, 81, 8), (5, 2, 4), (2, 2, 3), (41, 2, 2), (14, 2, 1)],
+    "sym_12": [(0, 12, 2), (1, 11, 2), (10, 10, 9), (9, 9, 8), (8, 8, 7),
+               (7, 7, 6), (6, 6, 5), (5, 5, 4), (4, 4, 3), (3, 3, 2),
+               (2, 2, 1)],
 }
 
 
 def test_deep_chains_are_pinned():
     """SL_5(3) on the 121 points of PG(4, 3) and Sym(12) from a 12-cycle and
     a transposition: every level beyond the first is appended while the
-    chain is closed, and later sifts pass through it."""
+    chain is closed depth first, and later sifts pass through it."""
     cycle = list(range(1, 12)) + [0]
     swap = [1, 0] + list(range(2, 12))
     groups = {"sl_5_3": PermutationGroup(*sl_generators(3, 5)),
@@ -350,6 +350,56 @@ def test_padded_catalog_chains_are_pinned(degree):
         assert [g.images for g in big.stabilizer_generators(point)] == [
             padded(g.images, degree)
             for g in group.stabilizer_generators(point)], name
+
+
+def bsgs_cases():
+    """The ten catalog groups at their own degree and padded to 256 and 257
+    points, SL_n(3) for n = 3..5, and 300 seeded random groups, a third of
+    them inside a wreath product."""
+    for name in CATALOG_CHAINS:
+        group = catalog_group(name)
+        yield name, group
+        for degree in (256, 257):
+            yield f"{name}@{degree}", PermutationGroup(
+                degree, [padded(g.images, degree) for g in group.generators])
+    for n in (3, 4, 5):
+        yield f"sl_{n}_3", PermutationGroup(*sl_generators(3, n))
+    rng = random.Random(1970)
+    for k in range(300):
+        if k % 3:
+            n = rng.randrange(2, 13)
+            gens = [rng.sample(range(n), n)
+                    for _ in range(rng.randrange(1, 4))]
+            yield f"random {k}", PermutationGroup(n, gens)
+        else:
+            size, count = rng.choice(((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)))
+            gens = [random_wreath_element(rng, size, count)
+                    for _ in range(rng.randrange(1, 3))]
+            yield f"random {k}", relabelled(rng, size * count, gens)
+
+
+def test_finished_chain_is_a_bsgs():
+    """Whatever order the closure inserts strong generators in, the finished
+    chain is a base and strong generating set: in every level i each
+    Schreier generator u_gamma * s * u_s(gamma)^-1 sifts to the identity
+    from level i+1 on, and the strong generators of level 1 generate the
+    whole stabilizer of the first base point."""
+    cases = 0
+    for name, group in bsgs_cases():
+        mul = group._mul
+        for i, level in enumerate(group.levels):
+            for gamma, u in level.transversal.items():
+                for s in level.codes:
+                    schreier = mul(mul(u, s), level.inverses[s[gamma]])
+                    assert group._sift(schreier, i + 1) == group._one, name
+        if group.levels:
+            alpha = group.base()[0]
+            stab = PermutationGroup(group.degree,
+                                    group.stabilizer_generators(alpha))
+            assert (stab.order() * len(group.levels[0].transversal)
+                    == group.order()), name
+        cases += 1
+    assert cases == 333
 
 
 def test_base_point_stabilizer_is_read_off_the_chain(forbid_new_chains):
@@ -645,7 +695,7 @@ def test_group_from_json_chain_ignores_the_claim(monkeypatch):
     unclaimed = len(products)
     products.clear()
     group_from_json(group_text(257, gens, hs.order()))
-    assert len(products) == unclaimed == 7989
+    assert len(products) == unclaimed == 3446
 
 
 @pytest.mark.parametrize("degree, generators, expected", [
