@@ -19,6 +19,7 @@ deterministic: identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import constructions, elimination
@@ -175,8 +176,7 @@ def _cmd_feasible(args) -> int:
 def _cmd_catalog_list(args) -> int:
     names = constructions.catalog_names()
     if not names:
-        print("no catalog data found", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("no catalog data found")
     rows = []
     for name in names:
         try:
@@ -189,7 +189,10 @@ def _cmd_catalog_list(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call; every later call
+    returns that same object, so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="ftdesigns",
         description="Exact verification and elimination toolkit for "

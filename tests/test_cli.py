@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import io
@@ -17,6 +18,7 @@ from ftdesigns import cli, incidence, perm
 from ftdesigns.cli import main
 from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
                                      orbit_design, sl_generators)
+from ftdesigns.design import enumerate_candidates
 from ftdesigns.elimination import FAMILIES, WINDOW_LIMIT, sweep
 from ftdesigns.incidence import IncidenceStructure, structure_to_json
 from ftdesigns.perm import canonical_json
@@ -290,6 +292,8 @@ BAD_INPUT = {
                               "--name", "line1_psl25"],
     "catalog-list-no-expected": ["FTDESIGNS_DATA={no_expected}",
                                  "catalog-list"],
+    # a data directory that holds no catalog entry at all
+    "catalog-list-empty": ["FTDESIGNS_DATA={empty}", "catalog-list"],
     "construct-block-text": ["FTDESIGNS_DATA={block_text}", "construct",
                              "--name", "line1_psl25"],
     "catalog-list-block-text": ["FTDESIGNS_DATA={block_text}",
@@ -440,6 +444,7 @@ BAD_INPUT_ERRORS = {
                                            "line1_psl25: base_block.json: the "
                                            "document is nested too deeply\n",
     "feasible-r-mod-0": "error: --r-mod must be at least 1, got 0\n",
+    "catalog-list-empty": "error: no catalog data found\n",
 }
 
 # a JSON array nested deeper than json.loads can recurse
@@ -563,7 +568,9 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
         "block_deep": corrupted_catalog(tmp_path / "block_deep",
                                         "line1_psl25"),
         "out": str(tmp_path / "out.json"),
+        "empty": str(tmp_path / "empty"),
     }
+    (tmp_path / "empty").mkdir()
     (tmp_path / "block_deep" / "catalog" / "line1_psl25"
      / "base_block.json").write_text(f'{{"block": {DEEP}}}')
     # json.dumps cannot write what json.loads cannot read
@@ -1182,3 +1189,92 @@ def test_byte_identical_reruns(capsys):
     second = run(capsys, "eliminate", "--family", "g2",
                  "--q-min", "3", "--q-max", "8", "--json")
     assert first == second
+
+
+# one process, many commands: defaults given and left out, output as text
+# and as JSON, argparse's own exits (a usage error, two --help), a refusal
+REUSE_ARGVS = [
+    ["feasible", "--v", "65", "--lambda", "2", "--r-mod", "128"],
+    ["feasible", "--v", "65"],
+    ["feasible", "--v", "7", "--lambda", "3"],
+    ["feasible", "--v", "11", "--r-mod", "10"],
+    ["eliminate", "--family", "g2", "--q-min", "3", "--q-max", "8", "--json"],
+    ["eliminate", "--family", "g2", "--q-min", "3", "--q-max", "8"],
+    ["feasible", "--v", "1e3"],
+    ["--help"],
+    ["construct", "--help"],
+    ["feasible", "--v", "1"],
+]
+
+
+def outcome(capsys, argv):
+    """main's exit code, or argparse's as ("exit", code), with the output."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_its_parser_without_leaks(capsys):
+    first = [outcome(capsys, argv) for argv in REUSE_ARGVS]
+    again = [outcome(capsys, argv) for argv in reversed(REUSE_ARGVS)]
+    assert again[::-1] == first
+    codes = dict(zip(map(" ".join, REUSE_ARGVS), first))
+    assert codes["feasible --v 65"][0] == 0
+    assert "65\t416\t32\t5\t2" in codes[
+        "feasible --v 65 --lambda 2 --r-mod 128"][1]
+    assert codes["feasible --v 7 --lambda 3"][1].endswith("\t3\n")
+    json.loads(codes["eliminate --family g2 --q-min 3 --q-max 8 --json"][1])
+    code, out, err = codes["feasible --v 1e3"]
+    assert (code, out) == (("exit", 2), "")
+    assert err.startswith("usage: ftdesigns feasible ")
+    assert err.endswith("error: argument --v: invalid int value: '1e3'\n")
+    for argv, usage in (("--help", "usage: ftdesigns [-h] "),
+                        ("construct --help", "usage: ftdesigns construct ")):
+        code, out, err = codes[argv]
+        assert (code, err) == (("exit", 0), "")
+        assert out.startswith(usage)
+    assert codes["feasible --v 1"] == (2, "", "error: need v >= 4, got 1\n")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for i in range(50):
+        outcome(capsys, REUSE_ARGVS[i % len(REUSE_ARGVS)])
+    # the top-level parser and its five subparsers
+    assert len(built) == 6
+
+
+def test_patches_after_the_first_call_take_effect(capsys, monkeypatch,
+                                                  tmp_path):
+    """bench/run.py runs its warm-up command before the tracer patches the
+    names cli imported, so a handler must read them when it runs."""
+    cli.build_parser.cache_clear()
+    assert run(capsys, "feasible", "--v", "7")[0] == 0
+    calls = []
+
+    def candidates(*args):
+        calls.append("enumerate_candidates")
+        return enumerate_candidates(*args)
+
+    def verify(*args):
+        calls.append("verify_2design")
+        return incidence.verify_2design(*args)
+
+    monkeypatch.setattr(cli, "enumerate_candidates", candidates)
+    monkeypatch.setattr(cli, "verify_2design", verify)
+    assert run(capsys, "feasible", "--v", "11")[0] == 0
+    code, out, err = run(capsys, "construct", "--name", "line1_psl25",
+                         "--out", str(tmp_path / "d.json"))
+    assert (code, err) == (0, "") and out.startswith("wrote line1_psl25 ")
+    assert calls == ["enumerate_candidates", "verify_2design"]

@@ -83,8 +83,7 @@ def test_no_module_state_is_rebound():
 
 def test_only_main_refuses_input():
     """cli decides exit 2 in one place: no function but main returns
-    EXIT_INPUT, writes to stderr or spells an `error:` line, apart from
-    catalog-list's refusal of a data directory that holds no entry."""
+    EXIT_INPUT, writes to stderr or spells an `error:` line."""
     tree = ast.parse((ROOT / "src" / "ftdesigns" / "cli.py").read_text(
         encoding="utf-8"))
     found = []
@@ -104,8 +103,6 @@ def test_only_main_refuses_input():
                   and node.value.startswith("error:")):
                 found.append((func.name, repr(node.value)))
     assert sorted(found) == [
-        ("_cmd_catalog_list", "'no catalog data found'"),
-        ("_cmd_catalog_list", "return EXIT_INPUT"),
         ("main", "'error: '"),
         ("main", "f'error: {exc}'"),
         ("main", "return EXIT_INPUT"),
