@@ -153,6 +153,5 @@ def catalog(name: str) -> CatalogEntry:
         design = orbit_design(group.degree, group.generators, block)
     except ValueError as exc:
         raise ValueError(f"{filename}: {exc}") from None
-    design = IncidenceStructure(design.v, design.blocks, name=name)
     return CatalogEntry(name, group, design, Parameters(*row), socle,
                         automorphism_group)

@@ -63,16 +63,17 @@ class IncidenceStructure:
     """Point set {0..v-1} plus a multiset of blocks (sorted point tuples).
 
     Repeated blocks are kept and counted with multiplicity.  The block list
-    is stored lexicographically sorted, which is the canonical file order.
+    is stored lexicographically sorted, which is the canonical file order,
+    so one design compares equal however it was built.  A design file's
+    label is not kept: structure_to_json is given it.
     """
 
     v: int
     blocks: tuple[tuple[int, ...], ...]
-    name: str | None = None
 
     @classmethod
-    def from_blocks(cls, v: int, blocks, name: str | None = None) -> "IncidenceStructure":
-        return cls(v, tuple(sorted(_checked_blocks(list(blocks), v))), name)
+    def from_blocks(cls, v: int, blocks) -> "IncidenceStructure":
+        return cls(v, tuple(sorted(_checked_blocks(list(blocks), v))))
 
     @property
     def b(self) -> int:
@@ -312,10 +313,9 @@ class _BlockTemplates(dict):
 _BLOCK_TEMPLATES = _BlockTemplates()
 
 
-def structure_to_json(structure: IncidenceStructure,
-                      name: str | None = None) -> str:
-    """The design file: byte for byte what canonical_json writes for
-    {"name": ..., "v": ..., "blocks": [...]}, from fixed templates, as
+def structure_to_json(structure: IncidenceStructure, name: str) -> str:
+    """The design file labelled name: byte for byte what canonical_json
+    writes for {"name": name, "v": ..., "blocks": [...]}, from templates, as
     json's pure-Python indenting encoder is slow on thousands of blocks.
     Keys come in sorted order, ints by repr and the name through
     encode_basestring_ascii."""
@@ -326,7 +326,7 @@ def structure_to_json(structure: IncidenceStructure,
                    + "\n  ]") if blocks else "[]"
     return ('{\n  "blocks": ' + blocks_text
             + ',\n  "name": '
-            + encode_basestring_ascii(name or structure.name or "design")
+            + encode_basestring_ascii(name)
             + ',\n  "v": ' + repr(structure.v) + "\n}\n")
 
 
@@ -341,7 +341,7 @@ def structure_from_json(text: str) -> IncidenceStructure:
     blocks = doc["blocks"]
     if type(blocks) is not list:
         raise ValueError(f"blocks {_brief.repr(blocks)} is not a list")
-    return IncidenceStructure.from_blocks(v, blocks, name=name)
+    return IncidenceStructure.from_blocks(v, blocks)
 
 
 def load_structure(path) -> IncidenceStructure:

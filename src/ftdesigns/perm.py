@@ -248,10 +248,8 @@ class PermutationGroup:
     immutable after construction and safe to share.
     """
 
-    def __init__(self, degree: int, generators, base_hint=(),
-                 name: str | None = None):
+    def __init__(self, degree: int, generators, base_hint=()):
         self.degree = degree
-        self.name = name
         gens = []
         for g in generators:
             if not isinstance(g, Permutation):
@@ -482,8 +480,7 @@ class PermutationGroup:
                      _products, limit)
 
     def __repr__(self) -> str:
-        label = self.name or "PermutationGroup"
-        return f"<{label} degree={self.degree} order={self.order()}>"
+        return f"<PermutationGroup degree={self.degree} order={self.order()}>"
 
 
 def canonical_json(obj) -> str:
@@ -491,10 +488,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def group_to_json(group: PermutationGroup, name: str | None = None,
+def group_to_json(group: PermutationGroup, name: str,
                   expected_order: int | None = None) -> str:
     doc = {
-        "name": name or group.name or "group",
+        "name": name,
         "degree": group.degree,
         "generators": [list(g.images) for g in group.generators],
     }
@@ -554,7 +551,7 @@ def group_from_json(text: str) -> PermutationGroup:
     for g in generators:
         if type(g) is not list:
             raise ValueError(f"generator {_brief.repr(g)} is not a list")
-    group = PermutationGroup(degree, generators, name=name)
+    group = PermutationGroup(degree, generators)
     if expected is not None and group.order() != expected:
         raise ValueError(
             f"group {_brief.repr(name)}: computed order "

@@ -203,13 +203,12 @@ def test_criterion_5_oracle_equivalence():
     # orbit-stabilizer identity on every fixture and on the catalog groups
     # of line1, line2, line5 and line10; exhaustive enumeration for the small
     # ones
-    groups = [fixture_group(name) for name in
+    groups = [(name, fixture_group(name)) for name in
               ("psl2_4", "psl2_8", "psl2_9", "psu3_3", "psu3_5")]
-    groups += [catalog_group(name) for name in
+    groups += [(name, catalog_group(name)) for name in
                ("line1_psl25", "line2_fano_complement", "line5_psl211",
                 "line10_hs")]
-    for group in groups:
-        name = group.name
+    for name, group in groups:
         stab = group.stabilizer(0)
         assert len(group.orbit(0)) * stab.order() == group.order(), name
         if group.order() <= 10**4:

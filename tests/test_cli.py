@@ -20,7 +20,8 @@ from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
                                      orbit_design, sl_generators)
 from ftdesigns.design import enumerate_candidates
 from ftdesigns.elimination import FAMILIES, WINDOW_LIMIT, sweep
-from ftdesigns.incidence import IncidenceStructure, structure_to_json
+from ftdesigns.incidence import (IncidenceStructure, load_structure,
+                                 structure_to_json)
 from ftdesigns.perm import canonical_json
 
 
@@ -141,7 +142,7 @@ def test_verify_passes_the_group_only_once_it_preserves_the_design(
     group.write_text(canonical_json({"name": "g", "degree": len(generators[0]),
                                      "generators": generators}))
     design = tmp_path / "design.json"
-    design.write_text(structure_to_json(fano_complement()))
+    design.write_text(structure_to_json(fano_complement(), "design"))
     run(capsys, "verify", "--group", str(group), "--design", str(design))
     assert passed == [[tuple(g) for g in generators] if preserves else []]
 
@@ -159,7 +160,7 @@ def test_verify_refuses_a_group_that_does_not_act(capsys, tmp_path,
     group.write_text(canonical_json(
         {"name": "g", "degree": degree, "generators": generators}))
     design = tmp_path / "design.json"
-    design.write_text(structure_to_json(fano_complement()))
+    design.write_text(structure_to_json(fano_complement(), "design"))
     assert run(capsys, "verify", "--group", str(group),
                "--design", str(design)) == want
 
@@ -715,7 +716,8 @@ def test_mutated_data_files_end_with_an_exit_code(capsys, monkeypatch,
     originals = {path.name: json.loads(path.read_text(encoding="utf-8"))
                  for path in (DATA / "catalog" / "line1_psl25").iterdir()}
     group, design = tmp_path / "group.json", tmp_path / "design.json"
-    design_doc = json.loads(structure_to_json(catalog("line1_psl25").design))
+    design_doc = json.loads(structure_to_json(catalog("line1_psl25").design,
+                                              "line1_psl25"))
     out = str(tmp_path / "out.json")
 
     def write(path, doc):
@@ -762,7 +764,7 @@ def test_line6_group_certifies_two_more_designs(capsys, tmp_path, base_block):
     generators = catalog("line6_psl28").group.generators
     design = tmp_path / "design.json"
     design.write_text(structure_to_json(
-        orbit_design(28, generators, base_block)))
+        orbit_design(28, generators, base_block), "design"))
     assert run(capsys, "verify", "--group", str(group),
                "--design", str(design)) == (
         0, "(28,252,27,3,2) flag-transitive point-primitive\n", "")
@@ -950,6 +952,19 @@ def test_construct_out_certifies_under_the_construction_group(
                          "--out", str(tmp_path / "d.json"))
     assert (code, err) == (0, "") and out.startswith(f"wrote {name} ")
     assert passed == [want]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_construct_out_reads_back_as_the_catalog_design(capsys, tmp_path,
+                                                        name):
+    """The file construct --out writes reads back as the entry's design, and
+    as the bare structure of its v and blocks: a file's label is not kept."""
+    out = tmp_path / "d.json"
+    assert run(capsys, "construct", "--name", name, "--out", str(out))[0] == 0
+    design = catalog(name).design
+    loaded = load_structure(out)
+    assert loaded == design == IncidenceStructure(design.v, design.blocks)
+    assert hash(loaded) == hash(design)
 
 
 def test_construct_to_stdout_roundtrips(capsys):

@@ -39,6 +39,14 @@ def test_fano_complement():
                      if (a + 1) ^ (b + 1) == c + 1]
 
 
+def test_one_design_compares_equal_however_it_was_built():
+    """A design is its points and blocks: the construction and the catalog
+    entry that hold the same 7 blocks are equal and hash alike."""
+    built = fano_complement()
+    bundled = catalog("line2_fano_complement").design
+    assert built == bundled and hash(built) == hash(bundled)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_pg_points(q):
     for n in range(1, 5):
@@ -245,7 +253,7 @@ def test_a_missing_key_is_a_value_error(monkeypatch, tmp_path, filename,
         with refused:
             group_from_json(without(text, key))
     elif filename == "design":
-        text = structure_to_json(catalog("line1_psl25").design)
+        text = structure_to_json(catalog("line1_psl25").design, "line1_psl25")
         with refused:
             structure_from_json(without(text, key))
     else:

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 from collections.abc import Hashable
 from functools import cache
 from math import gcd, prod
@@ -384,6 +385,62 @@ def test_parabolic_e6_rows_carry_subdegree_hypothesis():
     assert any("graph automorphism" in h for h in report.hypotheses)
     report = eliminate_parabolic_generic(ROWS["3d4_p1"], PrimePower(3, 1))
     assert not any("graph automorphism" in h for h in report.hypotheses)
+
+
+# the degrees of the Weyl groups by type (Humphreys, Reflection Groups and
+# Coxeter Groups, 1990, 3.7), a type being (letter, rank)
+def weyl_degrees(letter, n):
+    if letter == "A":
+        return range(2, n + 2)
+    if letter == "B":
+        return range(2, 2 * n + 1, 2)
+    if letter == "D":
+        return [*range(2, 2 * n - 1, 2), n]
+    return {("F", 4): (2, 6, 8, 12), ("E", 6): (2, 5, 6, 8, 9, 12)}[letter, n]
+
+
+def parabolic_exponents(group, levi):
+    """|G:P_J| = P_W(q) / P_{W_J}(q) as sorted (n, exponent of Phi_n) pairs,
+    for the Weyl group W of the type `group` and the types `levi` of the
+    components of J.  P_W is the product of [d]_q over the degrees d of W,
+    and [d]_q is the product of Phi_e over the divisors e > 1 of d, so
+    each degree counts its divisors."""
+    counts = Counter()
+    for sign, types in ((1, [group]), (-1, levi)):
+        for letter, n in types:
+            for d in weyl_degrees(letter, n):
+                for e in range(2, d + 1):
+                    if d % e == 0:
+                        counts[e] += sign
+    assert min(counts.values()) >= 0
+    return tuple(sorted((n, e) for n, e in counts.items() if e))
+
+
+F4, E6 = ("F", 4), ("E", 6)
+
+
+def test_untwisted_parabolic_rows_follow_from_weyl_degrees():
+    """The cyclotomic exponents of the untwisted rows, and eliminate_e6's
+    closed forms of |E6:P1| and |E6:P3|, follow from the Weyl group degrees,
+    with J in Bourbaki labels.  The twisted rows 3d4_p1 and 2f4_p1 are left
+    out: their indices come from the groups' order formulas, not from Weyl
+    group degrees."""
+    derived = {
+        "f4_p14": parabolic_exponents(F4, [("B", 2)]),  # J = {2, 3}
+        "f4_p23": parabolic_exponents(F4, [("A", 1)] * 2),  # J = {1, 4}
+        "e6_p16": parabolic_exponents(E6, [("D", 4)]),  # J = {2, 3, 4, 5}
+        # J = {1, 2, 4, 6}
+        "e6_p35": parabolic_exponents(E6, [("A", 1), ("A", 2), ("A", 1)]),
+    }
+    assert derived == {key: ROWS[key].phi_exponents for key in derived}
+    maximal = {"p1": parabolic_exponents(E6, [("D", 5)]),
+               "p3": parabolic_exponents(E6, [("A", 1), ("A", 4)])}
+    for p, a in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        phi = cyclotomic_table(12, p**a)
+        for case, exponents in maximal.items():
+            v = prod(phi[n] ** e for n, e in exponents)
+            assert eliminate_e6(PrimePower(p, a), case).facts[0].values \
+                == (v,), (p**a, case)
 
 
 def test_flagged_candidates_satisfy_counting_identities():

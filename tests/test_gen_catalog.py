@@ -44,11 +44,11 @@ def test_the_data_do_not_depend_on_the_chain(tmp_path, monkeypatch):
     build = PermutationGroup.__init__
     forced = []
 
-    def reversed_base(self, degree, generators, base_hint=(), name=None):
+    def reversed_base(self, degree, generators, base_hint=()):
         if not base_hint:
             base_hint = range(degree - 1, -1, -1)
             forced.append(degree)
-        build(self, degree, generators, base_hint, name)
+        build(self, degree, generators, base_hint)
 
     monkeypatch.setattr(PermutationGroup, "__init__", reversed_base)
     monkeypatch.setenv("FTDESIGNS_DATA", str(tmp_path))

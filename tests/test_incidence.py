@@ -17,7 +17,7 @@ from ftdesigns.incidence import (DesignCertificate, DesignError,
                                  is_point_primitive, structure_from_json,
                                  structure_to_json, verify_2design)
 from ftdesigns.perm import (Permutation, PermutationGroup, _brief,
-                            canonical_json, orbit)
+                            canonical_json, group_to_json, orbit)
 
 
 def pair_count_oracle(structure):
@@ -294,34 +294,41 @@ def test_structure_json_roundtrip_is_byte_stable():
     assert structure_to_json(design, name=json.loads(text)["name"]) == text
 
 
-def reference_structure_json(structure, name=None):
+def reference_structure_json(structure, name):
     return canonical_json({
-        "name": name or structure.name or "design",
+        "name": name,
         "v": structure.v,
         "blocks": [list(block) for block in structure.blocks],
     })
 
 
 def test_structure_json_is_canonical_json():
+    """The writer writes the label it is given, the empty one too."""
     rng = random.Random(29)
-    names = [None, "", "d", 'a "quoted" name', "back\\slash", "tab\there",
-             "caf\u00e9 \u03bb=2", "astral \U0001d53d", "\x00\x1f\x7f"]
+    names = ["", "d", 'a "quoted" name', "back\\slash", "tab\there",
+             "caf\u00e9 \u03bb=2", "astral \U0001d53d", "\x00\x1f\x7f",
+             "huge \\ \"v\""]
     structures = [IncidenceStructure(5, ()),
                   IncidenceStructure(4, ((), (0,), (1, 3))),
-                  IncidenceStructure(10**30, ((0, 10**30 - 1),),
-                                     name="huge \\ \"v\""),
+                  IncidenceStructure(10**30, ((0, 10**30 - 1),)),
                   IncidenceStructure(7, fano_complement().blocks)]
     for _ in range(300):
         v = rng.randrange(1, 40)
         blocks = [rng.sample(range(v), rng.randrange(v + 1))
                   for _ in range(rng.randrange(8))]
         structures.append(IncidenceStructure.from_blocks(
-            v, [b for b in blocks if len(b) > 1], name=rng.choice(names)))
+            v, [b for b in blocks if len(b) > 1]))
     for structure in structures:
-        for name in (None, rng.choice(names)):
+        for name in names:
             assert structure_to_json(structure, name) == \
                 reference_structure_json(structure, name)
-    assert '"name": "design"' in structure_to_json(IncidenceStructure(5, ()))
+
+
+def test_the_writers_require_a_label():
+    with pytest.raises(TypeError):
+        structure_to_json(fano_complement())
+    with pytest.raises(TypeError):
+        group_to_json(catalog("line2_fano_complement").group)
 
 
 def test_structure_validation():
@@ -643,8 +650,9 @@ def test_byte_and_tuple_block_walks_agree(padded_catalog, name):
             assert not is_automorphism_group(group, bad)
             with pytest.raises(GroupActionError):
                 is_flag_transitive(group, bad)
+        text = structure_to_json(design, name)
         seen[v] = (is_automorphism_group(group, design),
                    is_flag_transitive(group, design),
-                   structure_to_json(design).replace(f'"v": {v}\n', ""))
+                   text.replace(f'"v": {v}\n', ""))
     assert seen[256] == seen[257]
     assert seen[256][:2] == (True, True)

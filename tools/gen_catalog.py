@@ -425,13 +425,13 @@ def unitary_data(gf: GF, q: int):
 
 
 def unitary_group(gf: GF, q: int, with_field_aut: bool,
-                  expected_order: int, name: str) -> PermutationGroup:
+                  expected_order: int) -> PermutationGroup:
     points, mats = unitary_data(gf, q)
     gens = [matrix_perm(gf, m, points) for m in mats]
     if with_field_aut:
         gens.append(frobenius_perm(gf, points))
-    group = PermutationGroup(len(points), gens, name=name)
-    assert group.order() == expected_order, (name, group.order())
+    group = PermutationGroup(len(points), gens)
+    assert group.order() == expected_order, (q, group.order())
     return group
 
 
@@ -448,7 +448,8 @@ def two_generators(group: PermutationGroup, rng) -> PermutationGroup:
         small = PermutationGroup(group.degree, pair)
         if small.order() == group.order():
             return small
-    raise RuntimeError(f"no generating pair found for {group.name}")
+    raise RuntimeError(f"no generating pair found for the group of degree "
+                       f"{group.degree} and order {group.order()}")
 
 
 def write_group(path: Path, name: str, group: PermutationGroup, rng) -> None:
@@ -479,7 +480,7 @@ def write_fixture(name: str, group: PermutationGroup, rng):
 # -- the ten catalog lines --------------------------------------------------------
 
 def gen_line1(rng):
-    group = PermutationGroup(6, psl2_gens(GF5), name="psl2_5")
+    group = PermutationGroup(6, psl2_gens(GF5))
     assert group.order() == 60
     expected = Parameters(6, 10, 5, 3, 2)
     block, design = search_block_exhaustive(group, expected)
@@ -492,7 +493,7 @@ def gen_line2(rng):
     gf2 = GF(2, 1)
     points = pg_points(2, 3)
     gens = [matrix_perm(gf2, m, points) for m in transvection_mats(gf2, 3)]
-    group = PermutationGroup(7, gens, name="psl2_7")
+    group = PermutationGroup(7, gens)
     assert group.order() == 168
     expected = Parameters(7, 7, 4, 4, 2)
     design = fano_complement()
@@ -508,8 +509,7 @@ def gen_line3(rng):
     index, on_pairs = pair_action(5)
     five_cycle = Permutation([1, 2, 3, 4, 0])
     swap = Permutation([1, 0, 2, 3, 4])
-    group = PermutationGroup(10, [on_pairs(five_cycle), on_pairs(swap)],
-                             name="psl2_4_ext")
+    group = PermutationGroup(10, [on_pairs(five_cycle), on_pairs(swap)])
     assert group.order() == 120
     expected = Parameters(10, 15, 6, 4, 2)
     # blocks are the 4-cycles of the complete graph K5, as sets of 4 edges
@@ -522,10 +522,9 @@ def gen_line3(rng):
 
 def gen_line4(rng):
     gens = psl2_gens(GF9)
-    psl29 = PermutationGroup(10, gens, name="psl2_9")
+    psl29 = PermutationGroup(10, gens)
     assert psl29.order() == 360
-    group = PermutationGroup(
-        10, gens + [frobenius_perm(GF9, pg_points(9, 2))], name="psl2_9_ext")
+    group = PermutationGroup(10, gens + [frobenius_perm(GF9, pg_points(9, 2))])
     assert group.order() == 720
     expected = Parameters(10, 15, 6, 4, 2)
     block, design = search_block_exhaustive(group, expected)
@@ -545,7 +544,7 @@ def gen_line5(rng):
     # prescribe 0 -> 0, 1 -> 2 (a non-residue image) and search
     mover = structure_automorphism(design, {0: 0, 1: 2})
     assert mover is not None
-    group = PermutationGroup(11, [add1, mul3, mover], name="psl2_11")
+    group = PermutationGroup(11, [add1, mul3, mover])
     assert group.order() == 660, group.order()
     expected = Parameters(11, 11, 5, 5, 2)
     found = try_block(group, design.blocks[0], expected)
@@ -556,10 +555,9 @@ def gen_line5(rng):
 
 def build_pgammal2_8():
     gens = psl2_gens(GF8)
-    psl = PermutationGroup(9, gens, name="psl2_8")
+    psl = PermutationGroup(9, gens)
     assert psl.order() == 504
-    full = PermutationGroup(
-        9, gens + [frobenius_perm(GF8, pg_points(8, 2))], name="psl2_8_ext")
+    full = PermutationGroup(9, gens + [frobenius_perm(GF8, pg_points(8, 2))])
     assert full.order() == 1512
     return psl, full
 
@@ -586,7 +584,7 @@ def gen_line6(rng):
         return Permutation(images)
 
     gens28 = [conj_perm(g) for g in full.generators]
-    group = PermutationGroup(28, gens28, name="psl2_8_ext_on_28")
+    group = PermutationGroup(28, gens28)
     assert group.order() == 1512, group.order()
     expected = Parameters(28, 36, 9, 7, 2)
     block, design = search_block_cycles(group, expected, rng)
@@ -596,8 +594,8 @@ def gen_line6(rng):
 
 
 def gen_line7(rng):
-    psu = unitary_group(GF9, 3, False, 6048, "psu3_3")
-    group = unitary_group(GF9, 3, True, 12096, "psu3_3_ext")
+    psu = unitary_group(GF9, 3, False, 6048)
+    group = unitary_group(GF9, 3, True, 12096)
     expected = Parameters(28, 252, 27, 3, 2)
     block, design = search_block_exhaustive(group, expected)
     write_entry("line7_psu33", group, expected,
@@ -608,8 +606,7 @@ def gen_line7(rng):
 def gen_line8(rng):
     _, full = build_pgammal2_8()
     _, on_pairs = pair_action(9)
-    group = PermutationGroup(36, [on_pairs(g) for g in full.generators],
-                             name="psl2_8_ext_on_36")
+    group = PermutationGroup(36, [on_pairs(g) for g in full.generators])
     assert group.order() == 1512
     expected = Parameters(36, 84, 14, 6, 2)
     block, design = search_block_cycles(group, expected, rng, tries=2000)
@@ -618,8 +615,8 @@ def gen_line8(rng):
 
 
 def gen_line9(rng):
-    psu = unitary_group(GF25, 5, False, 126000, "psu3_5")
-    group = unitary_group(GF25, 5, True, 252000, "psu3_5_ext")
+    psu = unitary_group(GF25, 5, False, 126000)
+    group = unitary_group(GF25, 5, True, 252000)
     expected = Parameters(126, 1050, 50, 6, 2)
     block, design = search_block_cycles(group, expected, rng, tries=2000)
     write_entry("line9_psu35", group, expected,
@@ -635,7 +632,7 @@ def build_witt22():
     points = pg_points(4, 3)
     index = {pt: i for i, pt in enumerate(points)}
     psl_gens = [matrix_perm(GF4, m, points) for m in transvection_mats(GF4, 3)]
-    psl = PermutationGroup(21, psl_gens, name="psl3_4")
+    psl = PermutationGroup(21, psl_gens)
     assert psl.order() == 20160, psl.order()
 
     # the line x0 = 0 holds the first q + 1 = 5 points; PSL(3,4) is
@@ -652,7 +649,7 @@ def build_witt22():
 
     hexads = [line + (21,) for line in lines]
     hexads += oval_orbit
-    witt = IncidenceStructure.from_blocks(22, hexads, name="witt_s3_6_22")
+    witt = IncidenceStructure.from_blocks(22, hexads)
     # Steiner property: every 3-set of points lies in exactly one hexad
     triple_count = {}
     for hexad in witt.blocks:
@@ -668,7 +665,7 @@ def build_witt22():
 def build_m22_groups(witt, stab_gens22):
     mover = structure_automorphism(witt, {21: 0})
     assert mover is not None
-    m22_2 = PermutationGroup(22, stab_gens22 + [mover], name="m22_ext")
+    m22_2 = PermutationGroup(22, stab_gens22 + [mover])
     assert m22_2.order() == 887040, m22_2.order()
     m22 = even_subgroup(m22_2, 443520)
     return m22, m22_2
@@ -722,9 +719,9 @@ def gen_line10(rng):
     mover_images = find_automorphism(100, adj, colors, {0: 1})
     assert mover_images is not None
     mover = Permutation(mover_images)
-    hs = PermutationGroup(100, m22_lift + [mover], name="hs_on_100")
+    hs = PermutationGroup(100, m22_lift + [mover])
     if hs.order() == 2 * 44352000:
-        hs = PermutationGroup(100, m22_lift + [mover * odd_lift], name="hs_on_100")
+        hs = PermutationGroup(100, m22_lift + [mover * odd_lift])
     assert hs.order() == 44352000, hs.order()
     print("  HS on 100 vertices, order", hs.order())
 
@@ -762,7 +759,7 @@ def gen_line10(rng):
     def action(g: Permutation) -> Permutation:
         return Permutation([index[split_image(sp, g)] for sp in ordered])
 
-    group = PermutationGroup(176, [action(g) for g in hs.generators], name="hs")
+    group = PermutationGroup(176, [action(g) for g in hs.generators])
     assert group.order() == 44352000, group.order()
     assert group.subdegrees(0) == [1, 175]
     print("  HS on 176 splits, order", group.order())
@@ -773,7 +770,7 @@ def gen_line10(rng):
 
 
 def gen_fixture_psl2_4(rng):
-    group = PermutationGroup(5, psl2_gens(GF4), name="psl2_4")
+    group = PermutationGroup(5, psl2_gens(GF4))
     assert group.order() == 60
     write_fixture("psl2_4", group, rng)
 
