@@ -290,9 +290,7 @@ def cyclotomic(n: int, q: int) -> int:
     """Exact value of the n-th cyclotomic polynomial at the integer q."""
     if n < 1:
         raise ValueError(f"cyclotomic index {n} must be positive")
-    # n is an exponent of q, so listing its divisors by division is cheap
-    return _cyclotomic_values(
-        [d for d in range(1, n + 1) if n % d == 0], q)[n]
+    return _cyclotomic_values(divisors(n), q)[n]
 
 
 def cyclotomic_table(n_max: int, q: int) -> dict[int, int]:
@@ -307,22 +305,23 @@ def divisors(n: int, limit: int | None = None) -> list[int]:
     those at most limit.  n is factorized whatever the limit, so an n out
     of factorize's range is refused.
 
-    The divisors found so far times p^i, for i = 1..e, are each the layer
-    before times p, so every divisor is one C-level multiplication; one
-    in-place sort orders them.  With a limit, a layer element above it is
-    dropped, since every multiple of it is above it too, and a prime above
-    it adds no layer at all.
+    For each prime p^e of n, layer i is p times the prefix of layer i - 1
+    (layer 0 being the divisors found so far) that is at most limit // p,
+    found by bisection, so no product above the limit is ever formed; the
+    exponents of p stop at the first empty layer.  Every layer is
+    ascending, so one in-place sort after each prime merges the runs and
+    keeps the list ascending.
     """
-    divs = [1] if limit is None or limit >= 1 else []
+    if limit is None:
+        limit = n
+    divs = [1] if limit >= 1 else []
     for p, e in factorize(n).items():
-        if limit is not None and p > limit:
-            continue
         layer = divs
         for _ in range(e):
-            layer = map(p.__mul__, layer)
-            if limit is not None:
-                layer = filter(limit.__ge__, layer)
-            layer = list(layer)
+            layer = list(map(p.__mul__,
+                             layer[:bisect_right(layer, limit // p)]))
+            if not layer:
+                break
             divs += layer
-    divs.sort()
+        divs.sort()
     return divs

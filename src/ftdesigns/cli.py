@@ -167,9 +167,8 @@ def _cmd_feasible(args) -> int:
     if not found:
         print("no feasible parameter sets")
         return EXIT_OK
-    print("v\tb\tr\tk\tlambda")
-    for params in found:
-        print(f"{params.v}\t{params.b}\t{params.r}\t{params.k}\t{params.lam}")
+    sys.stdout.write("v\tb\tr\tk\tlambda\n" + "".join(
+        ["%d\t%d\t%d\t%d\t%d\n" % params for params in found]))
     return EXIT_OK
 
 

@@ -15,10 +15,10 @@ arithmetic; "nearly feasible" does not exist here.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import divisors
+from .arith import _DIVISOR_LIMIT, divisors
 
 
 class NonIntegralParameterError(ValueError):
@@ -86,13 +86,16 @@ def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
     """All admissible parameter tuples with this v and lambda where r divides
     the given modulus.
 
-    lambda*v < r^2 holds exactly when r > isqrt(lambda*v), that is when the
-    cofactor e = r_divides // r is at most r_divides // (isqrt(lambda*v) + 1).
-    So only the divisors e up to that bound are walked, and r is taken as
-    r_divides // e.  For each such r, k is forced by r(k-1) = lambda(v-1)
-    and b by vr = bk; a tuple is emitted only when both are integral and
-    every admissibility constraint holds.  The empty list is a meaningful
-    result: it proves no design with these constraints exists.
+    With N = lambda(v-1), r(k-1) = N makes r a divisor of N, so r divides
+    g = gcd(r_divides, N) and k = c*f + 1, where c = N // g and f = g // r.
+    lambda*v < r^2 holds exactly when r > isqrt(lambda*v), that is when f
+    is at most g // (isqrt(lambda*v) + 1), so only those divisors f of g
+    are walked.  vr = bk asks k | vr, and since v*N = vr(k-1) with k prime
+    to k-1, that holds exactly when k divides v*N: one residue test per
+    divisor.  A tuple that passes it is emitted when every admissibility
+    constraint holds.  The empty list is a meaningful result: it proves no
+    design with these constraints exists.  A modulus above 10**18 is
+    refused, as if it were factorized, though only g is.
     """
     if lam < 1:
         raise ValueError(f"need lambda >= 1, got {lam}")
@@ -100,17 +103,19 @@ def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
         raise ValueError(f"need v >= 4, got {v}")
     if r_divides < 1:
         raise ValueError(f"need r_divides >= 1, got {r_divides}")
+    if r_divides > _DIVISOR_LIMIT:
+        raise ValueError(
+            f"{r_divides} exceeds the supported factorization range")
     found = []
     num_k = lam * (v - 1)
-    for e in divisors(r_divides, r_divides // (isqrt(lam * v) + 1)):
-        r = r_divides // e
-        if num_k % r != 0:
+    g = gcd(r_divides, num_k)
+    c = num_k // g
+    vnum_k = v * num_k
+    for f in divisors(g, g // (isqrt(lam * v) + 1)):
+        k = c * f + 1
+        if vnum_k % k:
             continue
-        k = 1 + num_k // r
-        if k < 2 or k > v:
-            continue
-        if (v * r) % k != 0:
-            continue
+        r = g // f
         params = Parameters(v, v * r // k, r, k, lam)
         if not admissibility_violations(params):
             found.append(params)

@@ -154,7 +154,11 @@ def test_divisors_up_to_a_limit_match_sympy():
     values += [rng.randrange(1, 10**rng.randrange(2, 19)) for _ in range(60)]
     for n in values:
         every = sympy.divisors(n)
-        for limit in (0, 1, isqrt(n), n, n + 1):
+        limits = [0, 1, isqrt(n), n, n + 1]
+        if n in (720720, 2**59):
+            # each layer is cut at limit // p: step across every divisor
+            limits += [d + step for d in every for step in (-1, 0, 1)]
+        for limit in limits:
             assert divisors(n, limit) == [d for d in every if d <= limit], \
                 (n, limit)
 

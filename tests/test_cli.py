@@ -266,7 +266,8 @@ BAD_INPUT = {
     "feasible-lambda-0": ["feasible", "--v", "10", "--lambda", "0"],
     "feasible-r-mod-0": ["feasible", "--v", "7", "--r-mod", "0"],
     "feasible-above-range": ["feasible", "--v", "1000000000000000000"],
-    # the walk bounds the divisors it lists, but still factorizes the modulus
+    # only gcd(modulus, lambda(v-1)) is factorized, but a modulus above the
+    # factorization range is refused as if it were
     "feasible-r-mod-above-range": ["feasible", "--v", "7", "--r-mod",
                                    "1000000000000000000000000000000"],
     "eliminate-q-above-range": ["eliminate", "--family", "e6",
@@ -445,6 +446,9 @@ BAD_INPUT_ERRORS = {
                                            "line1_psl25: base_block.json: the "
                                            "document is nested too deeply\n",
     "feasible-r-mod-0": "error: --r-mod must be at least 1, got 0\n",
+    "feasible-r-mod-above-range": "error: 1000000000000000000000000000000 "
+                                  "exceeds the supported factorization "
+                                  "range\n",
     "catalog-list-empty": "error: no catalog data found\n",
 }
 

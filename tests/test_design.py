@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -9,9 +10,11 @@ from ftdesigns.design import (NonIntegralParameterError, Parameters,
 
 
 def brute_force_candidates(v, lam, r_divides):
-    """Independent double loop over (r, k); no shared code with the library."""
+    """Independent double loop over (r, k); no shared code with the library.
+    r(k-1) = lambda(v-1) with k >= 2 bounds r by lambda(v-1), so a modulus
+    with a large cofactor costs no more than lambda(v-1) does."""
     found = set()
-    for r in range(1, r_divides + 1):
+    for r in range(1, min(r_divides, lam * (v - 1)) + 1):
         if r_divides % r:
             continue
         for k in range(2, v + 1):
@@ -96,14 +99,40 @@ def test_enumerate_candidates_filters_trivial_tuples():
     assert enumerate_candidates(4, 2, 6) == []
 
 
+def shared_moduli(rng, num):
+    """Two moduli for lambda(v-1) = num: one that shares only a part of num,
+    a divisor of it times a small factor, and that part times 10**9 + 7, a
+    large prime that divides no num drawn here."""
+    part = gcd(num, rng.randrange(1, 10**6))
+    return [part * rng.randrange(1, 60), part * (10**9 + 7)]
+
+
 def test_enumerate_candidates_matches_brute_force_randomly():
     rng = random.Random(7)
+    extra = random.Random(8)
     for _ in range(40):
         v = rng.randrange(4, 400)
         lam = rng.randrange(1, 4)
         r_mod = rng.randrange(1, 3 * v)
-        assert [tuple(p) for p in enumerate_candidates(v, lam, r_mod)] \
-            == brute_force_candidates(v, lam, r_mod)
+        for modulus in [r_mod] + shared_moduli(extra, lam * (v - 1)):
+            assert [tuple(p) for p in enumerate_candidates(v, lam, modulus)] \
+                == brute_force_candidates(v, lam, modulus), (v, lam, modulus)
+
+
+def test_enumerate_candidates_walks_the_divisors_of_the_gcd(monkeypatch):
+    # r divides both the modulus and lambda(v-1) = 12, so only the divisors
+    # of their gcd, 12, are listed, however large the modulus
+    import ftdesigns.design
+    walked = []
+
+    def recording(n, limit=None):
+        walked.append(n)
+        return divisors(n, limit)
+
+    monkeypatch.setattr(ftdesigns.design, "divisors", recording)
+    found = enumerate_candidates(7, 2, 2**30 * 3**12)
+    assert walked == [12]
+    assert found == [Parameters(7, 7, 4, 4, 2), Parameters(7, 14, 6, 3, 2)]
 
 
 def full_walk_candidates(v, lam, r_divides):
@@ -127,6 +156,7 @@ def full_walk_candidates(v, lam, r_divides):
 
 def test_enumerate_candidates_matches_the_full_walk_on_smooth_values():
     rng = random.Random(16)
+    extra = random.Random(17)
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23)
     for _ in range(300):
         # v - 1 is a product of small primes up to 10**15
@@ -140,7 +170,7 @@ def test_enumerate_candidates_matches_the_full_walk_on_smooth_values():
         moduli = [num, num * rng.randrange(2, 60),
                   # a modulus that need not divide lambda(v-1)
                   rng.randrange(1, num + 2) * rng.choice(primes)]
-        for r_mod in moduli:
+        for r_mod in moduli + shared_moduli(extra, num):
             assert enumerate_candidates(v, lam, r_mod) \
                 == full_walk_candidates(v, lam, r_mod), (v, lam, r_mod)
 
