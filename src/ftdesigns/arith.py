@@ -92,6 +92,14 @@ def _rho(n: int) -> int:
             return g
 
 
+def check_factorization_range(n: int) -> None:
+    """Refuse an n above _DIVISOR_LIMIT = 10**18, the range factorize is
+    exact in, with the one message every refusal of that range shares."""
+    if n > _DIVISOR_LIMIT:
+        raise ValueError(f"{n} exceeds the supported factorization range "
+                         f"(at most {_DIVISOR_LIMIT})")
+
+
 # the trial divisors of factorize
 _TRIAL_PRIMES = tuple(filter(is_prime, range(_TRIAL_LIMIT)))
 
@@ -107,8 +115,7 @@ def factorize(n: int) -> dict[int, int]:
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
-    if n > _DIVISOR_LIMIT:
-        raise ValueError(f"{n} exceeds the supported factorization range")
+    check_factorization_range(n)
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -191,14 +198,6 @@ def _iroot(n: int, a: int) -> int:
         x = y
 
 
-def _check_window(hi: int) -> None:
-    """Refuse an hi above _DIVISOR_LIMIT, the range the case reports are
-    factored in."""
-    if hi > _DIVISOR_LIMIT:
-        raise ValueError(f"{hi} exceeds the supported factorization range "
-                         f"(at most {_DIVISOR_LIMIT})")
-
-
 def prime_powers(lo: int, hi: int) -> list[PrimePower]:
     """All prime powers q with lo <= q <= hi, ascending.  Refuses an hi
     above _DIVISOR_LIMIT, the range the case reports are factored in.
@@ -212,7 +211,7 @@ def prime_powers(lo: int, hi: int) -> list[PrimePower]:
     root per exponent.  The memory taken is one byte per integer of the
     window.
     """
-    _check_window(hi)
+    check_factorization_range(hi)
     lo = max(lo, 2)
     if hi < lo:
         return []
@@ -252,7 +251,7 @@ def powers_of(p: int, lo: int, hi: int) -> list[PrimePower]:
     _DIVISOR_LIMIT, where prime_powers sieves every integer of the window.
     Refuses an hi above _DIVISOR_LIMIT, as prime_powers does."""
     PrimePower(p, 1)  # raises unless p is prime
-    _check_window(hi)
+    check_factorization_range(hi)
     out = []
     q, a = p, 1
     while q <= hi:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from .arith import _DIVISOR_LIMIT, divisors
+from .arith import check_factorization_range, divisors
 
 
 class NonIntegralParameterError(ValueError):
@@ -103,9 +103,7 @@ def enumerate_candidates(v: int, lam: int, r_divides: int) -> list[Parameters]:
         raise ValueError(f"need v >= 4, got {v}")
     if r_divides < 1:
         raise ValueError(f"need r_divides >= 1, got {r_divides}")
-    if r_divides > _DIVISOR_LIMIT:
-        raise ValueError(
-            f"{r_divides} exceeds the supported factorization range")
+    check_factorization_range(r_divides)
     found = []
     num_k = lam * (v - 1)
     g = gcd(r_divides, num_k)

@@ -1,3 +1,6 @@
+import functools
+import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -5,12 +8,33 @@ import pytest
 from ftdesigns import incidence
 from ftdesigns.perm import PermutationGroup, load_group
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "ftdesigns" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "ftdesigns" / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+TOOL = ROOT / "tools" / "gen_catalog.py"
 
 
+def tool_module():
+    spec = importlib.util.spec_from_file_location("gen_catalog", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
 def fixture_group(name: str) -> PermutationGroup:
-    return load_group(DATA / "fixtures" / f"{name}.json")
+    """One of the five groups that no catalog entry uses, built with the
+    catalog tool's constructors and cut to two generators as the tool cuts
+    a catalog group.  Each is built once and shared by every caller."""
+    tool = tool_module()
+    build = {
+        "psl2_4": lambda: PermutationGroup(5, tool.psl2_gens(tool.GF4)),
+        "psl2_8": lambda: PermutationGroup(9, tool.psl2_gens(tool.GF8)),
+        "psl2_9": lambda: PermutationGroup(10, tool.psl2_gens(tool.GF9)),
+        "psu3_3": lambda: tool.unitary_group(tool.GF9, 3, False, 6048),
+        "psu3_5": lambda: tool.unitary_group(tool.GF25, 5, False, 126000),
+    }[name]
+    return tool.two_generators(build(), random.Random(name))
 
 
 def catalog_group(name: str) -> PermutationGroup:

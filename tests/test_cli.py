@@ -446,9 +446,16 @@ BAD_INPUT_ERRORS = {
                                            "line1_psl25: base_block.json: the "
                                            "document is nested too deeply\n",
     "feasible-r-mod-0": "error: --r-mod must be at least 1, got 0\n",
+    # feasible and eliminate refuse the factorization range in one wording
+    "feasible-above-range": "error: 1999999999999999998 exceeds the "
+                            "supported factorization range (at most "
+                            "1000000000000000000)\n",
     "feasible-r-mod-above-range": "error: 1000000000000000000000000000000 "
                                   "exceeds the supported factorization "
-                                  "range\n",
+                                  "range (at most 1000000000000000000)\n",
+    "eliminate-q-above-range": "error: 1000000000000000100 exceeds the "
+                               "supported factorization range (at most "
+                               "1000000000000000000)\n",
     "catalog-list-empty": "error: no catalog data found\n",
 }
 

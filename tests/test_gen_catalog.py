@@ -1,22 +1,13 @@
 """The bundled data is exactly what tools/gen_catalog.py writes."""
 
-import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from conftest import DATA
+from conftest import DATA, TOOL, tool_module
+from ftdesigns.constructions import catalog_names
 from ftdesigns.perm import PermutationGroup
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "gen_catalog.py"
-
-
-def tool_module():
-    spec = importlib.util.spec_from_file_location("gen_catalog", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def tree(root: Path) -> dict[str, bytes]:
@@ -36,10 +27,16 @@ def test_each_entry_regenerates_the_bundled_data(tmp_path):
     assert [f for f in bundled if written[f] != bundled[f]] == []
 
 
+def test_the_package_data_is_the_catalog_alone():
+    assert sorted(tree(DATA)) == sorted(
+        f"catalog/{name}/{file}" for name in catalog_names()
+        for file in ("base_block.json", "expected.json", "group.json"))
+
+
 def test_the_data_do_not_depend_on_the_chain(tmp_path, monkeypatch):
     """With every chain forced onto the reversed base, and so onto other
-    transversals, line6 and its psl2_8 fixture come out byte for byte: the
-    tool's random elements are words in the generators."""
+    transversals, line6 comes out byte for byte: the tool's random elements
+    are words in the generators."""
     tool = tool_module()
     build = PermutationGroup.__init__
     forced = []
@@ -57,8 +54,7 @@ def test_the_data_do_not_depend_on_the_chain(tmp_path, monkeypatch):
     written, bundled = tree(tmp_path), tree(DATA)
     assert sorted(written) == ["catalog/line6_psl28/base_block.json",
                                "catalog/line6_psl28/expected.json",
-                               "catalog/line6_psl28/group.json",
-                               "fixtures/psl2_8.json"]
+                               "catalog/line6_psl28/group.json"]
     assert [f for f in written if written[f] != bundled[f]] == []
     assert {9, 28} <= set(forced)
 
@@ -73,6 +69,5 @@ def test_an_unknown_entry_is_refused_and_nothing_is_written(tmp_path):
     assert done.stderr.endswith(
         "error: unknown entries nosuch; known: line1_psl25, "
         "line2_fano_complement, line3_psl24, line4_psl29, line5_psl211, "
-        "line6_psl28, line7_psu33, line8_psl28, line9_psu35, line10_hs, "
-        "fixture_psl2_4\n")
+        "line6_psl28, line7_psu33, line8_psl28, line9_psu35, line10_hs\n")
     assert list(tmp_path.iterdir()) == []

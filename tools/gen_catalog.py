@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled catalog and fixture data under src/ftdesigns/data/.
+"""Regenerate the bundled catalog data under src/ftdesigns/data/.
 
 Every group is constructed from first principles (finite-field actions,
 conjugation actions, coset/orbit actions, and structure-automorphism
@@ -452,16 +452,13 @@ def two_generators(group: PermutationGroup, rng) -> PermutationGroup:
                        f"{group.degree} and order {group.order()}")
 
 
-def write_group(path: Path, name: str, group: PermutationGroup, rng) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(group_to_json(two_generators(group, rng), name=name,
-                                  expected_order=group.order()))
-
-
 def write_entry(name: str, group: PermutationGroup, expected: Parameters,
                 socle: str, aut: str, rng, base_block):
     entry = data_dir() / "catalog" / name
-    write_group(entry / "group.json", f"{name}_group", group, rng)
+    entry.mkdir(parents=True, exist_ok=True)
+    (entry / "group.json").write_text(group_to_json(
+        two_generators(group, rng), name=f"{name}_group",
+        expected_order=group.order()))
     (entry / "expected.json").write_text(canonical_json({
         "v": expected.v, "b": expected.b, "r": expected.r,
         "k": expected.k, "lambda": expected.lam,
@@ -470,11 +467,6 @@ def write_entry(name: str, group: PermutationGroup, expected: Parameters,
     (entry / "base_block.json").write_text(
         canonical_json({"block": sorted(base_block)}))
     print(f"  wrote {name}: order {group.order()}, params {expected}")
-
-
-def write_fixture(name: str, group: PermutationGroup, rng):
-    write_group(data_dir() / "fixtures" / f"{name}.json", name, group, rng)
-    print(f"  fixture {name}: degree {group.degree}, order {group.order()}")
 
 
 # -- the ten catalog lines --------------------------------------------------------
@@ -522,15 +514,12 @@ def gen_line3(rng):
 
 def gen_line4(rng):
     gens = psl2_gens(GF9)
-    psl29 = PermutationGroup(10, gens)
-    assert psl29.order() == 360
     group = PermutationGroup(10, gens + [frobenius_perm(GF9, pg_points(9, 2))])
     assert group.order() == 720
     expected = Parameters(10, 15, 6, 4, 2)
     block, design = search_block_exhaustive(group, expected)
     write_entry("line4_psl29", group, expected,
                 "PSL(2,9) ~ Alt(6)", "PSL(2,9):2", rng, base_block=block)
-    write_fixture("psl2_9", psl29, rng)
 
 
 def gen_line5(rng):
@@ -590,17 +579,14 @@ def gen_line6(rng):
     block, design = search_block_cycles(group, expected, rng)
     write_entry("line6_psl28", group, expected,
                 "PSL(2,8)", "PSL(2,8):3", rng, base_block=block)
-    write_fixture("psl2_8", psl, rng)
 
 
 def gen_line7(rng):
-    psu = unitary_group(GF9, 3, False, 6048)
     group = unitary_group(GF9, 3, True, 12096)
     expected = Parameters(28, 252, 27, 3, 2)
     block, design = search_block_exhaustive(group, expected)
     write_entry("line7_psu33", group, expected,
                 "PSU(3,3)", "PSU(3,3):2", rng, base_block=block)
-    write_fixture("psu3_3", psu, rng)
 
 
 def gen_line8(rng):
@@ -615,13 +601,11 @@ def gen_line8(rng):
 
 
 def gen_line9(rng):
-    psu = unitary_group(GF25, 5, False, 126000)
     group = unitary_group(GF25, 5, True, 252000)
     expected = Parameters(126, 1050, 50, 6, 2)
     block, design = search_block_cycles(group, expected, rng, tries=2000)
     write_entry("line9_psu35", group, expected,
                 "PSU(3,5)", "PSU(3,5):2", rng, base_block=block)
-    write_fixture("psu3_5", psu, rng)
 
 
 # -- line 10: the Higman-Sims group on 176 points ----------------------------------
@@ -769,12 +753,6 @@ def gen_line10(rng):
     write_entry("line10_hs", group, expected, "HS", "HS", rng, base_block=block)
 
 
-def gen_fixture_psl2_4(rng):
-    group = PermutationGroup(5, psl2_gens(GF4))
-    assert group.order() == 60
-    write_fixture("psl2_4", group, rng)
-
-
 GENERATORS = {
     "line1_psl25": gen_line1,
     "line2_fano_complement": gen_line2,
@@ -786,7 +764,6 @@ GENERATORS = {
     "line8_psl28": gen_line8,
     "line9_psu35": gen_line9,
     "line10_hs": gen_line10,
-    "fixture_psl2_4": gen_fixture_psl2_4,
 }
 
 
