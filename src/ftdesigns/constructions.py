@@ -91,7 +91,6 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     group: PermutationGroup
     design: IncidenceStructure
     expected: Parameters
@@ -153,5 +152,5 @@ def catalog(name: str) -> CatalogEntry:
         design = orbit_design(group.degree, group.generators, block)
     except ValueError as exc:
         raise ValueError(f"{filename}: {exc}") from None
-    return CatalogEntry(name, group, design, Parameters(*row), socle,
+    return CatalogEntry(group, design, Parameters(*row), socle,
                         automorphism_group)

@@ -125,11 +125,15 @@ def _checked_blocks(blocks: list, v: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class DesignCertificate:
-    """Outcome of verify_2design: the exact parameters plus the number of
-    point pairs whose multiplicity was checked."""
+    """Outcome of verify_2design: the exact parameters of a 2-design, every
+    point pair of which is certified."""
 
     params: Parameters
-    pairs_checked: int
+
+    @property
+    def pairs_checked(self) -> int:
+        """The point pairs certified: all v(v-1)/2 of them."""
+        return self.params.v * (self.params.v - 1) // 2
 
 
 def verify_2design(structure: IncidenceStructure,
@@ -214,9 +218,9 @@ def verify_2design(structure: IncidenceStructure,
 def _certificate(v: int, b: int, r: int, k: int,
                  lam: int) -> DesignCertificate:
     """The certificate of a 2-(v, k, lam) design with b blocks, r through
-    each point: all v(v-1)/2 pairs are certified."""
+    each point."""
     assert r * (k - 1) == lam * (v - 1) and v * r == b * k
-    return DesignCertificate(Parameters(v, b, r, k, lam), v * (v - 1) // 2)
+    return DesignCertificate(Parameters(v, b, r, k, lam))
 
 
 def _block_images(blocks, g):

@@ -425,10 +425,13 @@ class PermutationGroup:
         order of their least point."""
         return _orbits(self.degree, self.stabilizer_generators(point))
 
-    def subdegrees(self, point: int = 0) -> list[int]:
-        """Sorted orbit lengths of the point stabilizer on all points."""
+    def subdegrees(self) -> list[int]:
+        """Sorted orbit lengths of a point stabilizer on all points, the
+        same from every point of a transitive group: read at the first base
+        point, off the chain, or at 0 in degree 1, which has no level."""
         if not self.is_transitive():
             raise ValueError("subdegrees require a transitive group")
+        point = self.levels[0].beta if self.levels else 0
         return sorted(map(len, self.suborbits(point)))
 
     def primitivity(self) -> tuple[bool, frozenset | None]:
@@ -488,16 +491,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def group_to_json(group: PermutationGroup, name: str,
-                  expected_order: int | None = None) -> str:
-    doc = {
+def group_to_json(group: PermutationGroup, name: str) -> str:
+    """The group file labelled name, stating the group's own order, which
+    group_from_json checks when it reads the file back."""
+    return canonical_json({
         "name": name,
         "degree": group.degree,
         "generators": [list(g.images) for g in group.generators],
-    }
-    if expected_order is not None:
-        doc["expected_order"] = expected_order
-    return canonical_json(doc)
+        "expected_order": group.order(),
+    })
 
 
 # what a document of the wrong shape is, by the type json.loads gives it

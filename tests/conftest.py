@@ -31,8 +31,8 @@ def fixture_group(name: str) -> PermutationGroup:
         "psl2_4": lambda: PermutationGroup(5, tool.psl2_gens(tool.GF4)),
         "psl2_8": lambda: PermutationGroup(9, tool.psl2_gens(tool.GF8)),
         "psl2_9": lambda: PermutationGroup(10, tool.psl2_gens(tool.GF9)),
-        "psu3_3": lambda: tool.unitary_group(tool.GF9, 3, False, 6048),
-        "psu3_5": lambda: tool.unitary_group(tool.GF25, 5, False, 126000),
+        "psu3_3": lambda: tool.unitary_group(tool.GF9, False, 6048),
+        "psu3_5": lambda: tool.unitary_group(tool.GF25, False, 126000),
     }[name]
     return tool.two_generators(build(), random.Random(name))
 

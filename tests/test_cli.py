@@ -258,6 +258,8 @@ BAD_INPUT = {
                         "--out", "{missing}/x.json"],
     "pg-lines-7": ["construct", "--name", "pg_lines:7"],
     "derived-pg-7": ["construct", "--name", "derived_pg:7"],
+    "pg-lines-2": ["construct", "--name", "pg_lines:2"],
+    "derived-pg-0": ["construct", "--name", "derived_pg:0"],
     # n is the whole suffix after the first colon, in plain digits
     "pg-lines-junk-field": ["construct", "--name", "pg_lines:3:junk"],
     "derived-pg-empty-field": ["construct", "--name", "derived_pg:3:"],
@@ -446,6 +448,9 @@ BAD_INPUT_ERRORS = {
                                            "line1_psl25: base_block.json: the "
                                            "document is nested too deeply\n",
     "feasible-r-mod-0": "error: --r-mod must be at least 1, got 0\n",
+    # a too-small n is refused naming the input, as a too-large one is
+    "pg-lines-2": "error: pg_lines:2: n must be at least 3\n",
+    "derived-pg-0": "error: derived_pg:0: n must be at least 3\n",
     # feasible and eliminate refuse the factorization range in one wording
     "feasible-above-range": "error: 1999999999999999998 exceeds the "
                             "supported factorization range (at most "

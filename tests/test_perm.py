@@ -6,7 +6,7 @@ import pytest
 
 from conftest import DATA, catalog_group, fixture_group, padded
 from ftdesigns import perm as perm_module
-from ftdesigns.constructions import sl_generators
+from ftdesigns.constructions import catalog_names, sl_generators
 from ftdesigns.perm import (Permutation, PermutationGroup, canonical_json,
                             group_from_json, group_to_json, load_group, orbit)
 
@@ -123,18 +123,19 @@ def test_stabilizer(psl2_7):
 
 
 def test_subdegrees(psl2_7):
-    assert sym4().subdegrees(0) == [1, 3]
-    assert psl2_7.subdegrees(0) == [1, 6]
-    assert dihedral8().subdegrees(0) == [1, 1, 2]
+    assert sym4().subdegrees() == [1, 3]
+    assert psl2_7.subdegrees() == [1, 6]
+    assert dihedral8().subdegrees() == [1, 1, 2]
     with pytest.raises(ValueError):
-        PermutationGroup(3, [[1, 0, 2]]).subdegrees(0)
+        PermutationGroup(3, [[1, 0, 2]]).subdegrees()
 
 
 def test_subdegrees_sum_and_point_independence(psl2_7):
     for group in (sym4(), dihedral8(), psl2_7):
-        subs = group.subdegrees(0)
+        subs = group.subdegrees()
         assert sum(subs) == group.degree
-        assert subs == group.subdegrees(group.degree - 1)
+        for point in range(group.degree):
+            assert subs == sorted(map(len, group.suborbits(point))), point
 
 
 def test_primitivity():
@@ -208,8 +209,20 @@ def test_group_json_roundtrip_is_byte_stable():
     text = path.read_text(encoding="utf-8")
     group = group_from_json(text)
     doc = json.loads(text)
-    assert group_to_json(group, name=doc["name"],
-                         expected_order=doc["expected_order"]) == text
+    assert group_to_json(group, name=doc["name"]) == text
+
+
+def test_every_group_file_states_its_own_order():
+    """group_to_json writes the group's order, and group_from_json checks
+    it: the ten catalog groups, and SL_n(3) on PG(n-1, 3), which acts as
+    PSL_n(3), for n = 3, 4 and 5."""
+    family = [PermutationGroup(*sl_generators(3, n)) for n in (3, 4, 5)]
+    assert [group.order() for group in family] == [5616, 6065280,
+                                                   237783237120]
+    for group in family + list(map(catalog_group, catalog_names())):
+        text = group_to_json(group, "g")
+        assert json.loads(text)["expected_order"] == group.order()
+        assert group_from_json(text).order() == group.order()
 
 
 def test_group_json_order_mismatch_rejected(tmp_path):
@@ -274,7 +287,7 @@ def test_degree_one_and_two_groups():
     assert swap.elements() == {Permutation.identity(2), Permutation([1, 0])}
     assert swap.primitivity() == (True, None)
     assert swap.stabilizer(1).order() == 1
-    assert swap.subdegrees(1) == [1, 1]
+    assert swap.subdegrees() == [1, 1]
 
 
 # (base, transversal size per level, strong generators per level)
@@ -419,7 +432,7 @@ def test_base_point_stabilizer_is_read_off_the_chain(forbid_new_chains):
     forbid_new_chains()
     for name, (group, alpha, suborbits, primitivity) in answers.items():
         assert group.suborbits(alpha) == suborbits, name
-        assert group.subdegrees(alpha) == sorted(map(len, suborbits)), name
+        assert group.subdegrees() == sorted(map(len, suborbits)), name
         assert group.primitivity() == primitivity, name
 
 

@@ -3,20 +3,27 @@ binding the package drops breaks the traced benchmark run.  Installing and
 undoing its patches on the real modules catches that here, and every
 name a module imports is read there unless it is listed as tracer-only.
 The same ast walk refuses any `global` statement in those modules, and
-any exit 2 in cli that main does not decide."""
+any exit 2 in cli that main does not decide.  A traced construct and
+verify read the counters that CI pins for the traced certify run."""
 
 import ast
 import importlib
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+
+
+def tracer(monkeypatch):
+    """bench/tracing.py as a module, and the package's layers by name."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    return tracing, {layer: importlib.import_module(f"ftdesigns.{layer}")
+                     for layer in tracing.LAYERS}
 
 
 def test_tracer_installs_and_undoes_on_every_layer(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))
-    tracing = importlib.import_module("tracing")
-    mods = {layer: importlib.import_module(f"ftdesigns.{layer}")
-            for layer in tracing.LAYERS}
+    tracing, mods = tracer(monkeypatch)
     main = mods["cli"].main
     # a report is a named tuple, whose class takes the CI pins' wrappers
     report_cls = mods["elimination"].CaseReport
@@ -39,7 +46,33 @@ def test_tracer_installs_and_undoes_on_every_layer(monkeypatch):
         assert getattr(report_cls, name) is method
 
 
-ROOT = Path(__file__).resolve().parents[1]
+def test_tracer_counts_a_construct_and_a_verify(monkeypatch, tmp_path,
+                                               capsys):
+    """The counters that CI pins for the traced certify run, on one entry:
+    construct --out and verify each certify the 21 pairs of the Fano
+    complement, construct builds its 7 blocks as the orbit of the base
+    block, and verify's flag test walks its 28 flags."""
+    tracing, mods = tracer(monkeypatch)
+    design = tmp_path / "fano.json"
+    group = (ROOT / "src" / "ftdesigns" / "data" / "catalog"
+             / "line2_fano_complement" / "group.json")
+    rec = tracing.Recorder()
+    patches = tracing.install(rec, mods)
+    try:
+        main = mods["cli"].main
+        assert main(["construct", "--name", "line2_fano_complement",
+                     "--out", str(design)]) == 0
+        assert main(["verify", "--group", str(group),
+                     "--design", str(design)]) == 0
+    finally:
+        patches.undo()
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "(7,7,4,4,2) flag-transitive point-primitive"
+    assert [rec.counts[key] for key in ("incidence.pairs_checked",
+                                        "constructions.blocks_built",
+                                        "incidence.flags")] == [42, 7, 28]
+
+
 MODULES = sorted((ROOT / "src" / "ftdesigns").glob("*.py")) + [
     ROOT / "tools" / "gen_catalog.py"]
 

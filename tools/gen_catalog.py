@@ -39,6 +39,7 @@ import itertools
 import random
 import sys
 import time
+from math import isqrt
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -56,11 +57,12 @@ from ftdesigns.perm import (Permutation, PermutationGroup, canonical_json,
 
 class GF:
     """GF(p^k) with elements encoded as ints 0..p^k-1 (base-p coefficient
-    vectors, low degree first).  reduction gives x^k as a coefficient tuple."""
+    vectors, low degree first).  reduction gives x^k as a coefficient tuple,
+    so k is its length; a prime field has none, and k = 1."""
 
-    def __init__(self, p: int, k: int, reduction: tuple[int, ...] = ()):
-        self.p, self.k = p, k
-        self.size = p**k
+    def __init__(self, p: int, reduction: tuple[int, ...] = ()):
+        self.p, self.k = p, len(reduction) or 1
+        self.size = p**self.k
         self.reduction = reduction
         self._mul = [[self._mul_slow(i, j) for j in range(self.size)]
                      for i in range(self.size)]
@@ -133,11 +135,11 @@ class GF:
         raise RuntimeError("no multiplicative generator found")
 
 
-GF4 = GF(2, 2, (1, 1))     # x^2 = x + 1
-GF5 = GF(5, 1)
-GF8 = GF(2, 3, (1, 1, 0))  # x^3 = x + 1
-GF9 = GF(3, 2, (2, 0))     # x^2 = 2
-GF25 = GF(5, 2, (2, 0))    # x^2 = 2
+GF4 = GF(2, (1, 1))     # x^2 = x + 1
+GF5 = GF(5)
+GF8 = GF(2, (1, 1, 0))  # x^3 = x + 1
+GF9 = GF(3, (2, 0))     # x^2 = 2
+GF25 = GF(5, (2, 0))    # x^2 = 2
 
 
 # -- projective actions --------------------------------------------------------
@@ -192,10 +194,12 @@ def psl2_gens(gf: GF) -> list[Permutation]:
 
 # -- colored-graph automorphism search (CSP with forward checking) ------------
 
-def find_automorphism(n: int, adj: list[int], colors: list[int],
+def find_automorphism(adj: list[int], colors: list[int],
                       prescribed: dict[int, int]) -> list[int] | None:
-    """One automorphism of the colored graph extending the prescribed partial
-    map, or None.  adj[v] is the neighbor bitmask of v."""
+    """One automorphism of the colored graph on the vertices 0..len(adj)-1
+    extending the prescribed partial map, or None.  adj[v] is the neighbor
+    bitmask of v."""
+    n = len(adj)
     deg = [adj[v].bit_count() for v in range(n)]
     base = []
     for u in range(n):
@@ -274,7 +278,7 @@ def structure_automorphism(structure: IncidenceStructure,
             adj[point] |= 1 << (v + bi)
             adj[v + bi] |= 1 << point
     colors = [0] * v + [1] * len(blocks)
-    image = find_automorphism(n, adj, colors, dict(prescribed_points))
+    image = find_automorphism(adj, colors, dict(prescribed_points))
     if image is None:
         return None
     return Permutation(image[:v])
@@ -368,7 +372,9 @@ def perm_sign(p: Permutation) -> int:
     return -1 if sum(len(c) - 1 for c in p.cycles()) % 2 else 1
 
 
-def even_subgroup(group: PermutationGroup, expected_order: int) -> PermutationGroup:
+def even_subgroup(group: PermutationGroup) -> PermutationGroup:
+    """The even permutations of group, which has an odd generator: index 2."""
+    half = group.order() // 2
     odd = [g for g in group.generators if perm_sign(g) == -1]
     if not odd:
         raise RuntimeError("no odd generator; cannot split by sign")
@@ -377,22 +383,23 @@ def even_subgroup(group: PermutationGroup, expected_order: int) -> PermutationGr
     gens = [g for g in gens if not g.is_identity()]
     sub = PermutationGroup(group.degree, gens)
     pool = [h * g * h.inverse() for g in gens]
-    while sub.order() < expected_order and pool:
+    while sub.order() < half and pool:
         extra = pool.pop(0)
         if not sub.contains(extra):
             gens.append(extra)
             sub = PermutationGroup(group.degree, gens)
-    if sub.order() != expected_order:
+    if sub.order() != half:
         raise RuntimeError(f"even subgroup has order {sub.order()}, "
-                           f"expected {expected_order}")
+                           f"expected {half}")
     return sub
 
 
 # -- unitary groups -------------------------------------------------------------
 
-def unitary_data(gf: GF, q: int):
+def unitary_data(gf: GF):
     """Isotropic points of the hermitian form x0*cj(x2) + x1*cj(x1) + x2*cj(x0)
-    on PG(2, q^2), plus matrix generators of SU3(q)."""
+    on PG(2, q^2), where gf is GF(q^2), plus matrix generators of SU3(q)."""
+    q = isqrt(gf.size)
 
     def cj(x: int) -> int:
         return gf.pow(x, q)
@@ -424,14 +431,14 @@ def unitary_data(gf: GF, q: int):
     return points, mats
 
 
-def unitary_group(gf: GF, q: int, with_field_aut: bool,
+def unitary_group(gf: GF, with_field_aut: bool,
                   expected_order: int) -> PermutationGroup:
-    points, mats = unitary_data(gf, q)
+    points, mats = unitary_data(gf)
     gens = [matrix_perm(gf, m, points) for m in mats]
     if with_field_aut:
         gens.append(frobenius_perm(gf, points))
     group = PermutationGroup(len(points), gens)
-    assert group.order() == expected_order, (q, group.order())
+    assert group.order() == expected_order, (gf.size, group.order())
     return group
 
 
@@ -457,8 +464,7 @@ def write_entry(name: str, group: PermutationGroup, expected: Parameters,
     entry = data_dir() / "catalog" / name
     entry.mkdir(parents=True, exist_ok=True)
     (entry / "group.json").write_text(group_to_json(
-        two_generators(group, rng), name=f"{name}_group",
-        expected_order=group.order()))
+        two_generators(group, rng), name=f"{name}_group"))
     (entry / "expected.json").write_text(canonical_json({
         "v": expected.v, "b": expected.b, "r": expected.r,
         "k": expected.k, "lambda": expected.lam,
@@ -482,7 +488,7 @@ def gen_line1(rng):
 
 
 def gen_line2(rng):
-    gf2 = GF(2, 1)
+    gf2 = GF(2)
     points = pg_points(2, 3)
     gens = [matrix_perm(gf2, m, points) for m in transvection_mats(gf2, 3)]
     group = PermutationGroup(7, gens)
@@ -582,7 +588,7 @@ def gen_line6(rng):
 
 
 def gen_line7(rng):
-    group = unitary_group(GF9, 3, True, 12096)
+    group = unitary_group(GF9, True, 12096)
     expected = Parameters(28, 252, 27, 3, 2)
     block, design = search_block_exhaustive(group, expected)
     write_entry("line7_psu33", group, expected,
@@ -601,7 +607,7 @@ def gen_line8(rng):
 
 
 def gen_line9(rng):
-    group = unitary_group(GF25, 5, True, 252000)
+    group = unitary_group(GF25, True, 252000)
     expected = Parameters(126, 1050, 50, 6, 2)
     block, design = search_block_cycles(group, expected, rng, tries=2000)
     write_entry("line9_psu35", group, expected,
@@ -651,7 +657,7 @@ def build_m22_groups(witt, stab_gens22):
     assert mover is not None
     m22_2 = PermutationGroup(22, stab_gens22 + [mover])
     assert m22_2.order() == 887040, m22_2.order()
-    m22 = even_subgroup(m22_2, 443520)
+    m22 = even_subgroup(m22_2)
     return m22, m22_2
 
 
@@ -700,7 +706,7 @@ def gen_line10(rng):
     odd_lift = lift_to_graph(witt, odd22)
 
     colors = [0] * 100
-    mover_images = find_automorphism(100, adj, colors, {0: 1})
+    mover_images = find_automorphism(adj, colors, {0: 1})
     assert mover_images is not None
     mover = Permutation(mover_images)
     hs = PermutationGroup(100, m22_lift + [mover])
@@ -745,7 +751,7 @@ def gen_line10(rng):
 
     group = PermutationGroup(176, [action(g) for g in hs.generators])
     assert group.order() == 44352000, group.order()
-    assert group.subdegrees(0) == [1, 175]
+    assert group.subdegrees() == [1, 175]
     print("  HS on 176 splits, order", group.order())
 
     expected = Parameters(176, 1100, 50, 8, 2)
