@@ -102,11 +102,13 @@ def _pg_line_space(name: str) -> tuple[IncidenceStructure, tuple[int, int]]:
     n = int(suffix) if suffix.isascii() and suffix.isdigit() else None
     if str(n) != suffix:
         raise ValueError(f"{name}: expected {family}:<n>, n in plain digits")
-    if n < 3:
-        raise ValueError(f"{name}: n must be at least 3")
     if n > PG_MAX_N:
         raise ValueError(f"{name}: n must be at most {PG_MAX_N}")
-    return constructions.pg_lines(n, 4 if family == "pg_lines" else 3), (3, n)
+    try:
+        design = constructions.pg_lines(n, 4 if family == "pg_lines" else 3)
+    except ValueError as exc:  # pg_lines owns the lower bound on n
+        raise ValueError(f"{name}: {exc}") from None
+    return design, (3, n)
 
 
 def _cmd_construct(args) -> int:

@@ -20,10 +20,10 @@ from pathlib import Path
 from .design import Parameters
 # nothing here calls verify_2design; it stays bound here, where
 # bench/tracing.py wraps it
-from .incidence import (IncidenceStructure, _block_walk, _checked_blocks,
+from .incidence import (IncidenceStructure, block_orbit,
                         verify_2design)  # noqa: F401
 from .perm import (Permutation, PermutationGroup, _brief, json_object,
-                   load_group, orbit)
+                   load_group)
 
 
 def fano_complement() -> IncidenceStructure:
@@ -47,7 +47,7 @@ def sl_generators(q: int, n: int) -> tuple[int, list[Permutation]]:
     e_i to e_{i+1} and e_n to (-1)^(n-1) e_1.  The conjugates of a by powers
     of w are transvections I +- E_{i,i+1}, whose commutators give them all."""
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValueError("n must be at least 2")
     points = pg_points(q, n)
     # every nonzero multiple of each point, so no image needs normalizing
     index = {tuple(s * c % q for c in pt): i
@@ -63,7 +63,7 @@ def pg_lines(n: int, k: int = 4) -> IncidenceStructure:
     less one point each, a 2-((3^n-1)/2, 3, 2): the orbit under SL_n(3), which
     is flag-transitive, of k points of the line 0..3 of pg_points(3, n)."""
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise ValueError("n must be at least 3")
     return orbit_design(*sl_generators(3, n), range(k))
 
 
@@ -75,16 +75,14 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
     repeats a point is refused, not folded into a set; it must also leave
     a point out.
     """
-    [block] = _checked_blocks([base_block], degree)
+    [block] = IncidenceStructure.from_blocks(degree, [base_block]).blocks
     if len(block) >= degree:
         raise ValueError(f"block {_brief.repr(base_block)} has more than "
                          f"{degree - 1} points")
-    code, act, gens = _block_walk(degree, generators)
-    blocks = orbit(code(block), gens, act)
     # every block is the image of the checked base block under a
-    # permutation of the points, so it needs no checks of its own; codes
-    # sort as their point tuples do
-    return IncidenceStructure(degree, tuple(map(tuple, sorted(blocks))))
+    # permutation of the points, so it needs no checks of its own
+    return IncidenceStructure(degree,
+                              tuple(block_orbit(degree, generators, block)))
 
 
 # -- bundled catalog ---------------------------------------------------------
@@ -96,10 +94,6 @@ class CatalogEntry:
     expected: Parameters
     socle: str
     automorphism_group: str
-
-
-# the parameter row of an entry's expected.json, in Parameters order
-_ROW_KEYS = ("v", "b", "r", "k", "lambda")
 
 
 def data_dir() -> Path:
@@ -133,19 +127,11 @@ def catalog(name: str) -> CatalogEntry:
         filename = "expected.json"
         expected_doc = json_object(
             (entry_dir / filename).read_text(encoding="utf-8"))
-        row = [expected_doc[key] for key in _ROW_KEYS]
-        for key, value in zip(_ROW_KEYS, row):
-            # a bool is an int equal to 0 or 1, but it counts nothing
-            if type(value) is not int:
-                raise ValueError(
-                    f"{key} = {_brief.repr(value)} is not an integer")
-        socle = expected_doc["socle"]
-        automorphism_group = expected_doc["automorphism_group"]
-        for key, value in (("socle", socle),
-                           ("automorphism_group", automorphism_group)):
-            if type(value) is not str:
-                raise ValueError(
-                    f"{key} = {_brief.repr(value)} is not a string")
+        row = [expected_doc.field(key, "an integer")  # in Parameters order
+               for key in ("v", "b", "r", "k", "lambda")]
+        socle = expected_doc.field("socle", "a string")
+        automorphism_group = expected_doc.field("automorphism_group",
+                                                "a string")
         filename = "base_block.json"
         block = json_object(
             (entry_dir / filename).read_text(encoding="utf-8"))["block"]

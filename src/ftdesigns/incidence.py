@@ -25,10 +25,11 @@ Blocks are walked by perm's degree rule.  On at most 256 points a block is
 coded as bytes, its image under a generator is one bytes.translate through
 the generator's 256-byte table, built once per call, and bytes(sorted(...))
 is its canonical form; above 256 points a block is a sorted point tuple,
-mapped point by point.  Either way IncidenceStructure.blocks holds sorted
-tuples.  Block multisets are compared as Counters through dict.__eq__: both
-count only the blocks that occur, and the dict comparison runs in C.  The
-design writer fills one %-template per block size.
+mapped point by point.  Either way IncidenceStructure.blocks and
+block_orbit, the one walk of a block orbit, give sorted tuples.  Block
+multisets are compared as Counters through dict.__eq__: both count only the
+blocks that occur, and the dict comparison runs in C.  The design writer
+fills one %-template per block size.
 """
 
 from __future__ import annotations
@@ -250,12 +251,25 @@ def _block_walk(degree: int, generators):
     return tuple, _block_images, generators
 
 
-def is_automorphism_group(group: PermutationGroup,
-                          structure: IncidenceStructure) -> bool:
-    """Whether every generator maps the block multiset to itself."""
+def block_orbit(degree: int, generators, block, limit: int | None = None):
+    """The orbit of block, a sorted point tuple, under the permutations
+    `generators` of 0..degree-1, as an ascending list of sorted point
+    tuples; with limit set, ValueError once it exceeds limit blocks."""
+    code, act, gens = _block_walk(degree, generators)
+    # codes sort as their point tuples do
+    return list(map(tuple, sorted(orbit(code(block), gens, act, limit))))
+
+
+def _check_degree(group, structure) -> None:
     if group.degree != structure.v:
         raise ValueError(
             f"group degree {group.degree} != point count {structure.v}")
+
+
+def is_automorphism_group(group: PermutationGroup,
+                          structure: IncidenceStructure) -> bool:
+    """Whether every generator maps the block multiset to itself."""
+    _check_degree(group, structure)
     code, act, gens = _block_walk(structure.v, group.generators)
     blocks = list(map(code, structure.blocks))
     reference = Counter(blocks)
@@ -290,17 +304,14 @@ def is_flag_transitive(group: PermutationGroup,
     if group.orbit(alpha) != covered:
         return False
     through = {block for block in structure.blocks if alpha in block}
-    code, act, gens = _block_walk(structure.v,
-                                  group.stabilizer_generators(alpha))
-    return len(orbit(code(min(through)), gens, act)) == len(through)
+    return len(block_orbit(structure.v, group.stabilizer_generators(alpha),
+                           min(through))) == len(through)
 
 
 def is_point_primitive(group: PermutationGroup,
                        structure: IncidenceStructure) -> bool:
     """Whether the point action preserves no nontrivial partition."""
-    if group.degree != structure.v:
-        raise ValueError(
-            f"group degree {group.degree} != point count {structure.v}")
+    _check_degree(group, structure)
     return group.primitivity()[0]
 
 
@@ -336,16 +347,9 @@ def structure_to_json(structure: IncidenceStructure, name: str) -> str:
 
 def structure_from_json(text: str) -> IncidenceStructure:
     doc = json_object(text)
-    v = doc["v"]
-    if type(v) is not int or v < 0:
-        raise ValueError(f"v {_brief.repr(v)} is not a non-negative integer")
-    name = doc.get("name")
-    if "name" in doc and type(name) is not str:
-        raise ValueError(f"name {_brief.repr(name)} is not a string")
-    blocks = doc["blocks"]
-    if type(blocks) is not list:
-        raise ValueError(f"blocks {_brief.repr(blocks)} is not a list")
-    return IncidenceStructure.from_blocks(v, blocks)
+    v = doc.field("v", "a non-negative integer")
+    doc.field("name", "a string", optional=True)  # checked, not kept
+    return IncidenceStructure.from_blocks(v, doc.field("blocks", "a list"))
 
 
 def load_structure(path) -> IncidenceStructure:

@@ -17,8 +17,8 @@ larger degree has points that no byte can name, so there a code is the image
 tuple, composed by operator.itemgetter.  Only the chain's transversals, their
 inverses, the strong generators' codes and sifting see codes; everything
 outside the chain deals in Permutation objects.  _byte_coded is the one
-degree rule: incidence and constructions walk blocks as bytes by it too,
-through the same 256-byte tables (_byte_table).
+degree rule: incidence's block walks, block_orbit's included, code blocks
+as bytes by it too, through the same 256-byte tables (_byte_table).
 
 Each level keeps the inverse of every coset representative, computed once
 when the representative is added, so sifting and Schreier generators never
@@ -395,10 +395,13 @@ class PermutationGroup:
     def base(self) -> tuple[int, ...]:
         return tuple(level.beta for level in self.levels)
 
-    def orbit(self, point: int) -> set[int]:
+    def _point(self, point: int) -> int:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        return orbit(point, self.generators, _images)
+        return point
+
+    def orbit(self, point: int) -> set[int]:
+        return orbit(self._point(point), self.generators, _images)
 
     def orbits(self) -> list[set[int]]:
         return _orbits(self.degree, self.generators)
@@ -410,9 +413,10 @@ class PermutationGroup:
         """Generators of the stabilizer of point: the strong generators of
         level 1, read off this chain when point is its first base point, else
         off a chain whose base starts at point."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
-        anchored = self if (self.levels and self.levels[0].beta == point) else \
+        self._point(point)
+        if not self.levels:
+            return []  # a trivial group fixes every point
+        anchored = self if self.levels[0].beta == point else \
             PermutationGroup(self.degree, self.generators, base_hint=(point,))
         return list(anchored.levels[1].gens) if len(anchored.levels) > 1 else []
 
@@ -506,6 +510,12 @@ def group_to_json(group: PermutationGroup, name: str) -> str:
 _JSON_KINDS = {list: "an array", str: "a string", int: "a number",
                float: "a number", bool: "a boolean", type(None): "null"}
 
+# a data file field's kinds, by their words; a bool is an int, but no count
+_FIELD_KINDS = {"an integer": lambda x: type(x) is int,
+                "a non-negative integer": lambda x: type(x) is int and x >= 0,
+                "a string": lambda x: type(x) is str,
+                "a list": lambda x: type(x) is list}
+
 # how a refusal quotes an item of a data file: a long list or string is cut
 # short, so one bad block cannot make a message of megabytes.  The limits
 # are set one by one, as Repr takes them as arguments only from Python 3.12.
@@ -519,8 +529,16 @@ class _Document(dict):
     def __missing__(self, key):
         raise ValueError(f"missing key {key!r}")
 
+    def field(self, key: str, kind: str, optional: bool = False):
+        """self[key], refused unless of kind; None if optional and absent."""
+        if optional and key not in self:
+            return None
+        if not _FIELD_KINDS[kind](self[key]):
+            raise ValueError(f"{key} {_brief.repr(self[key])} is not {kind}")
+        return self[key]
 
-def json_object(text: str) -> dict:
+
+def json_object(text: str) -> _Document:
     """The JSON object a data file holds, whose missing keys are refused
     with a ValueError; a document of any other shape is refused by what it
     is, and one nested too deeply for the parser's recursion as such."""
@@ -536,20 +554,10 @@ def json_object(text: str) -> dict:
 
 def group_from_json(text: str) -> PermutationGroup:
     doc = json_object(text)
-    degree = doc["degree"]
-    if type(degree) is not int or degree < 0:
-        raise ValueError(
-            f"degree {_brief.repr(degree)} is not a non-negative integer")
-    name = doc.get("name")
-    if "name" in doc and type(name) is not str:
-        raise ValueError(f"name {_brief.repr(name)} is not a string")
-    expected = doc.get("expected_order")
-    if expected is not None and type(expected) is not int:
-        raise ValueError(
-            f"expected_order {_brief.repr(expected)} is not an integer")
-    generators = doc["generators"]
-    if type(generators) is not list:
-        raise ValueError(f"generators {_brief.repr(generators)} is not a list")
+    degree = doc.field("degree", "a non-negative integer")
+    name = doc.field("name", "a string", optional=True)
+    expected = doc.field("expected_order", "an integer", optional=True)
+    generators = doc.field("generators", "a list")
     for g in generators:
         if type(g) is not list:
             raise ValueError(f"generator {_brief.repr(g)} is not a list")

@@ -305,6 +305,10 @@ BAD_INPUT = {
     # True == 1 and "10" reads as ten, but neither is a JSON integer
     "catalog-list-row-v-bool": ["FTDESIGNS_DATA={row_v_bool}",
                                 "catalog-list"],
+    "construct-row-v-bool": ["FTDESIGNS_DATA={row_v_bool}", "construct",
+                             "--name", "line1_psl25"],
+    "catalog-list-row-b-text": ["FTDESIGNS_DATA={row_b_text}",
+                                "catalog-list"],
     "construct-row-b-text": ["FTDESIGNS_DATA={row_b_text}", "construct",
                              "--name", "line1_psl25"],
     # the group names are printed as they stand, so each must be a string
@@ -400,15 +404,25 @@ BAD_INPUT_ERRORS = {
     "catalog-list-group-array": "error: catalog entry line1_psl25: "
                                 "group.json: the document is an array, not "
                                 "a JSON object\n",
+    # a field of a data file that holds the wrong kind of value is refused
+    # in one wording, whichever file and key it is
+    "catalog-list-row-v-bool": "error: catalog entry line1_psl25: "
+                               "expected.json: v True is not an integer\n",
+    "construct-row-v-bool": "error: expected.json: v True is not an "
+                            "integer\n",
+    "catalog-list-row-b-text": "error: catalog entry line1_psl25: "
+                               "expected.json: b '10' is not an integer\n",
+    "construct-row-b-text": "error: expected.json: b '10' is not an "
+                            "integer\n",
     "catalog-list-socle-object": "error: catalog entry line1_psl25: "
-                                 "expected.json: socle = {{'a': [1, 2]}} is "
+                                 "expected.json: socle {{'a': [1, 2]}} is "
                                  "not a string\n",
-    "construct-socle-object": "error: expected.json: socle = {{'a': [1, 2]}} "
+    "construct-socle-object": "error: expected.json: socle {{'a': [1, 2]}} "
                               "is not a string\n",
     "catalog-list-aut-null": "error: catalog entry line1_psl25: "
-                             "expected.json: automorphism_group = None is "
+                             "expected.json: automorphism_group None is "
                              "not a string\n",
-    "construct-aut-null": "error: expected.json: automorphism_group = None "
+    "construct-aut-null": "error: expected.json: automorphism_group None "
                           "is not a string\n",
     "construct-base-block-number": "error: base_block.json: block 5 is not "
                                    "a list\n",
@@ -615,6 +629,11 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
     ({"name": "s4", "degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]],
       "expected_order": 24.0},
      "expected_order 24.0 is not an integer"),
+    # an optional key, once present, must hold its kind: a null claim is
+    # refused, not read as no claim
+    ({"name": "s4", "degree": 4, "generators": [[1, 2, 3, 0], [1, 0, 2, 3]],
+      "expected_order": None},
+     "expected_order None is not an integer"),
     ({"name": "d", "v": 4, "blocks": {"a": 1}},
      "blocks {'a': 1} is not a list"),
     ({"name": "d", "v": 4, "blocks": "0123"},
@@ -624,8 +643,8 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
     ({"name": "g", "generators": [[1, 0, 2, 3]]}, "missing key 'degree'"),
     ({"name": "d", "blocks": [[0, 1]]}, "missing key 'v'"),
 ], ids=["design-v-float", "design-v-bool", "group-order-float",
-        "design-blocks-object", "design-blocks-text", "group-generators-null",
-        "group-no-degree", "design-no-v"])
+        "group-order-null", "design-blocks-object", "design-blocks-text",
+        "group-generators-null", "group-no-degree", "design-no-v"])
 def test_integer_fields_are_refused_by_name(capsys, tmp_path, doc, message):
     pairs4 = {"name": "pairs4", "v": 4,
               "blocks": [list(p) for p in combinations(range(4), 2)]}

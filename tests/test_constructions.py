@@ -104,9 +104,9 @@ def test_pg_lines_n6_counts():
 
 
 def test_pg_line_space_rejects():
-    with pytest.raises(ValueError, match="need n >= 3, got 2"):
+    with pytest.raises(ValueError, match="^n must be at least 3$"):
         pg_lines(2)
-    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+    with pytest.raises(ValueError, match="^n must be at least 2$"):
         sl_generators(3, 1)
 
 

@@ -13,9 +13,10 @@ from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignCertificate, DesignError,
                                  GroupActionError, IncidenceStructure,
-                                 is_automorphism_group, is_flag_transitive,
-                                 is_point_primitive, structure_from_json,
-                                 structure_to_json, verify_2design)
+                                 block_orbit, is_automorphism_group,
+                                 is_flag_transitive, is_point_primitive,
+                                 structure_from_json, structure_to_json,
+                                 verify_2design)
 from ftdesigns.perm import (Permutation, PermutationGroup, _brief,
                             canonical_json, group_to_json, orbit)
 
@@ -635,12 +636,19 @@ def padded_catalog():
 @pytest.mark.parametrize("name", catalog_names())
 def test_byte_and_tuple_block_walks_agree(padded_catalog, name):
     """At 256 and at 257 points: the same block orbit, the same verdicts and
-    the same design file apart from v.  A design with one block replaced
-    or one block doubled is refused on both sides: the group is transitive
-    on the blocks, so it preserves neither multiset."""
+    the same design file apart from v.  block_orbit lists the design's
+    blocks in order, and refuses to find more than limit of them.  A design
+    with one block replaced or one block doubled is refused on both sides:
+    the group is transitive on the blocks, so it preserves neither
+    multiset."""
     seen = {}
     for v, (group, design, base_block) in padded_catalog[name].items():
         assert orbit_design(v, group.generators, base_block) == design
+        block = tuple(sorted(base_block))
+        assert block_orbit(v, group.generators, block) == list(design.blocks)
+        with pytest.raises(ValueError,
+                           match=f"^orbit exceeds {design.b - 1} elements$"):
+            block_orbit(v, group.generators, block, limit=design.b - 1)
         first = design.blocks[0]
         other = tuple(sorted((*first[:-1], min(set(range(v)) - set(first)))))
         replaced = IncidenceStructure(v, (other, *design.blocks[1:]))

@@ -436,6 +436,16 @@ def test_base_point_stabilizer_is_read_off_the_chain(forbid_new_chains):
         assert group.primitivity() == primitivity, name
 
 
+def test_a_group_with_no_chain_level_builds_no_second_chain(
+        forbid_new_chains):
+    """A group with no chain level is trivial and fixes every point, so its
+    point stabilizers need no chain of their own."""
+    groups = PermutationGroup(1, []), PermutationGroup(5, [])
+    forbid_new_chains()
+    assert groups[0].subdegrees() == [1]
+    assert groups[1].stabilizer_generators(3) == []
+
+
 def test_suborbits_partition_in_ascending_order():
     for group in oracle_groups():
         for point in range(group.degree):

@@ -2,8 +2,9 @@
 binding the package drops breaks the traced benchmark run.  Installing and
 undoing its patches on the real modules catches that here, and every
 name a module imports is read there unless it is listed as tracer-only.
-The same ast walk refuses any `global` statement in those modules, and
-any exit 2 in cli that main does not decide.  A traced construct and
+The same ast walk refuses any `global` statement in those modules, any
+import of another module's private name that perm does not own, and any
+exit 2 in cli that main does not decide.  A traced construct and
 verify read the counters that CI pins for the traced certify run."""
 
 import ast
@@ -102,6 +103,32 @@ def test_every_import_is_used_or_tracer_only():
     for path in MODULES:
         assert unused_imports(path) == TRACER_ONLY.get(path.stem, set()), \
             path.name
+
+
+def test_only_perm_shares_private_names():
+    """A private name crosses a module boundary only where its owner is
+    perm, which owns the point codes and how a refusal quotes an item:
+    incidence takes four of them and constructions one.  Everything else
+    another module needs, such as incidence's block walk, is public."""
+    crossings = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            source = node.module.removeprefix("ftdesigns.")
+            if node.level == 0 and source == node.module:
+                continue  # not a module of the package
+            crossings += [(path.stem, source, alias.name)
+                          for alias in node.names
+                          if alias.name.startswith("_")]
+    assert sorted(crossings) == [
+        ("constructions", "perm", "_brief"),
+        ("incidence", "perm", "_brief"),
+        ("incidence", "perm", "_byte_coded"),
+        ("incidence", "perm", "_byte_table"),
+        ("incidence", "perm", "_images"),
+    ]
 
 
 def test_no_module_state_is_rebound():

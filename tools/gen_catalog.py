@@ -47,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ftdesigns.constructions import data_dir, fano_complement, pg_points
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignError, IncidenceStructure,
-                                 _block_images, is_flag_transitive,
+                                 block_orbit, is_flag_transitive,
                                  is_point_primitive, verify_2design)
 from ftdesigns.perm import (Permutation, PermutationGroup, canonical_json,
                             group_to_json, orbit)
@@ -300,13 +300,13 @@ def certifies(group: PermutationGroup, design: IncidenceStructure,
 
 def try_block(group: PermutationGroup, block, expected: Parameters):
     try:
-        blocks = orbit(tuple(sorted(block)), group.generators, _block_images,
-                       limit=expected.b)
+        blocks = block_orbit(group.degree, group.generators,
+                             tuple(sorted(block)), limit=expected.b)
     except ValueError:
         return None
     if len(blocks) != expected.b:
         return None
-    design = IncidenceStructure(group.degree, tuple(sorted(blocks)))
+    design = IncidenceStructure(group.degree, tuple(blocks))
     return design if certifies(group, design, expected) else None
 
 
@@ -627,14 +627,14 @@ def build_witt22():
 
     # the line x0 = 0 holds the first q + 1 = 5 points; PSL(3,4) is
     # transitive on lines
-    lines = orbit(tuple(range(5)), psl.generators, _block_images)
+    lines = block_orbit(21, psl.generators, tuple(range(5)))
     assert len(lines) == 21
 
     # hyperoval: conic {(1, t, t^2)} plus (0,0,1) and the nucleus (0,1,0)
     oval = {index[(1, t, GF4.mul(t, t))] for t in range(4)}
     oval |= {index[(0, 0, 1)], index[(0, 1, 0)]}
     assert len(oval) == 6
-    oval_orbit = orbit(tuple(sorted(oval)), psl.generators, _block_images)
+    oval_orbit = block_orbit(21, psl.generators, tuple(sorted(oval)))
     assert len(oval_orbit) == 56, len(oval_orbit)
 
     hexads = [line + (21,) for line in lines]
