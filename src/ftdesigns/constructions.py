@@ -69,20 +69,15 @@ def pg_lines(n: int, k: int = 4) -> IncidenceStructure:
 
 def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
     """The orbit of a base block under the permutations `generators` of
-    0..degree-1, as a simple block set.
-
-    The base block is checked as a design file's block is, so one that
-    repeats a point is refused, not folded into a set; it must also leave
-    a point out.
-    """
-    [block] = IncidenceStructure.from_blocks(degree, [base_block]).blocks
-    if len(block) >= degree:
+    0..degree-1, as a simple block set.  block_orbit checks the base block,
+    which must also leave a point out."""
+    blocks = block_orbit(degree, generators, base_block)
+    if len(blocks[0]) >= degree:
         raise ValueError(f"block {_brief.repr(base_block)} has more than "
                          f"{degree - 1} points")
     # every block is the image of the checked base block under a
     # permutation of the points, so it needs no checks of its own
-    return IncidenceStructure(degree,
-                              tuple(block_orbit(degree, generators, block)))
+    return IncidenceStructure(degree, tuple(blocks))
 
 
 # -- bundled catalog ---------------------------------------------------------
@@ -133,8 +128,8 @@ def catalog(name: str) -> CatalogEntry:
         automorphism_group = expected_doc.field("automorphism_group",
                                                 "a string")
         filename = "base_block.json"
-        block = json_object(
-            (entry_dir / filename).read_text(encoding="utf-8"))["block"]
+        block = json_object((entry_dir / filename).read_text(
+            encoding="utf-8")).field("block", "a list")
         design = orbit_design(group.degree, group.generators, block)
     except ValueError as exc:
         raise ValueError(f"{filename}: {exc}") from None

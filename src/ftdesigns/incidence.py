@@ -17,8 +17,8 @@ transitivity on flags, and primitivity on points.  Nothing here searches for gro
 G is flag-transitive iff it is transitive on the points in blocks and the
 stabilizer G_alpha of one of them is transitive on the blocks through alpha.
 
-A design file's blocks and a construction's base block pass one check,
-_checked_blocks: each rule is one C-level pass over the whole list, and
+A design file's blocks and the block that block_orbit starts from pass one
+check, _checked_blocks: each rule is one C-level pass over the whole list, and
 the blocks are checked one at a time only to name the first bad one.
 
 Blocks are walked by perm's degree rule.  On at most 256 points a block is
@@ -148,7 +148,7 @@ def verify_2design(structure: IncidenceStructure,
     points, a uniform k and a row of point 0 in which every other point
     occurs lam times certify every pair, and a failing row 0 is the first
     failure of the full count, as r is uniform.  Otherwise all v rows are
-    counted.
+    counted.  A generator of another degree than v is refused.
 
     Raises DesignError naming the first violated uniformity, with a witness
     block index, point, or point pair.
@@ -158,6 +158,8 @@ def verify_2design(structure: IncidenceStructure,
         raise ValueError(f"need at least 3 points, got {v}")
     if not blocks:
         raise ValueError("need at least one block")
+    for g in symmetry:
+        _check_degree(g.degree, v)
 
     k = len(blocks[0])
     for i, block in enumerate(blocks):
@@ -166,8 +168,7 @@ def verify_2design(structure: IncidenceStructure,
                 "non-uniform k", i,
                 f"block {i} has size {len(block)}, expected {k}")
 
-    if (symmetry and all(g.degree == v for g in symmetry)
-            and len(orbit(0, symmetry, _images)) == v):
+    if symmetry and len(orbit(0, symmetry, _images)) == v:
         rows = (0,)
         through = {0: [block for block in blocks if 0 in block]}
         r = len(through[0])
@@ -252,24 +253,27 @@ def _block_walk(degree: int, generators):
 
 
 def block_orbit(degree: int, generators, block, limit: int | None = None):
-    """The orbit of block, a sorted point tuple, under the permutations
-    `generators` of 0..degree-1, as an ascending list of sorted point
-    tuples; with limit set, ValueError once it exceeds limit blocks."""
+    """The orbit of block, any collection of points checked as a design
+    file's block is, under `generators` of degree `degree`, as an ascending
+    list of sorted point tuples; ValueError past limit blocks, if set."""
+    [block] = _checked_blocks([block], degree)
+    generators = list(generators)  # the check and every walk round read it
+    for g in generators:
+        _check_degree(g.degree, degree)
     code, act, gens = _block_walk(degree, generators)
     # codes sort as their point tuples do
     return list(map(tuple, sorted(orbit(code(block), gens, act, limit))))
 
 
-def _check_degree(group, structure) -> None:
-    if group.degree != structure.v:
-        raise ValueError(
-            f"group degree {group.degree} != point count {structure.v}")
+def _check_degree(degree: int, v: int) -> None:
+    if degree != v:
+        raise ValueError(f"group degree {degree} != point count {v}")
 
 
 def is_automorphism_group(group: PermutationGroup,
                           structure: IncidenceStructure) -> bool:
     """Whether every generator maps the block multiset to itself."""
-    _check_degree(group, structure)
+    _check_degree(group.degree, structure.v)
     code, act, gens = _block_walk(structure.v, group.generators)
     blocks = list(map(code, structure.blocks))
     reference = Counter(blocks)
@@ -311,7 +315,7 @@ def is_flag_transitive(group: PermutationGroup,
 def is_point_primitive(group: PermutationGroup,
                        structure: IncidenceStructure) -> bool:
     """Whether the point action preserves no nontrivial partition."""
-    _check_degree(group, structure)
+    _check_degree(group.degree, structure.v)
     return group.primitivity()[0]
 
 

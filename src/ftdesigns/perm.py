@@ -396,6 +396,9 @@ class PermutationGroup:
         return tuple(level.beta for level in self.levels)
 
     def _point(self, point: int) -> int:
+        # a bool is an int equal to 0 or 1, but it names no point
+        if type(point) is not int:
+            raise ValueError(f"point {_brief.repr(point)} is not an integer")
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range 0..{self.degree - 1}")
         return point

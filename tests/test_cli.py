@@ -347,6 +347,8 @@ BAD_INPUT = {
                                     "construct", "--name", "line1_psl25"],
     "construct-base-block-string": ["FTDESIGNS_DATA={block_string}",
                                     "construct", "--name", "line1_psl25"],
+    "construct-base-block-null": ["FTDESIGNS_DATA={block_null}",
+                                  "construct", "--name", "line1_psl25"],
     # shapes inside a document: a block or generator that is no list, and
     # a point that is a list, among integers or among lists
     "design-block-number": ["verify", "--group", "{group}",
@@ -428,6 +430,8 @@ BAD_INPUT_ERRORS = {
                                    "a list\n",
     "construct-base-block-string": "error: base_block.json: block '012' is "
                                    "not a list\n",
+    "construct-base-block-null": "error: base_block.json: block None is "
+                                 "not a list\n",
     "construct-block-text": "error: base_block.json: block [0, 'a'] has a "
                             "non-integer point\n",
     "catalog-list-block-text": "error: catalog entry line1_psl25: "
@@ -596,6 +600,9 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
                                           "line1_psl25", base_block=5),
         "block_string": corrupted_catalog(tmp_path / "block_string",
                                           "line1_psl25", base_block="012"),
+        "block_null": corrupted_catalog(
+            tmp_path / "block_null", "line1_psl25",
+            whole=("base_block.json", {"block": None})),
         "block_deep": corrupted_catalog(tmp_path / "block_deep",
                                         "line1_psl25"),
         "out": str(tmp_path / "out.json"),

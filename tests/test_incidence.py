@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -429,14 +430,44 @@ def test_from_blocks_matches_the_block_by_block_scan():
 
 def test_orbit_design_refuses_a_base_block_as_from_blocks_does():
     """A bad base block is refused with the message that a design file
-    holding it as its one block gets."""
+    holding it as its one block gets, by orbit_design and by block_orbit,
+    whether the walk codes blocks as bytes (10 points) or tuples (300)."""
     rng = random.Random(78)
-    cycle = [Permutation([*range(1, 10), 0])]
+    cycles = {v: [Permutation([*range(1, v), 0])] for v in (10, 300)}
     for defect in DEFECTS:
         block = defect(rng.sample(range(10), rng.randrange(2, 6)))
-        expected = outcome(IncidenceStructure.from_blocks, 10, [block])
-        assert expected[0] is ValueError, block
-        assert outcome(orbit_design, 10, cycle, block) == expected
+        for v, cycle in cycles.items():
+            expected = outcome(IncidenceStructure.from_blocks, v, [block])
+            if isinstance(expected, IncidenceStructure):
+                # the point 10 is out of range only on 10 points
+                assert v == 300 and expected.blocks[0] in block_orbit(
+                    v, cycle, block)
+                continue
+            assert expected[0] is ValueError, block
+            assert outcome(orbit_design, v, cycle, block) == expected
+            assert outcome(block_orbit, v, cycle, block) == expected
+
+
+def test_block_orbit_checks_its_block_and_generators():
+    """A point past the degree is refused on both sides of the byte rule,
+    not read as a fixed point or a bad index; a block need not be a sorted
+    tuple; and a generator of another degree is refused."""
+    cycles = {v: [Permutation([*range(1, v), 0])] for v in (10, 300)}
+    for v, block in ((10, (0, 20)), (10, (0, 300)), (300, (0, 400))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"block {block} not a subset of 0..{v - 1}")):
+            block_orbit(v, cycles[v], block)
+    for v, cycle in cycles.items():
+        orbit13 = block_orbit(v, cycle, (1, 3))
+        assert len(orbit13) == v
+        for block in ([3, 1], {1, 3}, (3, 1)):
+            assert block_orbit(v, cycle, block) == orbit13
+        assert block_orbit(v, iter(cycle), (1, 3)) == orbit13
+        assert block_orbit(v, cycle, range(2)) == block_orbit(v, cycle, (0, 1))
+    for v, degree in ((10, 12), (10, 3), (300, 301)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"group degree {degree} != point count {v}")):
+            block_orbit(v, [Permutation([*range(1, degree), 0])], (0, 1))
 
 
 @pytest.mark.parametrize("v", [10.0, True, -1, "10", None],
@@ -581,6 +612,16 @@ def test_verify_under_a_preserving_group_matches_the_full_count(transitive):
     check()
 
 
+@pytest.mark.parametrize("degree", [8, 3])
+def test_verify_refuses_symmetry_of_another_degree(degree):
+    # the full count would certify the design, but the generators are no
+    # permutations of its points
+    with pytest.raises(ValueError,
+                       match=f"^group degree {degree} != point count 7$"):
+        verify_2design(fano_complement(),
+                       [Permutation([*range(1, degree), 0])])
+
+
 def test_verify_under_the_construction_group_matches_the_full_count():
     designs = [(entry.design, entry.group.generators)
                for entry in map(catalog, catalog_names())]
@@ -644,11 +685,11 @@ def test_byte_and_tuple_block_walks_agree(padded_catalog, name):
     seen = {}
     for v, (group, design, base_block) in padded_catalog[name].items():
         assert orbit_design(v, group.generators, base_block) == design
-        block = tuple(sorted(base_block))
-        assert block_orbit(v, group.generators, block) == list(design.blocks)
+        assert block_orbit(v, group.generators,
+                           base_block) == list(design.blocks)
         with pytest.raises(ValueError,
                            match=f"^orbit exceeds {design.b - 1} elements$"):
-            block_orbit(v, group.generators, block, limit=design.b - 1)
+            block_orbit(v, group.generators, base_block, limit=design.b - 1)
         first = design.blocks[0]
         other = tuple(sorted((*first[:-1], min(set(range(v)) - set(first)))))
         replaced = IncidenceStructure(v, (other, *design.blocks[1:]))

@@ -250,6 +250,15 @@ def test_permutation_images_are_no_bools():
         PermutationGroup(4, [[1, 2, 3, 0], [True, False, 2, 3]])
 
 
+@pytest.mark.parametrize("query, point", [
+    ("orbit", True), ("stabilizer_generators", False), ("suborbits", True),
+    ("stabilizer", False)])
+def test_a_bool_names_no_point_of_a_group(query, point):
+    # True == 1 and False == 0, but neither is read as that point
+    with pytest.raises(ValueError, match=f"^point {point} is not an integer$"):
+        getattr(sym4(), query)(point)
+
+
 def test_load_group_memory_follows_the_file(tmp_path):
     # A 50-byte file names 3 * 10**6 points.  With no generators the chain
     # has no level, so no identity of that degree is built; building it

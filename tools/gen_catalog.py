@@ -300,8 +300,8 @@ def certifies(group: PermutationGroup, design: IncidenceStructure,
 
 def try_block(group: PermutationGroup, block, expected: Parameters):
     try:
-        blocks = block_orbit(group.degree, group.generators,
-                             tuple(sorted(block)), limit=expected.b)
+        blocks = block_orbit(group.degree, group.generators, block,
+                             limit=expected.b)
     except ValueError:
         return None
     if len(blocks) != expected.b:
@@ -312,9 +312,8 @@ def try_block(group: PermutationGroup, block, expected: Parameters):
 
 def search_block_exhaustive(group, expected: Parameters):
     for block in itertools.combinations(range(group.degree), expected.k):
-        design = try_block(group, block, expected)
-        if design is not None:
-            return block, design
+        if try_block(group, block, expected) is not None:
+            return block
     raise RuntimeError("exhaustive block search failed")
 
 
@@ -341,14 +340,13 @@ def search_block_cycles(group, expected: Parameters, rng, tries=4000):
             if len(cyc) == k:
                 candidates.append(cyc)
             if len(cyc) == k - 1 and fixed:
-                candidates.extend(tuple(sorted(cyc + (f,))) for f in fixed[:3])
+                candidates.extend(cyc + (f,) for f in fixed[:3])
         for c1, c2 in itertools.combinations(cycles, 2):
             if len(c1) + len(c2) == k:
-                candidates.append(tuple(sorted(c1 + c2)))
+                candidates.append(c1 + c2)
         for block in candidates:
-            design = try_block(group, block, expected)
-            if design is not None:
-                return tuple(sorted(block)), design
+            if try_block(group, block, expected) is not None:
+                return block
     raise RuntimeError("cycle-heuristic block search failed")
 
 
@@ -481,7 +479,7 @@ def gen_line1(rng):
     group = PermutationGroup(6, psl2_gens(GF5))
     assert group.order() == 60
     expected = Parameters(6, 10, 5, 3, 2)
-    block, design = search_block_exhaustive(group, expected)
+    block = search_block_exhaustive(group, expected)
     write_entry("line1_psl25", group, expected,
                 "PSL(2,5) ~ PSL(2,4) ~ Alt(5)", "PSL(2,5)", rng,
                 base_block=block)
@@ -523,7 +521,7 @@ def gen_line4(rng):
     group = PermutationGroup(10, gens + [frobenius_perm(GF9, pg_points(9, 2))])
     assert group.order() == 720
     expected = Parameters(10, 15, 6, 4, 2)
-    block, design = search_block_exhaustive(group, expected)
+    block = search_block_exhaustive(group, expected)
     write_entry("line4_psl29", group, expected,
                 "PSL(2,9) ~ Alt(6)", "PSL(2,9):2", rng, base_block=block)
 
@@ -582,7 +580,7 @@ def gen_line6(rng):
     group = PermutationGroup(28, gens28)
     assert group.order() == 1512, group.order()
     expected = Parameters(28, 36, 9, 7, 2)
-    block, design = search_block_cycles(group, expected, rng)
+    block = search_block_cycles(group, expected, rng)
     write_entry("line6_psl28", group, expected,
                 "PSL(2,8)", "PSL(2,8):3", rng, base_block=block)
 
@@ -590,7 +588,7 @@ def gen_line6(rng):
 def gen_line7(rng):
     group = unitary_group(GF9, True, 12096)
     expected = Parameters(28, 252, 27, 3, 2)
-    block, design = search_block_exhaustive(group, expected)
+    block = search_block_exhaustive(group, expected)
     write_entry("line7_psu33", group, expected,
                 "PSU(3,3)", "PSU(3,3):2", rng, base_block=block)
 
@@ -601,7 +599,7 @@ def gen_line8(rng):
     group = PermutationGroup(36, [on_pairs(g) for g in full.generators])
     assert group.order() == 1512
     expected = Parameters(36, 84, 14, 6, 2)
-    block, design = search_block_cycles(group, expected, rng, tries=2000)
+    block = search_block_cycles(group, expected, rng, tries=2000)
     write_entry("line8_psl28", group, expected,
                 "PSL(2,8)", "PSL(2,8):3", rng, base_block=block)
 
@@ -609,7 +607,7 @@ def gen_line8(rng):
 def gen_line9(rng):
     group = unitary_group(GF25, True, 252000)
     expected = Parameters(126, 1050, 50, 6, 2)
-    block, design = search_block_cycles(group, expected, rng, tries=2000)
+    block = search_block_cycles(group, expected, rng, tries=2000)
     write_entry("line9_psu35", group, expected,
                 "PSU(3,5)", "PSU(3,5):2", rng, base_block=block)
 
@@ -627,14 +625,14 @@ def build_witt22():
 
     # the line x0 = 0 holds the first q + 1 = 5 points; PSL(3,4) is
     # transitive on lines
-    lines = block_orbit(21, psl.generators, tuple(range(5)))
+    lines = block_orbit(21, psl.generators, range(5))
     assert len(lines) == 21
 
     # hyperoval: conic {(1, t, t^2)} plus (0,0,1) and the nucleus (0,1,0)
     oval = {index[(1, t, GF4.mul(t, t))] for t in range(4)}
     oval |= {index[(0, 0, 1)], index[(0, 1, 0)]}
     assert len(oval) == 6
-    oval_orbit = block_orbit(21, psl.generators, tuple(sorted(oval)))
+    oval_orbit = block_orbit(21, psl.generators, oval)
     assert len(oval_orbit) == 56, len(oval_orbit)
 
     hexads = [line + (21,) for line in lines]
@@ -755,7 +753,7 @@ def gen_line10(rng):
     print("  HS on 176 splits, order", group.order())
 
     expected = Parameters(176, 1100, 50, 8, 2)
-    block, design = search_block_cycles(group, expected, rng, tries=800)
+    block = search_block_cycles(group, expected, rng, tries=800)
     write_entry("line10_hs", group, expected, "HS", "HS", rng, base_block=block)
 
 
