@@ -13,9 +13,9 @@ loudly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 from .design import Parameters
 # nothing here calls verify_2design; it stays bound here, where
@@ -82,8 +82,7 @@ def orbit_design(degree: int, generators, base_block) -> IncidenceStructure:
 
 # -- bundled catalog ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     group: PermutationGroup
     design: IncidenceStructure
     expected: Parameters

@@ -29,8 +29,8 @@ class NonIntegralParameterError(ValueError):
         self.which = which
 
 
-# a named tuple, not a frozen dataclass, as are the case-report records that
-# hold it: a tuple is several times cheaper to build
+# a named tuple, not a frozen dataclass, as is every record in the package
+# (see elimination): a tuple is several times cheaper to build
 class Parameters(NamedTuple):
     v: int
     b: int

@@ -17,7 +17,6 @@ recomputed where it is used, so a report can be audited line by line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import gcd, isqrt
 from typing import NamedTuple, TextIO
@@ -46,10 +45,12 @@ class TableDataError(ValueError):
     """A bundled tabulated value disagrees with direct computation."""
 
 
-# The records of a report (Fact, Branch, CaseDescriptor and CaseReport, as
-# are the Parameters and PrimePower they hold) are named tuples, not frozen
-# dataclasses: a sweep builds thousands of them, and a tuple is several
-# times cheaper to build and lighter on the cyclic garbage collector.
+# Every record in the package is a named tuple, not a frozen dataclass: the
+# records of a report (Fact, Branch, CaseDescriptor and CaseReport), the
+# Parameters and PrimePower they hold, ParabolicRow below, incidence's
+# IncidenceStructure and DesignCertificate, and constructions' CatalogEntry.
+# A sweep builds thousands of report records, and a tuple is several times
+# cheaper to build and lighter on the cyclic garbage collector.
 
 class Fact(NamedTuple):
     statement: str
@@ -530,8 +531,7 @@ def eliminate_e6(q: PrimePower, case: str) -> CaseReport:
 
 # -- generic parabolic cases driven by tabulated cyclotomic data -------------
 
-@dataclass(frozen=True)
-class ParabolicRow:
+class ParabolicRow(NamedTuple):
     """One tabulated parabolic case: socle family, stabilizer label, the
     point count as a product of cyclotomic values, the tabulated p-part of
     v - 1, and the validity range of q.

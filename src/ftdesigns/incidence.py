@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from typing import NamedTuple
 
 from .design import Parameters
 from .perm import (PermutationGroup, _brief, _byte_coded, _byte_table,
@@ -59,8 +59,7 @@ class GroupActionError(ValueError):
     """The group does not map the block multiset of a structure to itself."""
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(NamedTuple):
     """Point set {0..v-1} plus a multiset of blocks (sorted point tuples).
 
     Repeated blocks are kept and counted with multiplicity.  The block list
@@ -124,8 +123,7 @@ def _checked_blocks(blocks: list, v: int) -> list[tuple[int, ...]]:
     raise ValueError(f"block {_brief.repr(blocks[0])} {fault}")
 
 
-@dataclass(frozen=True)
-class DesignCertificate:
+class DesignCertificate(NamedTuple):
     """Outcome of verify_2design: the exact parameters of a 2-design, every
     point pair of which is certified."""
 
@@ -158,6 +156,7 @@ def verify_2design(structure: IncidenceStructure,
         raise ValueError(f"need at least 3 points, got {v}")
     if not blocks:
         raise ValueError("need at least one block")
+    symmetry = list(symmetry)  # the check and the orbit walk read it
     for g in symmetry:
         _check_degree(g.degree, v)
 

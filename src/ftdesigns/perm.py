@@ -73,8 +73,10 @@ def orbit(seed, generators, act, limit: int | None = None) -> set:
 
     Breadth first: each round applies every generator, in one act call, to
     all the objects the previous round found.  With limit set, raises
-    ValueError once more than limit objects are found.
+    ValueError once more than limit objects are found.  The generators are
+    read once, so an iterator of them serves every round.
     """
+    generators = list(generators)
     seen = {seed}
     frontier = [seed]
     while frontier:

@@ -143,7 +143,7 @@ def verify_outcome(verify, structure):
 
 
 def random_raw_structure(rng):
-    """Sorted blocks of distinct points, put into the dataclass directly, so
+    """Sorted blocks of distinct points, put into the record directly, so
     blocks may be empty or have one point.  Blocks are random subsets, a
     block orbit under the cyclic shift (uniform r), or all k-subsets of a
     point set (a 2-design), which may leave points out; then some blocks
@@ -654,6 +654,23 @@ def test_verify_under_a_transitive_group_counts_one_row(monkeypatch):
     with pytest.raises(DesignError) as failure:
         verify_2design(orbit_design(6, cycle, [0, 1]), cycle)
     assert (failure.value.witness, len(rows)) == ((0, 2), 1)
+
+
+def test_verify_reads_an_iterator_of_generators_once(monkeypatch):
+    # the degree check must not spend the generators the row-0 shortcut
+    # walks the point orbit with
+    entry = catalog("line10_hs")
+    rows = []
+
+    class CountingCounter(Counter):
+        def __init__(self, *args):
+            rows.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr("ftdesigns.incidence.Counter", CountingCounter)
+    cert = verify_2design(entry.design, iter(entry.group.generators))
+    assert len(rows) == 1
+    assert cert == verify_2design(entry.design, entry.group.generators)
 
 
 @pytest.fixture(scope="module")

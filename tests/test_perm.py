@@ -79,6 +79,14 @@ def test_orbit():
         g.orbit(9)
 
 
+def test_orbit_reads_an_iterator_of_generators_once():
+    # every breadth-first round applies every generator
+    gens = [Permutation([1, 2, 3, 4, 0])]
+    images = perm_module._images
+    assert orbit(0, iter(gens), images) == orbit(0, gens, images) == {
+        0, 1, 2, 3, 4}
+
+
 def reference_orbits(degree, generators):
     """The loop _orbits had, quadratic in the number of orbits: each point
     is looked up in every orbit found so far."""

@@ -4,11 +4,16 @@ undoing its patches on the real modules catches that here, and every
 name a module imports is read there unless it is listed as tracer-only.
 The same ast walk refuses any `global` statement in those modules, any
 import of another module's private name that perm does not own, and any
-exit 2 in cli that main does not decide.  A traced construct and
-verify read the counters that CI pins for the traced certify run."""
+exit 2 in cli that main does not decide.  A fresh interpreter that
+imports cli loads neither dataclasses nor inspect nor ast.  A traced
+construct and verify read the counters that CI pins for the traced
+certify run."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -129,6 +134,21 @@ def test_only_perm_shares_private_names():
         ("incidence", "perm", "_byte_table"),
         ("incidence", "perm", "_images"),
     ]
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
+    """Every record is a named tuple, so a CLI process does not pay for
+    dataclasses and the inspect, ast and tokenize modules it imports.  Only
+    the modules the import adds count: site may load some of them first."""
+    probe = ("import sys; before = set(sys.modules); import ftdesigns.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert "ftdesigns.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast"} == set()
 
 
 def test_no_module_state_is_rebound():

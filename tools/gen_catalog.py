@@ -781,10 +781,10 @@ def main():
         parser.error(f"unknown entries {', '.join(unknown)}; "
                      f"known: {', '.join(GENERATORS)}")
     for name in names:
-        start = time.time()
+        start = time.perf_counter()
         print(f"[{name}]")
         GENERATORS[name](random.Random(name))
-        print(f"  done in {time.time() - start:.1f}s")
+        print(f"  done in {time.perf_counter() - start:.3f}s")
 
 
 if __name__ == "__main__":
