@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 _DIVISOR_LIMIT = 10**18
@@ -100,34 +100,46 @@ def check_factorization_range(n: int) -> None:
                          f"(at most {_DIVISOR_LIMIT})")
 
 
-# the trial divisors of factorize
+# the trial divisors of factorize, and their product
 _TRIAL_PRIMES = tuple(filter(is_prime, range(_TRIAL_LIMIT)))
+_TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} with the primes ascending, exact
     for 1 <= n <= 10**18.
 
-    Trial division by the primes below _TRIAL_LIMIT, so every n below
-    _TRIAL_LIMIT**2 is factored by division alone.  A cofactor left over is
-    split by Brent-Pollard rho until each piece passes the Miller-Rabin
-    test of is_prime.
+    The primes below _TRIAL_LIMIT that divide n are the prime factors of
+    one gcd, of n and their product, found by trial division of that gcd up
+    to its square root; each is divided out of n with its exponent.  So
+    every n below _TRIAL_LIMIT**2 is factored without a primality test.  A
+    cofactor left over is split by Brent-Pollard rho until each piece
+    passes the Miller-Rabin test of is_prime.
     """
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     check_factorization_range(n)
-    factors: dict[int, int] = {}
+    small = gcd(n, _TRIAL_PRODUCT)  # the trial primes dividing n, once each
+    found = []
     for p in _TRIAL_PRIMES:
-        if p * p > n:
+        if p * p > small:
             break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors[p] = e
+        if small % p == 0:
+            small //= p
+            found.append(p)
+    if small > 1:
+        # no trial prime up to its square root divides it: it is the last
+        found.append(small)
+    factors: dict[int, int] = {}
+    for p in found:
+        n //= p
+        e = 1
+        while n % p == 0:
+            n //= p
+            e += 1
+        factors[p] = e
     if n < _TRIAL_LIMIT ** 2:
-        # no prime q with q * q <= n divides what is left of n, so it is 1
+        # no prime below _TRIAL_LIMIT divides what is left of n, so it is 1
         # or a prime
         if n > 1:
             factors[n] = 1

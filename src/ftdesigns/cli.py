@@ -195,7 +195,8 @@ def _cmd_catalog_list(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call; every later call
-    returns that same object, so callers must not change it."""
+    returns that same object, so callers must not change it.  Its
+    `commands` maps each command's name to that command's own parser."""
     parser = argparse.ArgumentParser(
         prog="ftdesigns",
         description="Exact verification and elimination toolkit for "
@@ -231,12 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog-list", help="list bundled catalog entries")
     p.set_defaults(func=_cmd_catalog_list)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        # no command, -h, -- or an unknown name: only the top-level pass
+        # prints the program's own usage and help
+        args = parser.parse_args(argv)
+    else:
+        # the command's parser reads the rest, as the top-level pass would
+        # hand it on, and what it leaves is refused as that pass refuses it
+        args, extras = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

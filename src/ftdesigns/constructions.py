@@ -101,7 +101,9 @@ def catalog_names() -> list[str]:
     root = data_dir() / "catalog"
     if not root.is_dir():
         return []
-    return sorted(p.name for p in root.iterdir() if p.is_dir())
+    # one directory read: each entry knows whether it is a directory
+    with os.scandir(root) as entries:
+        return sorted(entry.name for entry in entries if entry.is_dir())
 
 
 def catalog(name: str) -> CatalogEntry:

@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -472,6 +472,31 @@ def test_arith_matches_sympy_on_pinned_values():
         assert is_prime(n) == sympy.isprime(n)
     for _, psi in arith._MR_BASES:
         assert not sympy.isprime(psi)
+
+
+def test_factorize_matches_sympy_around_the_trial_gcd():
+    """factorize finds the trial primes dividing n as the prime factors of
+    one gcd with their product.  Values built around that gcd: one trial
+    prime to a high power, the two largest beside a prime just above the
+    trial limit, the most trial primes whose product fits, the six
+    largest, and such products times a prime above 10**6."""
+    sympy = pytest.importorskip("sympy")
+    trial = [p for p in range(2, _TRIAL_LIMIT) if is_prime(p)]
+    # the first 15 primes, up to 47: the most distinct trial primes whose
+    # product stays at most 10**18
+    most = prod(trial[:15])
+    top6 = prod(trial[-6:])
+    assert most <= 10**18 < most * trial[15] and top6 <= 10**18
+    values = [997**e for e in range(1, 7)]
+    values += [991 * 997 * p for p in (1009, 1013, 1019, 1021)]
+    values += [most, top6, 1, 2, 2**59]
+    values += [prod(trial[:k]) * p for k, p in (
+        (1, 999999000001), (6, 999999000001), (10, 1000003), (11, 1000003))]
+    values += [prod(trial[-k:]) * 1000003 for k in (1, 2, 3, 4)]
+    for n in values:
+        factors = factorize(n)
+        assert factors == sympy.factorint(n), n
+        assert list(factors) == sorted(factors), n
 
 
 def test_arith_matches_sympy_on_random_values():

@@ -1264,10 +1264,11 @@ REUSE_ARGVS = [
 ]
 
 
-def outcome(capsys, argv):
-    """main's exit code, or argparse's as ("exit", code), with the output."""
+def outcome(capsys, argv, entry=main):
+    """main's exit code, or argparse's as ("exit", code), with the output;
+    `entry` stands in for main."""
     try:
-        code = main(list(argv))
+        code = entry(list(argv))
     except SystemExit as exc:
         code = ("exit", exc.code)
     captured = capsys.readouterr()
@@ -1310,6 +1311,72 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
         outcome(capsys, REUSE_ARGVS[i % len(REUSE_ARGVS)])
     # the top-level parser and its five subparsers
     assert len(built) == 6
+
+
+# main hands an argv that starts with a command's name to that command's
+# parser, and any other to the top-level parser: none, -h, --, an unknown or
+# misspelt name, extras and abbreviations on either side of the split
+DISPATCH_ARGVS = [
+    [], ["-h"], ["--help"], ["--"],
+    ["--", "feasible", "--v", "65", "--lambda", "2", "--r-mod", "128"],
+    ["feasible", "--v", "65", "extra"], ["feasible", "extra", "--v", "65"],
+    ["feasible", "--v", "65", "--", "extra"], ["feasible", "--", "--v", "65"],
+    ["feasible", "--v", "65", "extra", "--more", "-x"],
+    ["feasible", "--va", "65"], ["feasible", "--v", "65", "--lam", "3"],
+    ["feasible", "--v", "65", "--r", "128"], ["feasible", "--v=7"],
+    ["feasible", "--v", "7", "--v", "11"], ["feasible", "--v", "7", "-h"],
+    ["feasible", "--he"], ["feasible", "--v", "7", "--help", "extra"],
+    ["feasible"], ["feasible", "--v"], ["feasible", "--v", "-5"],
+    ["feasible", "-v", "7"], ["feasible", "--v", "7", "-"],
+    ["feasbile", "--v", "7"], ["Feasible"], ["-h", "feasible"],
+    ["--help", "feasible", "--v", "7"], ["-x", "feasible"], ["--v", "7"],
+    ["catalog-list"], ["catalog-list", "extra"], ["catalog-list", "-x"],
+    ["eliminate", "--family", "g3"],
+    ["eliminate", "--fam", "suzuki", "--q-max", "32", "--js"],
+    ["construct"], ["construct", "--name", "nope"],
+    ["verify", "--group", "g"],
+    ["verify", "--group", "missing.json", "--design", "missing.json"],
+]
+
+
+def top_level(argv):
+    """main with the top-level parser reading all of argv."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_dispatch_matches_the_top_level_parser(capsys, argv):
+    assert outcome(capsys, argv) == outcome(capsys, argv, top_level)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["feasible", "--v", "65"], 0),
+    (["feasible", "--v", "65", "extra"], ("exit", 2)),
+    (["--help"], ("exit", 0)), ([], ("exit", 2))])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["ftdesigns", *argv])
+    got = outcome(capsys, [], lambda _: main())
+    assert got == outcome(capsys, argv, top_level)
+    assert got[0] == code
+
+
+def test_a_command_skips_the_top_level_pass(capsys, monkeypatch):
+    passes = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, "feasible", "--v", "65")[0] == 0
+    assert passes == ["ftdesigns feasible"]
 
 
 def test_patches_after_the_first_call_take_effect(capsys, monkeypatch,
