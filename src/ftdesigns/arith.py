@@ -14,28 +14,41 @@ from typing import NamedTuple
 
 _DIVISOR_LIMIT = 10**18
 _TRIAL_LIMIT = 1000
-# The first 13 primes as Miller-Rabin bases, each paired with psi_k: the
-# least strong pseudoprime to every base up to it (OEIS A014233: Jaeschke
-# 1993, Jiang and Deng 2014, Sorenson and Webster 2015).  An n below psi_k
-# that passes the first k bases is prime.
-_MR_BASES = ((2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751),
-             (11, 2152302898747), (13, 3474749660383),
-             (17, 341550071728321), (19, 341550071728321),
-             (23, 3825123056546413051), (29, 3825123056546413051),
-             (31, 3825123056546413051), (37, 318665857834031151167461),
-             (41, 3317044064679887385961981))
-_SMALL_PRIMES = tuple(p for p, _ in _MR_BASES)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin base sets as rows (bases, psi), in ascending psi, where psi
+# is the least composite that is a strong probable prime to every base of
+# its row: an n below psi that passes them all is prime.  A base is reduced
+# mod n, and a residue below 2 is skipped.  The hashed sets are the record
+# sets of miller-rabin.appspot.com (as sympy.ntheory.primetest.isprime uses
+# them); the rest are first-k-prime rows, psi_k of OEIS A014233 (Jaeschke
+# 1993, Jiang and Deng 2014, Sorenson and Webster 2015).
+_MR_ROWS = (
+    ((9345883071009581737,), 341531),
+    (_SMALL_PRIMES[:2], 1373653),
+    (_SMALL_PRIMES[:3], 25326001),
+    ((4230279247111683200, 14694767155120705706, 16641139526367750375),
+     350269456337),
+    ((2, 141889084524735, 1199124725622454117, 11096072698276303650),
+     55245642489451),
+    ((2, 4130806001517, 149795463772692060, 186635894390467037,
+      3967304179347715805), 7999252175582851),
+    ((2, 123635709730000, 9233062284813009, 43835965440333360,
+      761179012939631437, 1263739024124850375), 585226005592931977),
+    (_SMALL_PRIMES[:9], 3825123056546413051),
+    (_SMALL_PRIMES[:12], 318665857834031151167461),
+    (_SMALL_PRIMES, 3317044064679887385961981),
+)
 _RHO_BATCH = 128
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the first 13 prime bases, in order,
-    stopping once n is below the least strong pseudoprime to the bases so
-    far.
+    """Deterministic Miller-Rabin: after trial division by the first 13
+    primes, n is tested with the bases of the first row of _MR_ROWS whose
+    psi exceeds n, so at most 6 rounds below 585226005592931977.
 
     Exact for every n < 3317044064679887385961981 (about 3.3e24), which
-    covers the whole factorization range.  Raises ValueError for a larger
-    n that passes all 13 bases.
+    covers the whole factorization range.  A larger n is tested with the
+    first 13 primes, and ValueError is raised when it passes them all.
     """
     if n < 2:
         return False
@@ -46,7 +59,13 @@ def is_prime(n: int) -> bool:
         return True
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
-    for a, psi in _MR_BASES:
+    for bases, psi in _MR_ROWS:
+        if n < psi:
+            break
+    for a in bases:
+        a %= n
+        if a < 2:
+            continue
         x = pow(a, d, n)
         if x != 1 and x != n - 1:
             for _ in range(s - 1):
@@ -55,8 +74,8 @@ def is_prime(n: int) -> bool:
                     break
             else:
                 return False
-        if n < psi:
-            return True
+    if n < psi:
+        return True
     raise ValueError(f"{n} exceeds the range of the primality test")
 
 

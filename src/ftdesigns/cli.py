@@ -239,10 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in parser.commands:
+        # a `--` in front of a command is dropped, as later argparse
+        # releases drop it and earlier ones refuse it as a command name
+        del argv[0]
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
-        # no command, -h, -- or an unknown name: only the top-level pass
-        # prints the program's own usage and help
+        # no command, -h, a -- before no command, or an unknown name: only
+        # the top-level pass prints the program's own usage and help
         args = parser.parse_args(argv)
     else:
         # the command's parser reads the rest, as the top-level pass would

@@ -442,12 +442,34 @@ def strong_probable_prime(n, a):
                                   for i in range(1, s))
 
 
+# psi_k of OEIS A014233, k = 1..13: the least composite that is a strong
+# probable prime to all of the first k primes
+STAIRCASE = (2047, 1373653, 25326001, 3215031751, 2152302898747,
+             3474749660383, 341550071728321, 341550071728321,
+             3825123056546413051, 3825123056546413051, 3825123056546413051,
+             318665857834031151167461, 3317044064679887385961981)
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def passes_row(n, bases):
+    """n is a strong probable prime to every base of a row, each reduced
+    mod n, a residue below 2 skipped."""
+    return all(strong_probable_prime(n, a % n) for a in bases if a % n >= 2)
+
+
 def test_is_prime_on_strong_pseudoprimes():
-    # Each psi in the table is a composite that passes every base up to its
-    # own, so is_prime must go on to the next base to reject it.
-    for k, (_, psi) in enumerate(arith._MR_BASES[:-1]):
-        assert all(strong_probable_prime(psi, a)
-                   for a, _ in arith._MR_BASES[:k + 1])
+    # Each psi in the table is a composite that passes every base of its
+    # own row, so is_prime must use the next row to reject it.
+    for bases, psi in arith._MR_ROWS[:-1]:
+        assert passes_row(psi, bases)
+        assert not is_prime(psi)
+    assert [psi for _, psi in arith._MR_ROWS] \
+        == sorted(psi for _, psi in arith._MR_ROWS)
+    # the first-k-prime staircase: psi_k passes the first k primes, and
+    # is_prime rejects each psi_k up to psi_12
+    for k, psi in enumerate(STAIRCASE, 1):
+        assert passes_row(psi, FIRST_PRIMES[:k])
+    for psi in STAIRCASE[:-1]:
         assert not is_prime(psi)
     # 3825123056546413051 = 149491 * 747451 * 34233211, above 10**18
     assert is_prime(149491) and is_prime(747451) and is_prime(34233211)
@@ -456,11 +478,36 @@ def test_is_prime_on_strong_pseudoprimes():
 
 
 def test_is_prime_refuses_beyond_its_exact_range():
-    psi13 = arith._MR_BASES[-1][1]
-    assert all(strong_probable_prime(psi13, a) for a, _ in arith._MR_BASES)
+    bases, psi13 = arith._MR_ROWS[-1]
+    assert psi13 == STAIRCASE[-1] and bases == FIRST_PRIMES
+    assert passes_row(psi13, FIRST_PRIMES)
     assert not is_prime(psi13 + 1)  # even
     with pytest.raises(ValueError, match="primality test"):
         is_prime(psi13)
+
+
+def test_is_prime_matches_strong_bpsw_on_every_row():
+    """An oracle that shares no base with the table: the strong BPSW test,
+    which has no pseudoprime below 2**64.  sympy.isprime runs the table's
+    own bases below 2**64 when gmpy2 is absent, so it checks nothing there.
+    Drawn from each row's range up to 10**18, and psi +- 2 for every row."""
+    hypothesis = pytest.importorskip("hypothesis")
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    st = hypothesis.strategies
+    for _, psi in arith._MR_ROWS:
+        for n in (psi - 2, psi + 2):
+            assert is_prime(n) == primetest.is_strong_bpsw_prp(n), n
+    bounds = [43 * 43] + [psi for _, psi in arith._MR_ROWS
+                          if psi <= 10**18] + [10**18]
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.one_of(*(st.integers(lo, hi - 1)
+                                  for lo, hi in zip(bounds, bounds[1:]))))
+    def check(n):
+        n |= 1
+        assert is_prime(n) == primetest.is_strong_bpsw_prp(n)
+
+    check()
 
 
 def test_arith_matches_sympy_on_pinned_values():
@@ -470,7 +517,7 @@ def test_arith_matches_sympy_on_pinned_values():
         assert is_prime(n) == sympy.isprime(n)
     for n in range(1, 3000):
         assert is_prime(n) == sympy.isprime(n)
-    for _, psi in arith._MR_BASES:
+    for _, psi in arith._MR_ROWS:
         assert not sympy.isprime(psi)
 
 

@@ -1340,8 +1340,12 @@ DISPATCH_ARGVS = [
 
 
 def top_level(argv):
-    """main with the top-level parser reading all of argv."""
-    args = cli.build_parser().parse_args(argv)
+    """main with the top-level parser reading all of argv, once a `--` in
+    front of a command is dropped, as main drops it."""
+    parser = cli.build_parser()
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in parser.commands:
+        argv = argv[1:]
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
@@ -1353,6 +1357,19 @@ def top_level(argv):
                          ids=lambda argv: " ".join(argv) or "(none)")
 def test_main_dispatch_matches_the_top_level_parser(capsys, argv):
     assert outcome(capsys, argv) == outcome(capsys, argv, top_level)
+
+
+def test_a_dash_dash_before_a_command_runs_it(capsys):
+    # the argparse of Python 3.10 to 3.13.0 refuses `--` as a command name
+    # and later releases may drop it; main drops it on every version
+    table = "v\tb\tr\tk\tlambda\n65\t416\t32\t5\t2\n"
+    argv = ["feasible", "--v", "65", "--lambda", "2", "--r-mod", "128"]
+    assert outcome(capsys, ["--", *argv]) == (0, table, "")
+    assert outcome(capsys, argv) == (0, table, "")
+    # any other `--` still reaches the top-level parser
+    code, out, err = outcome(capsys, ["--", "-h"])
+    assert code == ("exit", 2) and out == ""
+    assert err.startswith("usage: ftdesigns [-h]")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -32,6 +32,8 @@ def test_complete_parameters_examples():
     assert complete_parameters(7, 4, 2) == Parameters(7, 7, 4, 4, 2)
     assert complete_parameters(176, 8, 2) == Parameters(176, 1100, 50, 8, 2)
     assert complete_parameters(13, 3, 2) == Parameters(13, 52, 12, 3, 2)
+    # k = 2: every pair of points is a block, here lambda times over
+    assert complete_parameters(7, 2, 1) == Parameters(7, 21, 6, 2, 1)
 
 
 def test_complete_parameters_matches_derived_design():
@@ -181,6 +183,9 @@ def test_embeds_symmetric():
     # q = 4 instance with r = q^3 + 1, k = q^3 - 1
     target = embeds_symmetric(Parameters(2016, 2080, 65, 63, 2))
     assert target == (2081, 65, 2)
+    # lambda = 3 lies outside the extension criterion
+    with pytest.raises(ValueError, match="lambda <= 2"):
+        embeds_symmetric(Parameters(7, 7, 4, 4, 3))
 
 
 def test_embeds_symmetric_identity():

@@ -769,6 +769,65 @@ def test_write_json_is_json_dumps(reports):
         [r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
 
 
+def reference_text(report: CaseReport) -> str:
+    """CaseReport.to_text written out plainly, one line at a time."""
+    desc = report.descriptor
+    head = "case " + desc.family
+    if desc.q is not None:
+        head += " q=" + str(desc.q.q)
+    if desc.epsilon is not None:
+        head += " eps=" + ("+" if desc.epsilon > 0 else "-")
+    lines = [head]
+    for hypothesis in report.hypotheses:
+        lines.append("  hypothesis: " + hypothesis)
+    for statement, values, ok in report.facts:
+        lines.append("  [" + ("ok " if ok else "FAIL") + "] " + statement
+                     + "   [" + ", ".join(str(x) for x in values) + "]")
+    verdicts = set()
+    for label, verdict, reason, reference, params in report.branches:
+        verdicts.add(verdict)
+        lines.append("  branch " + label + ": " + verdict + " -- " + reason)
+        if params is not None:
+            lines.append("    parameters ("
+                         + ",".join(str(x) for x in params) + ")")
+        if reference is not None:
+            lines.append("    closed by: " + reference)
+    verdict = ("candidate" if "candidate" in verdicts
+               else "flagged" if "flagged" in verdicts else "eliminated")
+    lines.append("  verdict: " + verdict)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("family", elimination.FAMILIES)
+def test_to_text_matches_the_reference_on_a_sweep(family):
+    reports = sweep(family, 2, 600)
+    assert reports
+    for report in reports:
+        assert report.to_text() == reference_text(report)
+
+
+# reports of the records above: negative values, 10**40, empty value
+# tuples and text that is not ASCII, in each part a report renders
+TEXT_REPORTS = {
+    "scan": SCAN,
+    "empty": CaseReport(CaseDescriptor("empty"), (), (), ()),
+    "records": CaseReport(
+        CaseDescriptor("odd", PrimePower(5, 2), -1, row=ESCAPES_ROW),
+        ESCAPES_ROW[:3], tuple(FACTS.values()), tuple(BRANCHES.values())),
+    "escapes": CaseReport(
+        CaseDescriptor(ESCAPES_ROW.socle, PrimePower(2, 1), 1),
+        (ESCAPES_ROW.stabilizer,), (FACTS["escapes"],),
+        (Branch(ESCAPES_ROW.key, "flagged", ESCAPES_ROW.stabilizer,
+                reference=ESCAPES_ROW.socle),)),
+}
+
+
+@pytest.mark.parametrize("report", TEXT_REPORTS.values(),
+                         ids=TEXT_REPORTS.keys())
+def test_to_text_matches_the_reference_on_records(report):
+    assert report.to_text() == reference_text(report)
+
+
 def test_descriptors_and_reports_hash_as_values():
     # frozen records of frozen fields: equal reports hash equal, a parabolic
     # descriptor through its row
