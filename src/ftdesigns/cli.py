@@ -3,7 +3,7 @@
 Subcommands:
 
     verify --group F --design F     certify a design and test a group on it
-    construct --name N [--out F]    build a bundled or named construction
+    construct --name N [--out F]    build a catalog design or a PG(n-1, 3) one
     eliminate --family F --q-min A --q-max B [--json]
     feasible --v V [--lambda L] [--r-mod M]
     catalog-list
@@ -95,9 +95,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _pg_line_space(name: str) -> tuple[IncidenceStructure, tuple[int, int]]:
-    """The design pg_lines:n or derived_pg:n, and (3, n): it is the block
-    orbit of sl_generators(3, n)."""
+def _pg_line_space(name: str) -> tuple[IncidenceStructure, int]:
+    """The design pg_lines:n or derived_pg:n, and n: it is the block orbit
+    of sl_generators(3, n)."""
     family, _, suffix = name.partition(":")
     n = int(suffix) if suffix.isascii() and suffix.isdigit() else None
     if str(n) != suffix:
@@ -108,19 +108,17 @@ def _pg_line_space(name: str) -> tuple[IncidenceStructure, tuple[int, int]]:
         design = constructions.pg_lines(n, 4 if family == "pg_lines" else 3)
     except ValueError as exc:  # pg_lines owns the lower bound on n
         raise ValueError(f"{name}: {exc}") from None
-    return design, (3, n)
+    return design, n
 
 
 def _cmd_construct(args) -> int:
     name = args.name
     expected = None  # a catalog entry's parameter row
     # The design is the block orbit of the group generated by symmetry, or
-    # by sl_generators(*sl), which is rebuilt only to certify the design.
-    symmetry, sl = (), None
-    if name == "fano_complement":
-        design, sl = constructions.fano_complement(), (2, 3)
-    elif name.startswith(("pg_lines:", "derived_pg:")):
-        design, sl = _pg_line_space(name)
+    # by sl_generators(3, n), which is rebuilt only to certify the design.
+    symmetry, n = (), None
+    if name.startswith(("pg_lines:", "derived_pg:")):
+        design, n = _pg_line_space(name)
     else:
         entry = constructions.catalog(name)
         design, expected = entry.design, entry.expected
@@ -129,8 +127,8 @@ def _cmd_construct(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        if sl is not None:
-            symmetry = constructions.sl_generators(*sl)[1]
+        if n is not None:
+            symmetry = constructions.sl_generators(3, n)[1]
         cert = _certify(design, name, symmetry)
         if cert is None:
             return EXIT_FAIL
@@ -210,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a bundled design")
     p.add_argument("--name", required=True,
-                   help="catalog entry, fano_complement, pg_lines:<n>, "
-                        f"or derived_pg:<n>, with 3 <= n <= {PG_MAX_N}")
+                   help="catalog entry, pg_lines:<n> or derived_pg:<n>, "
+                        f"with 3 <= n <= {PG_MAX_N}")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_construct)
 
@@ -239,13 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if len(argv) > 1 and argv[0] == "--" and argv[1] in parser.commands:
-        # a `--` in front of a command is dropped, as later argparse
-        # releases drop it and earlier ones refuse it as a command name
+    if len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-"):
+        # a `--` in front of a command name is dropped, as later argparse
+        # releases drop it and earlier ones refuse it as a command name; a
+        # misspelt name is then refused by its own spelling
         del argv[0]
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
-        # no command, -h, a -- before no command, or an unknown name: only
+        # no command, -h, a -- before an option, or an unknown name: only
         # the top-level pass prints the program's own usage and help
         args = parser.parse_args(argv)
     else:

@@ -1,7 +1,7 @@
 """Builders for concrete designs, each the orbit of one base block under a
-group: the Fano complement, the lines of PG(n-1, 3) and those lines less one
-point each, under two generators of SL_n(q) acting on the projective points
-over GF(q), and the bundled catalog of verified flag-transitive examples.
+group: the lines of PG(n-1, 3) and those lines less one point each, under
+two generators of SL_n(q) acting on the projective points over GF(q), and
+the bundled catalog of verified flag-transitive examples.
 
 Each catalog entry lives as three data files: group generators, the
 expected parameters, and one base block, whose orbit under the group is the
@@ -24,13 +24,6 @@ from .incidence import (IncidenceStructure, block_orbit,
                         verify_2design)  # noqa: F401
 from .perm import (Permutation, PermutationGroup, _brief, json_object,
                    load_group)
-
-
-def fano_complement() -> IncidenceStructure:
-    """The complements of the Fano lines, a 2-(7,4,2): the orbit under SL_3(2)
-    of the complement of the line {0, 1, 2} of pg_points(2, 3), the labels of
-    the bundled line2_fano_complement group."""
-    return orbit_design(*sl_generators(2, 3), (3, 4, 5, 6))
 
 
 def pg_points(q: int, n: int) -> list[tuple[int, ...]]:

@@ -21,14 +21,6 @@ from typing import NamedTuple
 from .arith import check_factorization_range, divisors
 
 
-class NonIntegralParameterError(ValueError):
-    """Completing (v, k, lambda) forced a non-integer r or b."""
-
-    def __init__(self, which: str, message: str):
-        super().__init__(message)
-        self.which = which
-
-
 # a named tuple, not a frozen dataclass, as is every record in the package
 # (see elimination): a tuple is several times cheaper to build
 class Parameters(NamedTuple):
@@ -40,25 +32,6 @@ class Parameters(NamedTuple):
 
     def __str__(self) -> str:
         return "(%s,%s,%s,%s,%s)" % self
-
-
-def complete_parameters(v: int, k: int, lam: int) -> Parameters:
-    """Fill in r and b from (v, k, lambda), insisting both are integers.
-
-    Raises NonIntegralParameterError with .which in {"r", "b"} so callers can
-    distinguish which counting identity failed.
-    """
-    if not (v > k >= 2 and lam >= 1):
-        raise ValueError(f"need v > k >= 2 and lambda >= 1, got {(v, k, lam)}")
-    num_r = lam * (v - 1)
-    if num_r % (k - 1) != 0:
-        raise NonIntegralParameterError(
-            "r", f"r = {lam}({v}-1)/({k}-1) is not an integer")
-    r = num_r // (k - 1)
-    if (v * r) % k != 0:
-        raise NonIntegralParameterError(
-            "b", f"b = {v}*{r}/{k} is not an integer")
-    return Parameters(v, v * r // k, r, k, lam)
 
 
 def admissibility_violations(params: Parameters) -> list[str]:

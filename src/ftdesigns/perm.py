@@ -77,6 +77,8 @@ def orbit(seed, generators, act, limit: int | None = None) -> set:
     read once, so an iterator of them serves every round.
     """
     generators = list(generators)
+    if limit is not None and limit < 1:  # the seed alone is too many
+        raise ValueError(f"orbit exceeds {limit} elements")
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -408,9 +410,6 @@ class PermutationGroup:
     def orbit(self, point: int) -> set[int]:
         return orbit(self._point(point), self.generators, _images)
 
-    def orbits(self) -> list[set[int]]:
-        return _orbits(self.degree, self.generators)
-
     def is_transitive(self) -> bool:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
@@ -424,10 +423,6 @@ class PermutationGroup:
         anchored = self if self.levels[0].beta == point else \
             PermutationGroup(self.degree, self.generators, base_hint=(point,))
         return list(anchored.levels[1].gens) if len(anchored.levels) > 1 else []
-
-    def stabilizer(self, point: int) -> "PermutationGroup":
-        """Full point stabilizer, as an independent group."""
-        return PermutationGroup(self.degree, self.stabilizer_generators(point))
 
     def suborbits(self, point: int) -> list[set[int]]:
         """Orbits of the stabilizer of point on all points, in ascending

@@ -9,7 +9,7 @@ from math import gcd
 from conftest import DATA, catalog_group, fixture_group
 from ftdesigns.arith import PrimePower, prime_powers
 from ftdesigns.cli import main as cli_main
-from ftdesigns.constructions import (catalog, fano_complement, pg_lines,
+from ftdesigns.constructions import (catalog, orbit_design, pg_lines,
                                      sl_generators)
 from ftdesigns.design import Parameters, embeds_symmetric, enumerate_candidates
 from ftdesigns.elimination import (PARABOLIC_ROWS, eliminate_e6, eliminate_g2,
@@ -91,10 +91,13 @@ def test_criterion_2_infinite_family_spot_checks():
         assert is_flag_transitive(group, design), n
         assert is_point_primitive(group, design), n
     assert psl_order == {3: 5616, 4: 6065280, 5: 237783237120}
-    # the same generators over GF(2) give PSL_3(2) on the Fano complement
+    # the same generators over GF(2) give PSL_3(2) on the Fano complement,
+    # the orbit of the complement of the line {0, 1, 2}: the catalog row
+    fano_complement = orbit_design(*sl_generators(2, 3), (3, 4, 5, 6))
+    assert fano_complement == catalog("line2_fano_complement").design
     group = PermutationGroup(*sl_generators(2, 3))
     assert group.order() == 168
-    assert is_flag_transitive(group, fano_complement())
+    assert is_flag_transitive(group, fano_complement)
     elapsed = time.time() - start
     assert elapsed < 30.0, elapsed
     print(f"PASS criterion 2: derived designs on (3^n-1)/2 points certify "
@@ -209,7 +212,7 @@ def test_criterion_5_oracle_equivalence():
                ("line1_psl25", "line2_fano_complement", "line5_psl211",
                 "line10_hs")]
     for name, group in groups:
-        stab = group.stabilizer(0)
+        stab = PermutationGroup(group.degree, group.stabilizer_generators(0))
         assert len(group.orbit(0)) * stab.order() == group.order(), name
         if group.order() <= 10**4:
             assert len(group.elements()) == group.order(), name

@@ -16,8 +16,8 @@ import pytest
 from conftest import DATA, GOLDEN, padded
 from ftdesigns import cli, incidence, perm
 from ftdesigns.cli import main
-from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
-                                     orbit_design, sl_generators)
+from ftdesigns.constructions import (catalog, catalog_names, orbit_design,
+                                     sl_generators)
 from ftdesigns.design import enumerate_candidates
 from ftdesigns.elimination import FAMILIES, WINDOW_LIMIT, sweep
 from ftdesigns.incidence import (IncidenceStructure, load_structure,
@@ -142,7 +142,8 @@ def test_verify_passes_the_group_only_once_it_preserves_the_design(
     group.write_text(canonical_json({"name": "g", "degree": len(generators[0]),
                                      "generators": generators}))
     design = tmp_path / "design.json"
-    design.write_text(structure_to_json(fano_complement(), "design"))
+    design.write_text(structure_to_json(
+        catalog("line2_fano_complement").design, "design"))
     run(capsys, "verify", "--group", str(group), "--design", str(design))
     assert passed == [[tuple(g) for g in generators] if preserves else []]
 
@@ -160,7 +161,8 @@ def test_verify_refuses_a_group_that_does_not_act(capsys, tmp_path,
     group.write_text(canonical_json(
         {"name": "g", "degree": degree, "generators": generators}))
     design = tmp_path / "design.json"
-    design.write_text(structure_to_json(fano_complement(), "design"))
+    design.write_text(structure_to_json(
+        catalog("line2_fano_complement").design, "design"))
     assert run(capsys, "verify", "--group", str(group),
                "--design", str(design)) == want
 
@@ -291,6 +293,9 @@ BAD_INPUT = {
                             "line1_psl25/../line2_fano_complement"],
     "construct-name-parent": ["construct", "--name", ".."],
     "construct-name-dot": ["construct", "--name", "."],
+    # the 2-(7,4,2) has one source, the catalog row line2_fano_complement
+    "construct-name-fano-complement": ["construct", "--name",
+                                       "fano_complement"],
     # a leading NAME=value sets an environment variable, as in a shell
     "construct-no-expected": ["FTDESIGNS_DATA={no_expected}", "construct",
                               "--name", "line1_psl25"],
@@ -388,6 +393,11 @@ BAD_INPUT = {
 # the whole of stderr for the rows whose message is pinned, formatted as
 # their argv is
 BAD_INPUT_ERRORS = {
+    "construct-name-fano-complement": (
+        "error: unknown catalog entry 'fano_complement' (available: "
+        "line10_hs, line1_psl25, line2_fano_complement, line3_psl24, "
+        "line4_psl29, line5_psl211, line6_psl28, line7_psu33, line8_psl28, "
+        "line9_psu35)\n"),
     "group-list": "error: group file {group_list}: the document is an "
                   "array, not a JSON object\n",
     "group-document-array": "error: group file {group_array}: the document "
@@ -534,7 +544,8 @@ def test_bad_input_exit_2(capsys, monkeypatch, tmp_path, argv, error):
                           "blocks": [list(p) for p in combinations(range(4), 2)]},
         "design_block_bool": {"name": "line2_fano_complement", "v": 7,
                               "blocks": [[False, True, 3, 6]] + [
-                                  list(b) for b in fano_complement().blocks[1:]]},
+                                  list(b) for b in catalog(
+                                      "line2_fano_complement").design.blocks[1:]]},
         "group_image_bool": {"name": "s4", "degree": 4,
                              "generators": [[1, 2, 3, 0], [True, False, 2, 3]]},
         "group_degree_huge": {"name": "g", "degree": 10**30, "generators": []},
@@ -927,8 +938,6 @@ CONSTRUCT_SHA256 = {
         "ff82f6b69ea2e815b4a6b3e64274c26d8a620cec679045f8952f3c660f567f1f",
     "line10_hs":
         "74945a431cee1e642c9808dafb93d3dbb1946ea4454fa674ca35079cdfce8ebb",
-    "fano_complement":
-        "ee7d65236fca4fc32cb39a3a553103a292539276495e9bd7d5aba0d9555fc0f2",
     "pg_lines:3":
         "296762f81006b625707a55c76373c14f034ad83b5c7617b2dd439499f60dde59",
     "pg_lines:4":
@@ -955,6 +964,21 @@ def test_construct_output_is_pinned(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == CONSTRUCT_SHA256[name]
 
 
+def test_each_construct_name_prints_a_design_of_its_own(capsys):
+    """No two names build the same labelled block set, so a second source
+    of one design cannot come back unnoticed."""
+    names = catalog_names() + [f"{family}:{n}" for n in (3, 4, 5)
+                               for family in ("pg_lines", "derived_pg")]
+    owners = {}
+    for name in names:
+        code, out, err = run(capsys, "construct", "--name", name)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        design = doc["v"], tuple(map(tuple, doc["blocks"]))
+        assert owners.setdefault(design, name) == name, owners[design]
+    assert len(owners) == 16
+
+
 def test_construct_builds_no_chain_for_an_orbit_of_sl_n(capsys, monkeypatch):
     # the designs are orbits under two generators; no stabilizer chain of
     # SL_n(q) is needed to list them
@@ -962,14 +986,13 @@ def test_construct_builds_no_chain_for_an_orbit_of_sl_n(capsys, monkeypatch):
         raise AssertionError("a stabilizer chain was built")
 
     monkeypatch.setattr(perm.PermutationGroup, "__init__", refuse)
-    for name in ("fano_complement", "pg_lines:4", "derived_pg:4"):
+    for name in ("pg_lines:4", "derived_pg:4"):
         code, _, err = run(capsys, "construct", "--name", name)
         assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("name, q, n", [
-    ("fano_complement", 2, 3), ("pg_lines:4", 3, 4), ("derived_pg:5", 3, 5),
-    ("line1_psl25", None, None)])
+    ("pg_lines:4", 3, 4), ("derived_pg:5", 3, 5), ("line1_psl25", None, None)])
 def test_construct_out_certifies_under_the_construction_group(
         capsys, monkeypatch, tmp_path, name, q, n):
     # the design is the block orbit of these generators, so verify_2design
@@ -1319,6 +1342,7 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 DISPATCH_ARGVS = [
     [], ["-h"], ["--help"], ["--"],
     ["--", "feasible", "--v", "65", "--lambda", "2", "--r-mod", "128"],
+    ["--", "feasbile", "--v", "7"], ["--", "--", "feasible", "--v", "7"],
     ["feasible", "--v", "65", "extra"], ["feasible", "extra", "--v", "65"],
     ["feasible", "--v", "65", "--", "extra"], ["feasible", "--", "--v", "65"],
     ["feasible", "--v", "65", "extra", "--more", "-x"],
@@ -1341,9 +1365,9 @@ DISPATCH_ARGVS = [
 
 def top_level(argv):
     """main with the top-level parser reading all of argv, once a `--` in
-    front of a command is dropped, as main drops it."""
+    front of a command name is dropped, as main drops it."""
     parser = cli.build_parser()
-    if len(argv) > 1 and argv[0] == "--" and argv[1] in parser.commands:
+    if len(argv) > 1 and argv[0] == "--" and not argv[1].startswith("-"):
         argv = argv[1:]
     args = parser.parse_args(argv)
     try:
@@ -1370,6 +1394,14 @@ def test_a_dash_dash_before_a_command_runs_it(capsys):
     code, out, err = outcome(capsys, ["--", "-h"])
     assert code == ("exit", 2) and out == ""
     assert err.startswith("usage: ftdesigns [-h]")
+
+
+def test_a_dash_dash_before_a_misspelt_command_names_it(capsys):
+    # the refusal names what was typed, as it does without the `--`
+    for argv in (["--", "feasbile"], ["feasbile"]):
+        code, out, err = outcome(capsys, argv)
+        assert code == ("exit", 2) and out == ""
+        assert "error: argument command: invalid choice: 'feasbile'" in err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -6,9 +6,8 @@ from itertools import chain, combinations
 import pytest
 
 from conftest import DATA
-from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
-                                     orbit_design, pg_lines, pg_points,
-                                     sl_generators)
+from ftdesigns.constructions import (catalog, catalog_names, orbit_design,
+                                     pg_lines, pg_points, sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (structure_from_json, structure_to_json,
                                  verify_2design)
@@ -27,7 +26,7 @@ def gaussian_binomial(n, k, q):
 
 
 def test_fano_complement():
-    design = fano_complement()
+    design = catalog("line2_fano_complement").design
     assert verify_2design(design).params == Parameters(7, 7, 4, 4, 2)
     # symmetric: every two blocks meet in exactly lambda points
     for b1, b2 in combinations(design.blocks, 2):
@@ -40,9 +39,10 @@ def test_fano_complement():
 
 
 def test_one_design_compares_equal_however_it_was_built():
-    """A design is its points and blocks: the construction and the catalog
-    entry that hold the same 7 blocks are equal and hash alike."""
-    built = fano_complement()
+    """A design is its points and blocks: the orbit under SL_3(2) built here
+    and the catalog entry that hold the same 7 blocks are equal and hash
+    alike."""
+    built = orbit_design(*sl_generators(2, 3), (3, 4, 5, 6))
     bundled = catalog("line2_fano_complement").design
     assert built == bundled and hash(built) == hash(bundled)
 

@@ -4,8 +4,7 @@ from math import gcd
 import pytest
 
 from ftdesigns.arith import divisors
-from ftdesigns.design import (NonIntegralParameterError, Parameters,
-                              admissibility_violations, complete_parameters,
+from ftdesigns.design import (Parameters, admissibility_violations,
                               embeds_symmetric, enumerate_candidates)
 
 
@@ -26,34 +25,6 @@ def brute_force_candidates(v, lam, r_divides):
             if v <= b and k <= r and lam * v < r * r and 2 < k < v - 1:
                 found.add((v, b, r, k, lam))
     return sorted(found)
-
-
-def test_complete_parameters_examples():
-    assert complete_parameters(7, 4, 2) == Parameters(7, 7, 4, 4, 2)
-    assert complete_parameters(176, 8, 2) == Parameters(176, 1100, 50, 8, 2)
-    assert complete_parameters(13, 3, 2) == Parameters(13, 52, 12, 3, 2)
-    # k = 2: every pair of points is a block, here lambda times over
-    assert complete_parameters(7, 2, 1) == Parameters(7, 21, 6, 2, 1)
-
-
-def test_complete_parameters_matches_derived_design():
-    # the (13, 3, 2) row equals the block count of the point-deleted
-    # PG(2,3) line design, built independently
-    from ftdesigns.constructions import pg_lines
-    from ftdesigns.incidence import verify_2design
-    design = pg_lines(3, 3)
-    assert verify_2design(design).params == complete_parameters(13, 3, 2)
-
-
-def test_complete_parameters_failure_modes():
-    with pytest.raises(NonIntegralParameterError) as info:
-        complete_parameters(8, 4, 1)  # r = 7/3
-    assert info.value.which == "r"
-    with pytest.raises(NonIntegralParameterError) as info:
-        complete_parameters(7, 4, 1)  # r = 2, b = 14/4
-    assert info.value.which == "b"
-    with pytest.raises(ValueError):
-        complete_parameters(4, 4, 2)
 
 
 def test_admissibility_pass():
@@ -195,10 +166,11 @@ def test_embeds_symmetric_identity():
         v = rng.randrange(6, 500)
         k = rng.randrange(3, v - 1)
         lam = rng.randrange(1, 3)
-        try:
-            params = complete_parameters(v, k, lam)
-        except NonIntegralParameterError:
+        # r and b from the counting identities, when both are integers
+        r, rem = divmod(lam * (v - 1), k - 1)
+        if rem or v * r % k:
             continue
+        params = Parameters(v, v * r // k, r, k, lam)
         target = embeds_symmetric(params)
         if target is not None:
             big_v, big_k, l = target

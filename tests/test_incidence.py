@@ -9,8 +9,8 @@ from itertools import combinations
 import pytest
 
 from conftest import DATA, GOLDEN, padded
-from ftdesigns.constructions import (catalog, catalog_names, fano_complement,
-                                     orbit_design, pg_lines, sl_generators)
+from ftdesigns.constructions import (catalog, catalog_names, orbit_design,
+                                     pg_lines, sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignCertificate, DesignError,
                                  GroupActionError, IncidenceStructure,
@@ -18,7 +18,7 @@ from ftdesigns.incidence import (DesignCertificate, DesignError,
                                  is_flag_transitive, is_point_primitive,
                                  structure_from_json, structure_to_json,
                                  verify_2design)
-from ftdesigns.perm import (Permutation, PermutationGroup, _brief,
+from ftdesigns.perm import (Permutation, PermutationGroup, _brief, _orbits,
                             canonical_json, group_to_json, orbit)
 
 
@@ -32,7 +32,7 @@ def pair_count_oracle(structure):
 
 
 def test_verify_fano_complement():
-    cert = verify_2design(fano_complement())
+    cert = verify_2design(catalog("line2_fano_complement").design)
     assert cert.params == Parameters(7, 7, 4, 4, 2)
     assert cert.pairs_checked == 21
 
@@ -228,14 +228,14 @@ def test_verify_matches_the_pair_counter_on_known_designs():
 
 
 def test_repeated_blocks_counted_with_multiplicity():
-    base = fano_complement()
+    base = catalog("line2_fano_complement").design
     doubled = IncidenceStructure.from_blocks(7, list(base.blocks) * 2)
     cert = verify_2design(doubled)
     assert cert.params == Parameters(7, 14, 8, 4, 4)
 
 
 def test_is_automorphism_group(psl2_7):
-    design = fano_complement()
+    design = catalog("line2_fano_complement").design
     assert is_automorphism_group(psl2_7, design)
     shift = PermutationGroup(7, [[1, 2, 3, 4, 5, 6, 0]])
     broken = IncidenceStructure.from_blocks(7, design.blocks[1:])
@@ -253,7 +253,7 @@ def test_pairs_design_full_symmetric_group():
 
 
 def test_flag_transitivity(psl2_7):
-    design = fano_complement()
+    design = catalog("line2_fano_complement").design
     assert design.flag_count() == 28
     assert is_flag_transitive(psl2_7, design)
 
@@ -269,7 +269,7 @@ def test_flag_transitivity_line6():
 
 
 def test_point_primitivity(psl2_7):
-    assert is_point_primitive(psl2_7, fano_complement())
+    assert is_point_primitive(psl2_7, catalog("line2_fano_complement").design)
     assert psl2_7.subdegrees() == [1, 6]
 
     d8 = PermutationGroup(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
@@ -312,7 +312,7 @@ def test_structure_json_is_canonical_json():
     structures = [IncidenceStructure(5, ()),
                   IncidenceStructure(4, ((), (0,), (1, 3))),
                   IncidenceStructure(10**30, ((0, 10**30 - 1),)),
-                  IncidenceStructure(7, fano_complement().blocks)]
+                  catalog("line2_fano_complement").design]
     for _ in range(300):
         v = rng.randrange(1, 40)
         blocks = [rng.sample(range(v), rng.randrange(v + 1))
@@ -327,7 +327,7 @@ def test_structure_json_is_canonical_json():
 
 def test_the_writers_require_a_label():
     with pytest.raises(TypeError):
-        structure_to_json(fano_complement())
+        structure_to_json(catalog("line2_fano_complement").design)
     with pytest.raises(TypeError):
         group_to_json(catalog("line2_fano_complement").group)
 
@@ -510,7 +510,7 @@ def random_invariant_structure(rng):
     n = rng.randrange(2, 9)
     gens = [rng.sample(range(n), n) for _ in range(rng.choice((0, 1, 2, 2)))]
     group = PermutationGroup(n, gens)
-    point_orbits = group.orbits()
+    point_orbits = _orbits(n, group.generators)
     base = group.base()
     if base and rng.random() < 0.3:
         kept = [orb for orb in point_orbits if base[0] not in orb]
@@ -618,7 +618,7 @@ def test_verify_refuses_symmetry_of_another_degree(degree):
     # permutations of its points
     with pytest.raises(ValueError,
                        match=f"^group degree {degree} != point count 7$"):
-        verify_2design(fano_complement(),
+        verify_2design(catalog("line2_fano_complement").design,
                        [Permutation([*range(1, degree), 0])])
 
 
@@ -689,6 +689,14 @@ def padded_catalog():
                 IncidenceStructure(v, entry.design.blocks), base_block)
             for v in (256, 257)}
     return padded_entries
+
+
+@pytest.mark.parametrize("v", [4, 300])
+def test_block_orbit_counts_the_base_block_against_the_limit(v):
+    # the base block alone is more than 0 blocks, on either walk
+    with pytest.raises(ValueError, match="^orbit exceeds 0 elements$"):
+        block_orbit(v, [], (0, 1), limit=0)
+    assert block_orbit(v, [], (0, 1), limit=1) == [(0, 1)]
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -19,6 +19,19 @@ def dihedral8():
     return PermutationGroup(4, [[1, 2, 3, 0], [3, 2, 1, 0]])
 
 
+def stabilizer(group, point):
+    """The stabilizer of point in group, as a group of its own."""
+    return PermutationGroup(group.degree, group.stabilizer_generators(point))
+
+
+def orbit_partition(degree, generators):
+    """The orbits on 0..degree-1, one perm.orbit walk per point, in
+    ascending order of their least point."""
+    orbits = {frozenset(orbit(x, generators, perm_module._images))
+              for x in range(degree)}
+    return sorted(map(set, orbits), key=min)
+
+
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
@@ -56,7 +69,7 @@ def test_elements_limit(psl2_7):
 
 def test_order_examples(psu3_3):
     assert psu3_3.order() == 6048
-    stab = psu3_3.stabilizer(0)
+    stab = stabilizer(psu3_3, 0)
     assert stab.order() == 216
     assert 28 * 216 == 6048
 
@@ -64,7 +77,7 @@ def test_order_examples(psu3_3):
 def test_hs_order_and_orbit_stabilizer():
     hs = catalog_group("line10_hs")
     assert hs.order() == 44352000
-    stab = hs.stabilizer(0)
+    stab = stabilizer(hs, 0)
     assert 176 * stab.order() == 44352000
 
 
@@ -116,18 +129,20 @@ def test_orbits_match_the_reference_loop():
                 images[x] = y
             gens.append(images)
         cases.append((n, gens))
+    orbits = perm_module._orbits  # the walk behind suborbits
     for n, gens in cases:
         group = PermutationGroup(n, gens)
-        assert group.orbits() == reference_orbits(n, group.generators)
+        assert orbits(n, group.generators) == reference_orbits(
+            n, group.generators)
     # 20,000 orbits: the reference loop takes seconds here
-    assert PermutationGroup(20000, []).orbits() == [{x} for x in range(20000)]
+    assert orbits(20000, []) == [{x} for x in range(20000)]
 
 
 def test_stabilizer(psl2_7):
-    assert sym4().stabilizer(0).order() == 6
-    assert psl2_7.stabilizer(0).order() == 24
+    assert stabilizer(sym4(), 0).order() == 6
+    assert stabilizer(psl2_7, 0).order() == 24
     triv = PermutationGroup(3, [])
-    assert triv.stabilizer(0).order() == 1
+    assert stabilizer(triv, 0).order() == 1
 
 
 def test_subdegrees(psl2_7):
@@ -259,8 +274,7 @@ def test_permutation_images_are_no_bools():
 
 
 @pytest.mark.parametrize("query, point", [
-    ("orbit", True), ("stabilizer_generators", False), ("suborbits", True),
-    ("stabilizer", False)])
+    ("orbit", True), ("stabilizer_generators", False), ("suborbits", True)])
 def test_a_bool_names_no_point_of_a_group(query, point):
     # True == 1 and False == 0, but neither is read as that point
     with pytest.raises(ValueError, match=f"^point {point} is not an integer$"):
@@ -303,7 +317,7 @@ def test_degree_one_and_two_groups():
     assert swap.order() == 2
     assert swap.elements() == {Permutation.identity(2), Permutation([1, 0])}
     assert swap.primitivity() == (True, None)
-    assert swap.stabilizer(1).order() == 1
+    assert stabilizer(swap, 1).order() == 1
     assert swap.subdegrees() == [1, 1]
 
 
@@ -441,9 +455,9 @@ def test_base_point_stabilizer_is_read_off_the_chain(forbid_new_chains):
         alpha = group.base()[0]
         gens = group.stabilizer_generators(alpha)
         assert gens == group.levels[1].gens
-        stab = group.stabilizer(alpha)
+        stab = stabilizer(group, alpha)
         assert stab.order() * len(group.orbit(alpha)) == group.order()
-        suborbits = sorted(stab.orbits(), key=min)
+        suborbits = orbit_partition(group.degree, gens)
         answers[name] = (group, alpha, suborbits, group.primitivity())
 
     forbid_new_chains()
@@ -472,8 +486,8 @@ def test_suborbits_partition_in_ascending_order():
             assert sorted(x for orb in suborbits for x in orb) == list(
                 range(group.degree))
             assert {point} in suborbits
-            assert sorted(map(sorted, suborbits)) == sorted(
-                map(sorted, group.stabilizer(point).orbits()))
+            assert suborbits == orbit_partition(
+                group.degree, group.stabilizer_generators(point))
 
 
 def reference_is_primitive(group):
@@ -572,7 +586,7 @@ def test_stabilizer_matches_brute_force():
         for point in range(group.degree):
             fixing = {element for element in elements
                       if element(point) == point}
-            assert group.stabilizer(point).elements() == fixing
+            assert stabilizer(group, point).elements() == fixing
 
 
 def random_word(group, rng):
@@ -596,7 +610,7 @@ def test_against_sympy_on_random_catalog_subgroups():
     for name in names:
         group = catalog_group(name)
         point = rng.randrange(group.degree)
-        stab = group.stabilizer(point)
+        stab = stabilizer(group, point)
         for gens in ([random_word(group, rng)],
                      [random_word(group, rng) for _ in range(2)],
                      [random_word(stab, rng) for _ in range(2)]):
@@ -607,12 +621,12 @@ def test_against_sympy_on_random_catalog_subgroups():
                 theirs = combinatorics.PermutationGroup(
                     [combinatorics.Permutation(list(g)) for g in images])
                 assert ours.order() == theirs.order()
-                assert (sorted(map(sorted, ours.orbits()))
-                        == sorted(map(sorted, theirs.orbits())))
+                assert (orbit_partition(degree, ours.generators)
+                        == sorted(map(set, theirs.orbits()), key=min))
                 if ours.is_transitive():
                     assert ours.primitivity()[0] == theirs.is_primitive(
                         randomized=False)
-                assert (ours.stabilizer(other).order()
+                assert (stabilizer(ours, other).order()
                         == theirs.stabilizer(other).order())
                 for _ in range(4):
                     word = ours.generators[0]
@@ -754,8 +768,11 @@ def test_group_json_expected_order_is_an_integer(degree, generators,
 
 def reference_orbit(seed, generators, act, limit=None):
     """The walk orbit had: one act(x, g) call per object and generator,
-    raising as soon as more than limit objects are found."""
+    raising as soon as more than limit objects are found, the seed
+    included."""
     seen = {seed}
+    if limit is not None and len(seen) > limit:
+        raise ValueError(f"orbit exceeds {limit} elements")
     frontier = [seed]
     while frontier:
         new = []
@@ -769,6 +786,18 @@ def reference_orbit(seed, generators, act, limit=None):
                         raise ValueError(f"orbit exceeds {limit} elements")
         frontier = new
     return seen
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_orbit_counts_the_seed_against_the_limit(limit):
+    # the seed alone is more than limit objects
+    shift = [Permutation([1, 2, 3, 0])]
+    message = f"^orbit exceeds {limit} elements$"
+    with pytest.raises(ValueError, match=message):
+        orbit(0, shift, perm_module._images, limit)
+    with pytest.raises(ValueError, match=message):
+        orbit(0, [], perm_module._images, limit)
+    assert orbit(0, [], perm_module._images, 1) == {0}
 
 
 def test_orbit_matches_the_per_element_walk():

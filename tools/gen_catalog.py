@@ -44,7 +44,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ftdesigns.constructions import data_dir, fano_complement, pg_points
+from ftdesigns.constructions import (data_dir, orbit_design, pg_points,
+                                     sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignError, IncidenceStructure,
                                  block_orbit, is_flag_transitive,
@@ -492,7 +493,9 @@ def gen_line2(rng):
     group = PermutationGroup(7, gens)
     assert group.order() == 168
     expected = Parameters(7, 7, 4, 4, 2)
-    design = fano_complement()
+    # the complements of the Fano lines: the orbit under SL_3(2) of the
+    # complement of the line {0, 1, 2} of pg_points(2, 3)
+    design = orbit_design(*sl_generators(2, 3), (3, 4, 5, 6))
     found = try_block(group, design.blocks[0], expected)
     assert found is not None and found.blocks == design.blocks
     write_entry("line2_fano_complement", group, expected,
