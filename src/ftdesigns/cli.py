@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from . import constructions, elimination
@@ -69,20 +70,25 @@ def _cmd_verify(args) -> int:
 
     # The flag test runs the automorphism check first.  Once that passed,
     # the group preserves the blocks and may certify the design from one
-    # point row; what fails is reported after the design's verdict.
+    # point row; what fails is reported after the design's verdict.  A
+    # refusal is kept as GroupActionError itself or as the message, not as
+    # the exception, whose traceback would hold this frame in a cycle.
     try:
         flag = is_flag_transitive(group, design)
-    except ValueError as exc:  # GroupActionError is a ValueError
-        flag = exc
+    except GroupActionError:
+        flag = GroupActionError
+    except ValueError as exc:
+        flag = str(exc)
+    acts = isinstance(flag, bool)
     cert = _certify(design, f"design file {args.design}",
-                    () if isinstance(flag, ValueError) else group.generators)
+                    group.generators if acts else ())
     if cert is None:
         return EXIT_FAIL
-    if isinstance(flag, GroupActionError):
+    if flag is GroupActionError:
         print(f"{cert.params} group does not preserve the block multiset")
         return EXIT_FAIL
-    if isinstance(flag, ValueError):
-        raise flag
+    if not acts:
+        raise ValueError(flag)
     try:
         primitive = is_point_primitive(group, design)
         primitive_text = "point-primitive" if primitive else "NOT point-primitive"
@@ -147,8 +153,9 @@ def _cmd_eliminate(args) -> int:
     if args.json:
         elimination.write_json(reports, sys.stdout)
     else:
+        write = sys.stdout.write
         for report in reports:
-            print(report.to_text())
+            write(report.to_text() + "\n")
     counts = {"eliminated": 0, "flagged": 0, "candidate": 0}
     for report in reports:
         counts[report.verdict] += 1
@@ -254,6 +261,11 @@ def main(argv=None) -> int:
             argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
             parser.error("unrecognized arguments: " + " ".join(extras))
+    # The handlers build no reference cycles (a test pins that), so the
+    # cyclic collector would only rescan their reports: it pauses while one
+    # runs and is then left as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:
@@ -262,6 +274,9 @@ def main(argv=None) -> int:
         except OSError:
             pass  # stderr is closed too, as in a pipe that was read out
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -248,8 +248,7 @@ def write_json(reports: list[CaseReport], out: TextIO) -> None:
     indent=2, sort_keys=True))` writes, one report at a time."""
     sep = "[\n"
     for report in reports:
-        out.write(sep)
-        out.write(_report_json(report))
+        out.write(sep + _report_json(report))
         sep = ",\n"
     out.write("[]\n" if sep == "[\n" else "\n]\n")
 

@@ -1,5 +1,6 @@
 import argparse
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -1451,3 +1452,149 @@ def test_patches_after_the_first_call_take_effect(capsys, monkeypatch,
                          "--out", str(tmp_path / "d.json"))
     assert (code, err) == (0, "") and out.startswith("wrote line1_psl25 ")
     assert calls == ["enumerate_candidates", "verify_2design"]
+
+
+# -- the cyclic garbage collector ---------------------------------------------
+#
+# main pauses the cyclic collector while a handler runs, which is sound only
+# while the handlers build no reference cycles: each path below, run once to
+# fill the caches, leaves nothing for gc.collect() on a second run.  Parse
+# refusals and -h exit inside argparse before the handler runs, with the
+# collector on, so they are left out.
+
+SMALL_WINDOWS = {"suzuki": (8, 32), "ree": (27, 243), "g2": (2, 16),
+                 "e6": (2, 8), "parabolic": (2, 8)}
+HANDLER_PATHS = {
+    "feasible-rows": ["feasible", "--v", "65"],
+    "feasible-none": ["feasible", "--v", "65", "--r-mod", "3"],
+    "feasible-v3": ["feasible", "--v", "3"],
+    **{f"eliminate-{family}{suffix}":
+       ["eliminate", "--family", family, "--q-min", str(lo), "--q-max",
+        str(hi), *flags]
+       for family, (lo, hi) in SMALL_WINDOWS.items()
+       for suffix, flags in (("", []), ("-json", ["--json"]))},
+    "eliminate-refused": ["eliminate", "--family", "g2", "--q-min", "2",
+                          "--q-max", "1000000"],
+    "construct-row": ["construct", "--name", "line1_psl25"],
+    "construct-row-out": ["construct", "--name", "line1_psl25",
+                          "--out", "{tmp}/d.json"],
+    "construct-pg": ["construct", "--name", "derived_pg:3"],
+    "construct-pg-out": ["construct", "--name", "derived_pg:3",
+                         "--out", "{tmp}/d.json"],
+    "construct-out-missing-dir": ["construct", "--name", "line1_psl25",
+                                  "--out", "{tmp}/missing/d.json"],
+    "catalog-list": ["catalog-list"],
+    "verify-0": ["verify", "--group", "{line2_group}",
+                 "--design", "{line2_design}"],
+    "verify-1-intransitive": ["verify", "--group", "{trivial}",
+                              "--design", "{line2_design}"],
+    "verify-1-not-preserved": ["verify", "--group", "{moves_a_block}",
+                               "--design", "{line2_design}"],
+    "verify-2-wrong-degree": ["verify", "--group", "{degree5}",
+                              "--design", "{line2_design}"],
+    "failed-write": ["eliminate", "--family", "g2", "--q-min", "2",
+                     "--q-max", "16"],
+}
+
+
+def cycles_left(argv) -> int:
+    """The unreachable objects that one call of main leaves to the cyclic
+    collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("path", list(HANDLER_PATHS))
+def test_command_handlers_build_no_reference_cycles(capsys, monkeypatch,
+                                                    tmp_path, path):
+    files = {"tmp": tmp_path,
+             "line2_group": DATA / "catalog" / "line2_fano_complement"
+             / "group.json",
+             "line2_design": GOLDEN / "line2_fano_complement.json"}
+    # (0 2) moves the block [0, 1, 3, 6] off the design
+    for name, degree, generators in (("trivial", 7, []),
+                                     ("moves_a_block", 7,
+                                      [[2, 1, 0, 3, 4, 5, 6]]),
+                                     ("degree5", 5, [[1, 0, 2, 3, 4]])):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(canonical_json(
+            {"name": name, "degree": degree, "generators": generators}))
+    argv = [arg.format(**files) for arg in HANDLER_PATHS[path]]
+    if path == "failed-write":
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+    main(argv)
+    assert cycles_left(argv) == 0
+
+
+def with_handler(handler, argv=("feasible", "--v", "7")):
+    """main(argv) with feasible's handler replaced by `handler`."""
+    command = cli.build_parser().commands["feasible"]
+    saved = command.get_default("func")
+    command.set_defaults(func=handler)
+    try:
+        return main(list(argv))
+    finally:
+        command.set_defaults(func=saved)
+
+
+@pytest.mark.parametrize("outcome", [0, 1, ValueError("refused"),
+                                     RuntimeError("a bug")])
+def test_main_pauses_the_collector_only_while_a_handler_runs(capsys,
+                                                             outcome):
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    assert gc.isenabled()
+    if isinstance(outcome, RuntimeError):  # main does not catch it
+        with pytest.raises(RuntimeError):
+            with_handler(handler)
+    else:
+        code = with_handler(handler)
+        assert code == (2 if isinstance(outcome, ValueError) else outcome)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_main_leaves_a_paused_collector_paused(capsys):
+    gc.disable()
+    try:
+        assert main(["feasible", "--v", "7"]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+class FillingStdout(io.StringIO):
+    """A stdout on a disk that fills up: the third write fails."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_eliminate_fails_on_its_third_write_with_one_error_line(
+        capsys, monkeypatch, flags):
+    stdout = FillingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["eliminate", "--family", "g2", "--q-min", "2",
+                 "--q-max", "16", *flags])
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+    assert stdout.writes == 3
