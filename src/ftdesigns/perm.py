@@ -58,14 +58,6 @@ from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
-__all__ = [
-    "Permutation",
-    "PermutationGroup",
-    "orbit",
-    "load_group",
-    "group_to_json",
-]
-
 
 def orbit(seed, generators, act, limit: int | None = None) -> set:
     """The closure of {seed} under the generators, where act(xs, g) gives

@@ -5,16 +5,20 @@ name a module imports is read there unless it is listed as tracer-only.
 The same ast walk refuses any `global` statement in those modules, any
 import of another module's private name that perm does not own, and any
 exit 2 in cli that main does not decide.  A fresh interpreter that
-imports cli loads neither dataclasses nor inspect nor ast.  A traced
-construct and verify read the counters that CI pins for the traced
-certify run."""
+imports cli loads neither dataclasses nor inspect nor ast.  TRACED_PINS
+holds every counter pinned for the seed-1 traced benchmark runs, and one
+test replays those three runs of bench/run.py and compares each; a traced
+construct and verify read the certify run's counters on one entry."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -31,7 +35,8 @@ def tracer(monkeypatch):
 def test_tracer_installs_and_undoes_on_every_layer(monkeypatch):
     tracing, mods = tracer(monkeypatch)
     main = mods["cli"].main
-    # a report is a named tuple, whose class takes the CI pins' wrappers
+    # a report is a named tuple, whose class takes the pinned counters'
+    # wrappers
     report_cls = mods["elimination"].CaseReport
     methods = {name: getattr(report_cls, name)
                for name in ("to_text", "to_dict")}
@@ -54,7 +59,7 @@ def test_tracer_installs_and_undoes_on_every_layer(monkeypatch):
 
 def test_tracer_counts_a_construct_and_a_verify(monkeypatch, tmp_path,
                                                capsys):
-    """The counters that CI pins for the traced certify run, on one entry:
+    """The counters TRACED_PINS holds for the certify run, on one entry:
     construct --out and verify each certify the 21 pairs of the Fano
     complement, construct builds its 7 blocks as the orbit of the base
     block, and verify's flag test walks its 28 flags."""
@@ -77,6 +82,60 @@ def test_tracer_counts_a_construct_and_a_verify(monkeypatch, tmp_path,
     assert [rec.counts[key] for key in ("incidence.pairs_checked",
                                         "constructions.blocks_built",
                                         "incidence.flags")] == [42, 7, 28]
+
+
+# The counters of `bench/run.py --workload W --seed 1 --seconds 1 --trace 1`,
+# exact on every supported Python.  A change that moves one re-derives it
+# here, from the run's last stdout line.
+TRACED_PINS = {
+    "certify": {
+        # a chain with another base changes these.  strong_gens counts
+        # level 0's generators, which are the input generators;
+        # CATALOG_CHAINS in tests/test_perm.py pins the strong generators
+        # of the deeper levels
+        "perm.build_calls": 20,
+        "perm.base_len": 66,
+        "perm.strong_gens": 40,
+        # an orbit, a pair count or a flag test over other blocks changes
+        # the pairs checked, the blocks built and the flags walked
+        "incidence.pairs_checked": 49684,
+        "constructions.blocks_built": 2580,
+        "incidence.flags": 16845,
+    },
+    "eliminate": {
+        # the per-pass counts: a report whose facts or branches lose length
+        # changes them
+        "elimination.cases": 8477,
+        "elimination.branches": 11051,
+        "elimination.facts": 32805,
+        # eliminate factors nothing
+        "arith.factorize_calls": 0,
+        "arith.factorize_max_bits": 0,
+        # the bytes printed per pass: its windows (q_min 2-8, q_max
+        # 4032-4160) are not the q = 2..4096 of the sha256 pins in the tests
+        "cli.out_bytes": 10235364.5,
+    },
+    "feasible": {
+        # the divisors it tried, the candidates it found and the bytes it
+        # printed
+        "arith.divisors_returned": 20901,
+        "design.candidates": 1142,
+        "cli.out_bytes": 50673,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_PINS))
+def test_seed_1_traced_run_reads_its_pins(workload):
+    done = subprocess.run(
+        [sys.executable, "-B", "bench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    pins = TRACED_PINS[workload]
+    assert {name: result["metrics"][name]["value"] for name in pins} == pins
 
 
 MODULES = sorted((ROOT / "src" / "ftdesigns").glob("*.py")) + [
