@@ -32,6 +32,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment of a child `python -m ftdesigns.cli`, which imports
+    the package from this checkout's src."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 def test_verify_fano(capsys, tmp_path):
     design = tmp_path / "fano_complement.json"
     code, out, _ = run(capsys, "construct", "--name", "line2_fano_complement",
@@ -69,7 +77,8 @@ def test_verify_parse_error_exit_2(capsys, tmp_path):
 def test_verify_hs(capsys, tmp_path):
     design = tmp_path / "hs.json"
     assert run(capsys, "construct", "--name", "line10_hs",
-               "--out", str(design))[0] == 0
+               "--out", str(design)) == (
+        0, f"wrote line10_hs (176,1100,50,8,2) to {design}\n", "")
     code, out, _ = run(capsys, "verify",
                        "--group", str(DATA / "catalog" / "line10_hs" / "group.json"),
                        "--design", str(design))
@@ -899,6 +908,27 @@ def test_a_closed_stdout_and_stderr_exit_2(monkeypatch):
                  "--q-max", "8"]) == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("stderr", [subprocess.STDOUT, subprocess.DEVNULL],
+                         ids=["stderr-piped", "stderr-devnull"])
+def test_a_reader_that_stops_early_gets_exit_2(flags, stderr):
+    """A real pipe whose reader goes after ten bytes, as `| head -c 10`
+    does: the process exits 2, also when stderr is that pipe and the error
+    line cannot be written.  Only a process of its own shows what the
+    interpreter does with the closed stdout as it shuts down."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "ftdesigns.cli", "eliminate", "--family",
+             "g2", "--q-min", "2", "--q-max", "4096", *flags],
+            stdout=subprocess.PIPE, stderr=stderr, env=src_env()) as proc:
+        try:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            code = proc.wait(timeout=30)
+        finally:
+            proc.kill()
+    assert code == 2
+
+
 def test_construct_unknown_name(capsys):
     code, _, err = run(capsys, "construct", "--name", "nope")
     assert code == 2
@@ -995,7 +1025,8 @@ def test_construct_builds_no_chain_for_an_orbit_of_sl_n(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name, q, n", [
-    ("pg_lines:4", 3, 4), ("derived_pg:5", 3, 5), ("line1_psl25", None, None)])
+    ("pg_lines:4", 3, 4), ("derived_pg:5", 3, 5), ("derived_pg:6", 3, 6),
+    ("line1_psl25", None, None)])
 def test_construct_out_certifies_under_the_construction_group(
         capsys, monkeypatch, tmp_path, name, q, n):
     # the design is the block orbit of these generators, so verify_2design
@@ -1094,15 +1125,12 @@ def test_eliminate_near_the_top_of_the_factorization_range():
     # finish, so run it in its own process under a time limit.  The g2
     # window is the widest accepted, and its moduli 2(q^3 - eps)/gcd(2, q-1)
     # are far above 10**18, which g2 never factors.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     for family, q_min in (("e6", 999999999999999000),
                           ("g2", 10**18 + 1 - WINDOW_LIMIT)):
         done = subprocess.run(
             [sys.executable, "-m", "ftdesigns.cli", "eliminate", "--family",
              family, "--q-min", str(q_min), "--q-max", str(10**18)],
-            env=env, capture_output=True, text=True, timeout=30)
+            env=src_env(), capture_output=True, text=True, timeout=30)
         assert (done.returncode, done.stderr) == (0, ""), family
         assert done.stdout.splitlines()[-1].startswith("summary: "), family
         assert done.stdout.splitlines()[-1].endswith(" 0 candidates"), family
@@ -1116,13 +1144,10 @@ def test_eliminate_one_prime_family_up_to_the_range_top(family, p, exponents,
                                                         summary):
     # every q = p^a, a odd >= 3, up to 10**18, listed without testing each
     # integer of the window; run in its own process under a time limit
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "ftdesigns.cli", "eliminate", "--family",
          family, "--q-min", "2", "--q-max", "1000000000000000000"],
-        env=env, capture_output=True, text=True, timeout=30)
+        env=src_env(), capture_output=True, text=True, timeout=30)
     assert (done.returncode, done.stderr) == (0, "")
     lines = done.stdout.splitlines()
     assert [line for line in lines if line.startswith("case ")] == [
@@ -1241,6 +1266,9 @@ def test_feasible_explicit_modulus(capsys):
                        "--r-mod", "128")
     assert code == 0
     assert "65\t416\t32\t5\t2" in out
+    # gcd(1152, lambda*(v-1)) = gcd(128, lambda*(v-1)) = 128: the same table
+    assert run(capsys, "feasible", "--v", "65", "--lambda", "2",
+               "--r-mod", "1152") == (0, out, "")
 
 
 def test_feasible_empty(capsys):
