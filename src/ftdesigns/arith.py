@@ -311,8 +311,8 @@ def _cyclotomic_values(ns, q: int) -> dict[int, int]:
     for e, phi_e in phi.items():
         for d in range(2 * e, top + 1, e):
             if d in phi:
-                assert phi[d] % phi_e == 0
-                phi[d] //= phi_e
+                phi[d], remainder = divmod(phi[d], phi_e)
+                assert remainder == 0
     return phi
 
 

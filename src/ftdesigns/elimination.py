@@ -17,8 +17,10 @@ recomputed where it is used, so a report can be audited line by line.
 
 from __future__ import annotations
 
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd, isqrt
+from operator import itemgetter
 from typing import NamedTuple, TextIO
 
 # cyclotomic, divisors and enumerate_candidates are not called here, but
@@ -50,7 +52,13 @@ class TableDataError(ValueError):
 # Parameters and PrimePower they hold, ParabolicRow below, incidence's
 # IncidenceStructure and DesignCertificate, and constructions' CatalogEntry.
 # A sweep builds thousands of report records, and a tuple is several times
-# cheaper to build and lighter on the cyclic garbage collector.
+# cheaper to build and lighter on the cyclic garbage collector.  The
+# eliminate_* functions build their records as _new(Record, (every field in
+# order)), as arith builds a PrimePower: a named tuple's own __new__ is a
+# Python function, whose frame makes a Fact cost about 285 ns to build
+# against 160 ns through tuple.__new__ (Python 3.11.7, timeit).
+_new = tuple.__new__
+
 
 class Fact(NamedTuple):
     statement: str
@@ -104,6 +112,9 @@ class CaseDescriptor(NamedTuple):
         return doc
 
 
+_BRANCH_VERDICT = itemgetter(1)
+
+
 class CaseReport(NamedTuple):
     descriptor: CaseDescriptor
     hypotheses: tuple[str, ...]
@@ -112,7 +123,7 @@ class CaseReport(NamedTuple):
 
     @property
     def verdict(self) -> str:
-        kinds = {branch.verdict for branch in self.branches}
+        kinds = set(map(_BRANCH_VERDICT, self.branches))
         if "candidate" in kinds:
             return "candidate"
         if "flagged" in kinds:
@@ -129,20 +140,17 @@ class CaseReport(NamedTuple):
         }
 
     def to_text(self) -> str:
-        desc = self.descriptor
+        desc, hypotheses, facts, branches = self
         head = desc.family
         if desc.q is not None:
             head += f" q={desc.q.q}"
         if desc.epsilon is not None:
             head += f" eps={'+' if desc.epsilon > 0 else '-'}"
-        lines = [f"case {head}"]
-        for hyp in self.hypotheses:
-            lines.append(f"  hypothesis: {hyp}")
-        for fact in self.facts:
-            mark = "ok " if fact.ok else "FAIL"
-            vals = ", ".join(map(str, fact.values))
-            lines.append(f"  [{mark}] {fact.statement}   [{vals}]")
-        for branch in self.branches:
+        lines = [f"case {head}", *_hypothesis_lines(hypotheses)]
+        lines += [_FACT_TEXT[len(values)]
+                  % ("ok " if ok else "FAIL", statement, *values)
+                  for statement, values, ok in facts]
+        for branch in branches:
             lines.append(f"  branch {branch.label}: {branch.verdict} -- {branch.reason}")
             if branch.params is not None:
                 lines.append(f"    parameters {branch.params}")
@@ -150,6 +158,52 @@ class CaseReport(NamedTuple):
                 lines.append(f"    closed by: {branch.reference}")
         lines.append(f"  verdict: {self.verdict}")
         return "\n".join(lines)
+
+
+# -- rendering pieces built once ----------------------------------------------
+#
+# What a report's text and JSON take from its hypotheses, from a parabolic
+# row or from the number of a fact's values does not depend on q, so each is
+# built once, on first use: the lines of a hypotheses tuple, the JSON of a
+# row's `extra`, and one % template per value count for a fact's text line
+# and JSON, as incidence has for blocks.  %d writes an int as str and repr
+# do.
+
+class _ByCount(dict):
+    """build(n) by n, each made on first use."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, n: int) -> str:
+        value = self[n] = self.build(n)
+        return value
+
+
+def _int_list_template(n: int) -> str:
+    """An int list at depth 4, its items at depth 5."""
+    if not n:
+        return "[]"
+    return "[\n          " + ",\n          ".join(["%d"] * n) + "\n        ]"
+
+
+# a fact's text line from (mark, statement, *values)
+_FACT_TEXT = _ByCount(
+    lambda n: "  [%s] %s   [" + ", ".join(["%d"] * n) + "]")
+
+# a fact's JSON at depth 3 from (ok, statement, *values), the first two
+# written as JSON
+_FACT_JSON = _ByCount(
+    lambda n: '      {\n        "ok": %s,\n        "statement": %s,'
+              '\n        "values": ' + _int_list_template(n) + "\n      }")
+
+_INT_LIST = _ByCount(_int_list_template)
+
+
+@cache
+def _hypothesis_lines(hypotheses: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(f"  hypothesis: {hyp}" for hyp in hypotheses)
 
 
 # -- JSON rendering -----------------------------------------------------------
@@ -160,28 +214,21 @@ class CaseReport(NamedTuple):
 # has the descriptor, with its parabolic row's `extra`.  A template sits at
 # its depth in the list: a report at depth 1, its descriptor at depth 2, its
 # extra, a fact or a branch at depth 3, values or params at depth 5.  Keys
-# come in sorted order, ints by repr, bools as true/false and strings
+# come in sorted order, ints by repr or %d, bools as true/false and strings
 # through encode_basestring_ascii, as json.dumps(..., indent=2,
-# sort_keys=True) writes them.  Each record is one "".join of its pieces,
-# which sizes the text once where a chain of + copies it at every step (a %
-# format, which over-allocates as it writes, raised the eliminate
-# benchmark's peak RSS by 0.5 MB).  No piece is an f-string: a quote or
-# backslash inside its braces needs Python 3.12 (PEP 701), and the package
-# supports 3.10.
-
-def _int_list(values) -> str:
-    if not values:
-        return "[]"
-    return "".join(("[\n          ", ",\n          ".join(map(repr, values)),
-                    "\n        ]"))
-
+# sort_keys=True) writes them.  A fact is one % format of its template, and
+# any other record one "".join of its pieces.  The fact templates leave the
+# eliminate benchmark's peak RSS where the joins had it: over ten
+# alternating pairs of runs (Python 3.11.7, 2-core host), peak_rss_mb read
+# 32.16-32.69 MB with joins and 32.26-32.57 MB with templates.  No piece is
+# an f-string with a quote or backslash inside its braces: that needs
+# Python 3.12 (PEP 701), and the package supports 3.10.
 
 def _fact_json(fact: Fact) -> str:
     statement, values, ok = fact
-    return "".join((
-        '      {\n        "ok": ', "true" if ok else "false",
-        ',\n        "statement": ', encode_basestring_ascii(statement),
-        ',\n        "values": ', _int_list(values), "\n      }"))
+    return _FACT_JSON[len(values)] % (
+        "true" if ok else "false", encode_basestring_ascii(statement),
+        *values)
 
 
 def _branch_json(branch: Branch) -> str:
@@ -189,7 +236,7 @@ def _branch_json(branch: Branch) -> str:
     return "".join((
         '      {\n        "label": ', encode_basestring_ascii(label),
         "" if params is None
-        else ',\n        "params": ' + _int_list(params),
+        else ',\n        "params": ' + _INT_LIST[len(params)] % params,
         ',\n        "reason": ', encode_basestring_ascii(reason),
         "" if reference is None
         else ',\n        "reference": ' + encode_basestring_ascii(reference),
@@ -209,6 +256,22 @@ def _json_list(items, render) -> str:
     return "".join(("[\n", ",\n".join(map(render, items)), "\n    ]"))
 
 
+@cache
+def _hypotheses_json(hypotheses: tuple[str, ...]) -> str:
+    return _json_list(hypotheses, _hypothesis_json)
+
+
+@cache
+def _extra_json(row: ParabolicRow) -> str:
+    """A descriptor's `extra` key at depth 2, from its row."""
+    return "".join((
+        '\n      "extra": {\n        "row": ',
+        encode_basestring_ascii(row.key),
+        ',\n        "socle": ', encode_basestring_ascii(row.socle),
+        ',\n        "stabilizer": ', encode_basestring_ascii(row.stabilizer),
+        "\n      },"))
+
+
 def _descriptor_json(desc: CaseDescriptor) -> str:
     """The descriptor at depth 2."""
     family, q, epsilon, row = desc
@@ -218,11 +281,7 @@ def _descriptor_json(desc: CaseDescriptor) -> str:
     if epsilon is not None:
         parts += '\n      "epsilon": ', repr(epsilon), ","
     if row is not None:
-        parts += ('\n      "extra": {\n        "row": ',
-                  encode_basestring_ascii(row.key),
-                  ',\n        "socle": ', encode_basestring_ascii(row.socle),
-                  ',\n        "stabilizer": ',
-                  encode_basestring_ascii(row.stabilizer), "\n      },")
+        parts.append(_extra_json(row))
     parts += '\n      "family": ', encode_basestring_ascii(family)
     if q is not None:
         parts += ',\n      "p": ', repr(q.p), ',\n      "q": ', repr(q.q)
@@ -236,8 +295,7 @@ def _report_json(report: CaseReport) -> str:
         '  {\n    "branches": ', _json_list(report.branches, _branch_json),
         ',\n    "descriptor": ', _descriptor_json(report.descriptor),
         ',\n    "facts": ', _json_list(report.facts, _fact_json),
-        ',\n    "hypotheses": ',
-        _json_list(report.hypotheses, _hypothesis_json),
+        ',\n    "hypotheses": ', _hypotheses_json(report.hypotheses),
         ',\n    "verdict": ', encode_basestring_ascii(report.verdict),
         "\n  }"))
 
@@ -255,6 +313,10 @@ def write_json(reports: list[CaseReport], out: TextIO) -> None:
 
 # -- Suzuki groups: socle 2B2(q), parabolic stabilizer -----------------------
 
+# the hypotheses of every report but a parabolic row's
+_EVEN_R = (EVEN_R_HYPOTHESIS,)
+
+
 def _suzuki_q(q: PrimePower) -> bool:
     return q.p == 2 and q.a % 2 == 1 and q.a >= 3
 
@@ -268,8 +330,8 @@ def eliminate_suzuki(q: PrimePower) -> CaseReport:
     a = q.a
     v = q.q**2 + 1
     facts = [
-        Fact("v = q^2 + 1", (v,), True),
-        Fact("r(k-1) = 2(v-1) = 2^(2a+1)", (2 * (v - 1),), True),
+        _new(Fact, ("v = q^2 + 1", (v,), True)),
+        _new(Fact, ("r(k-1) = 2(v-1) = 2^(2a+1)", (2 * (v - 1),), True)),
     ]
     branches = []
     for c in range(1, 2 * a + 2):
@@ -277,20 +339,22 @@ def eliminate_suzuki(q: PrimePower) -> CaseReport:
         k = 2 ** (2 * a + 1 - c) + 1
         label = f"r=2^{c}"
         if not 2 < k < v - 1:
-            branches.append(Branch(
+            branches.append(_new(Branch, (
                 label, "eliminated",
-                f"k = {k} is a trivial block size (need 2 < k < v-1 = {v - 1})"))
+                f"k = {k} is a trivial block size (need 2 < k < v-1 = {v - 1})",
+                None, None)))
             continue
-        facts.append(Fact(
+        facts.append(_new(Fact, (
             f"branch {label}: block-stabilizer overgroup of index q^2+1 "
             f"divides b, forcing k | 2^{c}; k = {k} is odd",
-            (k, r), k % 2 == 0))
-        branches.append(Branch(
+            (k, r), k % 2 == 0)))
+        branches.append(_new(Branch, (
             label, "eliminated",
-            f"k = {k} is odd and greater than 1, so k cannot divide 2^{c}"))
-    return CaseReport(
-        CaseDescriptor("suzuki", q), (EVEN_R_HYPOTHESIS,),
-        tuple(facts), tuple(branches))
+            f"k = {k} is odd and greater than 1, so k cannot divide 2^{c}",
+            None, None)))
+    return _new(CaseReport, (
+        _new(CaseDescriptor, ("suzuki", q, None, None)), _EVEN_R,
+        tuple(facts), tuple(branches)))
 
 
 # -- Ree groups: socle 2G2(q), parabolic stabilizer --------------------------
@@ -310,32 +374,33 @@ def eliminate_ree(q: PrimePower) -> CaseReport:
     qq = q.q
     v = qq**3 + 1
     facts = [
-        Fact("v = q^3 + 1", (v,), True),
-        Fact("r even and r | 2(v-1) = 2q^3 gives r = 2*3^c, k = 3^t + 1 "
-             "with t = 3a - c >= 1", (2 * qq**3,), True),
-        Fact("overgroup of index q^2(q^2-q+1) divides b, so k = 3^t + 1 "
-             "divides 2(q+1), forcing t <= a", (qq**2 * (qq**2 - qq + 1), a),
-             True),
-        Fact("two blocks through a point pair give (q-1)/2 <= 2*3^t - 2, "
-             "i.e. 3^a + 3 <= 4*3^t, forcing t >= a-1",
-             (qq + 3, 4 * 3 ** (a - 1)), qq + 3 <= 4 * 3 ** (a - 1)),
+        _new(Fact, ("v = q^3 + 1", (v,), True)),
+        _new(Fact, ("r even and r | 2(v-1) = 2q^3 gives r = 2*3^c, "
+                    "k = 3^t + 1 with t = 3a - c >= 1", (2 * qq**3,), True)),
+        _new(Fact, ("overgroup of index q^2(q^2-q+1) divides b, so "
+                    "k = 3^t + 1 divides 2(q+1), forcing t <= a",
+                    (qq**2 * (qq**2 - qq + 1), a), True)),
+        _new(Fact, ("two blocks through a point pair give (q-1)/2 <= "
+                    "2*3^t - 2, i.e. 3^a + 3 <= 4*3^t, forcing t >= a-1",
+                    (qq + 3, 4 * 3 ** (a - 1)),
+                    qq + 3 <= 4 * 3 ** (a - 1))),
     ]
     branches = []
 
     # t = a-1: k = 3^(a-1) + 1 must divide 2(q^3 + 1)
     k_low = 3 ** (a - 1) + 1
     inner = gcd(k_low, qq**3 + 1)
-    facts.append(Fact(
+    facts.append(_new(Fact, (
         "branch t=a-1: gcd(3^(a-1) + 1, q^3 + 1)",
-        (k_low, qq**3 + 1, inner), inner == 2))
+        (k_low, qq**3 + 1, inner), inner == 2)))
     divides = (2 * (qq**3 + 1)) % k_low == 0
-    facts.append(Fact(
+    facts.append(_new(Fact, (
         "branch t=a-1: b integral requires k | 2(q^3+1)",
-        (k_low, 2 * (qq**3 + 1)), divides))
-    branches.append(Branch(
+        (k_low, 2 * (qq**3 + 1)), divides)))
+    branches.append(_new(Branch, (
         "t=a-1", "eliminated",
         f"k = {k_low} does not divide 2(q^3+1) = {2 * (qq**3 + 1)} "
-        f"(equivalently 3^(a-1)+1 would have to divide 4)"))
+        f"(equivalently 3^(a-1)+1 would have to divide 4)", None, None)))
 
     # t = a: k = q + 1 survives the arithmetic
     k = qq + 1
@@ -344,18 +409,17 @@ def eliminate_ree(q: PrimePower) -> CaseReport:
     b = v * r // k
     params = Parameters(v, b, r, k, 2)
     violations = admissibility_violations(params)
-    facts.append(Fact(
+    facts.append(_new(Fact, (
         "branch t=a: (v, b, r, k) = (q^3+1, 2q^2(q^2-q+1), 2q^2, q+1) "
         "satisfies every counting constraint",
-        tuple(params), not violations))
-    branches.append(Branch(
+        tuple(params), not violations)))
+    branches.append(_new(Branch, (
         "t=a", "flagged" if not violations else "eliminated",
         "arithmetic survivor" if not violations else "; ".join(violations),
-        reference=REE_UNITAL_REFERENCE if not violations else None,
-        params=params))
-    return CaseReport(
-        CaseDescriptor("ree", q), (EVEN_R_HYPOTHESIS,),
-        tuple(facts), tuple(branches))
+        REE_UNITAL_REFERENCE if not violations else None, params)))
+    return _new(CaseReport, (
+        _new(CaseDescriptor, ("ree", q, None, None)), _EVEN_R,
+        tuple(facts), tuple(branches)))
 
 
 # -- G2(q) with stabilizer normalizing a subgroup of type A2^eps -------------
@@ -391,9 +455,9 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
     rhs = 4 * (q3 - eps) ** 2
     bound = max(1, isqrt((rhs - 1) // lhs_unit))
     facts = [
-        Fact("v = q^3(q^3 + eps)/2", (v,), True),
-        Fact("r*m*gcd(2, q-1) = 2(q^3 - eps) for a positive integer m",
-             (modulus, g), True),
+        _new(Fact, ("v = q^3(q^3 + eps)/2", (v,), True)),
+        _new(Fact, ("r*m*gcd(2, q-1) = 2(q^3 - eps) for a positive integer m",
+                    (modulus, g), True)),
     ]
     branches = []
     # The bound is 1 or 2, so nothing is factored.  n is always even, so
@@ -411,77 +475,81 @@ def eliminate_g2(q: PrimePower, epsilon: int) -> CaseReport:
         inequality_ok = lhs < rhs
         r = modulus // (m * g)
         label = f"m={m}"
-        facts.append(Fact(f"branch {label}: {_G2_INEQUALITY}", (lhs, rhs),
-                          inequality_ok))
+        facts.append(_new(Fact, (f"branch {label}: {_G2_INEQUALITY}",
+                                 (lhs, rhs), inequality_ok)))
         if twice_v1 % r != 0:
-            branches.append(Branch(
+            branches.append(_new(Branch, (
                 label, "eliminated",
-                f"k - 1 = 2(v-1)/r = {twice_v1}/{r} is not an integer"))
+                f"k - 1 = 2(v-1)/r = {twice_v1}/{r} is not an integer",
+                None, None)))
             continue
         k = 1 + twice_v1 // r
         if not 2 < k < v - 1:
-            branches.append(Branch(
-                label, "eliminated", f"k = {k} is a trivial block size"))
+            branches.append(_new(Branch, (
+                label, "eliminated", f"k = {k} is a trivial block size",
+                None, None)))
             continue
         if k > r:
-            facts.append(Fact(
-                f"branch {label}: k <= r requires {k} <= {r}", (k, r), False))
-            branches.append(Branch(
-                label, "eliminated", f"k = {k} exceeds r = {r}"))
+            facts.append(_new(Fact, (
+                f"branch {label}: k <= r requires {k} <= {r}", (k, r),
+                False)))
+            branches.append(_new(Branch, (
+                label, "eliminated", f"k = {k} exceeds r = {r}", None, None)))
             continue
         if eps == 1 and qq % 2 == 0 and m == 1:
             # b = (2q^9 - 2q^3)/(q^3 + 4) is integral iff q^3 + 4 divides 120
             divisor = q3 + 4
-            facts.append(Fact(
+            facts.append(_new(Fact, (
                 f"branch {label}: b integral requires q^3 + 4 | 120",
-                (divisor, 120 % divisor), 120 % divisor == 0))
+                (divisor, 120 % divisor), 120 % divisor == 0)))
             assert (120 % divisor == 0) == ((v * r) % k == 0)
         if (v * r) % k != 0:
-            branches.append(Branch(
+            branches.append(_new(Branch, (
                 label, "eliminated",
-                f"b = vr/k = {v}*{r}/{k} is not an integer"))
+                f"b = vr/k = {v}*{r}/{k} is not an integer", None, None)))
             continue
         params = Parameters(v, v * r // k, r, k, 2)
         symmetric = embeds_symmetric(params)
         if symmetric is not None:
-            facts.append(Fact(
+            facts.append(_new(Fact, (
                 f"branch {label}: r = k + lambda, extends to a symmetric "
                 "design with parameters (v+k+2, k+2, 2)",
-                symmetric, True))
-            branches.append(Branch(
+                symmetric, True)))
+            branches.append(_new(Branch, (
                 label, "flagged", "arithmetic survivor with r = k + lambda",
-                reference=SYMMETRIC_EMBED_REFERENCE, params=params))
+                SYMMETRIC_EMBED_REFERENCE, params)))
             continue
         violations = admissibility_violations(params)
         if violations:
-            branches.append(Branch(
-                label, "eliminated", "; ".join(violations), params=params))
+            branches.append(_new(Branch, (
+                label, "eliminated", "; ".join(violations), None, params)))
         elif m == 1 and eps == -1 and qq % 2 == 0:
-            branches.append(Branch(
+            branches.append(_new(Branch, (
                 label, "flagged", "arithmetic survivor",
-                reference=SU3_STABILIZER_REFERENCE, params=params))
+                SU3_STABILIZER_REFERENCE, params)))
         else:
-            branches.append(Branch(
-                label, "candidate", "arithmetic survivor", params=params))
+            branches.append(_new(Branch, (
+                label, "candidate", "arithmetic survivor", None, params)))
     # lhs grows with m, so m0 and every larger divisor fail
     r = modulus // (m0 * g)
-    facts.append(Fact(
+    facts.append(_new(Fact, (
         f"branches m>={m0}: {_G2_INEQUALITY}, whose left side grows with m",
-        (lhs_unit * m0 * m0, rhs), False))
-    branches.append(Branch(
+        (lhs_unit * m0 * m0, rhs), False)))
+    branches.append(_new(Branch, (
         f"m>={m0}", "eliminated",
         f"lambda*v = {2 * v} >= r^2 = {r * r} at m = {m0}, "
-        "and r falls as m grows"))
-    return CaseReport(
-        CaseDescriptor("g2_a2eps", q, epsilon), (EVEN_R_HYPOTHESIS,),
-        tuple(facts), tuple(branches))
+        "and r falls as m grows", None, None)))
+    return _new(CaseReport, (
+        _new(CaseDescriptor, ("g2_a2eps", q, epsilon, None)), _EVEN_R,
+        tuple(facts), tuple(branches)))
 
 
 # -- E6(q) with maximal parabolic stabilizers P1 and P3 ----------------------
 
 def _exact_div(num: int, den: int) -> int:
-    assert num % den == 0
-    return num // den
+    quotient, remainder = divmod(num, den)
+    assert remainder == 0
+    return quotient
 
 
 def eliminate_e6(q: PrimePower, case: str) -> CaseReport:
@@ -491,41 +559,51 @@ def eliminate_e6(q: PrimePower, case: str) -> CaseReport:
     if case not in ("p1", "p3"):
         raise ValueError(f"case must be 'p1' or 'p3', got {case!r}")
     qq = q.q
-    facts = []
+    q3 = qq * qq * qq
+    q4 = q3 * qq
+    q5 = q4 * qq
+    q8 = q4 * q4
+    q9 = q8 * qq
     if case == "p1":
-        v = (qq**8 + qq**4 + 1) * _exact_div(qq**9 - 1, qq - 1)
-        d1 = _exact_div(qq * (qq**8 - 1) * (qq**3 + 1), qq - 1)
-        d2 = _exact_div(qq**8 * (qq**5 - 1) * (qq**4 + 1), qq - 1)
-        facts.append(Fact("v = (q^8+q^4+1)(q^9-1)/(q-1)", (v,), True))
-        facts.append(Fact("nontrivial subdegrees q(q^8-1)(q^3+1)/(q-1) and "
-                          "q^8(q^5-1)(q^4+1)/(q-1)", (d1, d2), True))
+        v = (q8 + q4 + 1) * _exact_div(q9 - 1, qq - 1)
+        d1 = _exact_div(qq * (q8 - 1) * (q3 + 1), qq - 1)
+        d2 = _exact_div(q8 * (q5 - 1) * (q4 + 1), qq - 1)
         modulus = gcd(gcd(2 * d1, 2 * d2), 2 * (v - 1))
-        facts.append(Fact(
-            "r divides gcd(2*d1, 2*d2, 2(v-1))", (modulus,), True))
+        facts = [
+            _new(Fact, ("v = (q^8+q^4+1)(q^9-1)/(q-1)", (v,), True)),
+            _new(Fact, ("nontrivial subdegrees q(q^8-1)(q^3+1)/(q-1) and "
+                        "q^8(q^5-1)(q^4+1)/(q-1)", (d1, d2), True)),
+            _new(Fact, ("r divides gcd(2*d1, 2*d2, 2(v-1))", (modulus,),
+                        True)),
+        ]
     else:
-        v = _exact_div((qq**3 + 1) * (qq**4 + 1) * (qq**9 - 1) * (qq**12 - 1),
-                       (qq - 1) * (qq**2 - 1))
-        d1 = _exact_div(qq * (qq**5 - 1) * (qq**4 - 1), (qq - 1) ** 2)
-        d2 = _exact_div(qq**13 * (qq**5 - 1), qq - 1)
-        facts.append(Fact(
-            "v = (q^3+1)(q^4+1)(q^9-1)(q^12-1)/((q-1)(q^2-1))", (v,), True))
-        facts.append(Fact("nontrivial subdegrees q(q^5-1)(q^4-1)/(q-1)^2 and "
-                          "q^13(q^5-1)/(q-1)", (d1, d2), True))
-        modulus = 12 * q.a * qq * _exact_div(qq**5 - 1, qq - 1)
-        facts.append(Fact(
-            "r divides 12*a*q*(q^5-1)/(q-1)", (modulus,), True))
+        q12 = q8 * q4
+        v = _exact_div((q3 + 1) * (q4 + 1) * (q9 - 1) * (q12 - 1),
+                       (qq - 1) * (qq * qq - 1))
+        d1 = _exact_div(qq * (q5 - 1) * (q4 - 1), (qq - 1) ** 2)
+        d2 = _exact_div(q12 * qq * (q5 - 1), qq - 1)
+        modulus = 12 * q.a * qq * _exact_div(q5 - 1, qq - 1)
+        facts = [
+            _new(Fact, ("v = (q^3+1)(q^4+1)(q^9-1)(q^12-1)/((q-1)(q^2-1))",
+                        (v,), True)),
+            _new(Fact, ("nontrivial subdegrees q(q^5-1)(q^4-1)/(q-1)^2 and "
+                        "q^13(q^5-1)/(q-1)", (d1, d2), True)),
+            _new(Fact, ("r divides 12*a*q*(q^5-1)/(q-1)", (modulus,), True)),
+        ]
     ok = 2 * v < modulus * modulus
-    facts.append(Fact("2v < r^2 requires 2v < modulus^2",
-                      (2 * v, modulus * modulus), ok))
+    facts.append(_new(Fact, ("2v < r^2 requires 2v < modulus^2",
+                             (2 * v, modulus * modulus), ok)))
     if ok:
-        branch = Branch(case, "candidate",
-                        "the modulus bound does not eliminate this case")
+        branch = _new(Branch, (case, "candidate",
+                               "the modulus bound does not eliminate this "
+                               "case", None, None))
     else:
-        branch = Branch(case, "eliminated",
-                        f"2v = {2 * v} >= modulus^2 = {modulus * modulus}")
-    return CaseReport(
-        CaseDescriptor(f"e6_{case}", q), (EVEN_R_HYPOTHESIS,),
-        tuple(facts), (branch,))
+        branch = _new(Branch, (case, "eliminated",
+                               f"2v = {2 * v} >= modulus^2 = "
+                               f"{modulus * modulus}", None, None))
+    return _new(CaseReport, (
+        _new(CaseDescriptor, (f"e6_{case}", q, None, None)), _EVEN_R,
+        tuple(facts), (branch,)))
 
 
 # -- generic parabolic cases driven by tabulated cyclotomic data -------------
@@ -613,6 +691,18 @@ _PARABOLIC_N_MAX = max(n for row in PARABOLIC_ROWS
                        for n, _ in row.phi_exponents)
 
 
+@cache
+def _row_texts(row: ParabolicRow) -> tuple[str, tuple[str, ...]]:
+    """The statement of the p-part fact and the hypotheses of every report
+    of row, which do not depend on q."""
+    hypotheses = (EVEN_R_HYPOTHESIS,
+                  "unique prime-power subdegree for the parabolic action")
+    if row.subdegree_hypothesis:
+        hypotheses += (f"assumed: {row.subdegree_hypothesis}",)
+    return (f"tabulated |v-1|_p = {row.ppart_rule} agrees with the p-part "
+            "of v - 1 computed directly", hypotheses)
+
+
 def eliminate_parabolic_generic(row: ParabolicRow, q: PrimePower,
                                 phi: dict[int, int] | None = None
                                 ) -> CaseReport:
@@ -625,33 +715,31 @@ def eliminate_parabolic_generic(row: ParabolicRow, q: PrimePower,
     v = row.point_count(q, phi)
     u_claimed = row.tabulated_ppart(q)
     u_actual = q.ppart(v - 1)
-    facts = [
-        Fact("v as an exact cyclotomic product", (v,), True),
-        Fact(f"tabulated |v-1|_p = {row.ppart_rule} agrees with the p-part "
-             "of v - 1 computed directly",
-             (u_claimed, u_actual), u_claimed == u_actual),
-    ]
     if u_claimed != u_actual:
         raise TableDataError(
             f"row {row.key} at q = {q.q}: tabulated |v-1|_p = {u_claimed} "
             f"but ppart(v-1, {q.p}) = {u_actual}")
-    ok = v < 2 * u_actual * u_actual
-    facts.append(Fact(
-        "r | 2|v-1|_p and 2v < r^2 require v < 2(|v-1|_p)^2",
-        (v, 2 * u_actual * u_actual), ok))
+    ppart_statement, hypotheses = _row_texts(row)
+    bound = 2 * u_actual * u_actual
+    ok = v < bound
+    facts = (
+        _new(Fact, ("v as an exact cyclotomic product", (v,), True)),
+        _new(Fact, (ppart_statement, (u_claimed, u_actual),
+                    u_claimed == u_actual)),
+        _new(Fact, ("r | 2|v-1|_p and 2v < r^2 require v < 2(|v-1|_p)^2",
+                    (v, bound), ok)),
+    )
     if ok:
-        branch = Branch(row.key, "candidate",
-                        "the p-part bound does not eliminate this case")
+        branch = _new(Branch, (row.key, "candidate",
+                               "the p-part bound does not eliminate this "
+                               "case", None, None))
     else:
-        branch = Branch(row.key, "eliminated",
-                        f"v = {v} >= 2(|v-1|_p)^2 = {2 * u_actual * u_actual}")
-    hypotheses = [EVEN_R_HYPOTHESIS,
-                  "unique prime-power subdegree for the parabolic action"]
-    if row.subdegree_hypothesis:
-        hypotheses.append(f"assumed: {row.subdegree_hypothesis}")
-    return CaseReport(
-        CaseDescriptor("parabolic_generic", q, row=row),
-        tuple(hypotheses), tuple(facts), (branch,))
+        branch = _new(Branch, (row.key, "eliminated",
+                               f"v = {v} >= 2(|v-1|_p)^2 = {bound}",
+                               None, None))
+    return _new(CaseReport, (
+        _new(CaseDescriptor, ("parabolic_generic", q, None, row)),
+        hypotheses, facts, (branch,)))
 
 
 # -- sweeps -------------------------------------------------------------------

@@ -1220,6 +1220,107 @@ def test_eliminate_g2_benchmark_window_is_pinned(capsys, as_json):
         ELIMINATE_G2_4096_SHA256[as_json]
 
 
+# sha256 of the stdout of `eliminate --family F --q-min A --q-max B`, text
+# and --json, for the e6 and parabolic families over the benchmark's window
+# and over the 53 prime powers of q = 999999999999998000..10**18, where v
+# runs to hundreds of digits; recorded on commit ae126c6, before each record
+# of a report was built without its named tuple's __new__ and a fact was
+# written from a template per value count.  ELIMINATE_SHA256 stops at
+# q = 1024.
+ELIMINATE_E6_PARABOLIC_SHA256 = {
+    ("e6", 2, 4096, False):
+        "2820dfb11dd061dc19880a7cad3ef9d6d0192398497857bbd51aa206ab9a287c",
+    ("e6", 2, 4096, True):
+        "f44edb86566df3287c3e0eb31b7a6a7ddab06b9e8732f8abea488c515e253504",
+    ("e6", 999999999999998000, 10**18, False):
+        "2a5bd0b076f5cbd9f33baefbb0273a97c4dc4be327a23f9dd9efd41c4acd6d0c",
+    ("e6", 999999999999998000, 10**18, True):
+        "61e254182f4a94102d83a12fd8d8d1a6b843fefc983eed455e35e02f421617b6",
+    ("parabolic", 2, 4096, False):
+        "96be39e042b62fdcd080f50edf8411840126b6edaeb5b602b2869426417e324d",
+    ("parabolic", 2, 4096, True):
+        "ae294798ec14ec8c42a42b51dc832a8f4e479cd92a64579e54ea23ca97226868",
+    ("parabolic", 999999999999998000, 10**18, False):
+        "28c54f1a7f4af238efd021ee836d4783fecc2bba92bc24799dfb3a7e024de98b",
+    ("parabolic", 999999999999998000, 10**18, True):
+        "7c903359331f8e540644d59410549d7f2059576207671346faf9a0ba44709813",
+}
+
+
+@pytest.mark.parametrize(
+    "family, q_min, q_max, as_json", ELIMINATE_E6_PARABOLIC_SHA256,
+    ids=[f"{f}-{'top' if lo > 2 else 'bench'}-{'json' if j else 'text'}"
+         for f, lo, _, j in ELIMINATE_E6_PARABOLIC_SHA256])
+def test_eliminate_e6_and_parabolic_windows_are_pinned(capsys, family, q_min,
+                                                      q_max, as_json):
+    argv = ["eliminate", "--family", family, "--q-min", str(q_min),
+            "--q-max", str(q_max)]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ELIMINATE_E6_PARABOLIC_SHA256[family, q_min, q_max, as_json]
+
+
+# The interpreters besides the running one that ELIMINATE_SHA256 is replayed
+# under: each python3.X found under ~/.pyenv/versions or on PATH.
+OTHER_PYTHONS = ("3.10", "3.12", "3.13")
+
+# Runs in the child: the ten commands of ELIMINATE_SHA256, one sha256 of
+# stdout and one exit code per line, in the order of argv's JSON list.
+REPLAY_CHILD = """
+import contextlib, hashlib, io, json, sys
+from ftdesigns.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def find_python(version: str) -> str | None:
+    """A python<version> that runs and reports that version, from
+    ~/.pyenv/versions first, then PATH; None if there is none."""
+    versions = Path.home() / ".pyenv" / "versions"
+    found = sorted(versions.glob(f"{version}.*/bin/python{version}")) \
+        if versions.is_dir() else []
+    candidates = [str(path) for path in found]
+    on_path = shutil.which(f"python{version}")
+    if on_path:
+        candidates.append(on_path)
+    for exe in candidates:
+        try:
+            done = subprocess.run(
+                [exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=30)
+        except OSError:
+            continue
+        if done.returncode == 0 and done.stdout.strip() == version:
+            return exe
+    return None
+
+
+def test_eliminate_pins_hold_under_every_other_local_python():
+    running = "%d.%d" % sys.version_info[:2]
+    pythons = {version: find_python(version) for version in OTHER_PYTHONS
+               if version != running}
+    pythons = {version: exe for version, exe in pythons.items() if exe}
+    if not pythons:
+        pytest.skip("no other CPython found: looked for python"
+                    + ", python".join(OTHER_PYTHONS)
+                    + " under ~/.pyenv/versions and on PATH")
+    argvs = [["eliminate", "--family", family, "--q-min", "2",
+              "--q-max", "1024", *(["--json"] if as_json else [])]
+             for family, as_json in ELIMINATE_SHA256]
+    want = [f"0 {digest}" for digest in ELIMINATE_SHA256.values()]
+    for version, exe in pythons.items():
+        done = subprocess.run([exe, "-c", REPLAY_CHILD, json.dumps(argvs)],
+                              env=src_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stderr) == (0, ""), version
+        assert done.stdout.splitlines() == want, version
+
+
 # sha256 of the stdout of `eliminate --family g2 --q-min 999001
 # --q-max 1000000`, text and --json (157,880 and 266,893 bytes), recorded
 # when g2's lemma fact lost its count of the divisors m; the bytes are those

@@ -296,6 +296,19 @@ def test_e6_both_cases_eliminated():
         eliminate_e6(PrimePower(2, 1), "p2")
 
 
+@pytest.mark.parametrize("q_min, q_max", [(2, 4096),
+                                          (999999999999998000, 10**18)])
+def test_e6_p1_subdegrees_and_the_point_sum_to_v(q_min, q_max):
+    # E6(q) acts on the cosets of P1 with rank 3, so the point stabilizer's
+    # orbits have lengths 1, d1 and d2; each is read from the report's facts
+    reports = [r for r in sweep("e6", q_min, q_max)
+               if r.descriptor.family == "e6_p1"]
+    assert reports
+    for report in reports:
+        (v,), (d1, d2) = report.facts[0].values, report.facts[1].values
+        assert 1 + d1 + d2 == v, report.descriptor.q
+
+
 def test_parabolic_3d4_q2():
     report = eliminate_parabolic_generic(ROWS["3d4_p1"], PrimePower(2, 1))
     assert report.verdict == "eliminated"
@@ -385,6 +398,25 @@ def test_parabolic_e6_rows_carry_subdegree_hypothesis():
     assert any("graph automorphism" in h for h in report.hypotheses)
     report = eliminate_parabolic_generic(ROWS["3d4_p1"], PrimePower(3, 1))
     assert not any("graph automorphism" in h for h in report.hypotheses)
+
+
+def test_a_row_text_follows_the_whole_row():
+    # both rules give 3 at q = 3, so the reports differ only where each
+    # names its own rule and hypotheses, which are built once per row
+    row = ROWS["e6_p16"]
+    plain = row._replace(ppart_rule="q", subdegree_hypothesis=None)
+    q = PrimePower(3, 1)
+    for key in (row, plain, row):
+        report = eliminate_parabolic_generic(key, q)
+        statement = report.facts[1].statement
+        assumed = [h for h in report.hypotheses if h.startswith("assumed: ")]
+        if key is row:
+            assert statement.startswith("tabulated |v-1|_p = gcd(2,p)q ")
+            assert assumed == [f"assumed: {row.subdegree_hypothesis}"]
+        else:
+            assert statement.startswith("tabulated |v-1|_p = q ")
+            assert assumed == []
+        assert report.facts[1].values == (3, 3)
 
 
 # the degrees of the Weyl groups by type (Humphreys, Reflection Groups and
@@ -644,6 +676,44 @@ def test_sweep_families():
         [(3, 1), (3, -1), (4, 1), (4, -1), (5, 1), (5, -1)]
     with pytest.raises(ValueError):
         sweep("m24", 2, 8)
+
+
+def assert_record(record, cls):
+    assert type(record) is cls and len(record) == len(cls._fields), record
+
+
+@pytest.mark.parametrize("family", elimination.FAMILIES)
+def test_sweep_records_have_their_fields_and_kinds(family):
+    # the records of a report are built without their classes' __new__, so
+    # nothing else checks how many fields each has or what they hold
+    reports = sweep(family, 2, 4096)
+    assert reports
+    for report in reports:
+        assert_record(report, CaseReport)
+        desc, hypotheses, facts, branches = report
+        assert_record(desc, CaseDescriptor)
+        assert type(desc.family) is str
+        assert_record(desc.q, PrimePower)
+        assert desc.epsilon in (None, 1, -1)
+        assert desc.row is None or type(desc.row) is ParabolicRow
+        assert (desc.row is not None) == (family == "parabolic")
+        assert type(hypotheses) is tuple
+        assert all(type(h) is str for h in hypotheses)
+        assert type(facts) is tuple and type(branches) is tuple
+        for fact in facts:
+            assert_record(fact, Fact)
+            assert type(fact.statement) is str
+            assert type(fact.values) is tuple
+            assert all(type(x) is int for x in fact.values), fact
+            assert type(fact.ok) is bool
+        for branch in branches:
+            assert_record(branch, Branch)
+            assert type(branch.label) is str and type(branch.reason) is str
+            assert branch.verdict in ("eliminated", "flagged", "candidate")
+            assert branch.reference is None or type(branch.reference) is str
+            if branch.params is not None:
+                assert_record(branch.params, Parameters)
+                assert all(type(x) is int for x in branch.params)
 
 
 @pytest.mark.parametrize("family", ["g2", "e6", "parabolic"])
