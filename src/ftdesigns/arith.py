@@ -292,42 +292,28 @@ def powers_of(p: int, lo: int, hi: int) -> list[PrimePower]:
     return out
 
 
-def _cyclotomic_values(ns, q: int) -> dict[int, int]:
-    """{d: cyclotomic(d, q)} for the d in ns, ascending and closed under
-    taking divisors.
+def cyclotomic(n: int, q: int) -> int:
+    """Exact value of the n-th cyclotomic polynomial at the integer q.
 
     Computed from q^d - 1 = prod over e | d of cyclotomic(e, q) by exact
-    division: each q^e - 1, once every proper divisor of e has been
-    divided out of it, is cyclotomic(e, q) and is divided out of q^d - 1
-    for each multiple d of e in ns.  So every value is found once and no
-    polynomial coefficients are ever needed.
+    division over the divisors d of n: each q^e - 1, once every proper
+    divisor of e has been divided out of it, is cyclotomic(e, q) and is
+    divided out of q^d - 1 for each multiple d of e.  So every value is
+    found once and no polynomial coefficients are ever needed.
     """
+    if n < 1:
+        raise ValueError(f"cyclotomic index {n} must be positive")
     if q < 2:
         raise ValueError(f"cyclotomic argument {q} must be at least 2")
-    phi = {d: q ** d - 1 for d in ns}
-    top = max(phi, default=0)
+    phi = {d: q ** d - 1 for d in divisors(n)}
     # a dict iterates in insertion order, and yields each value as it is
     # when reached: ascending e, with its proper divisors divided out
     for e, phi_e in phi.items():
-        for d in range(2 * e, top + 1, e):
+        for d in range(2 * e, n + 1, e):
             if d in phi:
                 phi[d], remainder = divmod(phi[d], phi_e)
                 assert remainder == 0
-    return phi
-
-
-def cyclotomic(n: int, q: int) -> int:
-    """Exact value of the n-th cyclotomic polynomial at the integer q."""
-    if n < 1:
-        raise ValueError(f"cyclotomic index {n} must be positive")
-    return _cyclotomic_values(divisors(n), q)[n]
-
-
-def cyclotomic_table(n_max: int, q: int) -> dict[int, int]:
-    """{n: cyclotomic(n, q)} for every n in 1..n_max, from one pass of the
-    same recurrence: a caller that needs several values at one q computes
-    each q^d - 1 once."""
-    return _cyclotomic_values(range(1, n_max + 1), q)
+    return phi[n]
 
 
 def divisors(n: int, limit: int | None = None) -> list[int]:
@@ -348,8 +334,7 @@ def divisors(n: int, limit: int | None = None) -> list[int]:
     for p, e in factorize(n).items():
         layer = divs
         for _ in range(e):
-            layer = list(map(p.__mul__,
-                             layer[:bisect_right(layer, limit // p)]))
+            layer = [d * p for d in layer[:bisect_right(layer, limit // p)]]
             if not layer:
                 break
             divs += layer

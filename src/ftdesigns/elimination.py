@@ -18,15 +18,16 @@ recomputed where it is used, so a report can be audited line by line.
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
-from math import gcd, isqrt
-from operator import itemgetter
+from math import gcd, isqrt, prod
+from operator import itemgetter, mul
 from typing import NamedTuple, TextIO
 
 # cyclotomic, divisors and enumerate_candidates are not called here, but
 # bench/tracing.py wraps these bindings
-from .arith import (PrimePower, cyclotomic, cyclotomic_table,  # noqa: F401
-                    divisors, powers_of, prime_powers)
+from .arith import (PrimePower, cyclotomic, divisors,  # noqa: F401
+                    powers_of, prime_powers)
 from .design import (Parameters, admissibility_violations,  # noqa: F401
                      embeds_symmetric, enumerate_candidates)
 
@@ -608,6 +609,33 @@ def eliminate_e6(q: PrimePower, case: str) -> CaseReport:
 
 # -- generic parabolic cases driven by tabulated cyclotomic data -------------
 
+@cache
+def _ladder_exponents(phi_exponents: tuple[tuple[int, int], ...]
+                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(top, bottom), each d as often as its exponent, largest first, with
+    prod Phi_n(q)^e = prod(q^d - 1 for d in top) / prod(q^d - 1 for d in
+    bottom).  This is Moebius inversion of q^n - 1 = prod over d | n of
+    Phi_d(q): from the largest n down, q^n - 1 takes the exponent left to
+    Phi_n, which the proper divisors d of n then owe."""
+    left = dict(phi_exponents)
+    top, bottom = [], []
+    for n in range(max(left), 0, -1):
+        a = left.get(n, 0)
+        (top if a > 0 else bottom).extend([n] * abs(a))
+        # d | n by trial: arith.divisors would factor n, and eliminate
+        # factors nothing
+        for d in range(1, n // 2 + 1):
+            if n % d == 0:
+                left[d] = left.get(d, 0) - a
+    return tuple(top), tuple(bottom)
+
+
+def _ladder(q: int, d_max: int) -> list[int]:
+    """[q^d - 1 for d in 0..d_max], by repeated multiplication."""
+    return [power - 1
+            for power in accumulate(repeat(q, d_max), mul, initial=1)]
+
+
 class ParabolicRow(NamedTuple):
     """One tabulated parabolic case: socle family, stabilizer label, the
     point count as a product of cyclotomic values, the tabulated p-part of
@@ -635,18 +663,15 @@ class ParabolicRow(NamedTuple):
         return q.q >= self.min_q
 
     def point_count(self, q: PrimePower,
-                    phi: dict[int, int] | None = None) -> int:
-        """v, the product of the row's cyclotomic values at q, read from
-        phi: a cyclotomic_table at q that reaches every index of the row,
-        which the rows valid at q may share.  Without one, the row makes
-        its own."""
-        if phi is None:
-            phi = cyclotomic_table(max(n for n, _ in self.phi_exponents),
-                                   q.q)
-        v = 1
-        for n, e in self.phi_exponents:
-            v *= phi[n] ** e
-        return v
+                    ladder: list[int] | None = None) -> int:
+        """v, the product of the row's cyclotomic values at q, as one exact
+        quotient of the q^d - 1 in ladder, the _ladder at q that the rows
+        valid at q may share.  Without one, the row builds its own."""
+        top, bottom = _ladder_exponents(self.phi_exponents)
+        if ladder is None:
+            ladder = _ladder(q.q, top[0])
+        at = ladder.__getitem__
+        return _exact_div(prod(map(at, top)), prod(map(at, bottom)))
 
     def tabulated_ppart(self, q: PrimePower) -> int:
         rule = self.ppart_rule
@@ -685,10 +710,10 @@ PARABOLIC_ROWS: tuple[ParabolicRow, ...] = (
                  subdegree_hypothesis="the group contains a graph automorphism"),
 )
 
-# the largest cyclotomic index of any row, so that one cyclotomic_table per
-# q serves all rows
-_PARABOLIC_N_MAX = max(n for row in PARABOLIC_ROWS
-                       for n, _ in row.phi_exponents)
+# the largest d of any row's q^d - 1, so that one ladder per q serves all
+# rows; this finds each row's exponents once, at import
+_LADDER_D_MAX = max(_ladder_exponents(row.phi_exponents)[0][0]
+                    for row in PARABOLIC_ROWS)
 
 
 @cache
@@ -704,15 +729,16 @@ def _row_texts(row: ParabolicRow) -> tuple[str, tuple[str, ...]]:
 
 
 def eliminate_parabolic_generic(row: ParabolicRow, q: PrimePower,
-                                phi: dict[int, int] | None = None
+                                ladder: list[int] | None = None
                                 ) -> CaseReport:
     """Evaluate v exactly from the cyclotomic product, cross-check the
     tabulated p-part of v - 1 against a direct computation, and test the
-    necessary condition v < 2*(|v-1|_p)^2.  phi is as in point_count."""
+    necessary condition v < 2*(|v-1|_p)^2.  ladder is as in
+    point_count."""
     if not row.valid_q(q):
         raise ValueError(f"q = {q} is outside the validity range of row "
                          f"{row.key} ({row.socle}, {row.stabilizer})")
-    v = row.point_count(q, phi)
+    v = row.point_count(q, ladder)
     u_claimed = row.tabulated_ppart(q)
     u_actual = q.ppart(v - 1)
     if u_claimed != u_actual:
@@ -745,10 +771,9 @@ def eliminate_parabolic_generic(row: ParabolicRow, q: PrimePower,
 # -- sweeps -------------------------------------------------------------------
 
 def _parabolic_reports(q: PrimePower) -> list[CaseReport]:
-    """The reports of every row valid at q, from one table of cyclotomic
-    values at q."""
-    phi = cyclotomic_table(_PARABOLIC_N_MAX, q.q)
-    return [eliminate_parabolic_generic(row, q, phi)
+    """The reports of every row valid at q, from one _ladder at q."""
+    ladder = _ladder(q.q, _LADDER_D_MAX)
+    return [eliminate_parabolic_generic(row, q, ladder)
             for row in PARABOLIC_ROWS if row.valid_q(q)]
 
 

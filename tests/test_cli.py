@@ -1261,12 +1261,14 @@ def test_eliminate_e6_and_parabolic_windows_are_pinned(capsys, family, q_min,
         ELIMINATE_E6_PARABOLIC_SHA256[family, q_min, q_max, as_json]
 
 
-# The interpreters besides the running one that ELIMINATE_SHA256 is replayed
-# under: each python3.X found under ~/.pyenv/versions or on PATH.
+# The interpreters besides the running one that ELIMINATE_SHA256 and
+# ELIMINATE_E6_PARABOLIC_SHA256 are replayed under: each python3.X found
+# under ~/.pyenv/versions or on PATH.
 OTHER_PYTHONS = ("3.10", "3.12", "3.13")
 
-# Runs in the child: the ten commands of ELIMINATE_SHA256, one sha256 of
-# stdout and one exit code per line, in the order of argv's JSON list.
+# Runs in the child: the commands of ELIMINATE_SHA256 and
+# ELIMINATE_E6_PARABOLIC_SHA256, one sha256 of stdout and one exit code per
+# line, in the order of argv's JSON list.
 REPLAY_CHILD = """
 import contextlib, hashlib, io, json, sys
 from ftdesigns.cli import main
@@ -1309,10 +1311,13 @@ def test_eliminate_pins_hold_under_every_other_local_python():
         pytest.skip("no other CPython found: looked for python"
                     + ", python".join(OTHER_PYTHONS)
                     + " under ~/.pyenv/versions and on PATH")
-    argvs = [["eliminate", "--family", family, "--q-min", "2",
-              "--q-max", "1024", *(["--json"] if as_json else [])]
-             for family, as_json in ELIMINATE_SHA256]
-    want = [f"0 {digest}" for digest in ELIMINATE_SHA256.values()]
+    pins = {(family, 2, 1024, as_json): digest
+            for (family, as_json), digest in ELIMINATE_SHA256.items()}
+    pins.update(ELIMINATE_E6_PARABOLIC_SHA256)
+    argvs = [["eliminate", "--family", family, "--q-min", str(q_min),
+              "--q-max", str(q_max), *(["--json"] if as_json else [])]
+             for family, q_min, q_max, as_json in pins]
+    want = [f"0 {digest}" for digest in pins.values()]
     for version, exe in pythons.items():
         done = subprocess.run([exe, "-c", REPLAY_CHILD, json.dumps(argvs)],
                               env=src_env(), capture_output=True, text=True,

@@ -9,8 +9,7 @@ import pytest
 
 from conftest import GOLDEN
 from ftdesigns import elimination
-from ftdesigns.arith import (PrimePower, cyclotomic_table, divisors,
-                             prime_powers)
+from ftdesigns.arith import PrimePower, cyclotomic, divisors, prime_powers
 from ftdesigns.design import Parameters, admissibility_violations, \
     embeds_symmetric, enumerate_candidates
 from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROWS,
@@ -20,6 +19,7 @@ from ftdesigns.elimination import (EVEN_R_HYPOTHESIS, PARABOLIC_ROWS,
                                    Branch, CaseDescriptor, CaseReport, Fact,
                                    ParabolicRow, TableDataError, _branch_json,
                                    _descriptor_json, _fact_json,
+                                   _ladder_exponents,
                                    eliminate_e6, eliminate_g2,
                                    eliminate_parabolic_generic, eliminate_ree,
                                    eliminate_suzuki, sweep, write_json)
@@ -367,23 +367,44 @@ def test_parabolic_rows_validate_up_to_32():
         assert hit, row.key
 
 
-def test_parabolic_sweep_shares_one_cyclotomic_table_per_q(monkeypatch):
-    # the sweep reads every row's cyclotomic values from one table per q;
-    # a report built row by row computes its own
-    tables = []
+def test_parabolic_sweep_builds_one_ladder_per_q(monkeypatch):
+    # the sweep reads every row's q^d - 1 from one ladder per q; a report
+    # built row by row builds its own
+    ladders = []
+    build = elimination._ladder
 
-    def table(n_max, q):
-        tables.append(q)
-        return cyclotomic_table(n_max, q)
+    def ladder(q, d_max):
+        ladders.append(q)
+        return build(q, d_max)
 
-    monkeypatch.setattr(elimination, "cyclotomic_table", table)
+    monkeypatch.setattr(elimination, "_ladder", ladder)
     reports = iter(sweep("parabolic", 2, 4096))
-    assert tables == [q.q for q in prime_powers(2, 4096)]
+    assert ladders == [q.q for q in prime_powers(2, 4096)]
     for q in prime_powers(2, 4096):
         for row in PARABOLIC_ROWS:
             if row.valid_q(q):
                 assert next(reports) == eliminate_parabolic_generic(row, q)
     assert next(reports, None) is None
+
+
+def test_point_count_is_the_cyclotomic_product():
+    # v as one quotient of products of q^d - 1 against the product of the
+    # row's cyclotomic values, over q = 2..4096 and the 53 prime powers of
+    # the pinned window below 10**18, and against sympy's polynomials up to
+    # q = 64; 3d4_p1's v is (q^12 - 1)(q^6 - 1) / ((q^4 - 1)(q^3 - 1))
+    assert _ladder_exponents(ROWS["3d4_p1"].phi_exponents) == \
+        ((12, 6), (4, 3))
+    for q in prime_powers(2, 4096) + prime_powers(999999999999998000, 10**18):
+        for row in PARABOLIC_ROWS:
+            if not row.valid_q(q):
+                continue
+            v = row.point_count(q)
+            assert v == prod(cyclotomic(n, q.q) ** e
+                             for n, e in row.phi_exponents), (row.key, q.q)
+            if q.q <= 64:
+                assert v == prod(sympy_phi(n, q.q) ** e
+                                 for n, e in row.phi_exponents), \
+                    (row.key, q.q)
 
 
 def test_parabolic_data_error_detected():
@@ -468,9 +489,8 @@ def test_untwisted_parabolic_rows_follow_from_weyl_degrees():
     maximal = {"p1": parabolic_exponents(E6, [("D", 5)]),
                "p3": parabolic_exponents(E6, [("A", 1), ("A", 4)])}
     for p, a in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
-        phi = cyclotomic_table(12, p**a)
         for case, exponents in maximal.items():
-            v = prod(phi[n] ** e for n, e in exponents)
+            v = prod(cyclotomic(n, p**a) ** e for n, e in exponents)
             assert eliminate_e6(PrimePower(p, a), case).facts[0].values \
                 == (v,), (p**a, case)
 
