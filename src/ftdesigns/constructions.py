@@ -1,7 +1,9 @@
 """Builders for concrete designs, each the orbit of one base block under a
 group: the lines of PG(n-1, 3) and those lines less one point each, under
 two generators of SL_n(q) acting on the projective points over GF(q), and
-the bundled catalog of verified flag-transitive examples.
+the bundled catalog of verified flag-transitive examples.  The finite fields
+GF(p^k) and their matrix and Frobenius actions on projective points, which
+the catalog tool builds its groups from, live here too.
 
 Each catalog entry lives as three data files: group generators, the
 expected parameters, and one base block, whose orbit under the group is the
@@ -17,6 +19,7 @@ from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
+from .arith import is_prime
 from .design import Parameters
 # nothing here calls verify_2design; it stays bound here, where
 # bench/tracing.py wraps it
@@ -34,21 +37,121 @@ def pg_points(q: int, n: int) -> list[tuple[int, ...]]:
             for rest in product(range(q), repeat=n - 1 - lead)]
 
 
+class GF:
+    """GF(p^k), its elements the ints 0..p^k-1: the base-p digits of x,
+    low first, are the coefficients of a polynomial of degree below k.
+    reduction gives x^k as such a coefficient tuple, so k is its length; a
+    prime field has none, and k = 1."""
+
+    def __init__(self, p: int, reduction: tuple[int, ...] = ()):
+        if not is_prime(p):
+            raise ValueError(f"GF(p^k) needs a prime p, not {p}")
+        self.p, self.k, self.reduction = p, len(reduction) or 1, reduction
+        self.size = p**self.k
+        vecs = [self.coeffs(x) for x in range(self.size)]
+        self._add = [[self.encode(map(sum, zip(a, b))) for b in vecs]
+                     for a in vecs]
+        self._mul = [[self._poly_mul(a, b) for b in vecs] for a in vecs]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+
+    def coeffs(self, x: int) -> list[int]:
+        return [x // self.p**i % self.p for i in range(self.k)]
+
+    def encode(self, coeffs) -> int:
+        return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
+
+    def _poly_mul(self, ca: list[int], cb: list[int]) -> int:
+        """The element whose coefficients are those of ca times cb."""
+        prod = [0] * (2 * self.k - 1)
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb):
+                prod[i + j] += x * y
+        # reduce x^m for m >= k using x^k = reduction
+        for m in range(2 * self.k - 2, self.k - 1, -1):
+            c = prod[m] % self.p
+            for i, r in enumerate(self.reduction):
+                prod[m - self.k + i] += c * r
+        return self.encode(prod[:self.k])
+
+    def add(self, a: int, b: int) -> int:
+        return self._add[a][b]
+
+    def neg(self, a: int) -> int:
+        return self._add[a].index(0)
+
+    def mul(self, a: int, b: int) -> int:
+        return self._mul[a][b]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError
+        return self._inv[a]
+
+    def pow(self, a: int, n: int) -> int:
+        out = 1
+        for _ in range(n):
+            out = self._mul[out][a]
+        return out
+
+    def generator(self) -> int:
+        """The least element of multiplicative order size - 1."""
+        for g in range(1, self.size):
+            x, order = g, 1
+            while x != 1:
+                x, order = self._mul[x][g], order + 1
+            if order == self.size - 1:
+                return g
+
+
+def _point_perm(gf: GF, points, images) -> Permutation:
+    """The permutation of the labelled points that sends each point to the
+    point spanned by its image vector, in the order of `points`."""
+    index = {pt: i for i, pt in enumerate(points)}
+    out = []
+    for vec in images:
+        scale = gf._mul[gf.inv(next(c for c in vec if c))]
+        out.append(index[tuple(map(scale.__getitem__, vec))])
+    return Permutation(out)
+
+
+def matrix_perm(gf: GF, mat, points) -> Permutation:
+    """The action of a matrix over gf on row vectors, vec -> vec * mat, on
+    points labelled as in pg_points(gf.size, len(mat))."""
+    add, mul = gf._add, gf._mul
+    rows = [[(j, m) for j, m in enumerate(row) if m] for row in mat]
+
+    def image(vec):
+        out = [0] * len(rows)
+        for x, row in zip(vec, rows):
+            if x:
+                for j, m in row:
+                    out[j] = add[out[j]][mul[x][m]]
+        return out
+    return _point_perm(gf, points, map(image, points))
+
+
+def frobenius_perm(gf: GF, points) -> Permutation:
+    """The field automorphism x -> x^p applied to every coordinate."""
+    return _point_perm(gf, points,
+                       ([gf.pow(c, gf.p) for c in vec] for vec in points))
+
+
 def sl_generators(q: int, n: int) -> tuple[int, list[Permutation]]:
     """The point count of PG(n-1, q), q prime, and two generators of SL_n(q)
     on pg_points(q, n), acting on row vectors: a = I + E_12, and w, which maps
     e_i to e_{i+1} and e_n to (-1)^(n-1) e_1.  The conjugates of a by powers
-    of w are transvections I +- E_{i,i+1}, whose commutators give them all."""
+    of w are transvections I +- E_{i,i+1}, whose commutators give them all.
+    A q that is not prime is refused: GF(q) names it."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    gf = GF(q)
     points = pg_points(q, n)
-    # every nonzero multiple of each point, so no image needs normalizing
-    index = {tuple(s * c % q for c in pt): i
-             for i, pt in enumerate(points) for s in range(1, q)}
-    sign = (-1) ** (n - 1) % q
-    a = [index[(x[0], (x[0] + x[1]) % q, *x[2:])] for x in points]
-    w = [index[(sign * x[-1] % q, *x[:-1])] for x in points]
-    return len(points), [Permutation(a), Permutation(w)]
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    a[0][1] = 1
+    w = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    w[-1][0] = 1 if n % 2 else gf.neg(1)
+    return len(points), [matrix_perm(gf, a, points),
+                         matrix_perm(gf, w, points)]
 
 
 def pg_lines(n: int, k: int = 4) -> IncidenceStructure:

@@ -1261,14 +1261,14 @@ def test_eliminate_e6_and_parabolic_windows_are_pinned(capsys, family, q_min,
         ELIMINATE_E6_PARABOLIC_SHA256[family, q_min, q_max, as_json]
 
 
-# The interpreters besides the running one that ELIMINATE_SHA256 and
-# ELIMINATE_E6_PARABOLIC_SHA256 are replayed under: each python3.X found
-# under ~/.pyenv/versions or on PATH.
+# The interpreters besides the running one that ELIMINATE_SHA256,
+# ELIMINATE_E6_PARABOLIC_SHA256 and CONSTRUCT_SHA256 are replayed under:
+# each python3.X found under ~/.pyenv/versions or on PATH.
 OTHER_PYTHONS = ("3.10", "3.12", "3.13")
 
-# Runs in the child: the commands of ELIMINATE_SHA256 and
-# ELIMINATE_E6_PARABOLIC_SHA256, one sha256 of stdout and one exit code per
-# line, in the order of argv's JSON list.
+# Runs in the child: the commands of ELIMINATE_SHA256,
+# ELIMINATE_E6_PARABOLIC_SHA256 and CONSTRUCT_SHA256, one sha256 of stdout
+# and one exit code per line, in the order of argv's JSON list.
 REPLAY_CHILD = """
 import contextlib, hashlib, io, json, sys
 from ftdesigns.cli import main
@@ -1302,7 +1302,7 @@ def find_python(version: str) -> str | None:
     return None
 
 
-def test_eliminate_pins_hold_under_every_other_local_python():
+def test_eliminate_and_construct_pins_hold_under_every_other_local_python():
     running = "%d.%d" % sys.version_info[:2]
     pythons = {version: find_python(version) for version in OTHER_PYTHONS
                if version != running}
@@ -1317,7 +1317,13 @@ def test_eliminate_pins_hold_under_every_other_local_python():
     argvs = [["eliminate", "--family", family, "--q-min", str(q_min),
               "--q-max", str(q_max), *(["--json"] if as_json else [])]
              for family, q_min, q_max, as_json in pins]
-    want = [f"0 {digest}" for digest in pins.values()]
+    # every catalog entry, and the PG(n-1, 3) designs up to n = 5, which
+    # the field arithmetic of sl_generators builds
+    constructs = {name: digest for name, digest in CONSTRUCT_SHA256.items()
+                  if int(name.partition(":")[2] or 0) <= 5}
+    argvs += [["construct", "--name", name] for name in constructs]
+    want = [f"0 {digest}" for digest in [*pins.values(),
+                                        *constructs.values()]]
     for version, exe in pythons.items():
         done = subprocess.run([exe, "-c", REPLAY_CHILD, json.dumps(argvs)],
                               env=src_env(), capture_output=True, text=True,

@@ -1,13 +1,14 @@
 import json
 import shutil
 from collections import defaultdict
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
-from conftest import DATA
-from ftdesigns.constructions import (catalog, catalog_names, orbit_design,
-                                     pg_lines, pg_points, sl_generators)
+from conftest import DATA, tool_module
+from ftdesigns.constructions import (GF, catalog, catalog_names,
+                                     frobenius_perm, orbit_design, pg_lines,
+                                     pg_points, sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (structure_from_json, structure_to_json,
                                  verify_2design)
@@ -110,20 +111,77 @@ def test_pg_line_space_rejects():
         sl_generators(3, 1)
 
 
+def reference_sl_generators(q, n):
+    """The images of sl_generators(q, n) for prime q as they were computed
+    over Z/qZ, by reducing each image mod q and looking it up among every
+    nonzero multiple of every point."""
+    points = pg_points(q, n)
+    index = {tuple(s * c % q for c in pt): i
+             for i, pt in enumerate(points) for s in range(1, q)}
+    sign = (-1) ** (n - 1) % q
+    a = [index[(x[0], (x[0] + x[1]) % q, *x[2:])] for x in points]
+    w = [index[(sign * x[-1] % q, *x[:-1])] for x in points]
+    return len(points), a, w
+
+
 def test_sl_generators_act_as_their_matrices():
     # a adds the first coordinate to the second; w shifts the coordinates
     # up one place and the last to the first, times (-1)^(n-1)
-    for q, n in ((2, 3), (3, 3), (3, 4), (5, 3)):
-        points = pg_points(q, n)
+    for q, n in [*product((2, 3, 5, 7), (2, 3, 4)), (3, 6)]:
         degree, (a, w) = sl_generators(q, n)
-        assert degree == len(points)
+        assert (degree, list(a.images), list(w.images)) == \
+            reference_sl_generators(q, n), (q, n)
 
-        def multiples(i):
-            return {tuple(s * c % q for c in points[i]) for s in range(1, q)}
 
-        for i, x in enumerate(points):
-            assert (x[0], (x[0] + x[1]) % q, *x[2:]) in multiples(a(i))
-            assert ((-1) ** (n - 1) * x[-1] % q, *x[:-1]) in multiples(w(i))
+@pytest.mark.parametrize("q", [0, 1, 4, 6, 9])
+def test_sl_generators_refuses_a_q_that_is_not_prime(q):
+    with pytest.raises(ValueError,
+                       match=rf"^GF\(p\^k\) needs a prime p, not {q}$"):
+        sl_generators(q, 2)
+
+
+def field(name):
+    """GF(2), GF(3), or one of the fields the catalog tool builds on."""
+    return GF(int(name[2:])) if name in ("GF2", "GF3") \
+        else getattr(tool_module(), name)
+
+
+@pytest.mark.parametrize("name",
+                         ["GF2", "GF3", "GF4", "GF5", "GF8", "GF9", "GF25"])
+def test_field_axioms_hold_by_brute_force(name):
+    gf = field(name)
+    q, p, k, add, mul = gf.size, gf.p, gf.k, gf.add, gf.mul
+    assert q == int(name[2:]) == p**k
+    # the elements are base-p coefficient vectors, low degree first: the
+    # prime field is 0..p-1, addition is digitwise, and x, the element p,
+    # has x^k = reduction
+    for a, b in product(range(q), repeat=2):
+        assert add(a, b) == sum((a // p**i + b // p**i) % p * p**i
+                                for i in range(k))
+        if a < p and b < p:
+            assert mul(a, b) == a * b % p
+    if k > 1:
+        assert gf.pow(p, k) == sum(r * p**i
+                                   for i, r in enumerate(gf.reduction))
+    for a in range(q):
+        assert add(a, 0) == mul(a, 1) == a and mul(a, 0) == 0
+        assert add(a, gf.neg(a)) == 0
+        assert a == 0 or mul(a, gf.inv(a)) == 1
+        for b in range(q):
+            assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    for a, b, c in product(range(q), repeat=3):
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    g = gf.generator()
+    assert len({gf.pow(g, i) for i in range(1, q)}) == q - 1
+    assert gf.pow(g, q - 1) == 1
+    # the Frobenius map x -> x^p on PG(1, q) has order k
+    frob = frobenius_perm(gf, pg_points(q, 2))
+    power, order = frob, 1
+    while power.images != tuple(range(q + 1)):
+        power, order = power * frob, order + 1
+    assert order == k
 
 
 def test_derived_design_pg23():

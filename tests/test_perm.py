@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from math import gcd
 
 import pytest
 
@@ -217,10 +218,14 @@ def test_deterministic_construction(psl2_7):
 
 
 def test_fixture_orders_asserted_at_load():
-    expected = {"psl2_4": 60, "psl2_8": 504, "psl2_9": 360, "psu3_3": 6048,
-                "psu3_5": 126000}
-    for name, order in expected.items():
-        assert fixture_group(name).order() == order
+    # the orders of PSL(2, q) and PSU(3, q), built over the fields of
+    # constructions.GF
+    for q in (4, 8, 9):
+        assert fixture_group(f"psl2_{q}").order() == \
+            q * (q * q - 1) // gcd(2, q - 1)
+    for q in (3, 5):
+        assert fixture_group(f"psu3_{q}").order() == \
+            q**3 * (q**3 + 1) * (q * q - 1) // gcd(3, q + 1)
     expected = {"line1_psl25": 60, "line2_fano_complement": 168,
                 "line5_psl211": 660, "line10_hs": 44352000}
     for name, order in expected.items():

@@ -13,8 +13,9 @@ written, so a bug here fails loudly rather than producing bad data.
 
 Projective points are labelled as in constructions.pg_points: point i of
 PG(n-1, q) is the i-th vector, in lexicographic order, whose first nonzero
-coordinate is 1, with the field elements encoded as in GF below.  Matrices
-act on row vectors from the right.
+coordinate is 1, with the field elements encoded as in constructions.GF,
+whose matrix_perm and frobenius_perm give the actions on those labels.
+Matrices act on row vectors from the right.
 
 Run from the repository root:
 
@@ -44,7 +45,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ftdesigns.constructions import (data_dir, orbit_design, pg_points,
+from ftdesigns.constructions import (GF, data_dir, frobenius_perm,
+                                     matrix_perm, orbit_design, pg_points,
                                      sl_generators)
 from ftdesigns.design import Parameters
 from ftdesigns.incidence import (DesignError, IncidenceStructure,
@@ -56,122 +58,11 @@ from ftdesigns.perm import (Permutation, PermutationGroup, canonical_json,
 
 # -- small finite fields ------------------------------------------------------
 
-class GF:
-    """GF(p^k) with elements encoded as ints 0..p^k-1 (base-p coefficient
-    vectors, low degree first).  reduction gives x^k as a coefficient tuple,
-    so k is its length; a prime field has none, and k = 1."""
-
-    def __init__(self, p: int, reduction: tuple[int, ...] = ()):
-        self.p, self.k = p, len(reduction) or 1
-        self.size = p**self.k
-        self.reduction = reduction
-        self._mul = [[self._mul_slow(i, j) for j in range(self.size)]
-                     for i in range(self.size)]
-        self._inv = [0] * self.size
-        for i in range(1, self.size):
-            for j in range(1, self.size):
-                if self._mul[i][j] == 1:
-                    self._inv[i] = j
-                    break
-
-    def coeffs(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(x % self.p)
-            x //= self.p
-        return out
-
-    def encode(self, coeffs) -> int:
-        x = 0
-        for c in reversed(list(coeffs)):
-            x = x * self.p + c % self.p
-        return x
-
-    def add(self, a: int, b: int) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def neg(self, a: int) -> int:
-        return self.encode([(-x) % self.p for x in self.coeffs(a)])
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce x^m for m >= k using x^k = reduction
-        for m in range(2 * self.k - 2, self.k - 1, -1):
-            c = prod[m]
-            if c == 0:
-                continue
-            prod[m] = 0
-            for i, r in enumerate(self.reduction):
-                prod[m - self.k + i] = (prod[m - self.k + i] + c * r) % self.p
-        return self.encode(prod[: self.k])
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError
-        return self._inv[a]
-
-    def pow(self, a: int, n: int) -> int:
-        out = 1
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-    def generator(self) -> int:
-        for g in range(1, self.size):
-            seen = {1}
-            x = g
-            while x not in seen:
-                seen.add(x)
-                x = self.mul(x, g)
-            if len(seen) == self.size - 1:
-                return g
-        raise RuntimeError("no multiplicative generator found")
-
-
 GF4 = GF(2, (1, 1))     # x^2 = x + 1
 GF5 = GF(5)
 GF8 = GF(2, (1, 1, 0))  # x^3 = x + 1
 GF9 = GF(3, (2, 0))     # x^2 = 2
 GF25 = GF(5, (2, 0))    # x^2 = 2
-
-
-# -- projective actions --------------------------------------------------------
-
-def _norm(gf: GF, vec) -> tuple[int, ...]:
-    """The label of the point spanned by a nonzero vector: the vector scaled
-    so that its first nonzero coordinate is 1."""
-    s = gf.inv(next(c for c in vec if c != 0))
-    return tuple(gf.mul(s, c) for c in vec)
-
-
-def _point_perm(gf: GF, points, image) -> Permutation:
-    """The permutation of the labelled points induced by a map on vectors."""
-    index = {pt: i for i, pt in enumerate(points)}
-    return Permutation([index[_norm(gf, image(vec))] for vec in points])
-
-
-def matrix_perm(gf: GF, mat, points) -> Permutation:
-    """The action of a matrix on row vectors, vec -> vec * mat."""
-    def image(vec):
-        out = [0] * len(mat[0])
-        for x, row in zip(vec, mat):
-            for j, m in enumerate(row):
-                out[j] = gf.add(out[j], gf.mul(x, m))
-        return out
-    return _point_perm(gf, points, image)
-
-
-def frobenius_perm(gf: GF, points) -> Permutation:
-    """The field automorphism x -> x^p applied to every coordinate."""
-    return _point_perm(gf, points, lambda vec: [gf.pow(c, gf.p) for c in vec])
 
 
 def transvection_mats(gf: GF, n: int) -> list[list[list[int]]]:
